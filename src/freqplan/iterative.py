@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import or_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,14 +54,58 @@ class BeamOption:
         return Assignment(self.f, self.g, self.b)
 
 
-@dataclass(frozen=True)
+class _OptionView(Sequence[BeamOption]):
+    """Read-only sequence of BeamOption built from an OptionSet's arrays on
+    access."""
+
+    def __init__(self, oset: "OptionSet"):
+        self._oset = oset
+
+    def __len__(self) -> int:
+        return len(self._oset.score)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        o = self._oset
+        return BeamOption(int(o.f[index]), int(o.g[index]), int(o.b[index]), float(o.score[index]))
+
+
+@dataclass(frozen=True, eq=False)
 class OptionSet:
-    """Ranked candidates for one beam within an iteration."""
+    """Ranked candidates for one beam within an iteration.
+
+    The candidates are parallel arrays ``f, g, b, score`` in rank order
+    (score descending, then f, g, b); ``options`` reads them as BeamOption.
+    ``original`` is the keep-as-is candidate, kept out of the arrays.
+    """
 
     beam_id: int
-    options: tuple[BeamOption, ...]
-    includes_original: bool = False
+    f: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
+    score: np.ndarray
     original: BeamOption | None = None
+
+    @property
+    def options(self) -> Sequence[BeamOption]:
+        return _OptionView(self)
+
+    @property
+    def includes_original(self) -> bool:
+        return self.original is not None
+
+    def arrays(self, original_at: int | None) -> tuple[np.ndarray, ...]:
+        """``f, g, b, score`` with the keep-as-is candidate (if any) inserted
+        at position ``original_at``."""
+        columns = (self.f, self.g, self.b, self.score)
+        o = self.original
+        if o is None:
+            return columns
+        return tuple(
+            np.concatenate((c[:original_at], [v], c[original_at:]))
+            for c, v in zip(columns, (o.f, o.g, o.b, o.score))
+        )
 
 
 @dataclass(frozen=True)
@@ -205,8 +251,8 @@ def enumerate_options(
     """Ranked feasible candidates for one beam against the fixed complement.
 
     Keeps the top ``top_per_bandwidth`` candidates per slot count; ties go
-    to lower f, then lower g. The current assignment is appended as the
-    keep-as-is candidate when it is active and conflict-free.
+    to lower f, then lower g. The current assignment becomes the keep-as-is
+    candidate when it is active and conflict-free.
     """
     adjacency = _adjacency if _adjacency is not None else _Adjacency(restrictions)
     prefix = _blocked_prefix(beam, grid, current_plan, adjacency, selected_set)
@@ -218,30 +264,35 @@ def enumerate_options(
     row_lo, row_hi = beam.row_range(grid)
     slot_lo, slot_hi = beam.slot_range(grid)
     rows = np.arange(row_lo, row_hi + 1)
-    cap = config.top_per_bandwidth
+    widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
+    firsts = np.arange(slot_lo, slot_hi + 1)
 
-    kept: list[BeamOption] = []
-    for b in range(beam.min_slots, slot_hi - slot_lo + 2):
-        fs = np.arange(slot_lo, slot_hi - b + 2)
-        if fs.size == 0:
-            continue
-        # feasible(g, f): zero blocked cells inside [f, f+b-1] on row g
-        free = (prefix[rows - 1][:, fs + b - 1] - prefix[rows - 1][:, fs - 1]) == 0
-        g_idx, f_idx = np.nonzero(free)
-        if g_idx.size == 0:
-            continue
-        g_vals = rows[g_idx]
-        f_vals = fs[f_idx]
-        scores = b1 * b - b2 * g_vals - b3 * f_vals + b5
-        if ptab is not None:
-            scores = scores - b4 * ptab.value(1, b)
-        order = np.lexsort((g_vals, f_vals, -scores))
-        if cap is not None:
-            order = order[:cap]
-        for idx in order:
-            kept.append(BeamOption(int(f_vals[idx]), int(g_vals[idx]), b, float(scores[idx])))
+    # free[g, b, f]: block [f, f+b-1] inside the slot range and unblocked on row g
+    lasts = firsts[None, :] + widths[:, None] - 1
+    row_prefix = prefix[rows - 1]
+    blocked = row_prefix[:, np.minimum(lasts, slot_hi)] - row_prefix[:, firsts - 1][:, None, :]
+    free = (blocked == 0) & (lasts <= slot_hi)
+    if config.top_per_bandwidth is not None:
+        # Scores fall weakly as g or f grows (|beta2|, |beta3| >= 0 and
+        # rounding is monotone) and ties go to lower f, then g, so every free
+        # block at a lower-or-equal (g, f) of the same width outranks this
+        # one. Blocks with top_per_bandwidth or more such rivals never make
+        # the cut; dropping them early leaves less to sort.
+        free &= np.cumsum(np.cumsum(free, axis=0), axis=2) <= config.top_per_bandwidth
+    g_idx, b_idx, f_idx = np.nonzero(free)
+    g_vals, b_vals, f_vals = rows[g_idx], widths[b_idx], firsts[f_idx]
+    scores = b1 * b_vals - b2 * g_vals - b3 * f_vals + b5
+    if ptab is not None:
+        power = np.array([ptab.value(1, int(b)) for b in widths])
+        scores = scores - b4 * power[b_idx]
 
-    kept.sort(key=lambda o: (-o.score, o.f, o.g, o.b))
+    if config.top_per_bandwidth is not None:
+        order = np.lexsort((g_vals, f_vals, -scores, b_vals))
+        b_sorted = b_vals[order]
+        rank_in_b = np.arange(order.size) - np.searchsorted(b_sorted, b_sorted)
+        keep = order[rank_in_b < config.top_per_bandwidth]
+        f_vals, g_vals, b_vals, scores = f_vals[keep], g_vals[keep], b_vals[keep], scores[keep]
+    order = np.lexsort((b_vals, g_vals, f_vals, -scores))
 
     original = None
     current = current_plan[beam.id]
@@ -260,26 +311,103 @@ def enumerate_options(
             original = BeamOption(f, g, b, score_option(beam, f, g, b, weights, power_table))
     return OptionSet(
         beam_id=beam.id,
-        options=tuple(kept),
-        includes_original=original is not None,
+        f=f_vals[order],
+        g=g_vals[order],
+        b=b_vals[order],
+        score=scores[order],
         original=original,
     )
 
 
-def _options_collide(
-    oi: BeamOption,
-    oj: BeamOption,
-    is_intra: bool,
-    is_inter: bool,
-    n_p: int,
-) -> bool:
-    if not (oi.f <= oj.f + oj.b - 1 and oj.f <= oi.f + oi.b - 1):
-        return False
-    if is_intra and oi.g == oj.g:
-        return True
-    if is_inter and decompose_reuse(oi.g, n_p)[1] == decompose_reuse(oj.g, n_p)[1]:
-        return True
-    return False
+class OptionGroup:
+    """The candidates of one beam, indexed for collision queries.
+
+    For each row (intra partners) and each polarization (inter partners),
+    two prefix-OR bitsets over slots are built on first use: the options
+    whose first slot is <= s, and those whose last slot is >= s. The
+    options of this group that collide with a block [first, last] on key k
+    are then ``start_le[k][last] & end_ge[k][first]``.
+    """
+
+    def __init__(self, f: np.ndarray, g: np.ndarray, b: np.ndarray, grid: FrequencyGrid):
+        self.n_bw = grid.n_bw
+        pol = grid.n_p * -(-g // grid.n_p) - g  # decompose_reuse's m
+        self._key_arrays = (g, pol)
+        self.keys = (g.tolist(), pol.tolist())  # [by_pol][option]: row or polarization
+        self.f = f.tolist()
+        self.last = (f + b - 1).tolist()
+        self._tables: dict[tuple[bool, int], tuple[list[int], list[int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def colliding(self, by_pol: bool, key: int, first: int, last: int) -> int:
+        """Bitset of this group's options whose row (or polarization, with
+        ``by_pol``) is ``key`` and whose slots overlap [first, last]."""
+        table = self._tables.get((by_pol, key))
+        if table is None:
+            starts = [0] * (self.n_bw + 2)
+            ends = [0] * (self.n_bw + 2)
+            for v in np.flatnonzero(self._key_arrays[by_pol] == key).tolist():
+                starts[self.f[v]] |= 1 << v
+                ends[self.last[v]] |= 1 << v
+            start_le = list(accumulate(starts, or_))
+            end_ge = list(accumulate(reversed(ends), or_))[::-1]
+            table = self._tables[(by_pol, key)] = (start_le, end_ge)
+        return table[0][last] & table[1][first]
+
+
+class _ConflictRows(dict):
+    """Conflict rows of one direction of a pair, computed on first access:
+    ``rows[u]`` is the bitset of target options colliding with source
+    option u."""
+
+    def __init__(self, source: OptionGroup, target: OptionGroup, by_pol: bool):
+        super().__init__()
+        self.source, self.target, self.by_pol = source, target, by_pol
+
+    def __missing__(self, u: int) -> int:
+        src = self.source
+        key = src.keys[self.by_pol][u]
+        row = self[u] = self.target.colliding(self.by_pol, key, src.f[u], src.last[u])
+        return row
+
+
+class PairConflicts:
+    """Collisions between the option groups of two restricted beams, in the
+    conflict-object form ``solve_option_selection`` accepts: ``rows[u]``
+    are the options of b colliding with option u of a, ``cols[v]`` those of
+    a colliding with option v of b.
+
+    Intra pairs collide on the same row, inter pairs (``by_pol``) on the
+    same polarization.
+    """
+
+    def __init__(self, a: OptionGroup, b: OptionGroup, by_pol: bool):
+        self.rows = _ConflictRows(a, b, by_pol)
+        self.cols = _ConflictRows(b, a, by_pol)
+        self.size = len(a) * len(b)  # cells of the equivalent dense matrix
+
+
+def _bits(mask: int):
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _restricted_pairs(beam_ids: Sequence[int], restrictions: RestrictionSets):
+    """(a, b, by_pol) for positions a < b of restricted beams. A row fixes
+    the polarization, so a pair that is both intra and inter collides
+    exactly as an inter pair."""
+    for a in range(len(beam_ids)):
+        for b in range(a + 1, len(beam_ids)):
+            key = (min(beam_ids[a], beam_ids[b]), max(beam_ids[a], beam_ids[b]))
+            if key in restrictions.inter:
+                yield a, b, True
+            elif key in restrictions.intra:
+                yield a, b, False
 
 
 def build_subproblem(
@@ -317,30 +445,21 @@ def build_subproblem(
             )
         names.append(beam_names + ([f"x_orig_{i}"] if oset.includes_original else []))
 
-    intra = restrictions.intra
-    inter = restrictions.inter
-    for a in range(len(option_sets)):
-        for b in range(a + 1, len(option_sets)):
-            i, j = option_sets[a].beam_id, option_sets[b].beam_id
-            key = (min(i, j), max(i, j))
-            is_intra, is_inter = key in intra, key in inter
-            if not (is_intra or is_inter):
-                continue
-            opts_a = list(option_sets[a].options) + (
-                [option_sets[a].original] if option_sets[a].includes_original else []
-            )
-            opts_b = list(option_sets[b].options) + (
-                [option_sets[b].original] if option_sets[b].includes_original else []
-            )
-            for u, ou in enumerate(opts_a):
-                for v, ov in enumerate(opts_b):
-                    if _options_collide(ou, ov, is_intra, is_inter, grid.n_p):
-                        model.add_constraint(
-                            f"conf_{i}_{j}_{u}_{v}",
-                            [(1.0, names[a][u]), (1.0, names[b][v])],
-                            LE,
-                            1.0,
-                        )
+    groups = [
+        OptionGroup(*oset.arrays(len(oset.score))[:3], grid) for oset in option_sets
+    ]
+    beam_ids = [oset.beam_id for oset in option_sets]
+    for a, b, by_pol in _restricted_pairs(beam_ids, restrictions):
+        i, j = beam_ids[a], beam_ids[b]
+        pair = PairConflicts(groups[a], groups[b], by_pol)
+        for u in range(len(groups[a])):
+            for v in _bits(pair.rows[u]):
+                model.add_constraint(
+                    f"conf_{i}_{j}_{u}_{v}",
+                    [(1.0, names[a][u]), (1.0, names[b][v])],
+                    LE,
+                    1.0,
+                )
     model.set_objective(objective)
     return model
 
@@ -382,14 +501,14 @@ def _sanitize_warm_start(
     for beam in scenario.beams:
         if beam.id not in assignments:
             assignments[beam.id] = Assignment.inactive()
-    while True:
-        candidate = FrequencyPlan(assignments)
-        violations = validate_plan(candidate, scenario.grid, restrictions, scenario.beams)
-        if not violations:
-            return candidate
-        v = violations[0]
-        victim = max(v.beams)
-        assignments[victim] = Assignment.inactive()
+    # Deactivating a beam only removes the violations it takes part in, so
+    # walking the violations of the start in validate_plan's order and
+    # skipping those already resolved repairs like re-validating each time.
+    start = FrequencyPlan(dict(assignments))
+    for v in validate_plan(start, scenario.grid, restrictions, scenario.beams):
+        if all(assignments[i].active for i in v.beams):
+            assignments[max(v.beams)] = Assignment.inactive()
+    return FrequencyPlan(assignments)
 
 
 def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationState:
@@ -417,50 +536,28 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         for i in picked
     ]
 
-    # exact selection: same semantics as solving build_subproblem()
-    scores: list[list[float]] = []
-    full_opts: list[list[BeamOption]] = []
-    allow_none: list[bool] = []
+    # exact selection: same semantics as solving build_subproblem(). The
+    # keep-as-is candidate goes in at its score rank (after every option
+    # scoring at least as much), so option index equals rank in every group.
+    columns: list[tuple[np.ndarray, ...]] = []
+    initial: list[int | None] = []
     for oset in option_sets:
-        opts = list(oset.options)
-        if oset.includes_original:
-            opts.append(oset.original)  # type: ignore[arg-type]
-        full_opts.append(opts)
-        scores.append([o.score for o in opts])
-        allow_none.append(not oset.includes_original)
-
-    intra, inter = state.restrictions.intra, state.restrictions.inter
-    n_p = scenario.grid.n_p
-    f_arr = [np.array([o.f for o in opts]) for opts in full_opts]
-    l_arr = [np.array([o.f + o.b - 1 for o in opts]) for opts in full_opts]
-    g_arr = [np.array([o.g for o in opts]) for opts in full_opts]
-    m_arr = [np.array([decompose_reuse(o.g, n_p)[1] for o in opts]) for opts in full_opts]
-    pair_conflict = {}
-    for a in range(len(picked)):
-        for b in range(a + 1, len(picked)):
-            key = (min(picked[a], picked[b]), max(picked[a], picked[b]))
-            is_intra, is_inter = key in intra, key in inter
-            if not (is_intra or is_inter):
-                continue
-            overlap = (f_arr[a][:, None] <= l_arr[b][None, :]) & (
-                f_arr[b][None, :] <= l_arr[a][:, None]
-            )
-            collide = np.zeros_like(overlap)
-            if is_intra:
-                collide |= g_arr[a][:, None] == g_arr[b][None, :]
-            if is_inter:
-                collide |= m_arr[a][:, None] == m_arr[b][None, :]
-            pair_conflict[(a, b)] = overlap & collide
+        at = None
+        if oset.original is not None:
+            at = int(np.count_nonzero(oset.score >= oset.original.score))
+        columns.append(oset.arrays(at))
+        initial.append(at)
+    groups = [OptionGroup(f, g, b, scenario.grid) for f, g, b, _ in columns]
+    pair_conflict = {
+        (a, b): PairConflicts(groups[a], groups[b], by_pol)
+        for a, b, by_pol in _restricted_pairs(picked, state.restrictions)
+    }
 
     # the keep-as-is selection (x_orig where available) seeds the incumbent,
     # guaranteeing the applied selection never worsens the plan
-    initial: list[int | None] = [
-        len(full_opts[pos]) - 1 if oset.includes_original else None
-        for pos, oset in enumerate(option_sets)
-    ]
     picks, _ = solve_option_selection(
-        scores,
-        allow_none,
+        [score for *_, score in columns],
+        [at is None for at in initial],
         pair_conflict,
         initial=initial,
         node_budget=state.config.node_budget,
@@ -471,7 +568,11 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     for pos, beam_id in enumerate(picked):
         old = assignments[beam_id]
         sel = picks[pos]
-        new = full_opts[pos][sel].as_assignment() if sel is not None else Assignment.inactive()
+        if sel is None:
+            new = Assignment.inactive()
+        else:
+            f, g, b, _ = columns[pos]
+            new = Assignment(int(f[sel]), int(g[sel]), int(b[sel]))
         if new != old:
             changed += 1
         assignments[beam_id] = new

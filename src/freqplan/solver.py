@@ -422,6 +422,12 @@ def brute_force_best_plan(
 # --- exact option-selection search (iterative subproblems) ----------------
 
 
+def _packed_rows(mat: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int whose bit v is column v."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def solve_option_selection(
     scores: Sequence[Sequence[float]],
     allow_none: Sequence[bool],
@@ -433,11 +439,19 @@ def solve_option_selection(
 
     ``scores[g]`` lists option scores for group g; groups with
     ``allow_none[g]`` may also select nothing (contribution 0), otherwise a
-    selection is mandatory. ``pair_conflict[(g1, g2)]`` (g1 < g2) decides
-    whether two concrete options collide; each entry is either a callable
-    ``(opt1, opt2) -> bool`` or a precomputed boolean matrix indexed
-    ``[opt1, opt2]``. Deterministic; with an unlimited budget, equivalent
-    to solving the pairwise-constraint binary program exactly.
+    selection is mandatory. ``pair_conflict[(g1, g2)]`` (g1 < g2) says which
+    concrete options collide, in one of two forms:
+
+    * a boolean matrix indexed ``[opt1, opt2]``;
+    * a conflict object exposing ``rows[opt1]`` (the options of g2 that
+      collide with ``opt1``, as an int with bit ``opt2`` set) and
+      ``cols[opt2]`` (the options of g1, likewise), plus ``size``, the
+      number of cells of the matrix it stands for. Both of its groups must
+      list their scores in rank order (non-increasing), so that option
+      index and bit position equal score rank.
+
+    Deterministic; with an unlimited budget, equivalent to solving the
+    pairwise-constraint binary program exactly.
 
     ``initial`` seeds the incumbent with a known-feasible selection, which
     the result is then guaranteed to match or beat. ``node_budget`` > 0
@@ -447,69 +461,63 @@ def solve_option_selection(
     The search is depth-first with forward checking over connected
     components of the group conflict graph, always branching on the group
     with the fewest surviving candidates; the node bound sums the best
-    still-compatible score per remaining group.
+    still-compatible score per remaining group. Surviving candidates are
+    int bitsets in score-rank order, so a group's best is its lowest set bit
+    and its width is ``bit_count()`` (bit-parallel branch-and-bound after
+    San Segundo, Rodriguez-Losada and Jimenez, Computers & OR 38(2), 2011).
     """
     n = len(scores)
+    # rank r of group g is option ranked[g][r]: score descending, then index
     score_arr = [np.asarray(s, dtype=float) for s in scores]
-    ranked: list[list[int]] = [
-        sorted(range(len(scores[g])), key=lambda o: (-scores[g][o], o))
-        for g in range(n)
+    ranked = [np.argsort(-s, kind="stable") for s in score_arr]
+    rank_scores: list[list[float]] = [s[r].tolist() for s, r in zip(score_arr, ranked)]
+    # None sits after every strictly positive option
+    none_rank: list[int | None] = [
+        int(np.count_nonzero(s > 0)) if allow_none[g] else None
+        for g, s in enumerate(score_arr)
     ]
-    none_rank: list[int | None] = []
-    for g in range(n):
-        if allow_none[g]:
-            pos = 0
-            while pos < len(ranked[g]) and scores[g][ranked[g][pos]] > 0:
-                pos += 1
-            none_rank.append(pos)
-        else:
-            none_rank.append(None)
 
-    # materialize conflict matrices once; callables are evaluated eagerly
-    matrices: dict[tuple[int, int], np.ndarray] = {}
+    # adj[g][h][r] -> bitset over h's ranks colliding with rank r of g
+    adj: list[dict] = [{} for _ in range(n)]
     for (g1, g2), conf in pair_conflict.items():
-        if callable(conf):
-            mat = np.zeros((len(scores[g1]), len(scores[g2])), dtype=bool)
-            for u in range(len(scores[g1])):
-                for v in range(len(scores[g2])):
-                    mat[u, v] = conf(u, v)
+        if hasattr(conf, "rows"):
+            for g in (g1, g2):
+                if np.any(ranked[g] != np.arange(len(ranked[g]))):
+                    raise ValueError(f"group {g} of a conflict object is not in rank order")
+            adj[g1][g2], adj[g2][g1] = conf.rows, conf.cols
         else:
-            mat = np.asarray(conf, dtype=bool)
-        matrices[(g1, g2)] = mat
+            mat = np.asarray(conf, dtype=bool)[np.ix_(ranked[g1], ranked[g2])]
+            adj[g1][g2], adj[g2][g1] = _packed_rows(mat), _packed_rows(mat.T)
 
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for g1, g2 in matrices:
-        adj[g1].add(g2)
-        adj[g2].add(g1)
-
-    def _conflict_row(g: int, h: int, opt: int) -> np.ndarray:
-        """Options of group h incompatible with option opt of g."""
-        if (g, h) in matrices:
-            return matrices[(g, h)][opt, :]
-        return matrices[(h, g)][:, opt]
-
-    mask = [np.ones(len(scores[g]), dtype=bool) for g in range(n)]
+    mask = [(1 << len(s)) - 1 for s in rank_scores]
+    none_width = [1 if allow_none[g] else 0 for g in range(n)]
+    gb = [0.0] * n  # best still-compatible gain per group
+    width = [0] * n  # surviving candidates per group, None included
     pick: list[int | None] = [None] * n
     infeasible = False
+    neg_inf = float("-inf")
 
     def group_best(g: int) -> float:
-        avail = score_arr[g][mask[g]]
-        best = float(avail.max()) if avail.size else float("-inf")
+        m = mask[g]
+        best = rank_scores[g][(m & -m).bit_length() - 1] if m else neg_inf
         if allow_none[g]:
             best = max(best, 0.0)
         return best
 
     def candidates(g: int):
-        """Still-compatible candidates in non-increasing gain order; None
-        (when allowed) sits at its score-rank position."""
-        emitted_none = False
-        for rank_pos, opt in enumerate(ranked[g]):
-            if none_rank[g] is not None and rank_pos >= none_rank[g] and not emitted_none:
-                emitted_none = True
+        """Still-compatible ranks in non-increasing gain order; None (when
+        allowed) sits at its score-rank position."""
+        m = mask[g]
+        cut = none_rank[g]
+        while m:
+            low = m & -m
+            r = low.bit_length() - 1
+            if cut is not None and r >= cut:
                 yield None
-            if mask[g][opt]:
-                yield opt
-        if none_rank[g] is not None and not emitted_none:
+                cut = None
+            yield r
+            m ^= low
+        if cut is not None:
             yield None
 
     # connected components of the group conflict graph are independent
@@ -521,28 +529,34 @@ def solve_option_selection(
             x = comp_of[x]
         return x
 
-    for g1, g2 in matrices:
+    for g1, g2 in pair_conflict:
         comp_of[find(g1)] = find(g2)
     components: dict[int, list[int]] = {}
     for g in range(n):
         components.setdefault(find(g), []).append(g)
 
+    initial_rank: list[int | None] | None = None
+    if initial is not None:
+        initial_rank = [
+            None if opt is None else int(np.flatnonzero(ranked[g] == opt)[0])
+            for g, opt in enumerate(initial)
+        ]
+
     def solve_component(groups: list[int]) -> None:
         nonlocal infeasible
-        best_total = float("-inf")
+        best_total = neg_inf
         best_pick: dict[int, int | None] | None = None
-        if initial is not None:
+        if initial_rank is not None:
             best_total = sum(
-                float(score_arr[g][initial[g]]) for g in groups if initial[g] is not None
+                rank_scores[g][initial_rank[g]] for g in groups if initial_rank[g] is not None
             )
-            best_pick = {g: initial[g] for g in groups}
+            best_pick = {g: initial_rank[g] for g in groups}
         chosen: dict[int, int | None] = {}
         remaining = set(groups)
         # incrementally maintained per-group data over `remaining`
-        gb = {h: group_best(h) for h in groups}
-        width = {
-            h: int(mask[h].sum()) + (1 if allow_none[h] else 0) for h in groups
-        }
+        for h in groups:
+            gb[h] = group_best(h)
+            width[h] = mask[h].bit_count() + none_width[h]
         nodes = 0
 
         def search(total: float) -> None:
@@ -556,42 +570,40 @@ def solve_option_selection(
                     best_pick = dict(chosen)
                 return
             bound = total
-            branch = None
-            branch_width = None
+            branch, branch_width = None, math.inf
             for h in sorted(remaining):
-                if gb[h] == float("-inf"):
+                if gb[h] == neg_inf:
                     return  # mandatory group fully pruned: dead end
                 bound += gb[h]
-                if branch_width is None or width[h] < branch_width:
+                if width[h] < branch_width:
                     branch, branch_width = h, width[h]
             if bound <= best_total + OPT_TOL:
                 return
             g = branch
-            assert g is not None
             rest = bound - total - gb[g]
             remaining.discard(g)
             for opt in candidates(g):
                 if node_budget and nodes > node_budget:
                     break
-                gain = float(score_arr[g][opt]) if opt is not None else 0.0
+                gain = rank_scores[g][opt] if opt is not None else 0.0
                 if total + gain + rest <= best_total + OPT_TOL:
                     break  # gains only shrink from here on
                 chosen[g] = opt
                 if opt is None:
                     search(total)
                 else:
-                    saved = {}
-                    for h in adj[g]:
+                    saved = []
+                    for h, rows in adj[g].items():
                         if h not in remaining:
                             continue
-                        row = _conflict_row(g, h, opt)
-                        if row.any():
-                            saved[h] = (mask[h], gb[h], width[h])
-                            mask[h] = mask[h] & ~row
+                        row = rows[opt]
+                        if row:
+                            saved.append((h, mask[h], gb[h], width[h]))
+                            mask[h] &= ~row
                             gb[h] = group_best(h)
-                            width[h] = int(mask[h].sum()) + (1 if allow_none[h] else 0)
+                            width[h] = mask[h].bit_count() + none_width[h]
                     search(total + gain)
-                    for h, (m_old, gb_old, w_old) in saved.items():
+                    for h, m_old, gb_old, w_old in saved:
                         mask[h], gb[h], width[h] = m_old, gb_old, w_old
                 del chosen[g]
             remaining.add(g)
@@ -600,8 +612,8 @@ def solve_option_selection(
         if best_pick is None:
             infeasible = True
             return
-        for g, opt in best_pick.items():
-            pick[g] = opt
+        for g, r in best_pick.items():
+            pick[g] = None if r is None else int(ranked[g][r])
 
     for root in sorted(components, key=lambda r: min(components[r])):
         solve_component(sorted(components[root]))

@@ -22,9 +22,10 @@ from freqplan import (
     write_solution,
 )
 from freqplan.errors import UnsupportedModelError
+from freqplan.iterative import OptionGroup, PairConflicts
 from freqplan.solver import solve_option_selection
 
-from util import random_instance, ref_plan_is_valid
+from util import random_instance, ref_plan_is_valid, ref_solve_option_selection
 
 
 def knapsack_model():
@@ -205,14 +206,32 @@ class TestOptionSelection:
         assert picks == [0]
         assert total == pytest.approx(-1.0)
 
-    def test_callable_conflicts_match_matrix(self):
-        scores = [[4.0, 5.0], [3.0, 1.0]]
-        mat = np.array([[True, False], [False, False]])
+    def test_kernel_conflicts_match_matrix(self):
+        # the hand-checked case in rank order: group 0 scores 5 (row 1,
+        # slots 1-2) and 4 (row 2, slots 1-2); group 1 scores 3 (row 2,
+        # slots 2-3) and 1 (row 1, slots 3-4). As an intra pair only the
+        # row-2 options overlap, so the best is 5 + 3 = 8 via (0, 0).
+        grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
+        scores = [[5.0, 4.0], [3.0, 1.0]]
+        groups = [
+            OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid),
+            OptionGroup(np.array([2, 3]), np.array([2, 1]), np.array([2, 2]), grid),
+        ]
+        kernel = PairConflicts(groups[0], groups[1], by_pol=False)
+        mat = np.array([[False, False], [True, False]])
+        assert [kernel.rows[u] for u in range(2)] == [0b00, 0b01]
+        assert [kernel.cols[v] for v in range(2)] == [0b10, 0b00]
+        assert kernel.size == mat.size
         by_matrix = solve_option_selection(scores, [False, False], {(0, 1): mat})
-        by_call = solve_option_selection(
-            scores, [False, False], {(0, 1): lambda u, v: bool(mat[u, v])}
-        )
-        assert by_matrix == by_call
+        by_kernel = solve_option_selection(scores, [False, False], {(0, 1): kernel})
+        assert by_matrix == by_kernel == ([0, 0], 8.0)
+
+    def test_kernel_conflicts_need_rank_order(self):
+        grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
+        group = OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid)
+        kernel = PairConflicts(group, group, by_pol=False)
+        with pytest.raises(ValueError):
+            solve_option_selection([[4.0, 5.0], [3.0, 1.0]], [False, False], {(0, 1): kernel})
 
     def test_budget_truncation_returns_initial_or_better(self):
         rng = np.random.default_rng(3)
@@ -269,3 +288,62 @@ class TestOptionSelection:
         else:
             _, total = solve_option_selection(scores, allow, conflict)
             assert total == pytest.approx(best, abs=1e-9)
+
+
+def _random_selection(rng, n_groups, max_options, tie_levels):
+    """Scores drawn from few levels (so ties are common), unsorted, with
+    mixed allow_none and random conflict matrices over random pairs."""
+    sizes = [int(rng.integers(0, max_options + 1)) for _ in range(n_groups)]
+    levels = rng.uniform(-3, 10, size=tie_levels)
+    scores = [list(rng.choice(levels, size=k)) for k in sizes]
+    allow = [bool(rng.random() < 0.5) or sizes[g] == 0 for g in range(n_groups)]
+    density = rng.uniform(0.1, 0.7)
+    conflict = {
+        (i, j): rng.random((sizes[i], sizes[j])) < density
+        for i in range(n_groups)
+        for j in range(i + 1, n_groups)
+        if rng.random() < 0.6
+    }
+    return scores, allow, conflict
+
+
+def _feasible_initial(rng, scores, allow, conflict):
+    """A random selection satisfying every conflict, or None if the greedy
+    draw dead-ends on a mandatory group."""
+    pick = []
+    for g, opts in enumerate(scores):
+        free = [
+            u for u in range(len(opts))
+            if not any(
+                pick[h] is not None and conflict[(h, g)][pick[h], u]
+                for h in range(g) if (h, g) in conflict
+            )
+        ]
+        if allow[g] and (not free or rng.random() < 0.3):
+            pick.append(None)
+        elif free:
+            pick.append(int(rng.choice(free)))
+        else:
+            return None
+    return pick
+
+
+@pytest.mark.parametrize("node_budget", [0, 1, 3, 50])
+@pytest.mark.parametrize("seed", range(12))
+def test_bitset_search_matches_reference(seed, node_budget):
+    """Picks and totals equal the numpy-mask reference search, including
+    which options a node-budget truncation settles on."""
+    rng = np.random.default_rng(4000 + seed)
+    for _ in range(8):
+        scores, allow, conflict = _random_selection(
+            rng, int(rng.integers(1, 7)), 9, int(rng.integers(2, 6))
+        )
+        initial = _feasible_initial(rng, scores, allow, conflict) if rng.random() < 0.6 else None
+        kwargs = dict(initial=initial, node_budget=node_budget)
+        try:
+            expected = ref_solve_option_selection(scores, allow, conflict, **kwargs)
+        except UnsupportedModelError:
+            with pytest.raises(UnsupportedModelError):
+                solve_option_selection(scores, allow, conflict, **kwargs)
+            continue
+        assert solve_option_selection(scores, allow, conflict, **kwargs) == expected

@@ -2,7 +2,8 @@
 
 Subcommands: generate, optimize, validate, emit-lp, render. Exit codes:
 0 success/valid, 1 usage error, 2 validation failure, 3 infeasible or
-limit reached. All randomness is seeded through explicit flags.
+limit reached (including a beam that no satellite sees, so that no plan
+exists). All randomness is seeded through explicit flags.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import iterative, milp, power, render, scenario as scen, solver
-from .errors import FreqplanError
+from .errors import FreqplanError, RoutingError
 from .model import (
     FrequencyGrid,
     FrequencyPlan,
@@ -206,9 +207,10 @@ def cmd_optimize(args) -> int:
         link = scenario.link or power.LinkBudget()
         tables = power.power_tables_for(scenario.beams, scenario.grid, link)
 
-    warm = iterative.greedy_warm_start(scenario, restrictions)
     if args.warm_start is not None:
         warm = load_plan_csv(args.warm_start)
+    else:
+        warm = iterative.greedy_warm_start(scenario, restrictions)
 
     if args.mode == "full":
         model = milp.build_full_model(scenario, restrictions, weights)
@@ -326,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RoutingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (FreqplanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,9 +29,7 @@ from .model import (
     FrequencyPlan,
     ObjectiveWeights,
     RestrictionSets,
-    decompose_reuse,
     objective_value,
-    overlaps,
     total_normalized_bandwidth,
     validate_plan,
 )
@@ -197,11 +195,9 @@ class _Adjacency:
             self.inter.setdefault(j, set()).add(i)
 
 
-def _rows_with_polarization(grid: FrequencyGrid) -> dict[int, list[int]]:
-    rows: dict[int, list[int]] = {}
-    for g in range(1, grid.n_rows + 1):
-        rows.setdefault(decompose_reuse(g, grid.n_p)[1], []).append(g)
-    return rows
+def _polarization(g, n_p: int):
+    """decompose_reuse's polarization m of row g (an int or an array)."""
+    return n_p * -(-g // n_p) - g
 
 
 def _blocked_prefix(
@@ -213,25 +209,25 @@ def _blocked_prefix(
 ) -> np.ndarray:
     """Cumulative count of blocked cells per row; shape (n_rows, n_bw + 1).
 
-    A cell is blocked when an active fixed partner occupies it under the
-    relevant restriction semantics.
+    A cell is blocked when an active partner outside ``selected`` occupies
+    its slot on the same row (intra) or on a row of the same polarization
+    (inter).
     """
-    blocked = np.zeros((grid.n_rows, grid.n_bw), dtype=bool)
-    rows_by_m = _rows_with_polarization(grid)
+    by_row = np.zeros((grid.n_rows, grid.n_bw), dtype=bool)
+    by_pol = np.zeros((grid.n_p, grid.n_bw), dtype=bool)
     for j in adjacency.intra.get(beam.id, ()):
         if j in selected:
             continue
         a = current_plan[j]
         if a.active:
-            blocked[a.g - 1, a.f - 1 : a.f + a.b - 1] = True
+            by_row[a.g - 1, a.f - 1 : a.f + a.b - 1] = True
     for j in adjacency.inter.get(beam.id, ()):
         if j in selected:
             continue
         a = current_plan[j]
         if a.active:
-            m = decompose_reuse(a.g, grid.n_p)[1]
-            for g in rows_by_m[m]:
-                blocked[g - 1, a.f - 1 : a.f + a.b - 1] = True
+            by_pol[_polarization(a.g, grid.n_p), a.f - 1 : a.f + a.b - 1] = True
+    blocked = by_row | by_pol[_polarization(np.arange(1, grid.n_rows + 1), grid.n_p)]
     prefix = np.zeros((grid.n_rows, grid.n_bw + 1), dtype=np.int32)
     np.cumsum(blocked, axis=1, out=prefix[:, 1:])
     return prefix
@@ -331,7 +327,7 @@ class OptionGroup:
 
     def __init__(self, f: np.ndarray, g: np.ndarray, b: np.ndarray, grid: FrequencyGrid):
         self.n_bw = grid.n_bw
-        pol = grid.n_p * -(-g // grid.n_p) - g  # decompose_reuse's m
+        pol = _polarization(g, grid.n_p)
         self._key_arrays = (g, pol)
         self.keys = (g.tolist(), pol.tolist())  # [by_pol][option]: row or polarization
         self.f = f.tolist()
@@ -579,7 +575,6 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
 
     new_plan = FrequencyPlan(assignments)
     new_state = replace(state, plan=new_plan, iteration=state.iteration + 1)
-    new_state._adjacency = state._adjacency
     objective = new_state.objective()
     prev = state.trace.records[-1].objective if state.trace.records else state.objective()
     new_state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
@@ -606,40 +601,19 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
     assignments: dict[int, Assignment] = {
         b.id: Assignment.inactive() for b in scenario.beams
     }
-    order = sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id))
-    for beam in order:
+    placed = FrequencyPlan(assignments)  # sees each placement as it is made
+    for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
+        prefix = _blocked_prefix(beam, grid, placed, adjacency, set())
         row_lo, row_hi = beam.row_range(grid)
         slot_lo, slot_hi = beam.slot_range(grid)
         b = beam.min_slots
-        placed = None
-        for g in range(row_lo, row_hi + 1):
-            for f in range(slot_lo, slot_hi - b + 2):
-                cand = Assignment(f, g, b)
-                ok = True
-                for j in adjacency.intra.get(beam.id, ()):
-                    other = assignments[j]
-                    if other.active and other.g == g and overlaps(cand, other):
-                        ok = False
-                        break
-                if ok:
-                    m = decompose_reuse(g, grid.n_p)[1]
-                    for j in adjacency.inter.get(beam.id, ()):
-                        other = assignments[j]
-                        if (
-                            other.active
-                            and decompose_reuse(other.g, grid.n_p)[1] == m
-                            and overlaps(cand, other)
-                        ):
-                            ok = False
-                            break
-                if ok:
-                    placed = cand
-                    break
-            if placed:
-                break
-        if placed:
-            assignments[beam.id] = placed
-    return FrequencyPlan(assignments)
+        firsts = np.arange(slot_lo, slot_hi - b + 2)
+        rows = prefix[row_lo - 1 : row_hi]
+        free = rows[:, firsts + b - 1] == rows[:, firsts - 1]  # free[g, f]
+        if free.any():
+            g, f = divmod(int(np.argmax(free)), len(firsts))  # row-major: lowest g, then f
+            assignments[beam.id] = Assignment(int(firsts[f]), row_lo + g, b)
+    return placed
 
 
 def optimize(

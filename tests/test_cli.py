@@ -4,7 +4,18 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from freqplan import Assignment, FrequencyPlan, load_plan_csv, save_plan_csv
+from freqplan import (
+    Assignment,
+    Beam,
+    ConstellationGeometry,
+    FrequencyGrid,
+    FrequencyPlan,
+    Scenario,
+    iterative,
+    load_plan_csv,
+    save_plan_csv,
+    save_scenario,
+)
 from freqplan.cli import main
 
 
@@ -69,6 +80,36 @@ class TestOptimize:
                    "--out-plan", str(plan)])
         assert rc == 0
         assert main(["validate", str(plan), str(scen)]) == 0
+
+    def test_warm_start_file_replaces_greedy(self, tmp_path, scenario_file, monkeypatch):
+        first = tmp_path / "first.csv"
+        assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                     "--out-plan", str(first)]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy warm start built although a warm start was given")
+
+        monkeypatch.setattr(iterative, "greedy_warm_start", fail)
+        plan = tmp_path / "plan.csv"
+        rc = main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                   "--warm-start", str(first), "--out-plan", str(plan)])
+        assert rc == 0
+        assert main(["validate", str(plan), str(scenario_file)]) == 0
+
+    def test_unroutable_beam_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "pole.json"
+        save_scenario(
+            Scenario(
+                grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=2),
+                beams=(Beam(id=1, lat=89.0, lon=0.0),),
+                geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+                horizon_min=5, step_min=5,
+            ),
+            path,
+        )
+        rc = main(["optimize", str(path), "--out-plan", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert "no visible satellite" in capsys.readouterr().err
 
     def test_missing_scenario_is_usage_error(self, tmp_path):
         rc = main(["optimize", str(tmp_path / "nope.json"),

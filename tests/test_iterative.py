@@ -37,9 +37,11 @@ from freqplan.solver import solve_option_selection
 from util import (
     random_instance,
     ref_enumerate_options,
+    ref_greedy_warm_start,
     ref_options_collide,
     ref_reoptimize,
     ref_sanitize_warm_start,
+    solve_with_scipy_milp,
 )
 
 GRID = FrequencyGrid(n_bw=4, n_fr=2, n_p=2)
@@ -263,6 +265,64 @@ class TestSubproblem:
         assert milp_sol.objective == pytest.approx(total, abs=1e-9)
 
 
+class TestHighsOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_uncapped_search_matches_highs(self, seed):
+        """At 6-10 sampled beams, beyond the brute-force guard, the exact
+        (node_budget=0) search over the kernel conflicts reaches HiGHS's
+        optimum of the same subproblem."""
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(1700 + seed)
+        grid = FrequencyGrid(
+            n_bw=int(rng.integers(3, 7)), n_fr=int(rng.integers(1, 3)),
+            n_p=int(rng.integers(1, 3)),
+        )
+        n = 14
+        beams = tuple(
+            Beam(id=i, demand_bps=float(rng.uniform(1e6, 1e8)),
+                 min_slots=int(rng.integers(1, 3)))
+            for i in range(1, n + 1)
+        )
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        s = Scenario(
+            grid=grid, beams=beams, geometry=GEOM,
+            restrictions=RestrictionSets.of(
+                intra=[p for p in pairs if rng.random() < 0.4],
+                inter=[p for p in pairs if rng.random() < 0.15],
+            ),
+        )
+        weights = ObjectiveWeights(
+            beta1=1.0, beta2=float(rng.uniform(0, 0.3)), beta3=float(rng.uniform(0, 0.3)),
+            beta5=float(rng.choice([0.0, 0.5])),
+        )
+        warm = greedy_warm_start(s, s.restrictions)
+        n_pick = int(rng.integers(6, 11))
+        picked = sorted(int(i) for i in rng.choice(np.arange(1, n + 1), size=n_pick, replace=False))
+        config = IterationConfig(n_ch=len(picked), top_per_bandwidth=3)
+        osets = [
+            enumerate_options(s.beam(i), grid, warm, s.restrictions, set(picked), config, weights)
+            for i in picked
+        ]
+        status, highs = solve_with_scipy_milp(build_subproblem(osets, s.restrictions, grid))
+        assert status == 0
+
+        # as in iterate_once: the keep-as-is candidate goes in at its rank
+        columns = []
+        for oset in osets:
+            o = oset.original
+            columns.append(oset.arrays(None if o is None else int(np.count_nonzero(oset.score >= o.score))))
+        groups = [OptionGroup(f, g, b, grid) for f, g, b, _ in columns]
+        conflicts = {
+            (a, b): PairConflicts(groups[a], groups[b], by_pol)
+            for a, b, by_pol in iterative._restricted_pairs(picked, s.restrictions)
+        }
+        _, total = solve_option_selection(
+            [c[3] for c in columns], [oset.original is None for oset in osets],
+            conflicts, node_budget=0,
+        )
+        assert total == pytest.approx(highs, abs=1e-6)
+
+
 @st.composite
 def _restricted_beam_pair(draw):
     """Two beams with drawn domains on a drawn grid, a fixed third beam
@@ -330,6 +390,59 @@ class TestWarmStartAndRepair:
         b = greedy_warm_start(s, s.restrictions)
         assert a.assignments == b.assignments
         assert validate_plan(a, s.grid, s.restrictions, s.beams) == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_greedy_warm_start_matches_first_fit_reference(self, seed):
+        """Same placements as a scalar first-fit scan (rows g, then first
+        slots f), with domain restrictions, n_p of 1 and 2, demand ties and
+        min_slots wider than the allowed span."""
+        rng = np.random.default_rng(1300 + seed)
+        for _ in range(30):
+            grid = FrequencyGrid(
+                n_bw=int(rng.integers(2, 9)), n_fr=int(rng.integers(1, 4)),
+                n_p=int(rng.integers(1, 3)),
+            )
+            n = int(rng.integers(2, 9))
+            beams = []
+            for i in range(1, n + 1):
+                rows = slots = None
+                if rng.random() < 0.4:
+                    lo = int(rng.integers(1, grid.n_rows + 1))
+                    rows = (lo, int(rng.integers(lo, grid.n_rows + 1)))
+                if rng.random() < 0.4:
+                    lo = int(rng.integers(1, grid.n_bw + 1))
+                    slots = (lo, int(rng.integers(lo, grid.n_bw + 1)))
+                width = (slots[1] - slots[0] + 1) if slots else grid.n_bw
+                min_slots = int(rng.integers(1, width + 1))
+                if rng.random() < 0.1:
+                    min_slots = width + int(rng.integers(1, 3))  # fits nowhere
+                beams.append(Beam(
+                    id=i, demand_bps=float(rng.choice([1e6, 5e6, 2e7])),
+                    min_slots=min_slots, allowed_rows=rows, allowed_slots=slots,
+                ))
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            d_intra, d_inter = rng.choice([0.0, 0.5, 1.0], size=2)
+            s = Scenario(
+                grid=grid, beams=tuple(beams), geometry=GEOM,
+                restrictions=RestrictionSets.of(
+                    intra=[p for p in pairs if rng.random() < d_intra],
+                    inter=[p for p in pairs if rng.random() < d_inter],
+                ),
+            )
+            got = greedy_warm_start(s, s.restrictions)
+            assert got.assignments == ref_greedy_warm_start(s, s.restrictions).assignments
+            assert validate_plan(got, s.grid, s.restrictions, s.beams) == []
+
+    def test_greedy_warm_start_scans_rows_before_slots(self):
+        # beam 1 (higher demand) takes slots 1-2 of row 1; beam 2 then
+        # fits at f=3 on row 1 before f=1 on row 2
+        s = scenario_with(
+            [Beam(id=1, demand_bps=2.0, min_slots=2), Beam(id=2, demand_bps=1.0, min_slots=2)],
+            intra=[(1, 2)],
+        )
+        plan = greedy_warm_start(s, s.restrictions)
+        assert plan[1] == Assignment(1, 1, 2)
+        assert plan[2] == Assignment(3, 1, 2)
 
     def test_sanitize_repairs_invalid_start(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])

@@ -331,6 +331,77 @@ def ref_sanitize_warm_start(plan: FrequencyPlan, scenario: Scenario, restriction
         assignments[max(violations[0].beams)] = Assignment.inactive()
 
 
+def ref_greedy_warm_start(scenario: Scenario, restrictions) -> FrequencyPlan:
+    """Reference first-fit: beams by descending demand, then id, each take
+    the first block of exactly min_slots, scanning rows g and then first
+    slots f upward, that collides with no beam placed before it."""
+    grid = scenario.grid
+    assignments = {b.id: Assignment.inactive() for b in scenario.beams}
+    partners: dict[int, list[tuple[int, bool, bool]]] = {b.id: [] for b in scenario.beams}
+    for i, j in restrictions.intra | restrictions.inter:
+        kind = ((i, j) in restrictions.intra, (i, j) in restrictions.inter)
+        partners[i].append((j, *kind))
+        partners[j].append((i, *kind))
+    for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
+        row_lo, row_hi = beam.allowed_rows or (1, grid.n_fr * grid.n_p)
+        slot_lo, slot_hi = beam.allowed_slots or (1, grid.n_bw)
+        b = beam.min_slots
+        candidates = (
+            Assignment(f, g, b)
+            for g in range(row_lo, row_hi + 1)
+            for f in range(slot_lo, slot_hi - b + 2)
+        )
+        for cand in candidates:
+            if not any(
+                assignments[j].active
+                and ref_options_collide(cand, assignments[j], is_intra, is_inter, grid.n_p)
+                for j, is_intra, is_inter in partners[beam.id]
+            ):
+                assignments[beam.id] = cand
+                break
+    return FrequencyPlan(assignments)
+
+
+def solve_with_scipy_milp(model):
+    """Solve a MilpModel with scipy's HiGHS MILP solver, to optimality
+    (``mip_rel_gap`` 0). A test-only oracle: scipy is no runtime dependency.
+
+    Returns ``(status, objective)``: scipy's status (0 = optimal) and the
+    maximized objective, or None when there is no solution.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    index = {v.name: k for k, v in enumerate(model.variables)}
+    c = np.zeros(len(index))
+    for coef, name in model.objective:
+        c[index[name]] -= coef  # milp minimizes
+    rows, cols, vals = [], [], []
+    lb = np.full(len(model.constraints), -np.inf)
+    ub = np.full(len(model.constraints), np.inf)
+    for r, con in enumerate(model.constraints):
+        for coef, name in con.terms:
+            rows.append(r)
+            cols.append(index[name])
+            vals.append(coef)
+        if con.sense in ("<=", "="):
+            ub[r] = con.rhs
+        if con.sense in (">=", "="):
+            lb[r] = con.rhs
+    constraints = []
+    if model.constraints:
+        a = coo_array((vals, (rows, cols)), shape=(len(model.constraints), len(index)))
+        constraints.append(LinearConstraint(a.tocsr(), lb, ub))
+    res = milp(
+        c,
+        constraints=constraints,
+        integrality=[v.integrality != "continuous" for v in model.variables],
+        bounds=Bounds([v.lower for v in model.variables], [v.upper for v in model.variables]),
+        options={"mip_rel_gap": 0.0},
+    )
+    return res.status, (None if res.x is None else -float(res.fun))
+
+
 # Reference option-selection search: the numpy-mask depth-first search the
 # bitset search in freqplan.solver must reproduce pick for pick, including
 # node counting under a node budget.

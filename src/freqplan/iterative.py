@@ -29,6 +29,7 @@ from .model import (
     FrequencyPlan,
     ObjectiveWeights,
     RestrictionSets,
+    _polarization,
     objective_value,
     total_normalized_bandwidth,
     validate_plan,
@@ -181,30 +182,11 @@ def score_option(
     return score
 
 
-class _Adjacency:
-    """Restriction partners per beam, split by kind."""
-
-    def __init__(self, restrictions: RestrictionSets):
-        self.intra: dict[int, set[int]] = {}
-        self.inter: dict[int, set[int]] = {}
-        for i, j in restrictions.intra:
-            self.intra.setdefault(i, set()).add(j)
-            self.intra.setdefault(j, set()).add(i)
-        for i, j in restrictions.inter:
-            self.inter.setdefault(i, set()).add(j)
-            self.inter.setdefault(j, set()).add(i)
-
-
-def _polarization(g, n_p: int):
-    """decompose_reuse's polarization m of row g (an int or an array)."""
-    return n_p * -(-g // n_p) - g
-
-
 def _blocked_prefix(
     beam: Beam,
     grid: FrequencyGrid,
     current_plan: FrequencyPlan,
-    adjacency: _Adjacency,
+    restrictions: RestrictionSets,
     selected: set[int],
 ) -> np.ndarray:
     """Cumulative count of blocked cells per row; shape (n_rows, n_bw + 1).
@@ -215,13 +197,13 @@ def _blocked_prefix(
     """
     by_row = np.zeros((grid.n_rows, grid.n_bw), dtype=bool)
     by_pol = np.zeros((grid.n_p, grid.n_bw), dtype=bool)
-    for j in adjacency.intra.get(beam.id, ()):
+    for j in restrictions.intra_index.partners.get(beam.id, ()):
         if j in selected:
             continue
         a = current_plan[j]
         if a.active:
             by_row[a.g - 1, a.f - 1 : a.f + a.b - 1] = True
-    for j in adjacency.inter.get(beam.id, ()):
+    for j in restrictions.inter_index.partners.get(beam.id, ()):
         if j in selected:
             continue
         a = current_plan[j]
@@ -242,7 +224,6 @@ def enumerate_options(
     config: IterationConfig,
     weights: ObjectiveWeights,
     power_table: Mapping[int, object] | None = None,
-    _adjacency: _Adjacency | None = None,
 ) -> OptionSet:
     """Ranked feasible candidates for one beam against the fixed complement.
 
@@ -250,8 +231,7 @@ def enumerate_options(
     to lower f, then lower g. The current assignment becomes the keep-as-is
     candidate when it is active and conflict-free.
     """
-    adjacency = _adjacency if _adjacency is not None else _Adjacency(restrictions)
-    prefix = _blocked_prefix(beam, grid, current_plan, adjacency, selected_set)
+    prefix = _blocked_prefix(beam, grid, current_plan, restrictions, selected_set)
 
     b1, b2, b3, b4, b5 = weights.for_beam(beam.id)
     ptab = power_table.get(beam.id) if (power_table and b4 > 0) else None
@@ -471,12 +451,6 @@ class IterationState:
     trace: IterationTrace = field(default_factory=IterationTrace)
     iteration: int = 0
     stall: int = 0
-    _adjacency: _Adjacency | None = None
-
-    def adjacency(self) -> _Adjacency:
-        if self._adjacency is None:
-            self._adjacency = _Adjacency(self.restrictions)
-        return self._adjacency
 
     def objective(self) -> float:
         return objective_value(self.plan, self.weights, self.power_table)
@@ -527,7 +501,6 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
             state.config,
             state.weights,
             state.power_table,
-            _adjacency=state.adjacency(),
         )
         for i in picked
     ]
@@ -597,13 +570,12 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
     lowest (g, f) slot block of exactly min_slots that breaks nothing;
     beams with no fit stay inactive. Always valid."""
     grid = scenario.grid
-    adjacency = _Adjacency(restrictions)
     assignments: dict[int, Assignment] = {
         b.id: Assignment.inactive() for b in scenario.beams
     }
     placed = FrequencyPlan(assignments)  # sees each placement as it is made
     for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
-        prefix = _blocked_prefix(beam, grid, placed, adjacency, set())
+        prefix = _blocked_prefix(beam, grid, placed, restrictions, set())
         row_lo, row_hi = beam.row_range(grid)
         slot_lo, slot_hi = beam.slot_range(grid)
         b = beam.min_slots

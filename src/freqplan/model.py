@@ -8,8 +8,12 @@ Indices are 1-based throughout: slots run over ``{1..n_bw}``, rows over
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError, PlanStructureError, UnsupportedConfigurationError
 
@@ -124,6 +128,31 @@ def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, i
     return frozenset(out)
 
 
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """One restriction kind as arrays: its distinct beam ids, sorted, and
+    for each pair the positions of its two ids among them."""
+
+    ids: np.ndarray  # (n_ids,)
+    at: np.ndarray  # (n_pairs, 2)
+
+    @staticmethod
+    def of(pairs: frozenset[tuple[int, int]]) -> "PairIndex":
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+        ids, at = np.unique(flat, return_inverse=True)
+        return PairIndex(ids, at.reshape(-1, 2))
+
+    @functools.cached_property
+    def partners(self) -> dict[int, list[int]]:
+        """Partner ids of each id, in no particular order."""
+        src = self.at.ravel()
+        order = np.argsort(src)
+        objs = np.array(self.ids.tolist(), dtype=object)  # one int per id, shared by the lists
+        dst = objs[self.at[:, ::-1].ravel()[order]].tolist()
+        ends = np.cumsum(np.bincount(src, minlength=len(self.ids))).tolist()
+        return {i: dst[lo:hi] for i, lo, hi in zip(objs.tolist(), [0, *ends], ends)}
+
+
 @dataclass(frozen=True)
 class RestrictionSets:
     """Unordered intra-group (handover) and inter-group (interference) pairs."""
@@ -147,6 +176,16 @@ class RestrictionSets:
 
     def all_pairs(self) -> frozenset[tuple[int, int]]:
         return self.intra | self.inter
+
+    # Built on first use and kept with the (immutable) sets, so the warm
+    # start, every iteration and validate_plan share one copy per kind.
+    @functools.cached_property
+    def intra_index(self) -> PairIndex:
+        return PairIndex.of(self.intra)
+
+    @functools.cached_property
+    def inter_index(self) -> PairIndex:
+        return PairIndex.of(self.inter)
 
 
 @dataclass(frozen=True)
@@ -197,6 +236,11 @@ def decompose_reuse(g: int, n_p: int) -> tuple[int, int]:
     k = -(-g // n_p)  # ceil(g / n_p)
     m = n_p * k - g
     return k, m
+
+
+def _polarization(g, n_p: int):
+    """decompose_reuse's polarization m of row g (an int or an array)."""
+    return n_p * -(-g // n_p) - g
 
 
 def compose_reuse(k: int, m: int, n_p: int) -> int:
@@ -258,29 +302,73 @@ def validate_plan(
                 )
             )
 
-    def _both_active(i: int, j: int) -> tuple[Assignment, Assignment] | None:
-        ai, aj = plan[i], plan[j]
-        if ai.active and aj.active:
-            return ai, aj
-        return None
-
-    for i, j in sorted(restrictions.intra):
-        pair = _both_active(i, j)
-        if pair and pair[0].g == pair[1].g and overlaps(*pair):
-            violations.append(
-                Violation("intra-overlap", (i, j), f"row {pair[0].g} shared slots")
-            )
-    for i, j in sorted(restrictions.inter):
-        pair = _both_active(i, j)
-        if pair is None:
-            continue
-        mi = decompose_reuse(pair[0].g, grid.n_p)[1]
-        mj = decompose_reuse(pair[1].g, grid.n_p)[1]
-        if mi == mj and overlaps(*pair):
-            violations.append(
-                Violation("inter-overlap", (i, j), f"polarization {mi} shared slots")
-            )
+    arrays = None
+    for kind, pairs in (("intra-overlap", restrictions.intra), ("inter-overlap", restrictions.inter)):
+        if len(pairs) >= _ARRAY_MIN_PAIRS:
+            if arrays is None:
+                arrays = _plan_arrays(plan)
+            index = restrictions.intra_index if kind == "intra-overlap" else restrictions.inter_index
+            pairs = _flagged_pairs(kind, index, *arrays, grid.n_p)
+        for i, j in sorted(pairs):
+            violation = _pair_violation(kind, i, j, plan, grid.n_p)
+            if violation is not None:
+                violations.append(violation)
     return violations
+
+
+# Below this many pairs of a kind, validate_plan checks every pair one by
+# one: numpy's fixed cost per call (tens of microseconds) exceeds the loop's.
+_ARRAY_MIN_PAIRS = 256
+
+
+def _pair_violation(kind: str, i: int, j: int, plan: FrequencyPlan, n_p: int) -> Violation | None:
+    """The violation of restriction pair (i, j), if any: both beams active
+    on the same row (intra) or polarization (inter) with intersecting slot
+    intervals."""
+    ai, aj = plan[i], plan[j]
+    if not (ai.active and aj.active):
+        return None
+    if kind == "intra-overlap":
+        if ai.g == aj.g and overlaps(ai, aj):
+            return Violation(kind, (i, j), f"row {ai.g} shared slots")
+        return None
+    mi = decompose_reuse(ai.g, n_p)[1]
+    mj = decompose_reuse(aj.g, n_p)[1]
+    if mi == mj and overlaps(ai, aj):
+        return Violation(kind, (i, j), f"polarization {mi} shared slots")
+    return None
+
+
+def _plan_arrays(plan: FrequencyPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted beam ids and their (active, f, g, b) rows, plus a trailing
+    inactive row for searchsorted positions past the last id."""
+    ids = np.fromiter(plan.assignments, dtype=np.int64, count=len(plan.assignments))
+    state = np.zeros((len(ids) + 1, 4), dtype=np.int64)
+    state[:-1] = [(a.active, a.f, a.g, a.b) for a in plan.assignments.values()]
+    order = np.argsort(ids)
+    return ids[order], state[np.append(order, len(ids))]
+
+
+def _flagged_pairs(
+    kind: str, index: PairIndex, ids: np.ndarray, state: np.ndarray, n_p: int
+) -> list[tuple[int, int]]:
+    """The pairs on which _pair_violation reports or raises, found for all
+    pairs at once: both beams active with the same row (intra) or
+    polarization (inter) and intersecting slot intervals, an id the plan
+    lacks (KeyError), or an inter pair of active beams with a row below 1
+    (DomainError)."""
+    row = np.searchsorted(ids, index.ids)
+    found = (row < len(ids)) & (np.append(ids, 0)[row] == index.ids)
+    known = found[index.at].all(axis=1)
+    active, f, g, b = np.moveaxis(state[row[index.at]], 2, 0)  # each (pairs, 2)
+    both = known & active.all(axis=1)
+    flagged = ~known
+    if kind == "inter-overlap":
+        flagged |= both & (g < 1).any(axis=1)
+        g = _polarization(g, n_p)
+    last = f + b - 1
+    flagged |= both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])
+    return list(map(tuple, index.ids[index.at[flagged]].tolist()))
 
 
 def total_normalized_bandwidth(plan: FrequencyPlan, grid: FrequencyGrid, n_s: int) -> float:

@@ -108,6 +108,47 @@ def elevation_deg(central_deg: float, altitude_km: float) -> float:
     return math.degrees(math.atan2(math.cos(psi) - ratio, math.sin(psi)))
 
 
+# numpy's sin/cos/arccos/arctan2 may differ from math's by a few ulp (its
+# SIMD arccos does on about 9% of inputs on AVX-512 machines), so the array
+# kernels below re-make with the scalar functions above every threshold
+# decision whose array value lies within this many degrees of the threshold.
+# A few ulp move an angle by far less (at most 3e-14 deg measured), away
+# from 0 and 180 degrees where arccos magnifies an error in its argument.
+_GUARD_DEG = 1e-7
+
+
+def _trig(lat, lon):
+    """sin and cos of the latitudes and the longitudes in radians, as
+    central_angle_deg computes them."""
+    p = np.radians(lat)
+    return np.sin(p), np.cos(p), np.radians(lon)
+
+
+def _central_angles(sin1, cos1, lon1, sin2, cos2, lon2) -> np.ndarray:
+    """central_angle_deg over broadcast arrays from ``_trig`` values, with
+    the same formula and operation order."""
+    cosang = sin1 * sin2 + cos1 * cos2 * np.cos(lon1 - lon2)
+    return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+
+
+def _elevations(central_deg: np.ndarray, altitude_km: float) -> np.ndarray:
+    """elevation_deg over an array."""
+    psi = np.radians(central_deg)
+    ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
+    sin_psi = np.sin(psi)
+    elev = np.degrees(np.arctan2(np.cos(psi) - ratio, sin_psi))
+    return np.where(sin_psi == 0.0, 90.0, elev)
+
+
+def _exact_near(values: np.ndarray, threshold: float, exact) -> np.ndarray:
+    """``values`` (modified in place) with every entry within _GUARD_DEG of
+    ``threshold`` replaced by ``exact(*index)``, its scalar recomputation."""
+    near = np.abs(values - threshold) <= _GUARD_DEG
+    for index in zip(*np.nonzero(near)):
+        values[index] = exact(*(int(i) for i in index))
+    return values
+
+
 @dataclass(frozen=True)
 class GenerationParams:
     """Controls for the synthetic user/beam generator."""
@@ -116,6 +157,36 @@ class GenerationParams:
     demand_range_bps: tuple[float, float] = (10e6, 500e6)
     min_slots: int = 1
     n_gateways: int = 0
+
+
+def _cluster_users(lats: np.ndarray, lons: np.ndarray, half_cone_deg: float) -> list[list[int]]:
+    """Greedy clustering: each user joins the first cluster all of whose
+    members lie within 2*half_cone_deg of it, else starts a new one.
+
+    Each user is tested against all earlier users at once; a bincount of the
+    clusters of the too-far ones gives the first cluster with none. Members
+    stay in ascending user order.
+    """
+    threshold = 2.0 * half_cone_deg
+    sin_lat, cos_lat, p_lon = _trig(lats, lons)
+    label = np.empty(len(lats), dtype=np.intp)
+    clusters: list[list[int]] = []
+    for u in range(len(lats)):
+        ang = _central_angles(sin_lat[u], cos_lat[u], p_lon[u], sin_lat[:u], cos_lat[:u], p_lon[:u])
+
+        def exact(v: int) -> float:
+            return central_angle_deg(lats[u], lons[u], lats[v], lons[v])
+
+        too_far = _exact_near(ang, threshold, exact) > threshold
+        blocked = np.bincount(label[:u][too_far], minlength=len(clusters))
+        free = np.flatnonzero(blocked == 0)
+        if free.size:
+            label[u] = free[0]
+            clusters[free[0]].append(u)
+        else:
+            label[u] = len(clusters)
+            clusters.append([u])
+    return clusters
 
 
 def generate_synthetic(
@@ -147,19 +218,7 @@ def generate_synthetic(
     lo, hi = params.demand_range_bps
     demands = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_users))
 
-    clusters: list[list[int]] = []
-    for u in range(n_users):
-        placed = False
-        for members in clusters:
-            if all(
-                central_angle_deg(lats[u], lons[u], lats[v], lons[v]) <= 2.0 * half_cone_deg
-                for v in members
-            ):
-                members.append(u)
-                placed = True
-                break
-        if not placed:
-            clusters.append([u])
+    clusters = _cluster_users(lats, lons, half_cone_deg)
 
     beams = []
     for idx, members in enumerate(clusters, start=1):
@@ -210,63 +269,124 @@ def routing_steps(scenario: Scenario) -> list[float]:
     return steps
 
 
+def _nearest_visible(beam: Beam, sat_lons: Sequence[float], scenario: Scenario) -> int | None:
+    """Nearest satellite above the minimum elevation (ties: lower index)."""
+    best: tuple[float, int] | None = None
+    for s, slon in enumerate(sat_lons):
+        ang = central_angle_deg(beam.lat, beam.lon, 0.0, slon)
+        if elevation_deg(ang, scenario.geometry.altitude_km) < scenario.min_elevation_deg:
+            continue
+        if best is None or (ang, s) < best:
+            best = (ang, s)
+    return None if best is None else best[1]
+
+
 def route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:
     """Map each (time step, beam) to the nearest visible satellite (0-based).
 
     Raises RoutingError when a beam has no satellite above the minimum
-    elevation at some step.
+    elevation at some step (the first step, then the first beam in
+    ``scenario.beams`` order). Each step is one beams x satellites array;
+    a beam whose visibility or best two angles lie within the guard band
+    is routed with the scalar rule.
     """
     geom = scenario.geometry
+    beams = scenario.beams
+    ids = scenario.beam_ids()
+    sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
+    min_elev = scenario.min_elevation_deg
     routing: dict[float, dict[int, int]] = {}
     for t in routing_steps(scenario):
-        at_t: dict[int, int] = {}
         sat_lons = [geom.subsatellite_lon(s, t) for s in range(geom.n_s)]
-        for beam in scenario.beams:
-            best: tuple[float, int] | None = None
-            for s, slon in enumerate(sat_lons):
-                ang = central_angle_deg(beam.lat, beam.lon, 0.0, slon)
-                if elevation_deg(ang, geom.altitude_km) < scenario.min_elevation_deg:
-                    continue
-                if best is None or (ang, s) < best:
-                    best = (ang, s)
-            if best is None:
-                raise RoutingError(beam.id, t)
-            at_t[beam.id] = best[1]
-        routing[t] = at_t
+        ang = _central_angles(sin_b[:, None], cos_b[:, None], lon_b[:, None], *_trig(0.0, sat_lons))
+        elev = _elevations(ang, geom.altitude_km)
+        unsure = (np.abs(elev - min_elev) <= _GUARD_DEG).any(axis=1)
+        ang[elev < min_elev] = np.inf
+        best = np.argmin(ang, axis=1)  # first minimum: lower satellite index
+        if geom.n_s > 1:
+            top2 = np.partition(ang, 1, axis=1)[:, :2]
+            with np.errstate(invalid="ignore"):  # inf - inf: no visible satellite
+                unsure |= top2[:, 1] - top2[:, 0] <= _GUARD_DEG
+        sats: list[int | None] = best.tolist()
+        for k in np.flatnonzero(np.isinf(ang.min(axis=1))).tolist():
+            sats[k] = None
+        for k in np.flatnonzero(unsure).tolist():
+            sats[k] = _nearest_visible(beams[k], sat_lons, scenario)
+        if None in sats:
+            raise RoutingError(ids[sats.index(None)], t)
+        routing[t] = dict(zip(ids, sats))
     return routing
+
+
+# elements per block of the pair kernels' beams x beams arrays, which keeps
+# their temporaries small next to the pair sets they produce
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _block_pairs(ids: Sequence[int], pair_mask) -> frozenset[tuple[int, int]]:
+    """(min, max) id pairs of the beams at positions i < j that are marked in
+    ``pair_mask(lo, hi)``, a boolean array over positions [lo, hi) x [lo, n).
+
+    Rows go in blocks of about _BLOCK_ELEMENTS cells. The tuples hold the
+    beams' own id objects, as the scalar loops' did, not two new ints.
+    """
+    n = len(ids)
+    keys, objs = np.asarray(ids), np.array(ids, dtype=object)
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+
+    def pairs():
+        for lo in range(0, n, step):
+            r, c = np.nonzero(np.triu(pair_mask(lo, min(n, lo + step)), 1))
+            r += lo
+            c += lo
+            swap = keys[r] > keys[c]
+            yield from zip(objs[np.where(swap, c, r)].tolist(), objs[np.where(swap, r, c)].tolist())
+
+    return frozenset(pairs())
 
 
 def derive_intra_pairs(
     scenario: Scenario, routing: Mapping[float, Mapping[int, int]]
 ) -> frozenset[tuple[int, int]]:
     """Pairs of beams sharing a satellite at any routing step."""
-    pairs: set[tuple[int, int]] = set()
     ids = scenario.beam_ids()
-    for at_t in routing.values():
-        by_sat: dict[int, list[int]] = {}
-        for beam_id in ids:
-            by_sat.setdefault(at_t[beam_id], []).append(beam_id)
-        for members in by_sat.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    i, j = members[a], members[b]
-                    pairs.add((min(i, j), max(i, j)))
-    return frozenset(pairs)
+    n = len(ids)
+    # sat[t, i]: satellite of the i-th beam at the t-th step
+    sat = np.array([[at_t[i] for i in ids] for at_t in routing.values()], dtype=np.int64)
+    sat = sat.reshape(len(routing), n)
+
+    def shares_satellite(lo: int, hi: int) -> np.ndarray:
+        shared = np.zeros((hi - lo, n - lo), dtype=bool)
+        hit = np.empty_like(shared)
+        for at_t in sat:
+            np.equal(at_t[lo:hi, None], at_t[None, lo:], out=hit)
+            shared |= hit
+        return shared
+
+    return _block_pairs(ids, shares_satellite)
 
 
 def derive_inter_pairs(scenario: Scenario) -> frozenset[tuple[int, int]]:
     """Pairs of beams whose footprint centers are closer than
     interference_multiplier * half_cone_deg (strict)."""
     threshold = scenario.interference_multiplier * scenario.half_cone_deg
-    pairs: set[tuple[int, int]] = set()
     beams = scenario.beams
-    for a in range(len(beams)):
-        for b in range(a + 1, len(beams)):
-            sep = central_angle_deg(beams[a].lat, beams[a].lon, beams[b].lat, beams[b].lon)
-            if sep < threshold:
-                i, j = beams[a].id, beams[b].id
-                pairs.add((min(i, j), max(i, j)))
-    return frozenset(pairs)
+    sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
+
+    def too_close(lo: int, hi: int) -> np.ndarray:
+        # the earlier beam is the first point, as in the scalar loop
+        ang = _central_angles(
+            sin_b[lo:hi, None], cos_b[lo:hi, None], lon_b[lo:hi, None],
+            sin_b[lo:], cos_b[lo:], lon_b[lo:],
+        )
+
+        def exact(r: int, c: int) -> float:
+            a, b = beams[lo + r], beams[lo + c]
+            return central_angle_deg(a.lat, a.lon, b.lat, b.lon)
+
+        return _exact_near(ang, threshold, exact) < threshold
+
+    return _block_pairs(scenario.beam_ids(), too_close)
 
 
 def derive_restrictions(scenario: Scenario) -> RestrictionSets:

@@ -609,6 +609,9 @@ def solve_option_selection(
             remaining.add(g)
 
         search(0.0)
+        # the recursive closure refers to itself through its cell; drop it so
+        # the component's state goes now, not at the next cyclic collection
+        del search
         if best_pick is None:
             infeasible = True
             return

@@ -1,5 +1,7 @@
 """Branch-and-bound, solution I/O, brute-force oracle and option selection."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,19 @@ class TestOptionSelection:
         picks, total = solve_option_selection(scores, [False, False], conflict)
         assert picks == [1, 0]
         assert total == pytest.approx(8.0)
+
+    def test_search_leaves_no_reference_cycle(self):
+        # what a call builds (conflict rows, option groups, bitsets) is freed
+        # on return, not at the next cyclic collection
+        scores = [[4.0, 5.0], [3.0, 1.0], [2.0]]
+        conflict = {(0, 1): np.array([[True, False], [False, False]])}
+        gc.collect()
+        gc.disable()
+        try:
+            solve_option_selection(scores, [False, False, True], conflict)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_mandatory_blocked_group_is_infeasible(self):
         scores = [[1.0], [1.0]]

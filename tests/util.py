@@ -2,8 +2,10 @@
 
 Everything here is deliberately written without reusing package internals
 beyond the public data types, so oracle comparisons stay independent. The
-one exception is the reference warm-start repair, which re-runs the public
-``validate_plan`` exactly as the loop it preserves did.
+exceptions are the reference warm-start repair, which re-runs the public
+``validate_plan`` exactly as the loop it preserves did, and the scalar
+scenario pipeline and validator at the end, which keep the scalar geometry
+functions and reuse helpers that define the array code's results.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ from freqplan import (
     ConstellationGeometry,
     FrequencyGrid,
     FrequencyPlan,
+    GenerationParams,
     ObjectiveWeights,
     RestrictionSets,
     Scenario,
+    Violation,
+    decompose_reuse,
+    overlaps,
     validate_plan,
 )
-from freqplan.errors import UnsupportedModelError
+from freqplan.errors import PlanStructureError, RoutingError, UnsupportedModelError
+from freqplan.scenario import central_angle_deg, elevation_deg, routing_steps
 
 REF_OPT_TOL = 1e-9
 
@@ -595,3 +602,187 @@ def ref_solve_option_selection(
         float(score_arr[g][pick[g]]) for g in range(n) if pick[g] is not None
     )
     return pick, total
+
+
+# --- scalar scenario pipeline and validator (the loops the array code replaced)
+
+
+def ref_cluster_users(lats, lons, half_cone_deg: float) -> list[list[int]]:
+    """Reference greedy clustering: each user joins the first cluster all of
+    whose members lie within 2*half_cone_deg of it."""
+    clusters: list[list[int]] = []
+    for u in range(len(lats)):
+        placed = False
+        for members in clusters:
+            if all(
+                central_angle_deg(lats[u], lons[u], lats[v], lons[v]) <= 2.0 * half_cone_deg
+                for v in members
+            ):
+                members.append(u)
+                placed = True
+                break
+        if not placed:
+            clusters.append([u])
+    return clusters
+
+
+def ref_generate_beams(
+    seed: int, n_users: int, params: GenerationParams = GenerationParams(), half_cone_deg: float = 1.0
+) -> tuple[Beam, ...]:
+    """Reference for generate_synthetic's beams: the same draws, the scalar
+    clustering, centroids and summed demands, then the gateways."""
+    rng = np.random.default_rng(seed)
+    lat_lo, lat_hi = params.lat_band_deg
+    lats = rng.uniform(lat_lo, lat_hi, size=n_users)
+    lons = rng.uniform(0.0, 360.0, size=n_users)
+    lo, hi = params.demand_range_bps
+    demands = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_users))
+    clusters = ref_cluster_users(lats, lons, half_cone_deg)
+    beams = [
+        Beam(
+            id=idx,
+            kind="user",
+            lat=float(np.mean(lats[members])),
+            lon=float(np.mean(lons[members])),
+            demand_bps=float(np.sum(demands[members])),
+            min_slots=params.min_slots,
+        )
+        for idx, members in enumerate(clusters, start=1)
+    ]
+    for gw in range(params.n_gateways):
+        beams.append(
+            Beam(
+                id=len(clusters) + gw + 1,
+                kind="gateway",
+                lat=float(rng.uniform(lat_lo, lat_hi)),
+                lon=float(rng.uniform(0.0, 360.0)),
+                demand_bps=float(np.exp(rng.uniform(math.log(lo), math.log(hi)))),
+                min_slots=params.min_slots,
+            )
+        )
+    return tuple(beams)
+
+
+def ref_route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:
+    """Reference routing: per step and beam, the nearest satellite above the
+    minimum elevation, ties to the lower index."""
+    geom = scenario.geometry
+    routing: dict[float, dict[int, int]] = {}
+    for t in routing_steps(scenario):
+        at_t: dict[int, int] = {}
+        sat_lons = [geom.subsatellite_lon(s, t) for s in range(geom.n_s)]
+        for beam in scenario.beams:
+            best: tuple[float, int] | None = None
+            for s, slon in enumerate(sat_lons):
+                ang = central_angle_deg(beam.lat, beam.lon, 0.0, slon)
+                if elevation_deg(ang, geom.altitude_km) < scenario.min_elevation_deg:
+                    continue
+                if best is None or (ang, s) < best:
+                    best = (ang, s)
+            if best is None:
+                raise RoutingError(beam.id, t)
+            at_t[beam.id] = best[1]
+        routing[t] = at_t
+    return routing
+
+
+def ref_derive_intra_pairs(scenario: Scenario, routing) -> frozenset[tuple[int, int]]:
+    """Reference: pairs of beams sharing a satellite at any routing step."""
+    pairs: set[tuple[int, int]] = set()
+    ids = scenario.beam_ids()
+    for at_t in routing.values():
+        by_sat: dict[int, list[int]] = {}
+        for beam_id in ids:
+            by_sat.setdefault(at_t[beam_id], []).append(beam_id)
+        for members in by_sat.values():
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    i, j = members[a], members[b]
+                    pairs.add((min(i, j), max(i, j)))
+    return frozenset(pairs)
+
+
+def ref_derive_inter_pairs(scenario: Scenario) -> frozenset[tuple[int, int]]:
+    """Reference: pairs of beams whose centers are closer than
+    interference_multiplier * half_cone_deg (strict)."""
+    threshold = scenario.interference_multiplier * scenario.half_cone_deg
+    pairs: set[tuple[int, int]] = set()
+    beams = scenario.beams
+    for a in range(len(beams)):
+        for b in range(a + 1, len(beams)):
+            sep = central_angle_deg(beams[a].lat, beams[a].lon, beams[b].lat, beams[b].lon)
+            if sep < threshold:
+                i, j = beams[a].id, beams[b].id
+                pairs.add((min(i, j), max(i, j)))
+    return frozenset(pairs)
+
+
+def ref_validate_plan(
+    plan: FrequencyPlan,
+    grid: FrequencyGrid,
+    restrictions: RestrictionSets,
+    beams: Sequence[Beam],
+) -> list[Violation]:
+    """Reference validator: the per-beam checks, then every intra and inter
+    pair in sorted order, one at a time."""
+    by_id = {b.id: b for b in beams}
+    missing = [b for b in by_id if b not in plan.assignments]
+    if missing:
+        raise PlanStructureError(f"plan missing beams {sorted(missing)}")
+
+    violations: list[Violation] = []
+    for beam in beams:
+        a = plan[beam.id]
+        if not a.active:
+            continue
+        row_lo, row_hi = beam.row_range(grid)
+        slot_lo, slot_hi = beam.slot_range(grid)
+        if a.b < 1 or a.f < 1 or a.last_slot > grid.n_bw:
+            violations.append(
+                Violation(
+                    "spectrum-bound",
+                    (beam.id,),
+                    f"slots [{a.f},{a.last_slot}] outside 1..{grid.n_bw}",
+                )
+            )
+            continue
+        if a.b < beam.min_slots:
+            violations.append(
+                Violation("below-min-slots", (beam.id,), f"b={a.b} < c={beam.min_slots}")
+            )
+        if not (row_lo <= a.g <= row_hi):
+            violations.append(
+                Violation("domain", (beam.id,), f"g={a.g} outside rows [{row_lo},{row_hi}]")
+            )
+        elif not (slot_lo <= a.f and a.last_slot <= slot_hi):
+            violations.append(
+                Violation(
+                    "domain",
+                    (beam.id,),
+                    f"slots [{a.f},{a.last_slot}] outside allowed [{slot_lo},{slot_hi}]",
+                )
+            )
+
+    def _both_active(i: int, j: int) -> tuple[Assignment, Assignment] | None:
+        ai, aj = plan[i], plan[j]
+        if ai.active and aj.active:
+            return ai, aj
+        return None
+
+    for i, j in sorted(restrictions.intra):
+        pair = _both_active(i, j)
+        if pair and pair[0].g == pair[1].g and overlaps(*pair):
+            violations.append(
+                Violation("intra-overlap", (i, j), f"row {pair[0].g} shared slots")
+            )
+    for i, j in sorted(restrictions.inter):
+        pair = _both_active(i, j)
+        if pair is None:
+            continue
+        mi = decompose_reuse(pair[0].g, grid.n_p)[1]
+        mj = decompose_reuse(pair[1].g, grid.n_p)[1]
+        if mi == mj and overlaps(*pair):
+            violations.append(
+                Violation("inter-overlap", (i, j), f"polarization {mi} shared slots")
+            )
+    return violations

@@ -49,8 +49,10 @@ class RunReport:
     mode: str
     bw_warm: float
     bw_final: float
-    power_warm_w: float | None
+    power_warm_w: float | None  # carried beams only
     power_final_w: float | None
+    uncarried_warm: int | None  # active beams no MODCOD carries
+    uncarried_final: int | None
     iterations: int
     wall_seconds: float
 
@@ -61,18 +63,17 @@ class RunReport:
         return None
 
     def write_csv(self, path) -> None:
-        inc = self.bw_increase_pct
+        numbers = (
+            self.bw_warm, self.bw_final, self.bw_increase_pct, self.power_warm_w,
+            self.power_final_w, self.uncarried_warm, self.uncarried_final, self.iterations,
+        )
         with open(path, "w") as fh:
             fh.write("scenario,n_beams,mode,bw_warm,bw_final,bw_increase_pct,"
-                     "power_warm_w,power_final_w,iterations\n")
-            fh.write(
-                f"{self.scenario_path},{self.n_beams},{self.mode},"
-                f"{self.bw_warm!r},{self.bw_final!r},"
-                f"{'' if inc is None else repr(inc)},"
-                f"{'' if self.power_warm_w is None else repr(self.power_warm_w)},"
-                f"{'' if self.power_final_w is None else repr(self.power_final_w)},"
-                f"{self.iterations}\n"
-            )
+                     "power_warm_w,power_final_w,uncarried_warm,uncarried_final,iterations\n")
+            fh.write(",".join(
+                [self.scenario_path, str(self.n_beams), self.mode]
+                + ["" if v is None else repr(v) for v in numbers]
+            ) + "\n")
 
     def summary(self) -> str:
         lines = [
@@ -83,9 +84,11 @@ class RunReport:
         if self.bw_increase_pct is not None:
             lines.append(f"BW increase:     {self.bw_increase_pct:.1f}%")
         if self.power_warm_w is not None and self.power_final_w is not None:
-            lines.append(
+            lines += [
                 f"total power:     warm {self.power_warm_w:.3f} W -> final {self.power_final_w:.3f} W"
-            )
+                " (carried beams)",
+                f"uncarried beams: warm {self.uncarried_warm} -> final {self.uncarried_final}",
+            ]
         lines.append(f"iterations:      {self.iterations}")
         lines.append(f"wall time:       {self.wall_seconds:.2f} s")
         return "\n".join(lines) + "\n"
@@ -109,11 +112,12 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta5", type=float, default=0.0)
 
 
-def _total_power_w(plan: FrequencyPlan, tables) -> float:
-    total = 0.0
-    for beam_id, a in plan.active_items():
-        total += tables[beam_id].watts(a.f, a.b)
-    return total
+def _power_w(plan: FrequencyPlan, tables) -> tuple[float, int]:
+    """Total power of the active beams some MODCOD carries, and the count of
+    active beams none carries (their power is the big_m sentinel)."""
+    active = [(tables[i], a) for i, a in plan.active_items()]
+    carried = [t.watts(a.f, a.b) for t, a in active if t.carries(a.b)]
+    return sum(carried), len(active) - len(carried)
 
 
 def build_parser() -> _Parser:
@@ -245,14 +249,18 @@ def cmd_optimize(args) -> int:
         iterative.export_trace(trace, args.out_trace)
 
     n_s = scenario.geometry.n_s
+    power_warm_w, uncarried_warm = _power_w(warm, tables) if tables else (None, None)
+    power_final_w, uncarried_final = _power_w(plan, tables) if tables else (None, None)
     report = RunReport(
         scenario_path=str(args.scenario),
         n_beams=len(scenario.beams),
         mode=args.mode,
         bw_warm=total_normalized_bandwidth(warm, scenario.grid, n_s),
         bw_final=total_normalized_bandwidth(plan, scenario.grid, n_s),
-        power_warm_w=_total_power_w(warm, tables) if tables else None,
-        power_final_w=_total_power_w(plan, tables) if tables else None,
+        power_warm_w=power_warm_w,
+        power_final_w=power_final_w,
+        uncarried_warm=uncarried_warm,
+        uncarried_final=uncarried_final,
         iterations=iterations,
         wall_seconds=time.perf_counter() - started,
     )

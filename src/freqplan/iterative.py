@@ -49,9 +49,6 @@ class BeamOption:
     b: int
     score: float
 
-    def as_assignment(self) -> Assignment:
-        return Assignment(self.f, self.g, self.b)
-
 
 class _OptionView(Sequence[BeamOption]):
     """Read-only sequence of BeamOption built from an OptionSet's arrays on
@@ -93,18 +90,6 @@ class OptionSet:
     @property
     def includes_original(self) -> bool:
         return self.original is not None
-
-    def arrays(self, original_at: int | None) -> tuple[np.ndarray, ...]:
-        """``f, g, b, score`` with the keep-as-is candidate (if any) inserted
-        at position ``original_at``."""
-        columns = (self.f, self.g, self.b, self.score)
-        o = self.original
-        if o is None:
-            return columns
-        return tuple(
-            np.concatenate((c[:original_at], [v], c[original_at:]))
-            for c, v in zip(columns, (o.f, o.g, o.b, o.score))
-        )
 
 
 @dataclass(frozen=True)
@@ -215,6 +200,19 @@ def _blocked_prefix(
     return prefix
 
 
+def _free_blocks(
+    prefix: np.ndarray, rows: np.ndarray, widths: np.ndarray, firsts: np.ndarray
+) -> np.ndarray:
+    """free[g, b, f]: the block of ``widths[b]`` slots from ``firsts[f]`` on
+    row ``rows[g]`` is unblocked in ``prefix`` (see _blocked_prefix) and ends
+    by ``firsts[-1]``, the last allowed slot."""
+    slot_hi = firsts[-1]
+    lasts = firsts[None, :] + widths[:, None] - 1
+    row_prefix = prefix[rows - 1]
+    blocked = row_prefix[:, np.minimum(lasts, slot_hi)] - row_prefix[:, firsts - 1][:, None, :]
+    return (blocked == 0) & (lasts <= slot_hi)
+
+
 def enumerate_options(
     beam: Beam,
     grid: FrequencyGrid,
@@ -242,12 +240,16 @@ def enumerate_options(
     rows = np.arange(row_lo, row_hi + 1)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
     firsts = np.arange(slot_lo, slot_hi + 1)
+    free = _free_blocks(prefix, rows, widths, firsts)
 
-    # free[g, b, f]: block [f, f+b-1] inside the slot range and unblocked on row g
-    lasts = firsts[None, :] + widths[:, None] - 1
-    row_prefix = prefix[rows - 1]
-    blocked = row_prefix[:, np.minimum(lasts, slot_hi)] - row_prefix[:, firsts - 1][:, None, :]
-    free = (blocked == 0) & (lasts <= slot_hi)
+    original = None
+    current = current_plan[beam.id]
+    if current.active:
+        at = (current.g - row_lo, current.b - beam.min_slots, current.f - slot_lo)
+        if all(0 <= k < n for k, n in zip(at, free.shape)) and free[at]:
+            f, g, b = current.f, current.g, current.b
+            original = BeamOption(f, g, b, score_option(beam, f, g, b, weights, power_table))
+
     if config.top_per_bandwidth is not None:
         # Scores fall weakly as g or f grows (|beta2|, |beta3| >= 0 and
         # rounding is monotone) and ties go to lower f, then g, so every free
@@ -269,22 +271,6 @@ def enumerate_options(
         keep = order[rank_in_b < config.top_per_bandwidth]
         f_vals, g_vals, b_vals, scores = f_vals[keep], g_vals[keep], b_vals[keep], scores[keep]
     order = np.lexsort((b_vals, g_vals, f_vals, -scores))
-
-    original = None
-    current = current_plan[beam.id]
-    if current.active:
-        g, f, b = current.g, current.f, current.b
-        in_domain = (
-            row_lo <= g <= row_hi
-            and slot_lo <= f
-            and f + b - 1 <= slot_hi
-            and b >= beam.min_slots
-        )
-        conflict_free = (
-            in_domain and prefix[g - 1, f + b - 1] - prefix[g - 1, f - 1] == 0
-        )
-        if conflict_free:
-            original = BeamOption(f, g, b, score_option(beam, f, g, b, weights, power_table))
     return OptionSet(
         beam_id=beam.id,
         f=f_vals[order],
@@ -374,16 +360,44 @@ def _bits(mask: int):
 
 
 def _restricted_pairs(beam_ids: Sequence[int], restrictions: RestrictionSets):
-    """(a, b, by_pol) for positions a < b of restricted beams. A row fixes
-    the polarization, so a pair that is both intra and inter collides
-    exactly as an inter pair."""
+    """(a, b, by_pol) for positions a < b of restricted beams, whichever
+    order the pair is stored in. A row fixes the polarization, so a pair
+    that is both intra and inter collides exactly as an inter pair."""
     for a in range(len(beam_ids)):
         for b in range(a + 1, len(beam_ids)):
-            key = (min(beam_ids[a], beam_ids[b]), max(beam_ids[a], beam_ids[b]))
-            if key in restrictions.inter:
+            pair, back = (beam_ids[a], beam_ids[b]), (beam_ids[b], beam_ids[a])
+            if pair in restrictions.inter or back in restrictions.inter:
                 yield a, b, True
-            elif key in restrictions.intra:
+            elif pair in restrictions.intra or back in restrictions.intra:
                 yield a, b, False
+
+
+def _subproblem(option_sets: Sequence[OptionSet], restrictions: RestrictionSets, grid: FrequencyGrid):
+    """The selection problem over the sampled beams' candidates, which
+    iterate_once solves and build_subproblem writes out: per beam the
+    ``f, g, b, score`` arrays in rank order with the keep-as-is candidate
+    inserted at its score rank (after every option scoring at least as
+    much), so option index equals rank in every group; per beam that rank,
+    or None; and the PairConflicts kernel of each restricted pair of
+    positions."""
+    columns: list[tuple[np.ndarray, ...]] = []
+    initial: list[int | None] = []
+    for oset in option_sets:
+        column = (oset.f, oset.g, oset.b, oset.score)
+        o, at = oset.original, None
+        if o is not None:
+            at = int(np.count_nonzero(oset.score >= o.score))
+            column = tuple(
+                np.concatenate((c[:at], [v], c[at:])) for c, v in zip(column, (o.f, o.g, o.b, o.score))
+            )
+        columns.append(column)
+        initial.append(at)
+    groups = [OptionGroup(f, g, b, grid) for f, g, b, _ in columns]
+    pair_conflict = {
+        (a, b): PairConflicts(groups[a], groups[b], by_pol)
+        for a, b, by_pol in _restricted_pairs([o.beam_id for o in option_sets], restrictions)
+    }
+    return columns, initial, pair_conflict
 
 
 def build_subproblem(
@@ -391,44 +405,35 @@ def build_subproblem(
     restrictions: RestrictionSets,
     grid: FrequencyGrid,
 ) -> MilpModel:
-    """Binary selection model: one variable per candidate, exactly-one per
-    previously-active beam (keep-as-is included), linked activation for
-    previously-inactive beams, and a pairwise constraint per colliding
-    candidate pair across restricted beams."""
+    """Binary selection model: one variable per candidate in rank order,
+    exactly-one per previously-active beam (keep-as-is ``x_orig`` included
+    at its rank), linked activation for previously-inactive beams, and a
+    pairwise constraint per colliding candidate pair across restricted
+    beams. Option indices in ``conf_*`` names are the search's ranks."""
     model = MilpModel()
     objective: list[tuple[float, str]] = []
     names: list[list[str]] = []
-    for oset in option_sets:
+    columns, initial, pair_conflict = _subproblem(option_sets, restrictions, grid)
+    for oset, (f, g, b, score), at in zip(option_sets, columns, initial):
         i = oset.beam_id
-        beam_names = []
-        for opt in oset.options:
-            name = f"x_{i}_{opt.f}_{opt.g}_{opt.b}"
+        beam_names = [f"x_{i}_{fv}_{gv}_{bv}" for fv, gv, bv in zip(f.tolist(), g.tolist(), b.tolist())]
+        if at is not None:
+            beam_names[at] = f"x_orig_{i}"
+        for name, value in zip(beam_names, score.tolist()):
             model.add_variable(name, 0, 1, BINARY)
-            objective.append((opt.score, name))
-            beam_names.append(name)
-        if oset.includes_original:
-            name = f"x_orig_{i}"
-            model.add_variable(name, 0, 1, BINARY)
-            assert oset.original is not None
-            objective.append((oset.original.score, name))
-            model.add_constraint(
-                f"one_{i}", [(1.0, v) for v in beam_names] + [(1.0, name)], EQ, 1.0
-            )
-        else:
+            objective.append((value, name))
+        if at is None:
             model.add_variable(f"a_{i}", 0, 1, BINARY)
             model.add_constraint(
                 f"act_{i}", [(1.0, v) for v in beam_names] + [(-1.0, f"a_{i}")], EQ, 0.0
             )
-        names.append(beam_names + ([f"x_orig_{i}"] if oset.includes_original else []))
+        else:
+            model.add_constraint(f"one_{i}", [(1.0, v) for v in beam_names], EQ, 1.0)
+        names.append(beam_names)
 
-    groups = [
-        OptionGroup(*oset.arrays(len(oset.score))[:3], grid) for oset in option_sets
-    ]
-    beam_ids = [oset.beam_id for oset in option_sets]
-    for a, b, by_pol in _restricted_pairs(beam_ids, restrictions):
-        i, j = beam_ids[a], beam_ids[b]
-        pair = PairConflicts(groups[a], groups[b], by_pol)
-        for u in range(len(groups[a])):
+    for (a, b), pair in pair_conflict.items():
+        i, j = option_sets[a].beam_id, option_sets[b].beam_id
+        for u in range(len(names[a])):
             for v in _bits(pair.rows[u]):
                 model.add_constraint(
                     f"conf_{i}_{j}_{u}_{v}",
@@ -505,22 +510,8 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         for i in picked
     ]
 
-    # exact selection: same semantics as solving build_subproblem(). The
-    # keep-as-is candidate goes in at its score rank (after every option
-    # scoring at least as much), so option index equals rank in every group.
-    columns: list[tuple[np.ndarray, ...]] = []
-    initial: list[int | None] = []
-    for oset in option_sets:
-        at = None
-        if oset.original is not None:
-            at = int(np.count_nonzero(oset.score >= oset.original.score))
-        columns.append(oset.arrays(at))
-        initial.append(at)
-    groups = [OptionGroup(f, g, b, scenario.grid) for f, g, b, _ in columns]
-    pair_conflict = {
-        (a, b): PairConflicts(groups[a], groups[b], by_pol)
-        for a, b, by_pol in _restricted_pairs(picked, state.restrictions)
-    }
+    # exact selection: same semantics as solving build_subproblem()
+    columns, initial, pair_conflict = _subproblem(option_sets, state.restrictions, scenario.grid)
 
     # the keep-as-is selection (x_orig where available) seeds the incumbent,
     # guaranteeing the applied selection never worsens the plan
@@ -578,13 +569,11 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
         prefix = _blocked_prefix(beam, grid, placed, restrictions, set())
         row_lo, row_hi = beam.row_range(grid)
         slot_lo, slot_hi = beam.slot_range(grid)
-        b = beam.min_slots
-        firsts = np.arange(slot_lo, slot_hi - b + 2)
-        rows = prefix[row_lo - 1 : row_hi]
-        free = rows[:, firsts + b - 1] == rows[:, firsts - 1]  # free[g, f]
+        firsts = np.arange(slot_lo, slot_hi + 1)
+        free = _free_blocks(prefix, np.arange(row_lo, row_hi + 1), np.array([beam.min_slots]), firsts)
         if free.any():
             g, f = divmod(int(np.argmax(free)), len(firsts))  # row-major: lowest g, then f
-            assignments[beam.id] = Assignment(int(firsts[f]), row_lo + g, b)
+            assignments[beam.id] = Assignment(int(firsts[f]), row_lo + g, beam.min_slots)
     return placed
 
 

@@ -239,7 +239,8 @@ def decompose_reuse(g: int, n_p: int) -> tuple[int, int]:
 
 
 def _polarization(g, n_p: int):
-    """decompose_reuse's polarization m of row g (an int or an array)."""
+    """decompose_reuse's polarization m of row g (an int or an array), also
+    for a row below 1, where decompose_reuse raises."""
     return n_p * -(-g // n_p) - g
 
 
@@ -332,8 +333,7 @@ def _pair_violation(kind: str, i: int, j: int, plan: FrequencyPlan, n_p: int) ->
         if ai.g == aj.g and overlaps(ai, aj):
             return Violation(kind, (i, j), f"row {ai.g} shared slots")
         return None
-    mi = decompose_reuse(ai.g, n_p)[1]
-    mj = decompose_reuse(aj.g, n_p)[1]
+    mi, mj = _polarization(ai.g, n_p), _polarization(aj.g, n_p)
     if mi == mj and overlaps(ai, aj):
         return Violation(kind, (i, j), f"polarization {mi} shared slots")
     return None
@@ -354,9 +354,8 @@ def _flagged_pairs(
 ) -> list[tuple[int, int]]:
     """The pairs on which _pair_violation reports or raises, found for all
     pairs at once: both beams active with the same row (intra) or
-    polarization (inter) and intersecting slot intervals, an id the plan
-    lacks (KeyError), or an inter pair of active beams with a row below 1
-    (DomainError)."""
+    polarization (inter) and intersecting slot intervals, or an id the plan
+    lacks (KeyError)."""
     row = np.searchsorted(ids, index.ids)
     found = (row < len(ids)) & (np.append(ids, 0)[row] == index.ids)
     known = found[index.at].all(axis=1)
@@ -364,7 +363,6 @@ def _flagged_pairs(
     both = known & active.all(axis=1)
     flagged = ~known
     if kind == "inter-overlap":
-        flagged |= both & (g < 1).any(axis=1)
         g = _polarization(g, n_p)
     last = f + b - 1
     flagged |= both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])

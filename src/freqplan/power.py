@@ -216,6 +216,7 @@ class PowerTable:
     beam_id: int
     by_slots_dbw: tuple[float, ...]  # index b-1
     by_slots_w: tuple[float, ...]
+    by_slots_carried: tuple[bool, ...]  # False: no MODCOD, the power is the big_m sentinel
 
     def value(self, f: int, b: int) -> float:
         """Power in dBW for an assignment of b slots (f ignored)."""
@@ -223,6 +224,10 @@ class PowerTable:
 
     def watts(self, f: int, b: int) -> float:
         return self.by_slots_w[b - 1]
+
+    def carries(self, b: int) -> bool:
+        """Whether some MODCOD carries the beam's demand in b slots."""
+        return self.by_slots_carried[b - 1]
 
 
 def precompute_power_table(
@@ -233,13 +238,13 @@ def precompute_power_table(
     big_m: float,
 ) -> PowerTable:
     """Power for every slot count b in 1..n_bw at this beam's demand."""
-    dbw = []
-    watts = []
+    dbw, watts, carried = [], [], []
     for b in range(1, grid.n_bw + 1):
         res = beam_power(beam.demand_bps, b * grid.slot_bandwidth_hz, link, table, big_m)
         dbw.append(res.dbw)
         watts.append(res.watts)
-    return PowerTable(beam.id, tuple(dbw), tuple(watts))
+        carried.append(res.feasible)
+    return PowerTable(beam.id, tuple(dbw), tuple(watts), tuple(carried))
 
 
 def power_tables_for(

@@ -52,7 +52,6 @@ class SolveLimits:
 
     max_nodes: int = 0
     max_seconds: float = 0.0
-    absolute_gap: float = 0.0
 
 
 @dataclass
@@ -185,7 +184,7 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             hit_limit = True
             break
         lb, ub, parent_bound = stack.pop()
-        if parent_bound <= best_obj + limits.absolute_gap and best_values is not None:
+        if parent_bound <= best_obj and best_values is not None:
             frontier_bound = max(frontier_bound, parent_bound)
             continue
         stats.nodes += 1
@@ -195,7 +194,7 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         if not propagate(lb, ub):
             continue
         bound = obj_upper(lb, ub)
-        if best_values is not None and bound <= best_obj + limits.absolute_gap:
+        if best_values is not None and bound <= best_obj:
             frontier_bound = max(frontier_bound, bound)
             continue
         branch_var = next((v for v in range(n) if lb[v] < ub[v]), None)
@@ -231,10 +230,6 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     if best_values is None:
         return Solution(INFEASIBLE, {}, float("-inf"), float("-inf"), stats)
     values = {v.name: float(best_values[i]) for i, v in enumerate(model.variables)}
-    if limits.absolute_gap > 0:
-        bound = max(frontier_bound, best_obj)
-        status = OPTIMAL if bound <= best_obj + OPT_TOL else FEASIBLE
-        return Solution(status, values, best_obj, bound, stats)
     return Solution(OPTIMAL, values, best_obj, best_obj, stats)
 
 
@@ -368,9 +363,7 @@ def brute_force_best_plan(
     index_of = {beam.id: pos for pos, beam in enumerate(beams)}
     for i, j in intra | inter:
         a, b = index_of[i], index_of[j]
-        lo, hi = min(a, b), max(a, b)
-        key = (min(i, j), max(i, j))
-        partners[hi].append((lo, key in intra, key in inter))
+        partners[max(a, b)].append((min(a, b), (i, j) in intra, (i, j) in inter))
 
     n_p = grid.n_p
     suffix_max = [0.0] * (len(beams) + 1)

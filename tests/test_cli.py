@@ -1,5 +1,6 @@
 """End-to-end CLI tests: commands, exit codes, determinism."""
 
+import csv
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +11,7 @@ from freqplan import (
     ConstellationGeometry,
     FrequencyGrid,
     FrequencyPlan,
+    RestrictionSets,
     Scenario,
     iterative,
     load_plan_csv,
@@ -111,6 +113,27 @@ class TestOptimize:
         assert rc == 3
         assert "no visible satellite" in capsys.readouterr().err
 
+    def test_power_report_counts_uncarried_beams_apart(self, tmp_path, capsys):
+        scen = tmp_path / "demand.json"
+        save_scenario(
+            Scenario(
+                grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=2, slot_bandwidth_hz=50e6),
+                # no MODCOD carries 1e13 bps in 4 slots: its power is the sentinel
+                beams=(Beam(id=1, demand_bps=1e7), Beam(id=2, demand_bps=1e13)),
+                geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+                restrictions=RestrictionSets(),
+            ),
+            scen,
+        )
+        report = tmp_path / "report.csv"
+        assert main(["optimize", str(scen), "--beta4", "0.05", "--n-ch", "2", "--window", "3",
+                     "--out-plan", str(tmp_path / "plan.csv"), "--report", str(report)]) == 0
+        row = next(csv.DictReader(report.read_text().splitlines()))
+        assert (row["uncarried_warm"], row["uncarried_final"]) == ("1", "1")
+        assert 0 < float(row["power_warm_w"]) < 1e3
+        assert 0 < float(row["power_final_w"]) < 1e3
+        assert "uncarried beams: warm 1 -> final 1" in capsys.readouterr().out
+
     def test_missing_scenario_is_usage_error(self, tmp_path):
         rc = main(["optimize", str(tmp_path / "nope.json"),
                    "--out-plan", str(tmp_path / "p.csv")])
@@ -136,6 +159,22 @@ class TestValidate:
         rc = main(["validate", str(plan_path), str(scenario_file)])
         assert rc == 2
         assert "spectrum-bound" in capsys.readouterr().out
+
+    def test_row_below_one_under_inter_pair_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "pair.json"
+        save_scenario(
+            Scenario(
+                grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=2),
+                beams=(Beam(id=1), Beam(id=2)),
+                geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+                restrictions=RestrictionSets.of(inter=[(1, 2)]),
+            ),
+            scen,
+        )
+        plan = tmp_path / "plan.csv"
+        save_plan_csv(FrequencyPlan({1: Assignment(1, 0, 1), 2: Assignment(3, 1, 1)}), plan)
+        assert main(["validate", str(plan), str(scen)]) == 2
+        assert "domain[1] g=0 outside rows [1,2]" in capsys.readouterr().out
 
 
 class TestEmitLp:

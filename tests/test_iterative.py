@@ -31,13 +31,14 @@ from freqplan import (
     validate_plan,
 )
 from freqplan import iterative
-from freqplan.iterative import OptionGroup, PairConflicts, _sanitize_warm_start
-from freqplan.solver import solve_option_selection
+from freqplan.iterative import BeamOption, OptionGroup, PairConflicts, _sanitize_warm_start
+from freqplan.solver import brute_force_best_plan, solve_option_selection
 
 from util import (
     random_instance,
     ref_enumerate_options,
     ref_greedy_warm_start,
+    ref_keeps_as_is,
     ref_options_collide,
     ref_reoptimize,
     ref_sanitize_warm_start,
@@ -196,7 +197,7 @@ class TestEnumerateOptions:
             )
             tables = {
                 b.id: PowerTable(b.id, tuple(rng.choice([1.0, 3.0, 7.5], size=grid.n_bw)),
-                                 tuple(np.ones(grid.n_bw)))
+                                 tuple(np.ones(grid.n_bw)), (True,) * grid.n_bw)
                 for b in beams
             }
             cap = [None, 1, 2, 5][int(rng.integers(0, 4))]
@@ -209,6 +210,12 @@ class TestEnumerateOptions:
                 beams[0], grid, plan, restrictions, selected, cap, weights, tables
             )
             assert [(o.f, o.g, o.b, o.score) for o in got.options] == expected
+            keep = ref_keeps_as_is(beams[0], grid, plan, restrictions, selected)
+            a = plan[1]
+            assert got.original == (
+                BeamOption(a.f, a.g, a.b, score_option(beams[0], a.f, a.g, a.b, weights, tables))
+                if keep else None
+            )
 
 
 class TestSubproblem:
@@ -227,12 +234,20 @@ class TestSubproblem:
         return s, w, osets
 
     def test_structure_one_constraint_per_beam(self):
-        s, w, osets = self.build()
-        model = build_subproblem(osets, s.restrictions, s.grid)
-        names = [c.name for c in model.constraints]
-        for oset in osets:
-            tag = f"one_{oset.beam_id}" if oset.includes_original else f"act_{oset.beam_id}"
-            assert tag in names
+        """One exactly-one or activation row per beam, its variables in the
+        search's rank order: x_orig_i sits at the keep-as-is rank."""
+        for seed in range(3):
+            s, w, osets = self.build(seed=seed)
+            model = build_subproblem(osets, s.restrictions, s.grid)
+            rows = {c.name: [v for _, v in c.terms] for c in model.constraints}
+            columns, initial, _ = iterative._subproblem(osets, s.restrictions, s.grid)
+            for oset, (f, g, b, _), at in zip(osets, columns, initial):
+                i = oset.beam_id
+                names = rows[f"act_{i}"][:-1] if at is None else rows[f"one_{i}"]
+                assert (at is None) == (oset.original is None)
+                assert len(names) == len(f)
+                for r, name in enumerate(names):
+                    assert name == (f"x_orig_{i}" if r == at else f"x_{i}_{f[r]}_{g[r]}_{b[r]}")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_milp_subproblem_matches_direct_search(self, seed):
@@ -306,19 +321,9 @@ class TestHighsOracle:
         status, highs = solve_with_scipy_milp(build_subproblem(osets, s.restrictions, grid))
         assert status == 0
 
-        # as in iterate_once: the keep-as-is candidate goes in at its rank
-        columns = []
-        for oset in osets:
-            o = oset.original
-            columns.append(oset.arrays(None if o is None else int(np.count_nonzero(oset.score >= o.score))))
-        groups = [OptionGroup(f, g, b, grid) for f, g, b, _ in columns]
-        conflicts = {
-            (a, b): PairConflicts(groups[a], groups[b], by_pol)
-            for a, b, by_pol in iterative._restricted_pairs(picked, s.restrictions)
-        }
+        columns, initial, conflicts = iterative._subproblem(osets, s.restrictions, grid)
         _, total = solve_option_selection(
-            [c[3] for c in columns], [oset.original is None for oset in osets],
-            conflicts, node_budget=0,
+            [c[3] for c in columns], [at is None for at in initial], conflicts, node_budget=0,
         )
         assert total == pytest.approx(highs, abs=1e-6)
 
@@ -379,6 +384,88 @@ class TestCollisionKernel:
         for v, ov in enumerate(opts[1]):
             expected = [ref_options_collide(ou, ov, is_intra, is_inter, grid.n_p) for ou in opts[0]]
             assert [bool(kernel.cols[v] >> u & 1) for u in range(len(opts[0]))] == expected
+
+
+@st.composite
+def _iteration_case(draw):
+    """A small scenario with drawn domains, gateways, per-beam weight
+    overrides and restriction pairs stored in either order, a valid start
+    plan and an iteration config."""
+    grid = FrequencyGrid(
+        n_bw=draw(st.integers(2, 6)), n_fr=draw(st.integers(1, 3)), n_p=draw(st.integers(1, 2))
+    )
+    n = draw(st.integers(2, 7))
+    beams = []
+    for i in range(1, n + 1):
+        rows = slots = None
+        if draw(st.booleans()):
+            lo = draw(st.integers(1, grid.n_rows))
+            rows = (lo, draw(st.integers(lo, grid.n_rows)))
+        if draw(st.booleans()):
+            lo = draw(st.integers(1, grid.n_bw))
+            slots = (lo, draw(st.integers(lo, grid.n_bw)))
+        width = (slots[1] - slots[0] + 1) if slots else grid.n_bw
+        beams.append(Beam(
+            id=i, kind=draw(st.sampled_from(["user", "gateway"])),
+            demand_bps=draw(st.sampled_from([1e6, 5e6])), min_slots=draw(st.integers(1, width)),
+            allowed_rows=rows, allowed_slots=slots,
+        ))
+    intra, inter = set(), set()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pair = (j, i) if draw(st.booleans()) else (i, j)
+            kind = draw(st.sampled_from(["none", "intra", "inter", "both"]))
+            if kind in ("intra", "both"):
+                intra.add(pair)
+            if kind in ("inter", "both"):
+                inter.add(pair)
+    # built directly, so the drawn orientation is kept
+    restrictions = RestrictionSets(frozenset(intra), frozenset(inter))
+    betas = st.sampled_from([0.0, 0.1, 0.5, -0.25])
+    per_beam = {
+        i: {"beta1": draw(st.sampled_from([1.0, 2.0, 0.5])), "beta2": draw(betas), "beta5": draw(betas)}
+        for i in range(1, n + 1) if draw(st.booleans())
+    }
+    weights = ObjectiveWeights(
+        beta1=1.0, beta2=draw(betas), beta3=draw(betas), beta5=draw(betas), per_beam=per_beam,
+    )
+    s = Scenario(grid=grid, beams=tuple(beams), geometry=GEOM, restrictions=restrictions)
+    if draw(st.booleans()):
+        start = greedy_warm_start(s, restrictions)
+    else:
+        f = [draw(st.integers(1, grid.n_bw)) for _ in beams]
+        start = _sanitize_warm_start(FrequencyPlan({
+            beam.id: Assignment(f[k], draw(st.integers(1, grid.n_rows)),
+                                draw(st.integers(1, grid.n_bw - f[k] + 1)))
+            for k, beam in enumerate(beams)
+        }), s, restrictions)
+    config = IterationConfig(
+        n_ch=draw(st.integers(1, n)), top_per_bandwidth=draw(st.sampled_from([None, 1, 2])),
+        node_budget=draw(st.sampled_from([0, 1, 3])), seed=draw(st.integers(0, 2**16)),
+    )
+    return s, weights, start, config
+
+
+class TestIterationProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(case=_iteration_case())
+    def test_every_step_validates_and_never_lowers_the_objective(self, case):
+        """Also at node_budget=1, where the search stops at once and must
+        fall back to its incumbent, the keep-as-is selection."""
+        s, weights, start, config = case
+        assert validate_plan(start, s.grid, s.restrictions, s.beams) == []
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, weights=weights, config=config, plan=start,
+        )
+        rng = np.random.default_rng(config.seed)
+        before = state.objective()
+        for _ in range(6):
+            state = iterative.iterate_once(state, rng)
+            assert validate_plan(state.plan, s.grid, s.restrictions, s.beams) == []
+            after = state.objective()
+            assert after >= before - 1e-9
+            assert state.trace.records[-1].objective == after
+            before = after
 
 
 class TestWarmStartAndRepair:
@@ -571,6 +658,23 @@ class TestOptimize:
             )
             state = iterative.iterate_once(state, rng_run)
             assert state.plan.assignments == expected.assignments
+
+    @pytest.mark.parametrize("kind", ["intra", "inter"])
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+    def test_pair_stored_in_either_order(self, kind, pair):
+        """Two beams, one row, two slots: a pair stored as (j, i) restricts
+        the optimizer and the brute-force oracle like one stored as (i, j)."""
+        s = Scenario(
+            grid=FrequencyGrid(n_bw=2, n_fr=1, n_p=1), beams=(Beam(id=1), Beam(id=2)),
+            geometry=GEOM, restrictions=RestrictionSets(**{kind: frozenset({pair})}),
+        )
+        plan, trace = optimize(s, s.restrictions, ObjectiveWeights(),
+                               config=IterationConfig(n_ch=2, convergence_window=3))
+        assert validate_plan(plan, s.grid, s.restrictions, s.beams) == []
+        assert trace.objectives()[-1] == 2.0
+        oracle = brute_force_best_plan(s, s.restrictions, ObjectiveWeights())
+        assert validate_plan(oracle.plan, s.grid, s.restrictions, s.beams) == []
+        assert oracle.objective == 2.0
 
     def small_scenario(self):
         beams = [Beam(id=i) for i in (1, 2, 3, 4)]

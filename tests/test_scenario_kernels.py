@@ -24,6 +24,7 @@ from freqplan import (
     RestrictionSets,
     RoutingError,
     Scenario,
+    Violation,
     derive_restrictions,
     generate_synthetic,
     greedy_warm_start,
@@ -316,12 +317,16 @@ def test_validate_plan_raises_like_the_pairwise_loop(array_min_pairs, monkeypatc
     monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
     grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
     beams = [Beam(id=1), Beam(id=2)]
-    plan = FrequencyPlan({1: Assignment(1, 0, 1), 2: Assignment(1, 1, 1)})
-    # a row below 1 only matters to an inter pair whose beams are both active
-    intra_only = RestrictionSets.of(intra=[(1, 2)])
-    assert validate_plan(plan, grid, intra_only, beams) == ref_validate_plan(plan, grid, intra_only, beams)
-    with pytest.raises(DomainError, match="row index must be >= 1, got 0"):
-        validate_plan(plan, grid, RestrictionSets.of(inter=[(1, 2)]), beams)
+    plan = FrequencyPlan({1: Assignment(1, 0, 1), 2: Assignment(1, 2, 1)})
+    # a row below 1 is a domain violation under either pair kind; row 0
+    # shares polarization 0 with row 2, so the inter pair overlaps too
+    for restrictions, overlap in (
+        (RestrictionSets.of(intra=[(1, 2)]), []),
+        (RestrictionSets.of(inter=[(1, 2)]), [Violation("inter-overlap", (1, 2), "polarization 0 shared slots")]),
+    ):
+        got = validate_plan(plan, grid, restrictions, beams)
+        assert got == ref_validate_plan(plan, grid, restrictions, beams)
+        assert got == [Violation("domain", (1,), "g=0 outside rows [1,2]")] + overlap
     # a pair naming a beam the plan lacks fails on the first such pair
     unknown = RestrictionSets.of(intra=[(2, 7), (1, 9)])
     assert outcome(validate_plan, plan, grid, unknown, beams) == (KeyError, "9")

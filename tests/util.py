@@ -27,7 +27,6 @@ from freqplan import (
     RestrictionSets,
     Scenario,
     Violation,
-    decompose_reuse,
     overlaps,
     validate_plan,
 )
@@ -272,6 +271,23 @@ def ref_enumerate_options(beam, grid, plan, restrictions, selected, cap, weights
     return [(f, g, b, score) for score, f, g, b in kept]
 
 
+def ref_keeps_as_is(beam, grid, plan, restrictions, selected) -> bool:
+    """Reference keep-as-is rule: the beam's current assignment is active,
+    inside its row and slot domain, at least min_slots wide, and collides
+    with no active partner outside ``selected``."""
+    a = plan[beam.id]
+    row_lo, row_hi = beam.allowed_rows or (1, grid.n_fr * grid.n_p)
+    slot_lo, slot_hi = beam.allowed_slots or (1, grid.n_bw)
+    return (
+        a.active
+        and row_lo <= a.g <= row_hi
+        and slot_lo <= a.f
+        and a.f + a.b - 1 <= slot_hi
+        and a.b >= beam.min_slots
+        and not _ref_blocked(beam.id, a, grid, plan, restrictions, selected)
+    )
+
+
 def ref_reoptimize(scenario, restrictions, weights, plan, picked, cap, node_budget, power_table=None):
     """Reference iteration step: re-optimize the ``picked`` beams of
     ``plan`` with the reference ranking, dense pairwise conflict matrices
@@ -285,17 +301,8 @@ def ref_reoptimize(scenario, restrictions, weights, plan, picked, cap, node_budg
         opts = ref_enumerate_options(
             beams[i], grid, plan, restrictions, selected, cap, weights, power_table
         )
-        a, beam = plan[i], beams[i]
-        row_lo, row_hi = beam.allowed_rows or (1, grid.n_fr * grid.n_p)
-        slot_lo, slot_hi = beam.allowed_slots or (1, grid.n_bw)
-        keep = (
-            a.active
-            and row_lo <= a.g <= row_hi
-            and slot_lo <= a.f
-            and a.f + a.b - 1 <= slot_hi
-            and a.b >= beam.min_slots
-            and not _ref_blocked(i, a, grid, plan, restrictions, selected)
-        )
+        a = plan[i]
+        keep = ref_keeps_as_is(beams[i], grid, plan, restrictions, selected)
         if keep:
             opts = opts + [(a.f, a.g, a.b, _ref_score(i, a, weights, power_table))]
         full.append(opts)
@@ -779,8 +786,9 @@ def ref_validate_plan(
         pair = _both_active(i, j)
         if pair is None:
             continue
-        mi = decompose_reuse(pair[0].g, grid.n_p)[1]
-        mj = decompose_reuse(pair[1].g, grid.n_p)[1]
+        # the polarization rule holds for any row, also one below 1
+        mi = ref_decompose(pair[0].g, grid.n_p)[1]
+        mj = ref_decompose(pair[1].g, grid.n_p)[1]
         if mi == mj and overlaps(*pair):
             violations.append(
                 Violation("inter-overlap", (i, j), f"polarization {mi} shared slots")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,7 +52,6 @@ class SolveLimits:
     """Search limits; zero means unlimited."""
 
     max_nodes: int = 0
-    max_seconds: float = 0.0
 
 
 @dataclass
@@ -83,6 +83,15 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     the domain at its midpoint; the half favored by the variable's
     objective coefficient is explored first. Output is deterministic for a
     fixed model.
+
+    Every constraint is compiled once into "<=" rows (``>=`` negated, ``=``
+    as both), plus one row for the incumbent cut ``objective >= best +
+    step``. Each node tightens integer bounds over these rows to a fixpoint
+    with a lowest-row-first worklist. The root seeds every row; a child
+    starts from its parent's fixpoint and seeds only the rows of the
+    branched variable, plus the cut row when the incumbent has improved
+    since the parent was propagated. Row tightening is monotone, so the
+    fixpoint does not depend on the order rows are processed in.
     """
     n = len(model.variables)
     for var in model.variables:
@@ -92,18 +101,35 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     lb0 = [int(math.ceil(v.lower - FEAS_TOL)) for v in model.variables]
     ub0 = [int(math.floor(v.upper + FEAS_TOL)) for v in model.variables]
 
-    cons = []
-    var_cons: list[list[int]] = [[] for _ in range(n)]
+    # rows[r] holds the (coef, var) terms of sum(terms) <= rhs[r]
+    rows: list[tuple[tuple[float, int], ...]] = []
+    rhs: list[float] = []
     for con in model.constraints:
-        idx = len(cons)
         terms = tuple((c, model.variable_index(v)) for c, v in con.terms)
-        cons.append((terms, con.sense, con.rhs))
-        for _, v in terms:
-            var_cons[v].append(idx)
+        if con.sense in (LE, EQ):
+            rows.append(terms)
+            rhs.append(con.rhs)
+        if con.sense in (GE, EQ):
+            rows.append(tuple((-c, v) for c, v in terms))
+            rhs.append(-con.rhs)
     obj = _objective_coefs(model, n)
     obj_terms = tuple((c, v) for v, c in enumerate(obj) if c != 0.0)
     integral_obj = all(float(c).is_integer() for c, _ in obj_terms)
     improve_step = 1.0 if integral_obj else OPT_TOL
+    var_rows: list[list[int]] = [[] for _ in range(n)]
+    for r, terms in enumerate(rows):
+        for _, v in terms:
+            var_rows[v].append(r)
+    # the incumbent cut -objective <= -(best + step) is the last row; it
+    # stays empty, a no-op, until the first incumbent
+    cut = None
+    cut_terms = tuple((-c, v) for c, v in obj_terms)
+    if obj_terms:
+        cut = len(rows)
+        rows.append(())
+        rhs.append(0.0)
+        for _, v in obj_terms:
+            var_rows[v].append(cut)
 
     start = time.perf_counter()
     stats = SolveStats()
@@ -111,60 +137,42 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     best_values: list[int] | None = None
     frontier_bound = float("-inf")
     hit_limit = False
+    queue: list[int] = []
+    queued = [False] * len(rows)
 
-    def tighten(terms, rhs, lb, ub) -> bool:
-        """Enforce sum(terms) <= rhs by interval tightening. False = empty."""
-        minact = 0.0
-        for c, v in terms:
-            minact += c * (lb[v] if c > 0 else ub[v])
-        if minact > rhs + FEAS_TOL:
-            return False
-        for c, v in terms:
-            if c > 0:
-                hi = math.floor((rhs - minact + c * lb[v]) / c + FEAS_TOL)
-                if hi < ub[v]:
-                    ub[v] = hi
-                    if lb[v] > hi:
-                        return False
-                    changed.update(var_cons[v])
-            else:
-                lo = math.ceil((rhs - minact + c * ub[v]) / c - FEAS_TOL)
-                if lo > lb[v]:
-                    lb[v] = lo
-                    if lo > ub[v]:
-                        return False
-                    changed.update(var_cons[v])
-        return True
+    def wake(v: int) -> None:
+        for r in var_rows[v]:
+            if not queued[r]:
+                queued[r] = True
+                heappush(queue, r)
 
     def propagate(lb, ub) -> bool:
-        """Fixpoint bound propagation over all constraints plus the
-        incumbent objective cut. False = infeasible."""
-        queue = set(range(len(cons)))
-        use_cut = best_obj > float("-inf") and obj_terms
-        while queue or changed:
-            queue |= changed
-            changed.clear()
-            if not queue:
-                break
-            idx = min(queue)
-            queue.discard(idx)
-            terms, sense, rhs = cons[idx]
-            if sense in (LE, EQ):
-                if not tighten(terms, rhs, lb, ub):
-                    return False
-            if sense in (GE, EQ):
-                neg = tuple((-c, v) for c, v in terms)
-                if not tighten(neg, -rhs, lb, ub):
-                    return False
-            if use_cut:
-                # maximize: require obj >= best + step
-                neg = tuple((-c, v) for c, v in obj_terms)
-                if not tighten(neg, -(best_obj + improve_step), lb, ub):
-                    return False
-        if use_cut:
-            neg = tuple((-c, v) for c, v in obj_terms)
-            if not tighten(neg, -(best_obj + improve_step), lb, ub):
+        """Tighten bounds over the queued rows and the rows they wake, to a
+        fixpoint. False = infeasible."""
+        while queue:
+            r = heappop(queue)
+            queued[r] = False
+            terms, limit = rows[r], rhs[r]
+            minact = 0.0
+            for c, v in terms:
+                minact += c * (lb[v] if c > 0 else ub[v])
+            if minact > limit + FEAS_TOL:
                 return False
+            for c, v in terms:
+                if c > 0:
+                    hi = math.floor((limit - minact + c * lb[v]) / c + FEAS_TOL)
+                    if hi < ub[v]:
+                        ub[v] = hi
+                        if lb[v] > hi:
+                            return False
+                        wake(v)
+                else:
+                    lo = math.ceil((limit - minact + c * ub[v]) / c - FEAS_TOL)
+                    if lo > lb[v]:
+                        lb[v] = lo
+                        if lo > ub[v]:
+                            return False
+                        wake(v)
         return True
 
     def obj_upper(lb, ub) -> float:
@@ -173,25 +181,35 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             total += c * (ub[v] if c > 0 else lb[v])
         return total
 
-    stack: list[tuple[list[int], list[int], float]] = [(lb0, ub0, float("inf"))]
-    changed: set[int] = set()
+    # (lb, ub, parent bound, branched variable or None at the root, the
+    # incumbent the parent was propagated against)
+    stack: list[tuple[list[int], list[int], float, int | None, float]] = [
+        (lb0, ub0, float("inf"), None, best_obj)
+    ]
 
     while stack:
         if limits.max_nodes and stats.nodes >= limits.max_nodes:
             hit_limit = True
             break
-        if limits.max_seconds and time.perf_counter() - start > limits.max_seconds:
-            hit_limit = True
-            break
-        lb, ub, parent_bound = stack.pop()
+        lb, ub, parent_bound, branched, seen_obj = stack.pop()
         if parent_bound <= best_obj and best_values is not None:
             frontier_bound = max(frontier_bound, parent_bound)
             continue
         stats.nodes += 1
-        changed.clear()
-        if any(lb[v] > ub[v] for v in range(n)):
-            continue
+        if branched is None:
+            if any(lb[v] > ub[v] for v in range(n)):
+                continue
+            queue[:] = range(len(rows))
+            queued[:] = [True] * len(rows)
+        else:
+            wake(branched)
+            if cut is not None and best_obj != seen_obj and not queued[cut]:
+                queued[cut] = True
+                heappush(queue, cut)
         if not propagate(lb, ub):
+            for r in queue:
+                queued[r] = False
+            queue.clear()
             continue
         bound = obj_upper(lb, ub)
         if best_values is not None and bound <= best_obj:
@@ -203,14 +221,17 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             if value > best_obj + OPT_TOL:
                 best_obj = value
                 best_values = lb.copy()
+                if cut is not None:
+                    rows[cut] = cut_terms
+                    rhs[cut] = -(best_obj + improve_step)
             continue
         mid = (lb[branch_var] + ub[branch_var]) // 2
         low_lb, low_ub = lb.copy(), ub.copy()
         low_ub[branch_var] = mid
         high_lb, high_ub = lb.copy(), ub.copy()
         high_lb[branch_var] = mid + 1
-        low = (low_lb, low_ub, bound)
-        high = (high_lb, high_ub, bound)
+        low = (low_lb, low_ub, bound, branch_var, best_obj)
+        high = (high_lb, high_ub, bound, branch_var, best_obj)
         if obj[branch_var] > 0:
             stack.append(low)
             stack.append(high)  # popped first: objective-improving half
@@ -221,7 +242,7 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     stats.wall_seconds = time.perf_counter() - start
     if hit_limit:
         frontier_bound = max(
-            [frontier_bound] + [b for _, _, b in stack] + [best_obj]
+            [frontier_bound] + [node[2] for node in stack] + [best_obj]
         )
         if best_values is None:
             return Solution(LIMIT_REACHED, {}, float("-inf"), frontier_bound, stats)

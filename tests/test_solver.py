@@ -10,6 +10,7 @@ from freqplan import (
     ConstellationGeometry,
     FrequencyGrid,
     InstanceTooLargeError,
+    MilpConfig,
     MilpModel,
     ObjectiveWeights,
     RestrictionSets,
@@ -27,7 +28,12 @@ from freqplan.errors import UnsupportedModelError
 from freqplan.iterative import OptionGroup, PairConflicts
 from freqplan.solver import solve_option_selection
 
-from util import random_instance, ref_plan_is_valid, ref_solve_option_selection
+from util import (
+    random_instance,
+    ref_plan_is_valid,
+    ref_solve_exact,
+    ref_solve_option_selection,
+)
 
 
 def knapsack_model():
@@ -106,6 +112,138 @@ class TestSolveExact:
         else:
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(oracle.objective, abs=1e-9)
+
+
+def _fields(sol):
+    return sol.status, sol.values, sol.objective, sol.bound, sol.stats.nodes
+
+
+def _general_model(rng):
+    """A small general-integer program of the kinds full models never
+    produce: negative ranges, ">=" and "=" rows with negative coefficients,
+    and a fractional, integral or empty objective. Most right-hand sides
+    hold at a random point of the box, so most models are feasible."""
+    m = MilpModel()
+    names = [f"x{k}" for k in range(int(rng.integers(2, 8)))]
+    point = {}
+    for name in names:
+        lo = int(rng.integers(-4, 3))
+        hi = lo + int(rng.integers(0, 9))
+        m.add_variable(name, lo, hi, "integer")
+        point[name] = int(rng.integers(lo, hi + 1))
+    for r in range(int(rng.integers(1, 6))):
+        picked = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+        terms = [(float(rng.choice([-3, -2, -1, 1, 2, 3])), str(v)) for v in picked]
+        sense = str(rng.choice(["<=", ">=", "="]))
+        at_point = sum(c * point[v] for c, v in terms)
+        slack = float(rng.integers(0, 4))
+        rhs = {"<=": at_point + slack, ">=": at_point - slack, "=": at_point}[sense]
+        if rng.random() < 0.2:
+            rhs = float(rng.integers(-6, 7))
+        m.add_constraint(f"c{r}", terms, sense, rhs)
+    kind = rng.integers(3)
+    if kind == 0:
+        m.set_objective([(float(rng.uniform(-2, 2)), v) for v in names])
+    elif kind == 1:
+        m.set_objective([(float(rng.integers(-3, 4)), v) for v in names])
+    return m
+
+
+class TestIncrementalPropagation:
+    """solve_exact re-propagates only the rows a branch touched; the
+    full-queue reference re-propagates every row at every node. Both must
+    reach the same fixpoints, so every result field and the node count
+    agree, also where a node cap stops the search."""
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_full_models_match_reference(self, chunk):
+        rng = np.random.default_rng(6000 + chunk)
+        for k in range(40):
+            s, w = random_instance(rng)
+            config = MilpConfig(use_activation=bool(k % 2), epsilon=(1.0, 0.5, 0.3)[k % 3])
+            model = build_full_model(s, s.restrictions, w, config)
+            caps = (0, 1, 7, 30) if k % 10 == 0 else (1, 7, 30)
+            for cap in caps:
+                got = solve_exact(model, SolveLimits(max_nodes=cap))
+                assert _fields(got) == _fields(ref_solve_exact(model, cap)), (k, cap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_general_models_match_reference(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        for k in range(50):
+            model = _general_model(rng)
+            for cap in (0, 1, 2, 5, 30):
+                got = solve_exact(model, SolveLimits(max_nodes=cap))
+                assert _fields(got) == _fields(ref_solve_exact(model, cap)), (k, cap)
+
+    def test_fractional_objective_with_negative_rows(self):
+        # max 0.5x + 1.25y - 0.75z  s.t.  2x - 3y >= -10, x + y - z = 4,
+        # -x + 2z <= 3, x in [-3, 5], y in [0, 7], z in [-2, 2]: the
+        # objective step is OPT_TOL and the cut row has fractional terms
+        m = MilpModel()
+        m.add_variable("x", -3, 5, "integer")
+        m.add_variable("y", 0, 7, "integer")
+        m.add_variable("z", -2, 2, "integer")
+        m.add_constraint("ge", [(2.0, "x"), (-3.0, "y")], ">=", -10.0)
+        m.add_constraint("eq", [(1.0, "x"), (1.0, "y"), (-1.0, "z")], "=", 4.0)
+        m.add_constraint("le", [(-1.0, "x"), (2.0, "z")], "<=", 3.0)
+        m.set_objective([(0.5, "x"), (1.25, "y"), (-0.75, "z")])
+        best = max(
+            0.5 * x + 1.25 * y - 0.75 * z
+            for x in range(-3, 6)
+            for y in range(8)
+            for z in range(-2, 3)
+            if 2 * x - 3 * y >= -10 and x + y - z == 4 and -x + 2 * z <= 3
+        )
+        sol = solve_exact(m)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best)
+        assert check_solution(m, sol.values) == []
+        for cap in (0, 1, 2, 3, 5, 8):
+            got = solve_exact(m, SolveLimits(max_nodes=cap))
+            assert _fields(got) == _fields(ref_solve_exact(m, cap))
+
+    def test_empty_objective_has_no_cut(self):
+        # no objective: the first feasible leaf is optimal at 0
+        m = MilpModel()
+        m.add_variable("x", 0, 6, "integer")
+        m.add_variable("y", -2, 4, "integer")
+        m.add_constraint("ge", [(-1.0, "x"), (2.0, "y")], ">=", 1.0)
+        m.add_constraint("eq", [(1.0, "x"), (1.0, "y")], "=", 5.0)
+        sol = solve_exact(m)
+        assert sol.status == "optimal"
+        assert sol.objective == 0.0
+        assert check_solution(m, sol.values) == []
+        for cap in (0, 1, 2, 4):
+            got = solve_exact(m, SolveLimits(max_nodes=cap))
+            assert _fields(got) == _fields(ref_solve_exact(m, cap))
+
+    def test_empty_declared_domain_is_infeasible_at_the_root(self):
+        m = MilpModel()
+        m.add_variable("x", 0, 3, "integer")
+        m.add_variable("y", 2, 1, "integer")
+        m.add_constraint("le", [(1.0, "x"), (1.0, "y")], "<=", 4.0)
+        m.set_objective([(1.0, "x"), (1.0, "y")])
+        sol = solve_exact(m)
+        assert (sol.status, sol.stats.nodes) == ("infeasible", 1)
+        assert _fields(sol) == _fields(ref_solve_exact(m))
+
+    @pytest.mark.parametrize("cap", [1, 7, 30])
+    def test_capped_results_bracket_the_oracle(self, cap):
+        # a capped search never claims more than the optimum, and its bound
+        # never drops below it
+        rng = np.random.default_rng(2024)
+        for k in range(150):
+            s, w = random_instance(rng)
+            sol = solve_exact(build_full_model(s, s.restrictions, w), SolveLimits(max_nodes=cap))
+            if sol.status not in ("feasible", "limit-reached"):
+                continue
+            oracle = brute_force_best_plan(s, s.restrictions, w)
+            if sol.status == "feasible":
+                assert oracle.status == "optimal", k
+                assert sol.objective <= oracle.objective + 1e-9, k
+            if oracle.status == "optimal":
+                assert sol.bound >= oracle.objective - 1e-9, k
 
 
 class TestSolutionIo:

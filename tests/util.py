@@ -26,12 +26,14 @@ from freqplan import (
     ObjectiveWeights,
     RestrictionSets,
     Scenario,
+    Solution,
     Violation,
     overlaps,
     validate_plan,
 )
 from freqplan.errors import PlanStructureError, RoutingError, UnsupportedModelError
 from freqplan.scenario import central_angle_deg, elevation_deg, routing_steps
+from freqplan.solver import SolveStats
 
 REF_OPT_TOL = 1e-9
 
@@ -414,6 +416,161 @@ def solve_with_scipy_milp(model):
         options={"mip_rel_gap": 0.0},
     )
     return res.status, (None if res.x is None else -float(res.fun))
+
+
+# Reference branch-and-bound: the full-queue solver that freqplan's
+# solve_exact must reproduce node for node. Every node re-propagates every
+# constraint from a full queue and re-applies the incumbent cut after each
+# pop; solve_exact's incremental worklist must reach the same fixpoints.
+REF_FEAS_TOL = 1e-6
+
+
+def ref_solve_exact(model, max_nodes: int = 0) -> Solution:
+    n = len(model.variables)
+    for var in model.variables:
+        if var.integrality not in ("integer", "binary"):
+            raise UnsupportedModelError(f"variable {var.name} is not integral")
+
+    lb0 = [int(math.ceil(v.lower - REF_FEAS_TOL)) for v in model.variables]
+    ub0 = [int(math.floor(v.upper + REF_FEAS_TOL)) for v in model.variables]
+
+    index = {v.name: k for k, v in enumerate(model.variables)}
+    cons = []
+    var_cons: list[list[int]] = [[] for _ in range(n)]
+    for con in model.constraints:
+        idx = len(cons)
+        terms = tuple((c, index[v]) for c, v in con.terms)
+        cons.append((terms, con.sense, con.rhs))
+        for _, v in terms:
+            var_cons[v].append(idx)
+    obj = [0.0] * n
+    for coef, name in model.objective:
+        obj[index[name]] += coef
+    obj_terms = tuple((c, v) for v, c in enumerate(obj) if c != 0.0)
+    integral_obj = all(float(c).is_integer() for c, _ in obj_terms)
+    improve_step = 1.0 if integral_obj else REF_OPT_TOL
+
+    stats = SolveStats()
+    best_obj = float("-inf")
+    best_values: list[int] | None = None
+    frontier_bound = float("-inf")
+    hit_limit = False
+
+    def tighten(terms, rhs, lb, ub) -> bool:
+        """Enforce sum(terms) <= rhs by interval tightening. False = empty."""
+        minact = 0.0
+        for c, v in terms:
+            minact += c * (lb[v] if c > 0 else ub[v])
+        if minact > rhs + REF_FEAS_TOL:
+            return False
+        for c, v in terms:
+            if c > 0:
+                hi = math.floor((rhs - minact + c * lb[v]) / c + REF_FEAS_TOL)
+                if hi < ub[v]:
+                    ub[v] = hi
+                    if lb[v] > hi:
+                        return False
+                    changed.update(var_cons[v])
+            else:
+                lo = math.ceil((rhs - minact + c * ub[v]) / c - REF_FEAS_TOL)
+                if lo > lb[v]:
+                    lb[v] = lo
+                    if lo > ub[v]:
+                        return False
+                    changed.update(var_cons[v])
+        return True
+
+    def propagate(lb, ub) -> bool:
+        """Fixpoint bound propagation over all constraints plus the
+        incumbent objective cut. False = infeasible."""
+        queue = set(range(len(cons)))
+        use_cut = best_obj > float("-inf") and obj_terms
+        while queue or changed:
+            queue |= changed
+            changed.clear()
+            if not queue:
+                break
+            idx = min(queue)
+            queue.discard(idx)
+            terms, sense, rhs = cons[idx]
+            if sense in ("<=", "="):
+                if not tighten(terms, rhs, lb, ub):
+                    return False
+            if sense in (">=", "="):
+                neg = tuple((-c, v) for c, v in terms)
+                if not tighten(neg, -rhs, lb, ub):
+                    return False
+            if use_cut:
+                # maximize: require obj >= best + step
+                neg = tuple((-c, v) for c, v in obj_terms)
+                if not tighten(neg, -(best_obj + improve_step), lb, ub):
+                    return False
+        if use_cut:
+            neg = tuple((-c, v) for c, v in obj_terms)
+            if not tighten(neg, -(best_obj + improve_step), lb, ub):
+                return False
+        return True
+
+    def obj_upper(lb, ub) -> float:
+        total = 0.0
+        for c, v in obj_terms:
+            total += c * (ub[v] if c > 0 else lb[v])
+        return total
+
+    stack: list[tuple[list[int], list[int], float]] = [(lb0, ub0, float("inf"))]
+    changed: set[int] = set()
+
+    while stack:
+        if max_nodes and stats.nodes >= max_nodes:
+            hit_limit = True
+            break
+        lb, ub, parent_bound = stack.pop()
+        if parent_bound <= best_obj and best_values is not None:
+            frontier_bound = max(frontier_bound, parent_bound)
+            continue
+        stats.nodes += 1
+        changed.clear()
+        if any(lb[v] > ub[v] for v in range(n)):
+            continue
+        if not propagate(lb, ub):
+            continue
+        bound = obj_upper(lb, ub)
+        if best_values is not None and bound <= best_obj:
+            frontier_bound = max(frontier_bound, bound)
+            continue
+        branch_var = next((v for v in range(n) if lb[v] < ub[v]), None)
+        if branch_var is None:
+            value = sum(c * lb[v] for c, v in obj_terms)
+            if value > best_obj + REF_OPT_TOL:
+                best_obj = value
+                best_values = lb.copy()
+            continue
+        mid = (lb[branch_var] + ub[branch_var]) // 2
+        low_lb, low_ub = lb.copy(), ub.copy()
+        low_ub[branch_var] = mid
+        high_lb, high_ub = lb.copy(), ub.copy()
+        high_lb[branch_var] = mid + 1
+        low = (low_lb, low_ub, bound)
+        high = (high_lb, high_ub, bound)
+        if obj[branch_var] > 0:
+            stack.append(low)
+            stack.append(high)  # popped first: objective-improving half
+        else:
+            stack.append(high)
+            stack.append(low)
+
+    if hit_limit:
+        frontier_bound = max(
+            [frontier_bound] + [b for _, _, b in stack] + [best_obj]
+        )
+        if best_values is None:
+            return Solution("limit-reached", {}, float("-inf"), frontier_bound, stats)
+        values = {v.name: float(best_values[i]) for i, v in enumerate(model.variables)}
+        return Solution("feasible", values, best_obj, frontier_bound, stats)
+    if best_values is None:
+        return Solution("infeasible", {}, float("-inf"), float("-inf"), stats)
+    values = {v.name: float(best_values[i]) for i, v in enumerate(model.variables)}
+    return Solution("optimal", values, best_obj, best_obj, stats)
 
 
 # Reference option-selection search: the numpy-mask depth-first search the

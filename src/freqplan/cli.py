@@ -9,7 +9,6 @@ exists). All randomness is seeded through explicit flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from dataclasses import dataclass
@@ -222,11 +221,7 @@ def cmd_optimize(args) -> int:
         if solution.status not in ("optimal", "feasible"):
             print(f"solver status: {solution.status}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        plan = milp.extract_plan(
-            model,
-            solution,
-            dataclasses.replace(scenario, restrictions=restrictions),
-        )
+        plan = milp.extract_plan(model, solution, scenario)
         trace = None
         iterations = 0
     else:

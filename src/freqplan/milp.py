@@ -24,11 +24,10 @@ from .model import (
     RestrictionSets,
     validate_plan,
 )
-from .scenario import Scenario
+from .scenario import Scenario, derive_restrictions
 
 BINARY = "binary"
 INTEGER = "integer"
-CONTINUOUS = "continuous"
 
 LE = "<="
 GE = ">="
@@ -59,7 +58,6 @@ class MilpModel:
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: tuple[tuple[float, str], ...] = ()
-    objective_sense: str = "maximize"
 
     def __post_init__(self):
         self._index: dict[str, int] = {v.name: i for i, v in enumerate(self.variables)}
@@ -101,9 +99,6 @@ class MilpModel:
 
     def has_variable(self, name: str) -> bool:
         return name in self._index
-
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
 
 
 @dataclass(frozen=True)
@@ -366,8 +361,9 @@ def extract_plan(model: MilpModel, solution, scenario: Scenario) -> FrequencyPla
     """Decode a feasible/optimal solver point into a FrequencyPlan.
 
     Integer variables must sit within 1e-6 of an integer. The decoded plan
-    is checked with validate_plan against the scenario's restriction sets;
-    violations raise ExtractionError.
+    is checked with validate_plan against derive_restrictions(scenario): the
+    embedded restriction sets, else the derived ones. Violations raise
+    ExtractionError.
     """
     if solution.status not in ("optimal", "feasible"):
         raise ExtractionError(f"cannot extract from status {solution.status!r}")
@@ -393,8 +389,7 @@ def extract_plan(model: MilpModel, solution, scenario: Scenario) -> FrequencyPla
             assignments[i] = Assignment.inactive()
     plan = FrequencyPlan(assignments)
 
-    restrictions = scenario.restrictions or RestrictionSets()
-    violations = validate_plan(plan, scenario.grid, restrictions, scenario.beams)
+    violations = validate_plan(plan, scenario.grid, derive_restrictions(scenario), scenario.beams)
     if violations:
         raise ExtractionError(
             "decoded plan is invalid: " + "; ".join(str(v) for v in violations)

@@ -174,9 +174,6 @@ class RestrictionSets:
                 if i not in known or j not in known:
                     raise DomainError(f"{name} pair ({i}, {j}) references unknown beam")
 
-    def all_pairs(self) -> frozenset[tuple[int, int]]:
-        return self.intra | self.inter
-
     # Built on first use and kept with the (immutable) sets, so the warm
     # start, every iteration and validate_plan share one copy per kind.
     @functools.cached_property

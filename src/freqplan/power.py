@@ -57,10 +57,6 @@ class ModCodTable:
             if cur.ebn0_db < prev.ebn0_db:
                 raise DomainError(f"ebn0_db decreases at {cur.name}")
 
-    @property
-    def max_spectral_efficiency(self) -> float:
-        return self.entries[-1].spectral_efficiency if self.entries else 0.0
-
 
 # Generic 12-point efficiency ladder spanning 0.5..5.5 bit/s/Hz. Stands in
 # for the DVB-S2/S2X operating points; substitute exact values via
@@ -84,23 +80,29 @@ DEFAULT_MODCODS = ModCodTable(
 
 
 def load_modcod_csv(path) -> ModCodTable:
-    """Load a `name, spectral_efficiency, ebn0_db` table (header row required)."""
+    """Load a `name, spectral_efficiency, ebn0_db` table (header row required).
+
+    A number that does not parse raises DomainError naming its line and column.
+    """
     entries = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"name", "spectral_efficiency", "ebn0_db"}
-        if reader.fieldnames is None or not required <= {
-            f.strip() for f in reader.fieldnames
-        }:
+        if reader.fieldnames is not None:
+            reader.fieldnames = [f.strip() for f in reader.fieldnames]
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DomainError(f"modcod CSV must have columns {sorted(required)}")
         for row in reader:
-            entries.append(
-                ModCod(
-                    row["name"].strip(),
-                    float(row["spectral_efficiency"]),
-                    float(row["ebn0_db"]),
-                )
-            )
+            numbers = []
+            for column in ("spectral_efficiency", "ebn0_db"):
+                try:
+                    numbers.append(float(row[column]))
+                except (TypeError, ValueError) as exc:
+                    raise DomainError(
+                        f"modcod CSV line {reader.line_num}, column {column}: "
+                        f"{row[column]!r} is not a number"
+                    ) from exc
+            entries.append(ModCod(row["name"].strip(), *numbers))
     return ModCodTable(tuple(entries))
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -411,151 +411,138 @@ def with_restrictions(scenario: Scenario) -> Scenario:
 
 
 # --- JSON serialization ---------------------------------------------------
+#
+# A scenario file holds one JSON object per dataclass, under the dataclass's
+# own field names: "grid" (FrequencyGrid), "geometry" (ConstellationGeometry),
+# each entry of the "beams" list (Beam), "link" (LinkBudget) and "sim" (the
+# Scenario fields without a section of their own). "restrictions" holds the
+# sorted [i, j] pairs of each RestrictionSets kind. Field names, defaults and
+# which fields are required are read from the dataclasses.
 
 
-def _require(obj: Mapping, key: str, path: str):
-    if key not in obj:
-        raise ScenarioFormatError(f"{path}.{key}" if path else key, "missing field")
-    return obj[key]
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    doc: dict = {
-        "grid": {
-            "n_bw": scenario.grid.n_bw,
-            "n_fr": scenario.grid.n_fr,
-            "n_p": scenario.grid.n_p,
-            "slot_bandwidth_hz": scenario.grid.slot_bandwidth_hz,
-        },
-        "geometry": {
-            "n_s": scenario.geometry.n_s,
-            "altitude_km": scenario.geometry.altitude_km,
-        },
-        "beams": [
-            {
-                "id": b.id,
-                "kind": b.kind,
-                "lat": b.lat,
-                "lon": b.lon,
-                "demand_bps": b.demand_bps,
-                "min_slots": b.min_slots,
-                **({"allowed_rows": list(b.allowed_rows)} if b.allowed_rows else {}),
-                **({"allowed_slots": list(b.allowed_slots)} if b.allowed_slots else {}),
-            }
-            for b in scenario.beams
-        ],
-        "sim": {
-            "horizon_min": scenario.horizon_min,
-            "step_min": scenario.step_min,
-            "half_cone_deg": scenario.half_cone_deg,
-            "interference_multiplier": scenario.interference_multiplier,
-            "min_elevation_deg": scenario.min_elevation_deg,
-        },
-    }
-    if scenario.restrictions is not None:
-        doc["restrictions"] = {
-            "intra": [list(p) for p in sorted(scenario.restrictions.intra)],
-            "inter": [list(p) for p in sorted(scenario.restrictions.inter)],
-        }
-    if scenario.link is not None:
-        lb = scenario.link
-        doc["link"] = {
-            "rolloff": lb.rolloff,
-            "obo_db": lb.obo_db,
-            "g_tx_db": lb.g_tx_db,
-            "g_rx_db": lb.g_rx_db,
-            "t_sys_k": lb.t_sys_k,
-            "carrier_hz": lb.carrier_hz,
-            "distance_m": lb.distance_m,
-        }
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _pair(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected two integers, got {value!r}")
+    return _integer(value[0]), _integer(value[1])
+
+
+# the cast of each declared field type (annotations are strings here)
+_CASTS = {
+    "int": _integer,
+    "float": float,
+    "str": _string,
+    "tuple[int, int] | None": lambda value: None if value is None else _pair(value),
+}
+
+
+def _cast(cast, value, path: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(path, str(exc)) from exc
+
+
+def _object(doc, path: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise ScenarioFormatError(path, "expected an object")
     return doc
 
 
+def _list(doc, path: str) -> list:
+    if not isinstance(doc, list):
+        raise ScenarioFormatError(path, "expected a list")
+    return doc
+
+
+def _section(cls, doc, path: str, /, **parts):
+    """``cls(**parts)`` with its other fields read from the JSON object
+    ``doc`` at ``path``. A field without a default is required, a present one
+    is cast to its declared type, and the constructor's DomainError is
+    reported at ``path``."""
+    doc = _object(doc, path)
+    for f in fields(cls):
+        if f.name in parts:
+            continue
+        if f.name in doc:
+            parts[f.name] = _cast(_CASTS[f.type], doc[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING:
+            raise ScenarioFormatError(f"{path}.{f.name}", "missing field")
+    try:
+        return cls(**parts)
+    except DomainError as exc:
+        raise ScenarioFormatError(path, str(exc)) from exc
+
+
+def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
+    doc = _object(doc, "restrictions")
+    pairs = {}
+    for f in fields(RestrictionSets):
+        path = f"restrictions.{f.name}"
+        listed = _list(doc.get(f.name, []), path)
+        pairs[f.name] = [_cast(_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
+    try:
+        restrictions = RestrictionSets.of(**pairs)
+        restrictions.check_ids(b.id for b in beams)
+    except DomainError as exc:
+        raise ScenarioFormatError("restrictions", str(exc)) from exc
+    return restrictions
+
+
+def _values(obj, skip=()) -> dict:
+    """The fields of dataclass ``obj`` outside ``skip`` that are not None,
+    tuples as lists."""
+    return {
+        f.name: list(value) if isinstance(value, tuple) else value
+        for f in fields(obj)
+        if f.name not in skip and (value := getattr(obj, f.name)) is not None
+    }
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    restrictions, link = scenario.restrictions, scenario.link
+    doc = {
+        "grid": _values(scenario.grid),
+        "geometry": _values(scenario.geometry),
+        "beams": [_values(b) for b in scenario.beams],
+        "restrictions": None if restrictions is None else {
+            f.name: [list(p) for p in sorted(getattr(restrictions, f.name))]
+            for f in fields(RestrictionSets)
+        },
+        "link": None if link is None else _values(link),
+    }
+    doc["sim"] = _values(scenario, skip=doc)
+    return {name: section for name, section in doc.items() if section is not None}
+
+
 def scenario_from_dict(doc: Mapping) -> Scenario:
-    grid_doc = _require(doc, "grid", "")
-    for key in ("n_bw", "n_fr", "n_p"):
-        _require(grid_doc, key, "grid")
-    try:
-        grid = FrequencyGrid(
-            n_bw=int(grid_doc["n_bw"]),
-            n_fr=int(grid_doc["n_fr"]),
-            n_p=int(grid_doc["n_p"]),
-            slot_bandwidth_hz=float(grid_doc.get("slot_bandwidth_hz", 1.0)),
-        )
-    except DomainError as exc:
-        raise ScenarioFormatError("grid", str(exc)) from exc
-
-    geom_doc = _require(doc, "geometry", "")
-    try:
-        geometry = ConstellationGeometry(
-            n_s=int(_require(geom_doc, "n_s", "geometry")),
-            altitude_km=float(_require(geom_doc, "altitude_km", "geometry")),
-        )
-    except DomainError as exc:
-        raise ScenarioFormatError("geometry", str(exc)) from exc
-
-    beams = []
-    for idx, bdoc in enumerate(_require(doc, "beams", "")):
-        path = f"beams[{idx}]"
-        try:
-            beams.append(
-                Beam(
-                    id=int(_require(bdoc, "id", path)),
-                    kind=bdoc.get("kind", "user"),
-                    lat=float(bdoc.get("lat", 0.0)),
-                    lon=float(bdoc.get("lon", 0.0)),
-                    demand_bps=float(bdoc.get("demand_bps", 0.0)),
-                    min_slots=int(bdoc.get("min_slots", 1)),
-                    allowed_rows=tuple(bdoc["allowed_rows"]) if "allowed_rows" in bdoc else None,
-                    allowed_slots=tuple(bdoc["allowed_slots"]) if "allowed_slots" in bdoc else None,
-                )
-            )
-        except DomainError as exc:
-            raise ScenarioFormatError(path, str(exc)) from exc
-
-    restrictions = None
-    if "restrictions" in doc:
-        rdoc = doc["restrictions"]
-        try:
-            restrictions = RestrictionSets.of(
-                intra=[tuple(p) for p in rdoc.get("intra", [])],
-                inter=[tuple(p) for p in rdoc.get("inter", [])],
-            )
-        except DomainError as exc:
-            raise ScenarioFormatError("restrictions", str(exc)) from exc
-
-    link = None
-    if "link" in doc:
-        ldoc = doc["link"]
-        try:
-            link = LinkBudget(
-                rolloff=float(ldoc.get("rolloff", 0.1)),
-                obo_db=float(ldoc.get("obo_db", 0.5)),
-                g_tx_db=float(ldoc.get("g_tx_db", 45.0)),
-                g_rx_db=float(ldoc.get("g_rx_db", 40.0)),
-                t_sys_k=float(ldoc.get("t_sys_k", 290.0)),
-                carrier_hz=float(ldoc.get("carrier_hz", 19.7e9)),
-                distance_m=float(ldoc.get("distance_m", 8062e3)),
-            )
-        except DomainError as exc:
-            raise ScenarioFormatError("link", str(exc)) from exc
-
-    sim = doc.get("sim", {})
-    try:
-        return Scenario(
-            grid=grid,
-            beams=tuple(beams),
-            geometry=geometry,
-            horizon_min=float(sim.get("horizon_min", 60.0)),
-            step_min=float(sim.get("step_min", 1.0)),
-            half_cone_deg=float(sim.get("half_cone_deg", 1.0)),
-            interference_multiplier=float(sim.get("interference_multiplier", 4.0)),
-            min_elevation_deg=float(sim.get("min_elevation_deg", 10.0)),
-            restrictions=restrictions,
-            link=link,
-        )
-    except DomainError as exc:
-        raise ScenarioFormatError("sim", str(exc)) from exc
+    doc = _object(doc, "<document>")
+    for f in fields(Scenario):
+        if f.default is MISSING and f.name not in doc:
+            raise ScenarioFormatError(f.name, "missing field")
+    grid = _section(FrequencyGrid, doc["grid"], "grid")
+    geometry = _section(ConstellationGeometry, doc["geometry"], "geometry")
+    listed = _list(doc["beams"], "beams")
+    beams = tuple(_section(Beam, b, f"beams[{k}]") for k, b in enumerate(listed))
+    return _section(
+        Scenario, doc.get("sim", {}), "sim",
+        grid=grid,
+        beams=beams,
+        geometry=geometry,
+        restrictions=_restrictions(doc["restrictions"], beams) if "restrictions" in doc else None,
+        link=_section(LinkBudget, doc["link"], "link") if "link" in doc else None,
+    )
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: commands, exit codes, determinism."""
 
 import csv
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -13,12 +14,14 @@ from freqplan import (
     FrequencyPlan,
     RestrictionSets,
     Scenario,
+    ScenarioFormatError,
     iterative,
     load_plan_csv,
     save_plan_csv,
     save_scenario,
 )
 from freqplan.cli import main
+from freqplan.scenario import scenario_from_dict, scenario_to_dict
 
 
 @pytest.fixture()
@@ -175,6 +178,48 @@ class TestValidate:
         save_plan_csv(FrequencyPlan({1: Assignment(1, 0, 1), 2: Assignment(3, 1, 1)}), plan)
         assert main(["validate", str(plan), str(scen)]) == 2
         assert "domain[1] g=0 outside rows [1,2]" in capsys.readouterr().out
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d["grid"].update(n_bw="abc"), "grid.n_bw"),
+            (lambda d: d["beams"][0].update(lat="north"), "beams[0].lat"),
+            (lambda d: d.update(beams=5), "beams"),
+            (lambda d: d["beams"][0].update(allowed_rows=[1]), "beams[0].allowed_rows"),
+            (lambda d: d.update(restrictions={"intra": [[1, 2, 3]]}), "restrictions.intra[0]"),
+            (lambda d: d["sim"].update(step_min="x"), "sim.step_min"),
+            (lambda d: d.update(link={"rolloff": "x"}), "link.rolloff"),
+            (lambda d: d.update(restrictions={"inter": [[1, 9]]}), "restrictions"),
+            (lambda d: d["beams"][0].update(id=1.5), "beams[0].id"),
+            (lambda d: d["beams"][0].update(min_slots=2.5), "beams[0].min_slots"),
+            (lambda d: d.update(link="fast"), "link"),
+            (lambda d: d["beams"][0].update(kind=7), "beams[0].kind"),
+            (lambda d: d.update(grid=[4, 1, 2]), "grid"),
+        ],
+    )
+    def test_exits_1_with_field_path(self, tmp_path, capsys, mutate, field):
+        doc = scenario_to_dict(Scenario(
+            grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=2),
+            beams=(Beam(id=1), Beam(id=2, lon=30.0)),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        ))
+        mutate(doc)
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == field
+
+        scen, plan = tmp_path / "bad.json", tmp_path / "plan.csv"
+        scen.write_text(json.dumps(doc))
+        save_plan_csv(FrequencyPlan({1: Assignment(1, 1, 1), 2: Assignment(2, 1, 1)}), plan)
+        for argv in (["validate", str(plan), str(scen)],
+                     ["emit-lp", str(scen), "--out", str(tmp_path / "m.lp")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {field}: ")
+            assert captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
 
 
 class TestEmitLp:

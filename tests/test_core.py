@@ -221,7 +221,6 @@ class TestRestrictionSets:
         r = RestrictionSets.of(intra=[(3, 1), (1, 3)], inter=[(2, 1)])
         assert r.intra == frozenset({(1, 3)})
         assert r.inter == frozenset({(1, 2)})
-        assert r.all_pairs() == frozenset({(1, 3), (1, 2)})
 
     def test_rejects_reflexive_pair(self):
         with pytest.raises(DomainError):

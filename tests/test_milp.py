@@ -246,6 +246,20 @@ class TestExtraction:
         with pytest.raises(ExtractionError):
             extract_plan(model, sol, s)
 
+    def test_checks_derived_pairs_without_embedded_restrictions(self):
+        # two beams 0.7 deg apart share a satellite and interfere, but the
+        # scenario embeds no restriction sets: the decoded plan is still checked
+        s = Scenario(
+            grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=2),
+            beams=(Beam(id=1, lat=0.0, lon=0.0), Beam(id=2, lat=0.5, lon=0.5)),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        )
+        model = build_full_model(s, RestrictionSets(), ObjectiveWeights())
+        sol = solve_exact(model)
+        sol.values.update(f_1=1, g_1=1, b_1=2, f_2=1, g_2=1, b_2=2)
+        with pytest.raises(ExtractionError, match="intra-overlap.*inter-overlap"):
+            extract_plan(model, sol, s)
+
     def test_rejects_fractional_values(self):
         s = scenario_with([Beam(id=1)])
         model = build_full_model(s, s.restrictions, ObjectiveWeights())

@@ -162,6 +162,19 @@ class TestModcodCsv:
         assert [e.name for e in table.entries] == ["A", "B"]
         assert table.entries[1].ebn0_db == 5.5
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("A,1.0,2.0\nB,abc,5.5\n", "line 3, column spectral_efficiency"),
+            ("A,1.0\n", "line 2, column ebn0_db"),
+        ],
+    )
+    def test_bad_number_names_line_and_column(self, tmp_path, body, where):
+        path = tmp_path / "modcods.csv"
+        path.write_text("name, spectral_efficiency, ebn0_db\n" + body)
+        with pytest.raises(DomainError, match=where):
+            load_modcod_csv(path)
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "modcods.csv"
         path.write_text("name,gamma\nA,1.0\n")

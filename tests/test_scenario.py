@@ -12,6 +12,7 @@ from freqplan import (
     DomainError,
     FrequencyGrid,
     GenerationParams,
+    LinkBudget,
     RestrictionSets,
     RoutingError,
     Scenario,
@@ -199,6 +200,30 @@ class TestSerialization:
         path = tmp_path / "scenario.json"
         save_scenario(s, path)
         assert scenario_to_dict(load_scenario(path)) == scenario_to_dict(s)
+
+    def test_file_round_trip_of_every_optional_field(self, tmp_path):
+        s = Scenario(
+            grid=FrequencyGrid(n_bw=6, n_fr=2, n_p=2, slot_bandwidth_hz=25e6),
+            beams=(
+                Beam(id=1, lat=1.5, lon=2.5, demand_bps=3e7, min_slots=2,
+                     allowed_rows=(2, 3), allowed_slots=(1, 4)),
+                Beam(id=4, kind="gateway", lat=-1.0, lon=359.5, demand_bps=1e8),
+                Beam(id=7, allowed_rows=(1, 1)),
+            ),
+            geometry=ConstellationGeometry(n_s=5, altitude_km=1200.0),
+            horizon_min=30.0, step_min=2.5, half_cone_deg=0.75,
+            interference_multiplier=3.0, min_elevation_deg=20.0,
+            restrictions=RestrictionSets.of(intra=[(4, 1), (1, 7)], inter=[(7, 4)]),
+            link=LinkBudget(rolloff=0.2, obo_db=1.0, g_tx_db=40.0, g_rx_db=38.0,
+                            t_sys_k=300.0, carrier_hz=20e9, distance_m=1200e3),
+        )
+        path = tmp_path / "scenario.json"
+        save_scenario(s, path)
+        back = load_scenario(path)
+        assert back == s
+        again = tmp_path / "again.json"
+        save_scenario(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "mutate, field",

@@ -201,8 +201,9 @@ def cmd_generate(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    scenario = scen.load_scenario(args.scenario)
-    restrictions = scen.derive_restrictions(scenario)
+    # derived once here, so extract_plan reads the embedded sets
+    scenario = scen.with_restrictions(scen.load_scenario(args.scenario))
+    restrictions = scenario.restrictions
     weights = _weights_from_args(args)
 
     tables = None

@@ -443,14 +443,14 @@ _CASTS = {
     "int": _integer,
     "float": float,
     "str": _string,
-    "tuple[int, int] | None": lambda value: None if value is None else _pair(value),
+    "tuple[int, int] | None": lambda value: None if value in (None, []) else _pair(value),
 }
 
 
 def _cast(cast, value, path: str):
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(path, str(exc)) from exc
 
 
@@ -501,12 +501,12 @@ def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
 
 
 def _values(obj, skip=()) -> dict:
-    """The fields of dataclass ``obj`` outside ``skip`` that are not None,
-    tuples as lists."""
+    """The fields of dataclass ``obj`` outside ``skip`` that are set (not
+    None or an empty range), tuples as lists."""
     return {
         f.name: list(value) if isinstance(value, tuple) else value
         for f in fields(obj)
-        if f.name not in skip and (value := getattr(obj, f.name)) is not None
+        if f.name not in skip and (value := getattr(obj, f.name)) not in (None, ())
     }
 
 

@@ -186,6 +186,7 @@ class TestMalformedScenario:
         [
             (lambda d: d["grid"].update(n_bw="abc"), "grid.n_bw"),
             (lambda d: d["beams"][0].update(lat="north"), "beams[0].lat"),
+            (lambda d: d["beams"][0].update(lat=10**400), "beams[0].lat"),
             (lambda d: d.update(beams=5), "beams"),
             (lambda d: d["beams"][0].update(allowed_rows=[1]), "beams[0].allowed_rows"),
             (lambda d: d.update(restrictions={"intra": [[1, 2, 3]]}), "restrictions.intra[0]"),

@@ -225,6 +225,25 @@ class TestSerialization:
         save_scenario(back, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_empty_range_is_saved_as_unset(self, tmp_path):
+        grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
+        s = Scenario(
+            grid=grid,
+            beams=(Beam(id=1, allowed_rows=(), allowed_slots=()),),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        )
+        path = tmp_path / "scenario.json"
+        save_scenario(s, path)
+        assert "allowed_rows" not in path.read_text()
+        (beam,) = load_scenario(path).beams
+        assert (beam.allowed_rows, beam.allowed_slots) == (None, None)
+        assert beam.row_range(grid) == s.beams[0].row_range(grid)
+        assert beam.slot_range(grid) == s.beams[0].slot_range(grid)
+
+        doc = json.loads(path.read_text())
+        doc["beams"][0].update(allowed_rows=[], allowed_slots=[])
+        assert scenario_from_dict(doc) == load_scenario(path)
+
     @pytest.mark.parametrize(
         "mutate, field",
         [

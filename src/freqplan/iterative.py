@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .milp import BINARY, EQ, LE, MilpModel
 from .model import (
     Assignment,
@@ -106,13 +107,13 @@ class IterationConfig:
 
     def __post_init__(self):
         if self.n_ch < 1:
-            raise ValueError("n_ch must be >= 1")
+            raise DomainError("n_ch must be >= 1")
         if self.top_per_bandwidth is not None and self.top_per_bandwidth < 1:
-            raise ValueError("top_per_bandwidth must be >= 1 or None")
+            raise DomainError("top_per_bandwidth must be >= 1 or None")
         if self.convergence_window < 1:
-            raise ValueError("convergence_window must be >= 1")
+            raise DomainError("convergence_window must be >= 1")
         if self.node_budget < 0:
-            raise ValueError("node_budget must be >= 0")
+            raise DomainError("node_budget must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,10 @@ def score_option(
     weights: ObjectiveWeights,
     power_table: Mapping[int, object] | None = None,
 ) -> float:
-    """Contribution of one candidate: b1*b - |b2|*g - |b3|*f - |b4|*P(f,b)
-    + |b5| (the activation reward is a constant here)."""
-    b1, b2, b3, b4, b5 = weights.for_beam(beam.id)
-    score = b1 * b - b2 * g - b3 * f + b5
-    if b4 > 0:
-        if power_table is None or beam.id not in power_table:
-            raise ValueError(f"beta4 > 0 but no power table for beam {beam.id}")
-        score -= b4 * power_table[beam.id].value(f, b)
-    return score
+    """Contribution of one candidate: ObjectiveWeights.score at its power
+    P(f, b) from ``power_table``."""
+    table = power_table.get(beam.id) if power_table else None
+    return weights.score(beam.id, f, g, b, None if table is None else table.value(f, b))
 
 
 def _blocked_prefix(
@@ -231,10 +227,6 @@ def enumerate_options(
     """
     prefix = _blocked_prefix(beam, grid, current_plan, restrictions, selected_set)
 
-    b1, b2, b3, b4, b5 = weights.for_beam(beam.id)
-    ptab = power_table.get(beam.id) if (power_table and b4 > 0) else None
-    if b4 > 0 and ptab is None:
-        raise ValueError(f"beta4 > 0 but no power table for beam {beam.id}")
     row_lo, row_hi = beam.row_range(grid)
     slot_lo, slot_hi = beam.slot_range(grid)
     rows = np.arange(row_lo, row_hi + 1)
@@ -259,10 +251,9 @@ def enumerate_options(
         free &= np.cumsum(np.cumsum(free, axis=0), axis=2) <= config.top_per_bandwidth
     g_idx, b_idx, f_idx = np.nonzero(free)
     g_vals, b_vals, f_vals = rows[g_idx], widths[b_idx], firsts[f_idx]
-    scores = b1 * b_vals - b2 * g_vals - b3 * f_vals + b5
-    if ptab is not None:
-        power = np.array([ptab.value(1, int(b)) for b in widths])
-        scores = scores - b4 * power[b_idx]
+    table = power_table.get(beam.id) if power_table else None
+    power = None if table is None else np.array([table.value(1, int(b)) for b in widths])[b_idx]
+    scores = weights.score(beam.id, f_vals, g_vals, b_vals, power)
 
     if config.top_per_bandwidth is not None:
         order = np.lexsort((g_vals, f_vals, -scores, b_vals))
@@ -360,15 +351,16 @@ def _bits(mask: int):
 
 
 def _restricted_pairs(beam_ids: Sequence[int], restrictions: RestrictionSets):
-    """(a, b, by_pol) for positions a < b of restricted beams, whichever
-    order the pair is stored in. A row fixes the polarization, so a pair
-    that is both intra and inter collides exactly as an inter pair."""
+    """(a, b, by_pol) for positions a < b of restricted beams. A row fixes
+    the polarization, so a pair that is both intra and inter collides
+    exactly as an inter pair."""
     for a in range(len(beam_ids)):
         for b in range(a + 1, len(beam_ids)):
-            pair, back = (beam_ids[a], beam_ids[b]), (beam_ids[b], beam_ids[a])
-            if pair in restrictions.inter or back in restrictions.inter:
+            i, j = beam_ids[a], beam_ids[b]
+            pair = (i, j) if i < j else (j, i)
+            if pair in restrictions.inter:
                 yield a, b, True
-            elif pair in restrictions.intra or back in restrictions.intra:
+            elif pair in restrictions.intra:
                 yield a, b, False
 
 
@@ -487,7 +479,10 @@ def _sanitize_warm_start(
 
 
 def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationState:
-    """Sample beams, re-optimize them exactly, and apply the selection."""
+    """Sample beams, re-optimize them exactly, and apply the selection.
+
+    Advances ``state`` in place by one iteration, appending one trace
+    record, and returns it."""
     started = time.perf_counter()
     scenario = state.scenario
     ids = sorted(scenario.beam_ids())
@@ -537,23 +532,23 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
             changed += 1
         assignments[beam_id] = new
 
-    new_plan = FrequencyPlan(assignments)
-    new_state = replace(state, plan=new_plan, iteration=state.iteration + 1)
-    objective = new_state.objective()
     prev = state.trace.records[-1].objective if state.trace.records else state.objective()
-    new_state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
-    new_state.trace.records.append(
+    state.plan = FrequencyPlan(assignments)
+    state.iteration += 1
+    objective = state.objective()
+    state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
+    state.trace.records.append(
         TraceRecord(
-            iteration=new_state.iteration,
+            iteration=state.iteration,
             objective=objective,
             normalized_bw=total_normalized_bandwidth(
-                new_plan, scenario.grid, scenario.geometry.n_s
+                state.plan, scenario.grid, scenario.geometry.n_s
             ),
             beams_changed=changed,
             wall_ms=(time.perf_counter() - started) * 1000.0,
         )
     )
-    return new_state
+    return state
 
 
 def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> FrequencyPlan:

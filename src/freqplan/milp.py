@@ -3,13 +3,13 @@ emit CPLEX-LP text, and decode solver points back into frequency plans.
 
 Variable naming is fixed (`f_i`, `g_i`, `b_i`, `k_i`, `m_i`, `a_i`,
 `z_i_j`, `y_i_j`, `p_i_j`, `s_i_j`, `d_i_j`) so emitted LP files diff
-cleanly. Restriction pairs are canonicalized to i < j.
+cleanly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     DomainError,
@@ -191,8 +191,7 @@ def build_full_model(
         if config.use_activation and b5 != 0:
             objective.append((b5, f"a_{i}"))
 
-    intra = {(min(i, j), max(i, j)) for i, j in restrictions.intra}
-    inter = {(min(i, j), max(i, j)) for i, j in restrictions.inter}
+    intra, inter = restrictions.intra, restrictions.inter
 
     for i, j in sorted(intra | inter):
         z = f"z_{i}_{j}"

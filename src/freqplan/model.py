@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -119,15 +120,6 @@ class FrequencyPlan:
                 yield beam_id, a
 
 
-def _canonical_pairs(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    out = set()
-    for i, j in pairs:
-        if i == j:
-            raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
-        out.add((min(i, j), max(i, j)))
-    return frozenset(out)
-
-
 @dataclass(frozen=True, eq=False)
 class PairIndex:
     """One restriction kind as arrays: its distinct beam ids, sorted, and
@@ -155,17 +147,27 @@ class PairIndex:
 
 @dataclass(frozen=True)
 class RestrictionSets:
-    """Unordered intra-group (handover) and inter-group (interference) pairs."""
+    """Unordered intra-group (handover) and inter-group (interference) pairs,
+    each stored as (smaller id, larger id); a reflexive pair is rejected."""
 
     intra: frozenset[tuple[int, int]] = frozenset()
     inter: frozenset[tuple[int, int]] = frozenset()
+
+    def __post_init__(self):
+        for name in ("intra", "inter"):
+            pairs = getattr(self, name)
+            if any(itertools.starmap(operator.ge, pairs)):  # derived sets are already in order
+                for i, j in pairs:
+                    if i == j:
+                        raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
+                object.__setattr__(self, name, frozenset((i, j) if i < j else (j, i) for i, j in pairs))
 
     @staticmethod
     def of(
         intra: Iterable[tuple[int, int]] = (),
         inter: Iterable[tuple[int, int]] = (),
     ) -> "RestrictionSets":
-        return RestrictionSets(_canonical_pairs(intra), _canonical_pairs(inter))
+        return RestrictionSets(frozenset(intra), frozenset(inter))
 
     def check_ids(self, beam_ids: Iterable[int]) -> None:
         known = set(beam_ids)
@@ -206,6 +208,20 @@ class ObjectiveWeights:
             abs(o.get("beta4", self.beta4)),
             abs(o.get("beta5", self.beta5)),
         )
+
+    def score(self, beam_id: int, f, g, b, power):
+        """Objective term of beam ``beam_id`` at one active candidate, or at
+        numpy arrays of candidates: b1*b - |b2|*g - |b3|*f + |b5| - |b4|*power.
+        ``power`` is the candidate's P(f, b), read only when |b4| > 0."""
+        b1, b2, b3, b4, b5 = self.for_beam(beam_id)
+        score = b1 * b - b2 * g - b3 * f + b5
+        if b4 > 0:
+            if power is None:
+                raise UnsupportedConfigurationError(
+                    f"beta4 > 0 but no power table entry for beam {beam_id}"
+                )
+            score = score - b4 * power
+        return score
 
     def uses_power(self) -> bool:
         if abs(self.beta4) > 0:
@@ -380,26 +396,17 @@ def objective_value(
     weights: ObjectiveWeights,
     power_table: Mapping[int, "object"] | None = None,
 ) -> float:
-    """Evaluate the plan objective.
-
-    Per beam: (beta1*b - |beta2|*g - |beta3|*f - |beta4|*P(f, b)) if active,
-    plus |beta5| for each active beam. ``power_table`` maps beam id to an
-    object exposing ``value(f, b)`` and is required when any beta4 != 0.
+    """Sum of ObjectiveWeights.score over the active beams, in id order.
+    ``power_table`` maps beam id to an object exposing ``value(f, b)`` and
+    is required when any beta4 != 0.
     """
+    score, tables, assignments = weights.score, power_table or {}, plan.assignments
     total = 0.0
-    for beam_id in sorted(plan.assignments):
-        a = plan.assignments[beam_id]
-        b1, b2, b3, b4, b5 = weights.for_beam(beam_id)
-        if not a.active:
-            continue
-        term = b1 * a.b - b2 * a.g - b3 * a.f
-        if b4 > 0:
-            if power_table is None or beam_id not in power_table:
-                raise UnsupportedConfigurationError(
-                    f"beta4 > 0 but no power table entry for beam {beam_id}"
-                )
-            term -= b4 * power_table[beam_id].value(a.f, a.b)
-        total += term + b5
+    for beam_id in sorted(assignments):
+        a = assignments[beam_id]
+        if a.active:
+            table = tables.get(beam_id)
+            total += score(beam_id, a.f, a.g, a.b, None if table is None else table.value(a.f, a.b))
     return total
 
 

@@ -485,6 +485,25 @@ def _section(cls, doc, path: str, /, **parts):
         raise ScenarioFormatError(path, str(exc)) from exc
 
 
+def _beams(doc, grid: FrequencyGrid) -> tuple[Beam, ...]:
+    """The beams at ``beams``, each range checked against ``grid`` at its
+    field path; the Scenario checks on beams are reported at ``beams``."""
+    beams = []
+    for k, item in enumerate(_list(doc, "beams")):
+        beam = _section(Beam, item, f"beams[{k}]")
+        for name, n in (("allowed_rows", grid.n_rows), ("allowed_slots", grid.n_bw)):
+            span = getattr(beam, name)
+            if span is not None and not (1 <= span[0] <= span[1] <= n):
+                problem = "is reversed" if span[0] > span[1] else f"outside 1..{n}"
+                raise ScenarioFormatError(f"beams[{k}].{name}", f"range {list(span)} {problem}")
+        beams.append(beam)
+    if not beams:
+        raise ScenarioFormatError("beams", "scenario needs at least one beam")
+    if len({b.id for b in beams}) != len(beams):
+        raise ScenarioFormatError("beams", "beam ids must be unique")
+    return tuple(beams)
+
+
 def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
     doc = _object(doc, "restrictions")
     pairs = {}
@@ -533,8 +552,7 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             raise ScenarioFormatError(f.name, "missing field")
     grid = _section(FrequencyGrid, doc["grid"], "grid")
     geometry = _section(ConstellationGeometry, doc["geometry"], "geometry")
-    listed = _list(doc["beams"], "beams")
-    beams = tuple(_section(Beam, b, f"beams[{k}]") for k, b in enumerate(listed))
+    beams = _beams(doc["beams"], grid)
     return _section(
         Scenario, doc.get("sim", {}), "sim",
         grid=grid,

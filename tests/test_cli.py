@@ -137,6 +137,17 @@ class TestOptimize:
         assert 0 < float(row["power_final_w"]) < 1e3
         assert "uncarried beams: warm 1 -> final 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--n-ch", "0"), ("--top-per-bw", "0"), ("--window", "0"), ("--node-budget", "-1")]
+    )
+    def test_invalid_optimizer_flag_exits_1(self, tmp_path, scenario_file, capsys, flag, value):
+        capsys.readouterr()
+        rc = main(["optimize", str(scenario_file), flag, value, "--out-plan", str(tmp_path / "p.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_scenario_is_usage_error(self, tmp_path):
         rc = main(["optimize", str(tmp_path / "nope.json"),
                    "--out-plan", str(tmp_path / "p.csv")])
@@ -198,6 +209,14 @@ class TestMalformedScenario:
             (lambda d: d.update(link="fast"), "link"),
             (lambda d: d["beams"][0].update(kind=7), "beams[0].kind"),
             (lambda d: d.update(grid=[4, 1, 2]), "grid"),
+            pytest.param(lambda d: d.update(beams=[]), "beams", id="no-beams"),
+            pytest.param(lambda d: d["beams"][1].update(id=1), "beams", id="duplicate-id"),
+            pytest.param(lambda d: d["beams"][0].update(allowed_rows=[1, 9]), "beams[0].allowed_rows",
+                         id="rows-outside-grid"),
+            pytest.param(lambda d: d["beams"][1].update(allowed_slots=[3, 2]), "beams[1].allowed_slots",
+                         id="slots-reversed"),
+            pytest.param(lambda d: d["beams"][1].update(allowed_slots=[0, 2]), "beams[1].allowed_slots",
+                         id="slots-below-1"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, mutate, field):
@@ -221,6 +240,19 @@ class TestMalformedScenario:
             assert captured.err.startswith(f"error: {field}: ")
             assert captured.err.count("\n") == 1
             assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "span, message", [([3, 2], "range [3, 2] is reversed"), ([2, 5], "range [2, 5] outside 1..4")]
+    )
+    def test_slot_range_checked_against_grid(self, span, message):
+        doc = scenario_to_dict(Scenario(
+            grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=2),
+            beams=(Beam(id=1, allowed_slots=tuple(span)),),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        ))
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == f"beams[0].allowed_slots: {message}"
 
 
 class TestEmitLp:

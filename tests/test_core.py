@@ -226,6 +226,15 @@ class TestRestrictionSets:
         with pytest.raises(DomainError):
             RestrictionSets.of(intra=[(2, 2)])
 
+    def test_constructor_canonicalizes_and_rejects_reflexive_pair(self):
+        r = RestrictionSets(intra=frozenset({(2, 1)}), inter=frozenset({(1, 3), (4, 3)}))
+        assert r.intra == frozenset({(1, 2)})
+        assert r.inter == frozenset({(1, 3), (3, 4)})
+        with pytest.raises(DomainError):
+            RestrictionSets(intra=frozenset({(1, 1)}))
+        with pytest.raises(DomainError):
+            RestrictionSets(inter=frozenset({(2, 1), (3, 3)}))
+
     def test_check_ids(self):
         r = RestrictionSets.of(inter=[(1, 9)])
         with pytest.raises(DomainError):

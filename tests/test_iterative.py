@@ -17,6 +17,7 @@ from freqplan import (
     PowerTable,
     RestrictionSets,
     Scenario,
+    UnsupportedConfigurationError,
     build_subproblem,
     derive_restrictions,
     enumerate_options,
@@ -68,6 +69,23 @@ class TestScoring:
         beam = Beam(id=1)
         plan = FrequencyPlan({1: Assignment(3, 2, 4)})
         assert score_option(beam, 3, 2, 4, w) == pytest.approx(objective_value(plan, w))
+
+    def test_beta4_without_power_table_is_unsupported(self):
+        """Each scorer raises the one missing-table error, also when another
+        beam has a table."""
+        w = ObjectiveWeights(beta4=0.5)
+        s = scenario_with([Beam(id=1)])
+        tables = {2: PowerTable(2, (1.0,) * 4, (1.0,) * 4, (True,) * 4)}
+        for power_table in (None, tables):
+            with pytest.raises(UnsupportedConfigurationError):
+                objective_value(FrequencyPlan({1: Assignment(1, 1, 1)}), w, power_table)
+            with pytest.raises(UnsupportedConfigurationError):
+                score_option(s.beams[0], 1, 1, 1, w, power_table)
+            with pytest.raises(UnsupportedConfigurationError):
+                enumerate_options(
+                    s.beams[0], GRID, all_inactive(s), s.restrictions, {1},
+                    IterationConfig(n_ch=1), w, power_table,
+                )
 
 
 class TestEnumerateOptions:
@@ -419,7 +437,7 @@ def _iteration_case(draw):
                 intra.add(pair)
             if kind in ("inter", "both"):
                 inter.add(pair)
-    # built directly, so the drawn orientation is kept
+    # built directly; the constructor stores either drawn orientation as (i, j)
     restrictions = RestrictionSets(frozenset(intra), frozenset(inter))
     betas = st.sampled_from([0.0, 0.1, 0.5, -0.25])
     per_beam = {
@@ -592,6 +610,24 @@ class TestWarmStartAndRepair:
         assert [i for i, _ in fixed.active_items()] == [1]
 
 
+class TestIterateOnce:
+    def test_advances_the_state_in_place(self):
+        """The input state is the returned one, one iteration on with one
+        trace record per iteration, so no earlier state shares a later
+        record."""
+        s = scenario_with([Beam(id=i) for i in (1, 2, 3)], intra=[(1, 2)], inter=[(2, 3)])
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(),
+            config=IterationConfig(n_ch=2), plan=all_inactive(s),
+        )
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3):
+            assert iterative.iterate_once(state, rng) is state
+            assert state.iteration == n
+            assert [r.iteration for r in state.trace.records] == list(range(1, n + 1))
+            assert state.trace.records[-1].objective == state.objective()
+
+
 class TestOptimize:
     def test_golden_large_case(self, tmp_path):
         """The acceptance large_case after 50 iterations at seed 0: pins the
@@ -662,8 +698,8 @@ class TestOptimize:
     @pytest.mark.parametrize("kind", ["intra", "inter"])
     @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
     def test_pair_stored_in_either_order(self, kind, pair):
-        """Two beams, one row, two slots: a pair stored as (j, i) restricts
-        the optimizer and the brute-force oracle like one stored as (i, j)."""
+        """Two beams, one row, two slots: a pair given as (j, i) restricts
+        the optimizer and the brute-force oracle like one given as (i, j)."""
         s = Scenario(
             grid=FrequencyGrid(n_bw=2, n_fr=1, n_p=1), beams=(Beam(id=1), Beam(id=2)),
             geometry=GEOM, restrictions=RestrictionSets(**{kind: frozenset({pair})}),

@@ -13,10 +13,11 @@ across iterations.
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import or_
+from operator import add, or_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,9 +31,11 @@ from .model import (
     FrequencyPlan,
     ObjectiveWeights,
     RestrictionSets,
+    _plan_arrays,
     _polarization,
+    beam_scores,
     objective_value,
-    total_normalized_bandwidth,
+    slot_capacity,
     validate_plan,
 )
 from .scenario import Scenario
@@ -163,56 +166,101 @@ def score_option(
     return weights.score(beam.id, f, g, b, None if table is None else table.value(f, b))
 
 
-def _blocked_prefix(
-    beam: Beam,
-    grid: FrequencyGrid,
-    current_plan: FrequencyPlan,
-    restrictions: RestrictionSets,
-    selected: set[int],
-) -> np.ndarray:
+class PlanArrays:
+    """A plan as the iterative layer reads and updates it, by position in
+    its sorted beam ids: ``state[k]`` is the (active, f, g, b) of ids[k]
+    (model._plan_arrays) and ``selected[k]`` whether it is re-optimized.
+
+    ``indptr``/``indices`` are the partners of each position in CSR form,
+    an intra partner as its position j and an inter partner as n + j.
+    Partners mark a difference array of ``n_bw + 2`` cells per key (one key
+    per row, then one per polarization; cell s is slot s): from cell
+    ``first.ravel()[j]``, ``span.ravel()[j]`` cells, 0 unless the beam is
+    active and not selected.
+    """
+
+    def __init__(self, plan: FrequencyPlan, restrictions: RestrictionSets, grid: FrequencyGrid):
+        self.grid = grid
+        self.ids, self.state = _plan_arrays(plan)
+        n = len(self.ids)
+        self.at = dict(zip(self.ids.tolist(), range(n)))
+        (intra_ptr, intra), (inter_ptr, inter) = (
+            index.csr_over(self.ids) for index in (restrictions.intra_index, restrictions.inter_index)
+        )
+        owner = np.repeat(np.arange(n), np.diff(intra_ptr)), np.repeat(np.arange(n), np.diff(inter_ptr))
+        self.indptr = intra_ptr + inter_ptr
+        self.indices = np.concatenate((intra, inter + n))[np.argsort(np.concatenate(owner), kind="stable")]
+        self.selected = np.zeros(n, dtype=bool)
+        self.first = np.zeros((2, n), dtype=np.int64)
+        self.span = np.zeros((2, n), dtype=np.int64)
+        self.row_pol = grid.n_rows + _polarization(np.arange(1, grid.n_rows + 1), grid.n_p)
+        self._powers: dict[int, np.ndarray] = {}  # per-width power of each beam read so far
+        self._refresh(np.flatnonzero(self.state[:n, 0]).tolist())  # the others stay 0
+
+    def _refresh(self, ks) -> None:
+        cells, n_rows, n_p = self.grid.n_bw + 2, self.grid.n_rows, self.grid.n_p
+        for k in ks:
+            active, f, g, b = self.state[k].tolist()
+            if active and not self.selected[k]:
+                self.first[:, k] = ((g - 1) * cells + f, (n_rows + _polarization(g, n_p)) * cells + f)
+                self.span[:, k] = b
+            else:
+                self.first[:, k] = self.span[:, k] = 0
+
+    def assign(self, k: int, a: Assignment) -> None:
+        self.state[k] = (a.active, a.f, a.g, a.b)
+        self._refresh([k])
+
+    def select(self, ks: Sequence[int], on: bool) -> None:
+        self.selected[ks] = on
+        self._refresh(ks)
+
+    def powers(self, beam: Beam, table, widths: np.ndarray) -> np.ndarray:
+        """``table.value`` of each of the beam's ``widths``, read once."""
+        got = self._powers.get(beam.id)
+        if got is None:
+            got = self._powers[beam.id] = np.array([table.value(1, b) for b in widths.tolist()])
+        return got
+
+
+def _blocked_prefix(plan: PlanArrays, k: int) -> np.ndarray:
     """Cumulative count of blocked cells per row; shape (n_rows, n_bw + 1).
 
-    A cell is blocked when an active partner outside ``selected`` occupies
-    its slot on the same row (intra) or on a row of the same polarization
-    (inter).
+    A cell is blocked for plan.ids[k] when an active partner that is not
+    selected occupies its slot on the same row (intra) or on a row of the
+    same polarization (inter). The partners are gathered with one fancy
+    index and marked by a difference-array scatter.
     """
-    by_row = np.zeros((grid.n_rows, grid.n_bw), dtype=bool)
-    by_pol = np.zeros((grid.n_p, grid.n_bw), dtype=bool)
-    for j in restrictions.intra_index.partners.get(beam.id, ()):
-        if j in selected:
-            continue
-        a = current_plan[j]
-        if a.active:
-            by_row[a.g - 1, a.f - 1 : a.f + a.b - 1] = True
-    for j in restrictions.inter_index.partners.get(beam.id, ()):
-        if j in selected:
-            continue
-        a = current_plan[j]
-        if a.active:
-            by_pol[_polarization(a.g, grid.n_p), a.f - 1 : a.f + a.b - 1] = True
-    blocked = by_row | by_pol[_polarization(np.arange(1, grid.n_rows + 1), grid.n_p)]
-    prefix = np.zeros((grid.n_rows, grid.n_bw + 1), dtype=np.int32)
-    np.cumsum(blocked, axis=1, out=prefix[:, 1:])
-    return prefix
+    n_rows, cells = plan.grid.n_rows, plan.grid.n_bw + 2
+    j = plan.indices[plan.indptr[k] : plan.indptr[k + 1]]
+    first = plan.first.ravel()[j]
+    size = (n_rows + plan.grid.n_p) * cells
+    diff = np.bincount(first, minlength=size) - np.bincount(first + plan.span.ravel()[j], minlength=size)
+    covered = diff.reshape(-1, cells)[:, :-1].cumsum(axis=1)  # per key; cell 0 is always 0
+    return ((covered[:n_rows] | covered[plan.row_pol]) > 0).cumsum(axis=1)
 
 
 def _free_blocks(
-    prefix: np.ndarray, rows: np.ndarray, widths: np.ndarray, firsts: np.ndarray
+    prefix: np.ndarray, rows: tuple[int, int], slots: tuple[int, int], widths: np.ndarray
 ) -> np.ndarray:
-    """free[g, b, f]: the block of ``widths[b]`` slots from ``firsts[f]`` on
-    row ``rows[g]`` is unblocked in ``prefix`` (see _blocked_prefix) and ends
-    by ``firsts[-1]``, the last allowed slot."""
-    slot_hi = firsts[-1]
-    lasts = firsts[None, :] + widths[:, None] - 1
-    row_prefix = prefix[rows - 1]
-    blocked = row_prefix[:, np.minimum(lasts, slot_hi)] - row_prefix[:, firsts - 1][:, None, :]
-    return (blocked == 0) & (lasts <= slot_hi)
+    """free[g, b, f]: the block of ``widths[b]`` slots from slot
+    ``slots[0] + f`` on row ``rows[0] + g`` is unblocked in ``prefix`` (see
+    _blocked_prefix) and ends by ``slots[1]``: it is no wider than the run
+    of unblocked cells from its first slot. ``rows`` and ``slots`` are
+    inclusive ranges."""
+    (row_lo, row_hi), (slot_lo, slot_hi) = rows, slots
+    block = prefix[row_lo - 1 : row_hi]
+    firsts = np.arange(slot_lo, slot_hi + 1)
+    # per first slot: itself when blocked, else one past the last allowed slot
+    stop = np.where(block[:, slot_lo : slot_hi + 1] > block[:, slot_lo - 1 : slot_hi], firsts, slot_hi + 1)
+    run = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - firsts
+    return run[:, None, :] >= widths[None, :, None]
 
 
 def enumerate_options(
     beam: Beam,
     grid: FrequencyGrid,
-    current_plan: FrequencyPlan,
+    current_plan: FrequencyPlan | PlanArrays,
     restrictions: RestrictionSets,
     selected_set: set[int],
     config: IterationConfig,
@@ -223,23 +271,24 @@ def enumerate_options(
 
     Keeps the top ``top_per_bandwidth`` candidates per slot count; ties go
     to lower f, then lower g. The current assignment becomes the keep-as-is
-    candidate when it is active and conflict-free.
+    candidate when it is active and conflict-free. ``current_plan`` may be
+    the PlanArrays of the plan whose ``selected`` marks ``selected_set``.
     """
-    prefix = _blocked_prefix(beam, grid, current_plan, restrictions, selected_set)
-
-    row_lo, row_hi = beam.row_range(grid)
-    slot_lo, slot_hi = beam.slot_range(grid)
-    rows = np.arange(row_lo, row_hi + 1)
+    plan = current_plan
+    if not isinstance(plan, PlanArrays):
+        plan = PlanArrays(current_plan, restrictions, grid)
+        plan.select([plan.at[i] for i in selected_set if i in plan.at], True)
+    k = plan.at[beam.id]
+    (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
-    firsts = np.arange(slot_lo, slot_hi + 1)
-    free = _free_blocks(prefix, rows, widths, firsts)
+    free = _free_blocks(_blocked_prefix(plan, k), *ranges, widths)
+    rows, firsts = np.arange(row_lo, row_hi + 1), np.arange(slot_lo, slot_hi + 1)
 
     original = None
-    current = current_plan[beam.id]
-    if current.active:
-        at = (current.g - row_lo, current.b - beam.min_slots, current.f - slot_lo)
-        if all(0 <= k < n for k, n in zip(at, free.shape)) and free[at]:
-            f, g, b = current.f, current.g, current.b
+    active, f, g, b = plan.state[k].tolist()
+    if active:
+        at = (g - row_lo, b - beam.min_slots, f - slot_lo)
+        if all(0 <= i < n for i, n in zip(at, free.shape)) and free[at]:
             original = BeamOption(f, g, b, score_option(beam, f, g, b, weights, power_table))
 
     if config.top_per_bandwidth is not None:
@@ -248,11 +297,12 @@ def enumerate_options(
         # block at a lower-or-equal (g, f) of the same width outranks this
         # one. Blocks with top_per_bandwidth or more such rivals never make
         # the cut; dropping them early leaves less to sort.
-        free &= np.cumsum(np.cumsum(free, axis=0), axis=2) <= config.top_per_bandwidth
+        rivals = np.cumsum(np.cumsum(free, axis=0, dtype=np.int32), axis=2, dtype=np.int32)
+        free &= rivals <= config.top_per_bandwidth
     g_idx, b_idx, f_idx = np.nonzero(free)
     g_vals, b_vals, f_vals = rows[g_idx], widths[b_idx], firsts[f_idx]
     table = power_table.get(beam.id) if power_table else None
-    power = None if table is None else np.array([table.value(1, int(b)) for b in widths])[b_idx]
+    power = None if table is None else plan.powers(beam, table, widths)[b_idx]
     scores = weights.score(beam.id, f_vals, g_vals, b_vals, power)
 
     if config.top_per_bandwidth is not None:
@@ -439,6 +489,12 @@ def build_subproblem(
 
 @dataclass
 class IterationState:
+    """One optimizer run's state. In step with ``plan``, iterate_once keeps
+    ``arrays`` (its PlanArrays), ``scores`` (each beam's
+    ObjectiveWeights.score, 0.0 when inactive, by position in the plan's
+    sorted beam ids) and ``slots`` (the active slot total). A ``plan`` set
+    from outside is read afresh before the next use."""
+
     scenario: Scenario
     restrictions: RestrictionSets
     weights: ObjectiveWeights
@@ -449,8 +505,28 @@ class IterationState:
     iteration: int = 0
     stall: int = 0
 
+    def __post_init__(self):
+        self.beams = {b.id: b for b in self.scenario.beams}
+        self.beam_ids = np.array(sorted(self.beams), dtype=np.int64)
+        self.capacity = slot_capacity(self.scenario.grid, self.scenario.geometry.n_s)
+        self._read_plan()
+
+    def _read_plan(self) -> None:
+        self.arrays = PlanArrays(self.plan, self.restrictions, self.scenario.grid)
+        self.scores = beam_scores(self.plan, self.weights, self.power_table)
+        self.slots = int(self.arrays.state[:, 3] @ self.arrays.state[:, 0])
+        self._read = self.plan
+
+    def _synced(self) -> "IterationState":
+        """This state, its arrays rebuilt first if ``plan`` was replaced."""
+        if self._read is not self.plan:
+            self._read_plan()
+        return self
+
     def objective(self) -> float:
-        return objective_value(self.plan, self.weights, self.power_table)
+        """objective_value of ``plan``: the cached scores summed in id order
+        from left to right, as objective_value sums them."""
+        return functools.reduce(add, self._synced().scores, 0.0)
 
 
 def _sanitize_warm_start(
@@ -484,26 +560,30 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     Advances ``state`` in place by one iteration, appending one trace
     record, and returns it."""
     started = time.perf_counter()
-    scenario = state.scenario
-    ids = sorted(scenario.beam_ids())
-    n_pick = min(state.config.n_ch, len(ids))
-    picked = sorted(int(x) for x in rng.choice(ids, size=n_pick, replace=False))
+    scenario = state._synced().scenario
+    plan = state.arrays
+    n_pick = min(state.config.n_ch, len(state.beam_ids))
+    picked = sorted(int(x) for x in rng.choice(state.beam_ids, size=n_pick, replace=False))
     selected = set(picked)
+    positions = [plan.at[i] for i in picked]
 
-    beams = {b.id: b for b in scenario.beams}
-    option_sets = [
-        enumerate_options(
-            beams[i],
-            scenario.grid,
-            state.plan,
-            state.restrictions,
-            selected,
-            state.config,
-            state.weights,
-            state.power_table,
-        )
-        for i in picked
-    ]
+    plan.select(positions, True)
+    try:
+        option_sets = [
+            enumerate_options(
+                state.beams[i],
+                scenario.grid,
+                plan,
+                state.restrictions,
+                selected,
+                state.config,
+                state.weights,
+                state.power_table,
+            )
+            for i in picked
+        ]
+    finally:
+        plan.select(positions, False)
 
     # exact selection: same semantics as solving build_subproblem()
     columns, initial, pair_conflict = _subproblem(option_sets, state.restrictions, scenario.grid)
@@ -518,9 +598,11 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         node_budget=state.config.node_budget,
     )
 
+    records = state.trace.records
+    prev = records[-1].objective if records else objective_value(state.plan, state.weights, state.power_table)
     assignments = dict(state.plan.assignments)
     changed = 0
-    for pos, beam_id in enumerate(picked):
+    for pos, (beam_id, k) in enumerate(zip(picked, positions)):
         old = assignments[beam_id]
         sel = picks[pos]
         if sel is None:
@@ -528,12 +610,19 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         else:
             f, g, b, _ = columns[pos]
             new = Assignment(int(f[sel]), int(g[sel]), int(b[sel]))
-        if new != old:
-            changed += 1
+        if new == old:
+            continue
+        changed += 1
         assignments[beam_id] = new
+        plan.assign(k, new)
+        state.slots += new.b * new.active - old.b * old.active
+        state.scores[k] = (
+            score_option(state.beams[beam_id], new.f, new.g, new.b, state.weights, state.power_table)
+            if new.active
+            else 0.0
+        )
 
-    prev = state.trace.records[-1].objective if state.trace.records else state.objective()
-    state.plan = FrequencyPlan(assignments)
+    state.plan = state._read = FrequencyPlan(assignments)
     state.iteration += 1
     objective = state.objective()
     state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
@@ -541,9 +630,7 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         TraceRecord(
             iteration=state.iteration,
             objective=objective,
-            normalized_bw=total_normalized_bandwidth(
-                state.plan, scenario.grid, scenario.geometry.n_s
-            ),
+            normalized_bw=state.slots / state.capacity,  # total_normalized_bandwidth
             beams_changed=changed,
             wall_ms=(time.perf_counter() - started) * 1000.0,
         )
@@ -559,17 +646,16 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
     assignments: dict[int, Assignment] = {
         b.id: Assignment.inactive() for b in scenario.beams
     }
-    placed = FrequencyPlan(assignments)  # sees each placement as it is made
+    plan = PlanArrays(FrequencyPlan(assignments), restrictions, grid)
     for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
-        prefix = _blocked_prefix(beam, grid, placed, restrictions, set())
-        row_lo, row_hi = beam.row_range(grid)
-        slot_lo, slot_hi = beam.slot_range(grid)
-        firsts = np.arange(slot_lo, slot_hi + 1)
-        free = _free_blocks(prefix, np.arange(row_lo, row_hi + 1), np.array([beam.min_slots]), firsts)
+        k = plan.at[beam.id]
+        (row_lo, _), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
+        free = _free_blocks(_blocked_prefix(plan, k), *ranges, np.array([beam.min_slots]))
         if free.any():
-            g, f = divmod(int(np.argmax(free)), len(firsts))  # row-major: lowest g, then f
-            assignments[beam.id] = Assignment(int(firsts[f]), row_lo + g, beam.min_slots)
-    return placed
+            g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
+            assignments[beam.id] = Assignment(slot_lo + f, row_lo + g, beam.min_slots)
+            plan.assign(k, assignments[beam.id])
+    return FrequencyPlan(assignments)
 
 
 def optimize(

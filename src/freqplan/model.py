@@ -67,20 +67,28 @@ class Beam:
             raise DomainError("min_slots must be >= 1")
 
     def row_range(self, grid: FrequencyGrid) -> tuple[int, int]:
-        lo, hi = self.allowed_rows if self.allowed_rows else (1, grid.n_rows)
-        if not (1 <= lo <= hi <= grid.n_rows):
-            raise DomainError(
-                f"beam {self.id}: allowed_rows {self.allowed_rows} outside 1..{grid.n_rows}"
-            )
-        return lo, hi
+        return self._range("allowed_rows", grid.n_rows)
 
     def slot_range(self, grid: FrequencyGrid) -> tuple[int, int]:
-        lo, hi = self.allowed_slots if self.allowed_slots else (1, grid.n_bw)
-        if not (1 <= lo <= hi <= grid.n_bw):
-            raise DomainError(
-                f"beam {self.id}: allowed_slots {self.allowed_slots} outside 1..{grid.n_bw}"
-            )
-        return lo, hi
+        return self._range("allowed_slots", grid.n_bw)
+
+    def _range(self, name: str, n: int) -> tuple[int, int]:
+        span = getattr(self, name)
+        if not span:
+            return 1, n
+        problem = range_problem(span, n)
+        if problem:
+            raise DomainError(f"beam {self.id}: {name} {span} {problem}")
+        return span[0], span[1]
+
+
+def range_problem(span: tuple[int, int], n: int) -> str | None:
+    """What keeps the inclusive range ``span`` from lying within 1..n, or None."""
+    if span[0] > span[1]:
+        return "is reversed"
+    if not (1 <= span[0] and span[1] <= n):
+        return f"outside 1..{n}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -135,14 +143,28 @@ class PairIndex:
         return PairIndex(ids, at.reshape(-1, 2))
 
     @functools.cached_property
-    def partners(self) -> dict[int, list[int]]:
-        """Partner ids of each id, in no particular order."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Partners as CSR arrays ``(indptr, indices)``: the partners of
+        ids[k] are ids[indices[indptr[k]:indptr[k + 1]]]."""
         src = self.at.ravel()
-        order = np.argsort(src)
-        objs = np.array(self.ids.tolist(), dtype=object)  # one int per id, shared by the lists
-        dst = objs[self.at[:, ::-1].ravel()[order]].tolist()
-        ends = np.cumsum(np.bincount(src, minlength=len(self.ids))).tolist()
-        return {i: dst[lo:hi] for i, lo, hi in zip(objs.tolist(), [0, *ends], ends)}
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(len(self.ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(self.ids)), out=indptr[1:])
+        return indptr, self.at[:, ::-1].ravel()[order]
+
+    def csr_over(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``csr`` over positions in ``ids``, a sorted array holding every id
+        of this kind (KeyError names the first one it lacks)."""
+        indptr, indices = self.csr
+        pos = np.searchsorted(ids, self.ids)
+        known = (pos < len(ids)) & (np.append(ids, 0)[pos] == self.ids)
+        if not known.all():
+            raise KeyError(int(self.ids[~known][0]))
+        counts = np.zeros(len(ids), dtype=np.int64)
+        counts[pos] = np.diff(indptr)
+        over = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=over[1:])
+        return over, pos[indices]
 
 
 @dataclass(frozen=True)
@@ -382,13 +404,37 @@ def _flagged_pairs(
     return list(map(tuple, index.ids[index.at[flagged]].tolist()))
 
 
+def slot_capacity(grid: FrequencyGrid, n_s: int) -> int:
+    """Slots of the whole constellation, n_s * n_bw * n_fr * n_p."""
+    if n_s < 1:
+        raise DomainError(f"satellite count must be >= 1, got {n_s}")
+    return n_s * grid.n_bw * grid.n_fr * grid.n_p
+
+
 def total_normalized_bandwidth(plan: FrequencyPlan, grid: FrequencyGrid, n_s: int) -> float:
     """Sum of active slot counts over the constellation capacity
     n_s * n_bw * n_fr * n_p."""
-    if n_s < 1:
-        raise DomainError(f"satellite count must be >= 1, got {n_s}")
-    c_tot = n_s * grid.n_bw * grid.n_fr * grid.n_p
-    return sum(a.b for _, a in plan.active_items()) / c_tot
+    return sum(a.b for _, a in plan.active_items()) / slot_capacity(grid, n_s)
+
+
+def beam_scores(
+    plan: FrequencyPlan,
+    weights: ObjectiveWeights,
+    power_table: Mapping[int, "object"] | None = None,
+) -> list[float]:
+    """ObjectiveWeights.score of each beam of the plan in id order, 0.0 for
+    an inactive one. ``power_table`` maps beam id to an object exposing
+    ``value(f, b)`` and is required when any beta4 != 0."""
+    score, tables, assignments = weights.score, power_table or {}, plan.assignments
+    scores = []
+    for beam_id in sorted(assignments):
+        a = assignments[beam_id]
+        if a.active:
+            table = tables.get(beam_id)
+            scores.append(score(beam_id, a.f, a.g, a.b, None if table is None else table.value(a.f, a.b)))
+        else:
+            scores.append(0.0)
+    return scores
 
 
 def objective_value(
@@ -396,18 +442,10 @@ def objective_value(
     weights: ObjectiveWeights,
     power_table: Mapping[int, "object"] | None = None,
 ) -> float:
-    """Sum of ObjectiveWeights.score over the active beams, in id order.
-    ``power_table`` maps beam id to an object exposing ``value(f, b)`` and
-    is required when any beta4 != 0.
-    """
-    score, tables, assignments = weights.score, power_table or {}, plan.assignments
-    total = 0.0
-    for beam_id in sorted(assignments):
-        a = assignments[beam_id]
-        if a.active:
-            table = tables.get(beam_id)
-            total += score(beam_id, a.f, a.g, a.b, None if table is None else table.value(a.f, a.b))
-    return total
+    """Sum of beam_scores from left to right. The partial sums start at
+    +0.0 and so are never -0.0, which makes adding an inactive beam's 0.0
+    leave them as they were: this is the sum over the active beams alone."""
+    return functools.reduce(operator.add, beam_scores(plan, weights, power_table), 0.0)
 
 
 PLAN_CSV_HEADER = ["beam_id", "active", "f", "g", "b"]

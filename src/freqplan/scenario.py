@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, RoutingError, ScenarioFormatError
-from .model import Beam, FrequencyGrid, RestrictionSets
+from .model import Beam, FrequencyGrid, RestrictionSets, range_problem
 from .power import LinkBudget
 
 EARTH_RADIUS_KM = 6371.0
@@ -493,8 +493,8 @@ def _beams(doc, grid: FrequencyGrid) -> tuple[Beam, ...]:
         beam = _section(Beam, item, f"beams[{k}]")
         for name, n in (("allowed_rows", grid.n_rows), ("allowed_slots", grid.n_bw)):
             span = getattr(beam, name)
-            if span is not None and not (1 <= span[0] <= span[1] <= n):
-                problem = "is reversed" if span[0] > span[1] else f"outside 1..{n}"
+            problem = span is not None and range_problem(span, n)
+            if problem:
                 raise ScenarioFormatError(f"beams[{k}].{name}", f"range {list(span)} {problem}")
         beams.append(beam)
     if not beams:

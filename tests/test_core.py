@@ -1,6 +1,7 @@
 """Domain-type and validator tests."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +45,26 @@ class TestGrid:
     def test_rejects_bad_dimensions(self, kwargs):
         with pytest.raises(DomainError):
             FrequencyGrid(**kwargs)
+
+
+class TestBeamRanges:
+    @pytest.mark.parametrize(
+        "name, span",
+        [("allowed_slots", (3, 2)), ("allowed_rows", (1, 0))],
+        ids=["slots", "rows"],
+    )
+    def test_reversed_range_is_named_reversed(self, name, span):
+        beam = Beam(id=1, **{name: span})
+        grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=1)
+        method = beam.slot_range if name == "allowed_slots" else beam.row_range
+        with pytest.raises(DomainError, match=re.escape(f"beam 1: {name} {span} is reversed")):
+            method(grid)
+
+    def test_range_outside_grid_names_the_grid(self):
+        with pytest.raises(DomainError, match=r"allowed_slots \(2, 5\) outside 1\.\.4"):
+            Beam(id=1, allowed_slots=(2, 5)).slot_range(GRID)
+        assert Beam(id=1, allowed_rows=(2, 3)).row_range(GRID) == (2, 3)
+        assert Beam(id=1).slot_range(GRID) == (1, 4)
 
 
 class TestReuseDecomposition:

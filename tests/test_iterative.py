@@ -1,5 +1,6 @@
 """Iteration-based optimizer: option enumeration, subproblems, convergence."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from freqplan import (
     FrequencyGrid,
     FrequencyPlan,
     IterationConfig,
+    LinkBudget,
     ObjectiveWeights,
     PowerTable,
     RestrictionSets,
@@ -26,16 +28,27 @@ from freqplan import (
     greedy_warm_start,
     objective_value,
     optimize,
+    power_tables_for,
     save_plan_csv,
     score_option,
     solve_exact,
+    total_normalized_bandwidth,
     validate_plan,
 )
 from freqplan import iterative
-from freqplan.iterative import BeamOption, OptionGroup, PairConflicts, _sanitize_warm_start
+from freqplan.iterative import (
+    BeamOption,
+    OptionGroup,
+    PairConflicts,
+    PlanArrays,
+    _blocked_prefix,
+    _sanitize_warm_start,
+)
+from freqplan.model import _plan_arrays, beam_scores
 from freqplan.solver import brute_force_best_plan, solve_option_selection
 
 from util import (
+    _ref_blocked,
     random_instance,
     ref_enumerate_options,
     ref_greedy_warm_start,
@@ -464,6 +477,49 @@ def _iteration_case(draw):
     return s, weights, start, config
 
 
+@st.composite
+def _power_case(draw):
+    """An _iteration_case on a 50 MHz-slot grid with its power tables and
+    power-aware weights: beta4 > 0, beta5 != 0 and a per-beam override."""
+    s, _, start, config = draw(_iteration_case())
+    s = dataclasses.replace(s, grid=dataclasses.replace(s.grid, slot_bandwidth_hz=50e6))
+    s = dataclasses.replace(s, beams=tuple(
+        dataclasses.replace(b, demand_bps=draw(st.sampled_from([1e6, 1e8, 4e8]))) for b in s.beams
+    ))
+    tables = power_tables_for(s.beams, s.grid, LinkBudget())
+    override = st.fixed_dictionaries({"beta4": st.sampled_from([0.0, 0.2])}, optional={
+        "beta1": st.sampled_from([0.5, 2.0]), "beta2": st.sampled_from([0.0, 10.0]),
+        "beta5": st.sampled_from([0.0, -1.5]),
+    })
+    weights = ObjectiveWeights(
+        beta1=1.0, beta2=draw(st.sampled_from([0.0, 0.01])), beta3=draw(st.sampled_from([0.0, 0.001])),
+        beta4=draw(st.sampled_from([0.01, 0.05])), beta5=draw(st.sampled_from([0.7, -0.3])),
+        per_beam={1: draw(override)} | {i: draw(override) for i in (2, 3) if draw(st.booleans())},
+    )
+    return s, weights, start, config, tables
+
+
+def assert_state_matches_plan(state):
+    """The arrays, cached scores and slot total of ``state`` are those of a
+    state read afresh from its plan, and the last record states its
+    objective and normalized bandwidth exactly."""
+    s, plan = state.scenario, state.plan
+    ids, rows = _plan_arrays(plan)
+    fresh = PlanArrays(plan, state.restrictions, s.grid)
+    arrays = state.arrays
+    assert arrays.ids.tolist() == ids.tolist()
+    assert arrays.state.tolist() == rows.tolist()
+    assert not arrays.selected.any()
+    assert arrays.first.tolist() == fresh.first.tolist()
+    assert arrays.span.tolist() == fresh.span.tolist()
+    assert state.scores == beam_scores(plan, state.weights, state.power_table)
+    assert state.slots == sum(a.b for _, a in plan.active_items())
+    if state.trace.records:
+        record = state.trace.records[-1]
+        assert record.objective == objective_value(plan, state.weights, state.power_table)
+        assert record.normalized_bw == total_normalized_bandwidth(plan, s.grid, s.geometry.n_s)
+
+
 class TestIterationProperties:
     @settings(max_examples=120, deadline=None)
     @given(case=_iteration_case())
@@ -475,15 +531,155 @@ class TestIterationProperties:
         state = iterative.IterationState(
             scenario=s, restrictions=s.restrictions, weights=weights, config=config, plan=start,
         )
+        assert_state_matches_plan(state)
         rng = np.random.default_rng(config.seed)
         before = state.objective()
         for _ in range(6):
             state = iterative.iterate_once(state, rng)
             assert validate_plan(state.plan, s.grid, s.restrictions, s.beams) == []
+            assert_state_matches_plan(state)
             after = state.objective()
             assert after >= before - 1e-9
             assert state.trace.records[-1].objective == after
             before = after
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_power_case())
+    def test_power_aware_steps_report_their_plan_exactly(self, case):
+        """With power tables, beta4 > 0, beta5 != 0 and per-beam overrides,
+        every step's plan validates, the objective never falls, and its
+        record's objective and normalized bandwidth are exactly those of
+        the step's plan."""
+        s, weights, start, config, tables = case
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, weights=weights, config=config, plan=start,
+            power_table=tables,
+        )
+        rng = np.random.default_rng(config.seed)
+        before = objective_value(start, weights, tables)
+        for _ in range(6):
+            record = iterative.iterate_once(state, rng).trace.records[-1]
+            assert validate_plan(state.plan, s.grid, s.restrictions, s.beams) == []
+            assert record.objective >= before - 1e-9
+            assert record.objective == objective_value(state.plan, weights, tables)
+            assert record.normalized_bw == total_normalized_bandwidth(state.plan, s.grid, s.geometry.n_s)
+            assert_state_matches_plan(state)
+            before = record.objective
+
+
+def ref_blocked_prefix(beam_id, grid, plan, restrictions, selected):
+    """_blocked_prefix from _ref_blocked: a cell is blocked when a one-slot
+    candidate on it collides with an active partner outside ``selected``."""
+    blocked = np.array([
+        [_ref_blocked(beam_id, Assignment(f, g, 1), grid, plan, restrictions, selected)
+         for f in range(1, grid.n_bw + 1)]
+        for g in range(1, grid.n_rows + 1)
+    ])
+    return np.concatenate((np.zeros((grid.n_rows, 1), dtype=int), np.cumsum(blocked, axis=1)), axis=1)
+
+
+class TestPlanArrays:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_blocked_prefix_matches_scalar_reference(self, seed):
+        """On random plans, n_p of 1 and 2, inactive partners, pairs that
+        are both intra and inter, and a last beam with no partners (an
+        empty CSR row), for a random selection and for one holding every
+        partner of the beam."""
+        rng = np.random.default_rng(2100 + seed)
+        for _ in range(8):
+            grid = FrequencyGrid(
+                n_bw=int(rng.integers(1, 9)), n_fr=int(rng.integers(1, 4)), n_p=1 + seed % 2
+            )
+            n = int(rng.integers(2, 9))
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            kinds = rng.choice(["none", "intra", "inter", "both"], size=len(pairs))
+            restrictions = RestrictionSets.of(
+                intra=[p for p, k in zip(pairs, kinds) if k in ("intra", "both")],
+                inter=[p for p, k in zip(pairs, kinds) if k in ("inter", "both")],
+            )
+            plan = {}
+            for i in range(1, n + 2):  # beam n + 1 has no partners
+                f = int(rng.integers(1, grid.n_bw + 1))
+                plan[i] = (
+                    Assignment(f, int(rng.integers(1, grid.n_rows + 1)),
+                               int(rng.integers(1, grid.n_bw - f + 2)))
+                    if rng.random() < 0.7 else Assignment.inactive()
+                )
+            plan = FrequencyPlan(plan)
+            arrays = PlanArrays(plan, restrictions, grid)
+            lonely = arrays.at[n + 1]
+            assert arrays.indptr[lonely] == arrays.indptr[lonely + 1]  # an empty CSR row
+            for beam_id in plan.assignments:
+                k = arrays.at[beam_id]
+                partners = {j for p in restrictions.intra | restrictions.inter if beam_id in p for j in p} - {beam_id}
+                for selected in ({i for i in plan.assignments if rng.random() < 0.3}, partners):
+                    arrays.select([arrays.at[i] for i in selected], True)
+                    expected = ref_blocked_prefix(beam_id, grid, plan, restrictions, selected)
+                    assert _blocked_prefix(arrays, k).tolist() == expected.tolist()
+                    if selected is partners:
+                        assert not expected.any()
+                    arrays.select([arrays.at[i] for i in selected], False)
+
+    def test_partner_ids_outside_the_plan_raise_key_error(self):
+        restrictions = RestrictionSets.of(intra=[(1, 2), (2, 9)])
+        with pytest.raises(KeyError, match="9"):
+            PlanArrays(FrequencyPlan({1: Assignment(1, 1, 1), 2: Assignment.inactive()}), restrictions, GRID)
+
+    def test_deactivated_beam_leaves_the_cached_state(self):
+        """A picked beam without a keep-as-is candidate (its row is outside
+        its allowed rows) that scores below 0 everywhere is deactivated;
+        its cached score drops to 0.0 and its slots leave the total."""
+        s = scenario_with([Beam(id=1), Beam(id=2, allowed_rows=(2, 4)), Beam(id=3)], intra=[(1, 2)])
+        start = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(3, 1, 2), 3: Assignment(1, 2, 4)})
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, config=IterationConfig(n_ch=3), plan=start,
+            weights=ObjectiveWeights(beta2=0.5, per_beam={2: {"beta2": 10.0}}),
+        )
+        iterative.iterate_once(state, np.random.default_rng(0))
+        assert not state.plan[2].active
+        assert state.scores[state.arrays.at[2]] == 0.0
+        assert_state_matches_plan(state)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_records_state_their_plans_exactly_at_scale(self, seed):
+        """98 beams with power tables, beta4 > 0, beta5 != 0 and per-beam
+        overrides: after every iteration the cached state is that of the
+        plan, and the record's objective and normalized bandwidth are
+        exactly objective_value and total_normalized_bandwidth of it."""
+        s = generate_synthetic(
+            seed=7, n_users=100, grid=FrequencyGrid(n_bw=40, n_fr=8, n_p=2, slot_bandwidth_hz=50e6),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        )
+        restrictions = derive_restrictions(s)
+        tables = power_tables_for(s.beams, s.grid, LinkBudget())
+        ids = sorted(s.beam_ids())
+        weights = ObjectiveWeights(
+            beta1=1.0, beta2=0.01, beta3=0.001, beta4=0.05, beta5=0.7,
+            per_beam={ids[0]: {"beta4": 0.2, "beta5": 0.1}, ids[5]: {"beta1": 0.3, "beta2": 1.0}},
+        )
+        state = iterative.IterationState(
+            scenario=s, restrictions=restrictions, weights=weights, power_table=tables,
+            config=IterationConfig(n_ch=25, seed=seed), plan=greedy_warm_start(s, restrictions),
+        )
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            iterative.iterate_once(state, rng)
+            assert_state_matches_plan(state)
+
+    def test_replaced_plan_is_read_afresh(self):
+        """A plan set on the state from outside replaces the cached arrays,
+        scores and slot total before the next iteration."""
+        s = scenario_with([Beam(id=i) for i in (1, 2, 3)], intra=[(1, 2)], inter=[(2, 3)])
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(beta5=1.0),
+            config=IterationConfig(n_ch=1), plan=all_inactive(s),
+        )
+        state.plan = FrequencyPlan({1: Assignment(1, 1, 4), 2: Assignment(1, 2, 2), 3: Assignment.inactive()})
+        assert state.objective() == objective_value(state.plan, state.weights)
+        assert_state_matches_plan(state)
+        iterative.iterate_once(state, np.random.default_rng(0))
+        assert_state_matches_plan(state)
+        assert validate_plan(state.plan, s.grid, s.restrictions, s.beams) == []
 
 
 class TestWarmStartAndRepair:

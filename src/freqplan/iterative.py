@@ -117,6 +117,10 @@ class IterationConfig:
             raise DomainError("convergence_window must be >= 1")
         if self.node_budget < 0:
             raise DomainError("node_budget must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
+        if self.max_iterations < 0:
+            raise DomainError("max_iterations must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,11 @@ class PlanArrays:
             else:
                 self.first[:, k] = self.span[:, k] = 0
 
+    def plan(self) -> FrequencyPlan:
+        """The plan these arrays hold, in id order."""
+        rows = zip(self.ids.tolist(), self.state.tolist())  # drops the trailing inactive row
+        return FrequencyPlan({i: Assignment(f, g, b, bool(active)) for i, (active, f, g, b) in rows})
+
     def assign(self, k: int, a: Assignment) -> None:
         self.state[k] = (a.active, a.f, a.g, a.b)
         self._refresh([k])
@@ -259,26 +268,19 @@ def _free_blocks(
 
 def enumerate_options(
     beam: Beam,
-    grid: FrequencyGrid,
-    current_plan: FrequencyPlan | PlanArrays,
-    restrictions: RestrictionSets,
-    selected_set: set[int],
+    plan: PlanArrays,
     config: IterationConfig,
     weights: ObjectiveWeights,
     power_table: Mapping[int, object] | None = None,
 ) -> OptionSet:
-    """Ranked feasible candidates for one beam against the fixed complement.
+    """Ranked feasible candidates for one beam against the fixed complement:
+    the active beams of ``plan`` that are not selected.
 
     Keeps the top ``top_per_bandwidth`` candidates per slot count; ties go
     to lower f, then lower g. The current assignment becomes the keep-as-is
-    candidate when it is active and conflict-free. ``current_plan`` may be
-    the PlanArrays of the plan whose ``selected`` marks ``selected_set``.
+    candidate when it is active and conflict-free.
     """
-    plan = current_plan
-    if not isinstance(plan, PlanArrays):
-        plan = PlanArrays(current_plan, restrictions, grid)
-        plan.select([plan.at[i] for i in selected_set if i in plan.at], True)
-    k = plan.at[beam.id]
+    grid, k = plan.grid, plan.at[beam.id]
     (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
     free = _free_blocks(_blocked_prefix(plan, k), *ranges, widths)
@@ -487,46 +489,42 @@ def build_subproblem(
     return model
 
 
-@dataclass
 class IterationState:
-    """One optimizer run's state. In step with ``plan``, iterate_once keeps
-    ``arrays`` (its PlanArrays), ``scores`` (each beam's
-    ObjectiveWeights.score, 0.0 when inactive, by position in the plan's
-    sorted beam ids) and ``slots`` (the active slot total). A ``plan`` set
-    from outside is read afresh before the next use."""
+    """One optimizer run's state. The plan lives only in ``arrays`` (its
+    PlanArrays), built once from the plan given; iterate_once keeps
+    ``scores`` (each beam's ObjectiveWeights.score, 0.0 when inactive, by
+    position in the plan's sorted beam ids) and ``slots`` (the active slot
+    total) in step with it."""
 
-    scenario: Scenario
-    restrictions: RestrictionSets
-    weights: ObjectiveWeights
-    config: IterationConfig
-    plan: FrequencyPlan
-    power_table: Mapping[int, object] | None = None
-    trace: IterationTrace = field(default_factory=IterationTrace)
-    iteration: int = 0
-    stall: int = 0
-
-    def __post_init__(self):
-        self.beams = {b.id: b for b in self.scenario.beams}
+    def __init__(
+        self,
+        scenario: Scenario,
+        restrictions: RestrictionSets,
+        weights: ObjectiveWeights,
+        config: IterationConfig,
+        plan: FrequencyPlan,
+        power_table: Mapping[int, object] | None = None,
+    ):
+        self.scenario, self.restrictions, self.weights = scenario, restrictions, weights
+        self.config, self.power_table = config, power_table
+        self.trace = IterationTrace()
+        self.iteration = self.stall = 0
+        self.beams = {b.id: b for b in scenario.beams}
         self.beam_ids = np.array(sorted(self.beams), dtype=np.int64)
-        self.capacity = slot_capacity(self.scenario.grid, self.scenario.geometry.n_s)
-        self._read_plan()
-
-    def _read_plan(self) -> None:
-        self.arrays = PlanArrays(self.plan, self.restrictions, self.scenario.grid)
-        self.scores = beam_scores(self.plan, self.weights, self.power_table)
+        self.capacity = slot_capacity(scenario.grid, scenario.geometry.n_s)
+        self.arrays = PlanArrays(plan, restrictions, scenario.grid)
+        self.scores = beam_scores(plan, weights, power_table)
         self.slots = int(self.arrays.state[:, 3] @ self.arrays.state[:, 0])
-        self._read = self.plan
 
-    def _synced(self) -> "IterationState":
-        """This state, its arrays rebuilt first if ``plan`` was replaced."""
-        if self._read is not self.plan:
-            self._read_plan()
-        return self
+    @property
+    def plan(self) -> FrequencyPlan:
+        """The plan ``arrays`` hold; read-only."""
+        return self.arrays.plan()
 
     def objective(self) -> float:
         """objective_value of ``plan``: the cached scores summed in id order
         from left to right, as objective_value sums them."""
-        return functools.reduce(add, self._synced().scores, 0.0)
+        return functools.reduce(add, self.scores, 0.0)
 
 
 def _sanitize_warm_start(
@@ -560,33 +558,22 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     Advances ``state`` in place by one iteration, appending one trace
     record, and returns it."""
     started = time.perf_counter()
-    scenario = state._synced().scenario
     plan = state.arrays
     n_pick = min(state.config.n_ch, len(state.beam_ids))
     picked = sorted(int(x) for x in rng.choice(state.beam_ids, size=n_pick, replace=False))
-    selected = set(picked)
     positions = [plan.at[i] for i in picked]
 
     plan.select(positions, True)
     try:
         option_sets = [
-            enumerate_options(
-                state.beams[i],
-                scenario.grid,
-                plan,
-                state.restrictions,
-                selected,
-                state.config,
-                state.weights,
-                state.power_table,
-            )
+            enumerate_options(state.beams[i], plan, state.config, state.weights, state.power_table)
             for i in picked
         ]
     finally:
         plan.select(positions, False)
 
     # exact selection: same semantics as solving build_subproblem()
-    columns, initial, pair_conflict = _subproblem(option_sets, state.restrictions, scenario.grid)
+    columns, initial, pair_conflict = _subproblem(option_sets, state.restrictions, plan.grid)
 
     # the keep-as-is selection (x_orig where available) seeds the incumbent,
     # guaranteeing the applied selection never worsens the plan
@@ -600,29 +587,26 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
 
     records = state.trace.records
     prev = records[-1].objective if records else objective_value(state.plan, state.weights, state.power_table)
-    assignments = dict(state.plan.assignments)
     changed = 0
     for pos, (beam_id, k) in enumerate(zip(picked, positions)):
-        old = assignments[beam_id]
         sel = picks[pos]
         if sel is None:
             new = Assignment.inactive()
         else:
             f, g, b, _ = columns[pos]
             new = Assignment(int(f[sel]), int(g[sel]), int(b[sel]))
-        if new == old:
+        old = plan.state[k].tolist()  # active, f, g, b: an inactive row may keep stale f, g, b
+        if old == [new.active, new.f, new.g, new.b]:
             continue
         changed += 1
-        assignments[beam_id] = new
         plan.assign(k, new)
-        state.slots += new.b * new.active - old.b * old.active
+        state.slots += new.b * new.active - old[3] * old[0]
         state.scores[k] = (
             score_option(state.beams[beam_id], new.f, new.g, new.b, state.weights, state.power_table)
             if new.active
             else 0.0
         )
 
-    state.plan = state._read = FrequencyPlan(assignments)
     state.iteration += 1
     objective = state.objective()
     state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
@@ -643,19 +627,16 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
     lowest (g, f) slot block of exactly min_slots that breaks nothing;
     beams with no fit stay inactive. Always valid."""
     grid = scenario.grid
-    assignments: dict[int, Assignment] = {
-        b.id: Assignment.inactive() for b in scenario.beams
-    }
-    plan = PlanArrays(FrequencyPlan(assignments), restrictions, grid)
+    inactive = FrequencyPlan({b.id: Assignment.inactive() for b in scenario.beams})
+    plan = PlanArrays(inactive, restrictions, grid)
     for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
         k = plan.at[beam.id]
         (row_lo, _), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
         free = _free_blocks(_blocked_prefix(plan, k), *ranges, np.array([beam.min_slots]))
         if free.any():
             g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
-            assignments[beam.id] = Assignment(slot_lo + f, row_lo + g, beam.min_slots)
-            plan.assign(k, assignments[beam.id])
-    return FrequencyPlan(assignments)
+            plan.assign(k, Assignment(slot_lo + f, row_lo + g, beam.min_slots))
+    return plan.plan()
 
 
 def optimize(

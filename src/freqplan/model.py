@@ -304,6 +304,9 @@ def validate_plan(
     missing = [b for b in by_id if b not in plan.assignments]
     if missing:
         raise PlanStructureError(f"plan missing beams {sorted(missing)}")
+    unknown = [b for b in plan.assignments if b not in by_id]
+    if unknown:
+        raise PlanStructureError(f"plan names unknown beams {sorted(unknown)}")
 
     violations: list[Violation] = []
     for beam in beams:

@@ -211,6 +211,8 @@ def generate_synthetic(
     """
     if n_users < 1:
         raise DomainError(f"n_users must be >= 1, got {n_users}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     lat_lo, lat_hi = params.lat_band_deg
     lats = rng.uniform(lat_lo, lat_hi, size=n_users)

@@ -37,6 +37,17 @@ def scenario_file(tmp_path):
     return path
 
 
+def plan_with_unknown_beam(tmp_path, scenario_file):
+    """An optimized plan of ``scenario_file`` with a line for beam 999,
+    which the scenario lacks."""
+    path = tmp_path / "unknown.csv"
+    assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                 "--out-plan", str(path)]) == 0
+    with open(path, "a") as fh:
+        fh.write("999,1,1,1,2\n")
+    return path
+
+
 class TestGenerate:
     def test_writes_scenario(self, scenario_file):
         assert scenario_file.exists()
@@ -45,6 +56,12 @@ class TestGenerate:
         rc = main(["generate", "--seed", "1", "--users", "0",
                    "--out", str(tmp_path / "s.json")])
         assert rc == 1
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["generate", "--seed", "-1", "--users", "6", "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_with_restrictions_flag_embeds_sets(self, tmp_path):
         path = tmp_path / "s.json"
@@ -138,7 +155,9 @@ class TestOptimize:
         assert "uncarried beams: warm 1 -> final 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag, value", [("--n-ch", "0"), ("--top-per-bw", "0"), ("--window", "0"), ("--node-budget", "-1")]
+        "flag, value",
+        [("--n-ch", "0"), ("--top-per-bw", "0"), ("--window", "0"), ("--node-budget", "-1"),
+         ("--seed", "-1"), ("--max-iterations", "-3")],
     )
     def test_invalid_optimizer_flag_exits_1(self, tmp_path, scenario_file, capsys, flag, value):
         capsys.readouterr()
@@ -147,6 +166,16 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("weights", [[], ["--beta4", "0.05"]])
+    def test_warm_start_naming_an_unknown_beam_exits_1(self, tmp_path, scenario_file, capsys, weights):
+        warm = plan_with_unknown_beam(tmp_path, scenario_file)
+        capsys.readouterr()
+        rc = main(["optimize", str(scenario_file), "--warm-start", str(warm), *weights,
+                   "--out-plan", str(tmp_path / "out.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_scenario_is_usage_error(self, tmp_path):
         rc = main(["optimize", str(tmp_path / "nope.json"),
@@ -173,6 +202,12 @@ class TestValidate:
         rc = main(["validate", str(plan_path), str(scenario_file)])
         assert rc == 2
         assert "spectrum-bound" in capsys.readouterr().out
+
+    def test_plan_naming_an_unknown_beam_exits_1(self, tmp_path, scenario_file, capsys):
+        plan = plan_with_unknown_beam(tmp_path, scenario_file)
+        capsys.readouterr()
+        assert main(["validate", str(plan), str(scenario_file)]) == 1
+        assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
 
     def test_row_below_one_under_inter_pair_exits_2(self, tmp_path, capsys):
         scen = tmp_path / "pair.json"

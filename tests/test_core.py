@@ -207,6 +207,11 @@ class TestValidatePlan:
         with pytest.raises(PlanStructureError):
             validate_plan(plan, GRID, RestrictionSets(), self.BEAMS)
 
+    def test_unknown_beam_raises(self):
+        plan = FrequencyPlan({i: Assignment.inactive() for i in (1, 2, 3, 999, 7)})
+        with pytest.raises(PlanStructureError, match=r"plan names unknown beams \[7, 999\]"):
+            validate_plan(plan, GRID, RestrictionSets(), self.BEAMS)
+
 
 class TestMetrics:
     def test_capacity_normalizer(self):

@@ -76,6 +76,14 @@ def all_inactive(scenario):
     return FrequencyPlan({b.id: Assignment.inactive() for b in scenario.beams})
 
 
+def enumerate_against(beam, grid, plan, restrictions, selected, config, weights, power_table=None):
+    """enumerate_options on the PlanArrays of ``plan`` with the beams of
+    ``selected`` marked as re-optimized."""
+    arrays = PlanArrays(plan, restrictions, grid)
+    arrays.select([arrays.at[i] for i in selected], True)
+    return enumerate_options(beam, arrays, config, weights, power_table)
+
+
 class TestScoring:
     def test_score_matches_objective_contribution(self):
         w = ObjectiveWeights(beta1=2.0, beta2=0.5, beta3=0.25, beta5=1.5)
@@ -95,7 +103,7 @@ class TestScoring:
             with pytest.raises(UnsupportedConfigurationError):
                 score_option(s.beams[0], 1, 1, 1, w, power_table)
             with pytest.raises(UnsupportedConfigurationError):
-                enumerate_options(
+                enumerate_against(
                     s.beams[0], GRID, all_inactive(s), s.restrictions, {1},
                     IterationConfig(n_ch=1), w, power_table,
                 )
@@ -106,7 +114,7 @@ class TestEnumerateOptions:
 
     def test_all_options_when_nothing_fixed(self):
         s = scenario_with([Beam(id=1)])
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, all_inactive(s), s.restrictions, {1},
             self.CONFIG, ObjectiveWeights(),
         )
@@ -117,7 +125,7 @@ class TestEnumerateOptions:
     def test_options_avoid_fixed_intra_partner(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
         plan = FrequencyPlan({1: Assignment.inactive(), 2: Assignment(1, 1, 4)})
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, plan, s.restrictions, {1},
             self.CONFIG, ObjectiveWeights(),
         )
@@ -128,7 +136,7 @@ class TestEnumerateOptions:
     def test_options_avoid_fixed_inter_partner_by_polarization(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], inter=[(1, 2)])
         plan = FrequencyPlan({1: Assignment.inactive(), 2: Assignment(1, 1, 4)})
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, plan, s.restrictions, {1},
             self.CONFIG, ObjectiveWeights(),
         )
@@ -138,7 +146,7 @@ class TestEnumerateOptions:
     def test_partner_being_reoptimized_does_not_block(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
         plan = FrequencyPlan({1: Assignment.inactive(), 2: Assignment(1, 1, 4)})
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, plan, s.restrictions, {1, 2},
             self.CONFIG, ObjectiveWeights(),
         )
@@ -148,7 +156,7 @@ class TestEnumerateOptions:
         s = scenario_with([Beam(id=1)])
         config = IterationConfig(n_ch=1, top_per_bandwidth=1)
         w = ObjectiveWeights(beta1=1.0, beta2=0.1, beta3=0.01)
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, all_inactive(s), s.restrictions, {1}, config, w,
         )
         assert len(oset.options) == GRID.n_bw  # one per slot count
@@ -159,7 +167,7 @@ class TestEnumerateOptions:
     def test_ranking_is_score_descending(self):
         s = scenario_with([Beam(id=1)])
         w = ObjectiveWeights(beta1=1.0, beta2=0.2, beta3=0.05)
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, all_inactive(s), s.restrictions, {1},
             self.CONFIG, w,
         )
@@ -171,13 +179,13 @@ class TestEnumerateOptions:
     def test_keep_as_is_candidate_present_iff_conflict_free(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
         free = FrequencyPlan({1: Assignment(1, 2, 2), 2: Assignment(1, 1, 4)})
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, free, s.restrictions, {1}, self.CONFIG, ObjectiveWeights(),
         )
         assert oset.includes_original
         assert (oset.original.f, oset.original.g, oset.original.b) == (1, 2, 2)
         clash = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(1, 1, 4)})
-        oset = enumerate_options(
+        oset = enumerate_against(
             s.beams[0], GRID, clash, s.restrictions, {1}, self.CONFIG, ObjectiveWeights(),
         )
         assert not oset.includes_original
@@ -233,7 +241,7 @@ class TestEnumerateOptions:
             }
             cap = [None, 1, 2, 5][int(rng.integers(0, 4))]
             selected = {1} | {i for i in range(2, 6) if rng.random() < 0.3}
-            got = enumerate_options(
+            got = enumerate_against(
                 beams[0], grid, plan, restrictions, selected,
                 IterationConfig(top_per_bandwidth=cap), weights, tables,
             )
@@ -257,7 +265,7 @@ class TestSubproblem:
         picked = [b.id for b in s.beams][:n_pick]
         config = IterationConfig(n_ch=len(picked), top_per_bandwidth=None)
         osets = [
-            enumerate_options(
+            enumerate_against(
                 s.beam(i), s.grid, warm, s.restrictions, set(picked), config, w
             )
             for i in picked
@@ -346,7 +354,7 @@ class TestHighsOracle:
         picked = sorted(int(i) for i in rng.choice(np.arange(1, n + 1), size=n_pick, replace=False))
         config = IterationConfig(n_ch=len(picked), top_per_bandwidth=3)
         osets = [
-            enumerate_options(s.beam(i), grid, warm, s.restrictions, set(picked), config, weights)
+            enumerate_against(s.beam(i), grid, warm, s.restrictions, set(picked), config, weights)
             for i in picked
         ]
         status, highs = solve_with_scipy_milp(build_subproblem(osets, s.restrictions, grid))
@@ -400,7 +408,7 @@ class TestCollisionKernel:
         grid, beams, restrictions, plan, top = case
         config = IterationConfig(n_ch=2, top_per_bandwidth=top)
         osets = [
-            enumerate_options(beam, grid, plan, restrictions, {1, 2}, config, ObjectiveWeights())
+            enumerate_against(beam, grid, plan, restrictions, {1, 2}, config, ObjectiveWeights())
             for beam in beams[:2]
         ]
         groups = [OptionGroup(oset.f, oset.g, oset.b, grid) for oset in osets]
@@ -666,21 +674,6 @@ class TestPlanArrays:
             iterative.iterate_once(state, rng)
             assert_state_matches_plan(state)
 
-    def test_replaced_plan_is_read_afresh(self):
-        """A plan set on the state from outside replaces the cached arrays,
-        scores and slot total before the next iteration."""
-        s = scenario_with([Beam(id=i) for i in (1, 2, 3)], intra=[(1, 2)], inter=[(2, 3)])
-        state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(beta5=1.0),
-            config=IterationConfig(n_ch=1), plan=all_inactive(s),
-        )
-        state.plan = FrequencyPlan({1: Assignment(1, 1, 4), 2: Assignment(1, 2, 2), 3: Assignment.inactive()})
-        assert state.objective() == objective_value(state.plan, state.weights)
-        assert_state_matches_plan(state)
-        iterative.iterate_once(state, np.random.default_rng(0))
-        assert_state_matches_plan(state)
-        assert validate_plan(state.plan, s.grid, s.restrictions, s.beams) == []
-
 
 class TestWarmStartAndRepair:
     @pytest.mark.parametrize("seed", range(5))
@@ -822,6 +815,32 @@ class TestIterateOnce:
             assert state.iteration == n
             assert [r.iteration for r in state.trace.records] == list(range(1, n + 1))
             assert state.trace.records[-1].objective == state.objective()
+
+    def test_deactivating_a_row_with_leftover_fields_is_a_change(self):
+        """An inactive start row that keeps its f, g, b differs from
+        Assignment.inactive(), so staying unserved rewrites it and counts in
+        the trace's beams_changed column."""
+        s = scenario_with([Beam(id=1)])
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(beta1=0.0, beta2=1.0),
+            config=IterationConfig(n_ch=1), plan=FrequencyPlan({1: Assignment(3, 2, 1, active=False)}),
+        )
+        assert iterative.iterate_once(state, np.random.default_rng(0)).trace.records[-1].beams_changed == 1
+        assert state.plan[1] == Assignment.inactive()
+
+    def test_plan_is_read_from_the_arrays(self):
+        """state.plan is the PlanArrays' plan after every iteration and
+        cannot be replaced from outside."""
+        s = scenario_with([Beam(id=i) for i in (1, 2, 3)], intra=[(1, 2)], inter=[(2, 3)])
+        state = iterative.IterationState(
+            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(),
+            config=IterationConfig(n_ch=2), plan=all_inactive(s),
+        )
+        iterative.iterate_once(state, np.random.default_rng(0))
+        assert state.plan.assignments == state.arrays.plan().assignments
+        assert any(a.active for a in state.plan.assignments.values())
+        with pytest.raises(AttributeError):
+            state.plan = all_inactive(s)
 
 
 class TestOptimize:

@@ -21,6 +21,7 @@ from .model import (
     FrequencyPlan,
     ObjectiveWeights,
     load_plan_csv,
+    reject_unknown_beams,
     save_plan_csv,
     total_normalized_bandwidth,
     validate_plan,
@@ -217,6 +218,9 @@ def cmd_optimize(args) -> int:
         warm = iterative.greedy_warm_start(scenario, restrictions)
 
     if args.mode == "full":
+        # the warm start only feeds the report here; it may omit beams, as
+        # in the iterative mode, but not name one the scenario lacks
+        reject_unknown_beams(warm, scenario.beams)
         model = milp.build_full_model(scenario, restrictions, weights)
         solution = solver.solve_exact(model)
         if solution.status not in ("optimal", "feasible"):

@@ -249,21 +249,18 @@ def _blocked_prefix(plan: PlanArrays, k: int) -> np.ndarray:
     return ((covered[:n_rows] | covered[plan.row_pol]) > 0).cumsum(axis=1)
 
 
-def _free_blocks(
-    prefix: np.ndarray, rows: tuple[int, int], slots: tuple[int, int], widths: np.ndarray
-) -> np.ndarray:
-    """free[g, b, f]: the block of ``widths[b]`` slots from slot
-    ``slots[0] + f`` on row ``rows[0] + g`` is unblocked in ``prefix`` (see
-    _blocked_prefix) and ends by ``slots[1]``: it is no wider than the run
-    of unblocked cells from its first slot. ``rows`` and ``slots`` are
-    inclusive ranges."""
+def _free_runs(prefix: np.ndarray, rows: tuple[int, int], slots: tuple[int, int]) -> np.ndarray:
+    """run[g, f]: how many cells from slot ``slots[0] + f`` of row
+    ``rows[0] + g`` up to ``slots[1]`` are unblocked in ``prefix`` (see
+    _blocked_prefix) before the first blocked one, so a block of b slots from
+    there is free iff b <= run[g, f]. ``rows`` and ``slots`` are inclusive
+    ranges."""
     (row_lo, row_hi), (slot_lo, slot_hi) = rows, slots
     block = prefix[row_lo - 1 : row_hi]
     firsts = np.arange(slot_lo, slot_hi + 1)
     # per first slot: itself when blocked, else one past the last allowed slot
     stop = np.where(block[:, slot_lo : slot_hi + 1] > block[:, slot_lo - 1 : slot_hi], firsts, slot_hi + 1)
-    run = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - firsts
-    return run[:, None, :] >= widths[None, :, None]
+    return np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - firsts
 
 
 def enumerate_options(
@@ -279,41 +276,50 @@ def enumerate_options(
     Keeps the top ``top_per_bandwidth`` candidates per slot count; ties go
     to lower f, then lower g. The current assignment becomes the keep-as-is
     candidate when it is active and conflict-free.
+
+    Candidates come from each row's runs of free cells (_free_runs): a
+    block of b slots from a cell is free iff b <= its run. Listed by
+    (f, g, b), one stable sort by score puts them in rank order, and the cap
+    keeps the first ``top_per_bandwidth`` of each width in it.
     """
     grid, k = plan.grid, plan.at[beam.id]
     (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
-    free = _free_blocks(_blocked_prefix(plan, k), *ranges, widths)
-    rows, firsts = np.arange(row_lo, row_hi + 1), np.arange(slot_lo, slot_hi + 1)
+    run = _free_runs(_blocked_prefix(plan, k), *ranges)
 
     original = None
     active, f, g, b = plan.state[k].tolist()
     if active:
-        at = (g - row_lo, b - beam.min_slots, f - slot_lo)
-        if all(0 <= i < n for i, n in zip(at, free.shape)) and free[at]:
+        at = (g - row_lo, f - slot_lo)
+        if all(0 <= i < n for i, n in zip(at, run.shape)) and beam.min_slots <= b <= run[at]:
             original = BeamOption(f, g, b, score_option(beam, f, g, b, weights, power_table))
 
-    if config.top_per_bandwidth is not None:
+    cap = config.top_per_bandwidth
+    live = run.T >= beam.min_slots  # by first slot, then row
+    if cap is not None:
         # Scores fall weakly as g or f grows (|beta2|, |beta3| >= 0 and
-        # rounding is monotone) and ties go to lower f, then g, so every free
-        # block at a lower-or-equal (g, f) of the same width outranks this
-        # one. Blocks with top_per_bandwidth or more such rivals never make
-        # the cut; dropping them early leaves less to sort.
-        rivals = np.cumsum(np.cumsum(free, axis=0, dtype=np.int32), axis=2, dtype=np.int32)
-        free &= rivals <= config.top_per_bandwidth
-    g_idx, b_idx, f_idx = np.nonzero(free)
-    g_vals, b_vals, f_vals = rows[g_idx], widths[b_idx], firsts[f_idx]
+        # rounding is monotone) and ties go to lower f, so each free cell
+        # before a cell in its run starts a free block of every width the
+        # cell allows that outranks the cell's. A cell with cap of them never
+        # makes the cut; it is the one whose run is cap shorter than the run
+        # cap cells earlier.
+        live[cap:] &= run.T[:-cap] != run.T[cap:] + cap
+    f_idx, g_idx = np.nonzero(live)
+    cell, b_idx = np.nonzero(run[g_idx, f_idx, None] >= widths)
+    f_vals, g_vals, b_vals = f_idx[cell] + slot_lo, g_idx[cell] + row_lo, widths[b_idx]
     table = power_table.get(beam.id) if power_table else None
     power = None if table is None else plan.powers(beam, table, widths)[b_idx]
     scores = weights.score(beam.id, f_vals, g_vals, b_vals, power)
 
-    if config.top_per_bandwidth is not None:
-        order = np.lexsort((g_vals, f_vals, -scores, b_vals))
-        b_sorted = b_vals[order]
-        rank_in_b = np.arange(order.size) - np.searchsorted(b_sorted, b_sorted)
-        keep = order[rank_in_b < config.top_per_bandwidth]
-        f_vals, g_vals, b_vals, scores = f_vals[keep], g_vals[keep], b_vals[keep], scores[keep]
-    order = np.lexsort((b_vals, g_vals, f_vals, -scores))
+    # score descending, then f, g, b: within one width, the cap's order
+    order = np.argsort(-scores, kind="stable")
+    if cap is not None:
+        ranked = b_idx[order]
+        by_width = np.argsort(ranked, kind="stable")
+        grouped = ranked[by_width]
+        keep = np.empty(order.size, dtype=bool)
+        keep[by_width] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap
+        order = order[keep]
     return OptionSet(
         beam_id=beam.id,
         f=f_vals[order],
@@ -632,7 +638,7 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
     for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
         k = plan.at[beam.id]
         (row_lo, _), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
-        free = _free_blocks(_blocked_prefix(plan, k), *ranges, np.array([beam.min_slots]))
+        free = _free_runs(_blocked_prefix(plan, k), *ranges) >= beam.min_slots
         if free.any():
             g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
             plan.assign(k, Assignment(slot_lo + f, row_lo + g, beam.min_slots))

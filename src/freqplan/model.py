@@ -289,6 +289,15 @@ def overlaps(a: Assignment, b: Assignment) -> bool:
     return a.f <= b.last_slot and b.f <= a.last_slot
 
 
+def reject_unknown_beams(plan: FrequencyPlan, beams: Sequence[Beam]) -> None:
+    """Raise PlanStructureError when ``plan`` names a beam id that ``beams``
+    lacks."""
+    known = {b.id for b in beams}
+    unknown = [b for b in plan.assignments if b not in known]
+    if unknown:
+        raise PlanStructureError(f"plan names unknown beams {sorted(unknown)}")
+
+
 def validate_plan(
     plan: FrequencyPlan,
     grid: FrequencyGrid,
@@ -304,9 +313,7 @@ def validate_plan(
     missing = [b for b in by_id if b not in plan.assignments]
     if missing:
         raise PlanStructureError(f"plan missing beams {sorted(missing)}")
-    unknown = [b for b in plan.assignments if b not in by_id]
-    if unknown:
-        raise PlanStructureError(f"plan names unknown beams {sorted(unknown)}")
+    reject_unknown_beams(plan, beams)
 
     violations: list[Violation] = []
     for beam in beams:

@@ -493,10 +493,11 @@ def solve_option_selection(
 
     # adj[g][h][r] -> bitset over h's ranks colliding with rank r of g
     adj: list[dict] = [{} for _ in range(n)]
+    unranked = {g for g, r in enumerate(ranked) if np.any(r != np.arange(r.size))}
     for (g1, g2), conf in pair_conflict.items():
         if hasattr(conf, "rows"):
             for g in (g1, g2):
-                if np.any(ranked[g] != np.arange(len(ranked[g]))):
+                if g in unranked:
                     raise ValueError(f"group {g} of a conflict object is not in rank order")
             adj[g1][g2], adj[g2][g1] = conf.rows, conf.cols
         else:

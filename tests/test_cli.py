@@ -103,6 +103,31 @@ class TestOptimize:
         assert rc == 0
         assert main(["validate", str(plan), str(scen)]) == 0
 
+    def test_full_mode_checks_warm_start_beams(self, tmp_path, capsys):
+        """A full-mode warm start may omit beams but not name one the
+        scenario lacks, as in the iterative mode."""
+        scen = tmp_path / "small.json"
+        assert main(["generate", "--seed", "4", "--users", "3",
+                     "--n-bw", "3", "--n-fr", "1", "--n-p", "2", "--n-s", "4",
+                     "--horizon-min", "5", "--lat-band", "-20", "20",
+                     "--out", str(scen)]) == 0
+        warm = tmp_path / "warm.csv"
+        assert main(["optimize", str(scen), "--mode", "full", "--out-plan", str(warm)]) == 0
+        header, first, *_ = warm.read_text().splitlines(keepends=True)
+        partial = tmp_path / "partial.csv"
+        partial.write_text(header + first)
+        assert main(["optimize", str(scen), "--mode", "full", "--warm-start", str(partial),
+                     "--out-plan", str(tmp_path / "from-partial.csv")]) == 0
+
+        with open(warm, "a") as fh:
+            fh.write("999,1,1,1,2\n")
+        capsys.readouterr()
+        rc = main(["optimize", str(scen), "--mode", "full", "--warm-start", str(warm),
+                   "--out-plan", str(tmp_path / "out.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_warm_start_file_replaces_greedy(self, tmp_path, scenario_file, monkeypatch):
         first = tmp_path / "first.csv"
         assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",

@@ -256,6 +256,59 @@ class TestEnumerateOptions:
                 if keep else None
             )
 
+    # cap, beta2, beta3, beta4, min_slots: one reference run each
+    WORKLOAD_CASES = {
+        "cap10-power": (10, 0.01, 0.001, 0.05, 1),
+        "cap1-beta2-0": (1, 0.0, 0.001, 0.0, 2),
+        "uncapped-beta3-0": (None, 0.01, 0.0, 0.0, 1),
+        "cap-above-free-blocks": (100_000, 0.0, 0.0, 0.05, 3),
+        "min-slots-wider-than-span": (10, 0.01, 0.001, 0.0, 41),
+    }
+
+    @pytest.mark.parametrize("case", WORKLOAD_CASES)
+    def test_matches_reference_at_workload_scale(self, case):
+        """The benchmark's 40x8x2 grid (16 rows x 40 slots) with 40 restricted
+        partners, most of them active and some selected: same candidates,
+        order and float scores as the reference, including exact score ties
+        (beta2 or beta3 = 0, power tables with tied per-width values)."""
+        cap, beta2, beta3, beta4, min_slots = self.WORKLOAD_CASES[case]
+        rng = np.random.default_rng(sorted(self.WORKLOAD_CASES).index(case))
+        grid = FrequencyGrid(n_bw=40, n_fr=8, n_p=2)
+        beam = Beam(id=1, min_slots=min_slots)
+        partners = range(2, 42)
+        own = [(1, j) for j in partners]
+        intra = [p for p in own if rng.random() < 0.8]
+        inter = [p for p in own if p not in intra or rng.random() < 0.2]
+        # pairs between partners reach PlanArrays, never this beam's blocks
+        others = [(i, i + 1) for i in partners if i + 1 in partners]
+        restrictions = RestrictionSets.of(intra=intra + others, inter=inter)
+        plan = {1: Assignment(int(rng.integers(1, 38)), int(rng.integers(1, 17)), 3)}
+        for j in partners:
+            b = int(rng.integers(1, 5))
+            plan[j] = (
+                Assignment(int(rng.integers(1, 42 - b)), int(rng.integers(1, 17)), b)
+                if j % 10 else Assignment.inactive()
+            )
+        plan = FrequencyPlan(plan)
+        selected = {1} | {j for j in partners if j % 7 == 0}  # all active
+        weights = ObjectiveWeights(beta1=1.0, beta2=beta2, beta3=beta3, beta4=beta4)
+        tables = {1: PowerTable(1, tuple(rng.choice([2.0, 5.0], size=40)), (1.0,) * 40, (True,) * 40)}
+        assert sum(plan[j].active for j in partners if j not in selected) == 31
+
+        got = enumerate_against(
+            beam, grid, plan, restrictions, selected,
+            IterationConfig(top_per_bandwidth=cap), weights, tables,
+        )
+        own_pairs = RestrictionSets.of(intra=intra, inter=inter)
+        expected = ref_enumerate_options(beam, grid, plan, own_pairs, selected, cap, weights, tables)
+        assert [(o.f, o.g, o.b, o.score) for o in got.options] == expected
+        assert (len(expected) > 0) == (min_slots <= 40)
+        a = plan[1]
+        assert got.original == (
+            BeamOption(a.f, a.g, a.b, score_option(beam, a.f, a.g, a.b, weights, tables))
+            if ref_keeps_as_is(beam, grid, plan, own_pairs, selected) else None
+        )
+
 
 class TestSubproblem:
     def build(self, seed=0, n_pick=3):

@@ -386,6 +386,17 @@ class TestOptionSelection:
         with pytest.raises(ValueError):
             solve_option_selection([[4.0, 5.0], [3.0, 1.0]], [False, False], {(0, 1): kernel})
 
+    def test_rank_order_error_names_the_unranked_group(self):
+        """Each group is checked once, whichever pair it appears in."""
+        grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
+        group = OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid)
+        kernel = PairConflicts(group, group, by_pol=False)
+        scores = [[5.0, 4.0], [3.0, 2.0], [1.0, 3.0]]
+        pairs = {(0, 1): kernel, (0, 2): kernel, (1, 2): kernel}
+        with pytest.raises(ValueError, match="^group 2 of a conflict object is not in rank order$"):
+            solve_option_selection(scores, [True] * 3, pairs)
+        assert solve_option_selection(scores[:2], [True] * 2, {(0, 1): kernel})[1] == 7.0
+
     def test_budget_truncation_returns_initial_or_better(self):
         rng = np.random.default_rng(3)
         n, k = 6, 8

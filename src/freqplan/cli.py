@@ -20,8 +20,8 @@ from .model import (
     FrequencyGrid,
     FrequencyPlan,
     ObjectiveWeights,
+    check_plan_beams,
     load_plan_csv,
-    reject_unknown_beams,
     save_plan_csv,
     total_normalized_bandwidth,
     validate_plan,
@@ -220,7 +220,7 @@ def cmd_optimize(args) -> int:
     if args.mode == "full":
         # the warm start only feeds the report here; it may omit beams, as
         # in the iterative mode, but not name one the scenario lacks
-        reject_unknown_beams(warm, scenario.beams)
+        check_plan_beams(warm, scenario.beams, allow_missing=True)
         model = milp.build_full_model(scenario, restrictions, weights)
         solution = solver.solve_exact(model)
         if solution.status not in ("optimal", "feasible"):
@@ -301,6 +301,7 @@ def cmd_emit_lp(args) -> int:
 def cmd_render(args) -> int:
     scenario = scen.load_scenario(args.scenario)
     plan = load_plan_csv(args.plan)
+    check_plan_beams(plan, scenario.beams)
     routing = scen.route_beams(scenario)
     at_zero = routing[0.0]
     beams_by_sat: dict[int, list] = {s: [] for s in range(scenario.geometry.n_s)}

@@ -35,6 +35,7 @@ from .model import (
     _polarization,
     beam_scores,
     objective_value,
+    pair_positions,
     slot_capacity,
     validate_plan,
 )
@@ -188,12 +189,7 @@ class PlanArrays:
         self.ids, self.state = _plan_arrays(plan)
         n = len(self.ids)
         self.at = dict(zip(self.ids.tolist(), range(n)))
-        (intra_ptr, intra), (inter_ptr, inter) = (
-            index.csr_over(self.ids) for index in (restrictions.intra_index, restrictions.inter_index)
-        )
-        owner = np.repeat(np.arange(n), np.diff(intra_ptr)), np.repeat(np.arange(n), np.diff(inter_ptr))
-        self.indptr = intra_ptr + inter_ptr
-        self.indices = np.concatenate((intra, inter + n))[np.argsort(np.concatenate(owner), kind="stable")]
+        self.indptr, self.indices = _partner_csr(self.ids, restrictions)
         self.selected = np.zeros(n, dtype=bool)
         self.first = np.zeros((2, n), dtype=np.int64)
         self.span = np.zeros((2, n), dtype=np.int64)
@@ -232,8 +228,26 @@ class PlanArrays:
         return got
 
 
-def _blocked_prefix(plan: PlanArrays, k: int) -> np.ndarray:
-    """Cumulative count of blocked cells per row; shape (n_rows, n_bw + 1).
+def _partner_csr(ids: np.ndarray, restrictions: RestrictionSets) -> tuple[np.ndarray, np.ndarray]:
+    """PlanArrays' ``indptr``/``indices`` over the sorted plan ``ids``: the
+    intra partners of each position, as their positions j, then its inter
+    partners, as n + j. A pair id outside ``ids`` raises KeyError."""
+    n, owners, partners = len(ids), [], []
+    for offset, pairs in ((0, restrictions.pairs["intra"]), (n, restrictions.pairs["inter"])):
+        at, found = pair_positions(ids, pairs)
+        if not found.all():
+            raise KeyError(int(pairs[~found][0]))
+        owners += [at[:, 0], at[:, 1]]
+        partners += [at[:, 1] + offset, at[:, 0] + offset]
+    owner = np.concatenate(owners)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr, np.concatenate(partners)[np.argsort(owner, kind="stable")]
+
+
+def _blocked_cells(plan: PlanArrays, k: int) -> np.ndarray:
+    """blocked[g - 1, s]: whether slot s of row g is blocked; shape
+    (n_rows, n_bw + 1), column 0 never blocked.
 
     A cell is blocked for plan.ids[k] when an active partner that is not
     selected occupies its slot on the same row (intra) or on a row of the
@@ -246,20 +260,19 @@ def _blocked_prefix(plan: PlanArrays, k: int) -> np.ndarray:
     size = (n_rows + plan.grid.n_p) * cells
     diff = np.bincount(first, minlength=size) - np.bincount(first + plan.span.ravel()[j], minlength=size)
     covered = diff.reshape(-1, cells)[:, :-1].cumsum(axis=1)  # per key; cell 0 is always 0
-    return ((covered[:n_rows] | covered[plan.row_pol]) > 0).cumsum(axis=1)
+    return (covered[:n_rows] | covered[plan.row_pol]) > 0
 
 
-def _free_runs(prefix: np.ndarray, rows: tuple[int, int], slots: tuple[int, int]) -> np.ndarray:
+def _free_runs(blocked: np.ndarray, rows: tuple[int, int], slots: tuple[int, int]) -> np.ndarray:
     """run[g, f]: how many cells from slot ``slots[0] + f`` of row
-    ``rows[0] + g`` up to ``slots[1]`` are unblocked in ``prefix`` (see
-    _blocked_prefix) before the first blocked one, so a block of b slots from
+    ``rows[0] + g`` up to ``slots[1]`` are not ``blocked`` (see
+    _blocked_cells) before the first blocked one, so a block of b slots from
     there is free iff b <= run[g, f]. ``rows`` and ``slots`` are inclusive
     ranges."""
     (row_lo, row_hi), (slot_lo, slot_hi) = rows, slots
-    block = prefix[row_lo - 1 : row_hi]
     firsts = np.arange(slot_lo, slot_hi + 1)
     # per first slot: itself when blocked, else one past the last allowed slot
-    stop = np.where(block[:, slot_lo : slot_hi + 1] > block[:, slot_lo - 1 : slot_hi], firsts, slot_hi + 1)
+    stop = np.where(blocked[row_lo - 1 : row_hi, slot_lo : slot_hi + 1], firsts, slot_hi + 1)
     return np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - firsts
 
 
@@ -285,7 +298,7 @@ def enumerate_options(
     grid, k = plan.grid, plan.at[beam.id]
     (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
-    run = _free_runs(_blocked_prefix(plan, k), *ranges)
+    run = _free_runs(_blocked_cells(plan, k), *ranges)
 
     original = None
     active, f, g, b = plan.state[k].tolist()
@@ -409,17 +422,22 @@ def _bits(mask: int):
 
 
 def _restricted_pairs(beam_ids: Sequence[int], restrictions: RestrictionSets):
-    """(a, b, by_pol) for positions a < b of restricted beams. A row fixes
-    the polarization, so a pair that is both intra and inter collides
-    exactly as an inter pair."""
-    for a in range(len(beam_ids)):
-        for b in range(a + 1, len(beam_ids)):
-            i, j = beam_ids[a], beam_ids[b]
-            pair = (i, j) if i < j else (j, i)
-            if pair in restrictions.inter:
-                yield a, b, True
-            elif pair in restrictions.intra:
-                yield a, b, False
+    """(a, b, by_pol) for positions a < b of restricted beams, in that
+    order. A row fixes the polarization, so a pair that is both intra and
+    inter collides exactly as an inter pair. The pairs whose first id is a
+    given beam's are one searchsorted range of the sorted pair arrays."""
+    ids = np.asarray(beam_ids, dtype=np.int64)
+    n, order = len(ids), np.argsort(ids)
+    kind = np.zeros((n, n), dtype=np.int8)  # 1 intra, 2 inter (written last)
+    for code, pairs in ((1, restrictions.pairs["intra"]), (2, restrictions.pairs["inter"])):
+        lo, hi = np.searchsorted(pairs[:, 0], ids), np.searchsorted(pairs[:, 0], ids, side="right")
+        a = np.repeat(np.arange(n), hi - lo)  # per pair in those ranges: its first id's position
+        second = pairs[np.arange(len(a)) + (hi - np.cumsum(hi - lo))[a], 1]
+        b = order[np.minimum(np.searchsorted(ids, second, sorter=order), n - 1)]
+        hit = ids[b] == second
+        kind[np.minimum(a, b)[hit], np.maximum(a, b)[hit]] = code
+    a, b = np.nonzero(kind)
+    return zip(a.tolist(), b.tolist(), (kind[a, b] == 2).tolist())
 
 
 def _subproblem(option_sets: Sequence[OptionSet], restrictions: RestrictionSets, grid: FrequencyGrid):
@@ -638,7 +656,7 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
     for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
         k = plan.at[beam.id]
         (row_lo, _), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
-        free = _free_runs(_blocked_prefix(plan, k), *ranges) >= beam.min_slots
+        free = _free_runs(_blocked_cells(plan, k), *ranges) >= beam.min_slots
         if free.any():
             g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
             plan.assign(k, Assignment(slot_lo + f, row_lo + g, beam.min_slots))

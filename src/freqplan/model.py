@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -128,85 +127,64 @@ class FrequencyPlan:
                 yield beam_id, a
 
 
-@dataclass(frozen=True, eq=False)
-class PairIndex:
-    """One restriction kind as arrays: its distinct beam ids, sorted, and
-    for each pair the positions of its two ids among them."""
+def canonical_pairs(pairs) -> np.ndarray:
+    """``pairs`` as a sorted ``(n, 2)`` int64 array of distinct (smaller id,
+    larger id) rows; a reflexive pair raises DomainError. An ndarray that is
+    already canonical, as derivation emits, passes one vectorized check; any
+    other input takes one Python pass, cheaper than numpy's fixed costs on
+    the few pairs of a scenario file or a list."""
+    if isinstance(pairs, np.ndarray):
+        pairs = pairs.reshape(-1, 2)  # a view: the caller's array keeps its flags
+        i, j = pairs.T
+        if (i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
+            return pairs.astype(np.int64, copy=False)
+        pairs = pairs.tolist()
+    canon = set()
+    for i, j in pairs:
+        if i == j:
+            raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
+        canon.add((i, j) if i < j else (j, i))
+    return np.array(sorted(canon), dtype=np.int64).reshape(-1, 2)
 
-    ids: np.ndarray  # (n_ids,)
-    at: np.ndarray  # (n_pairs, 2)
+
+class RestrictionSets:
+    """Unordered intra-group (handover) and inter-group (interference) pairs.
+
+    ``pairs[kind]`` holds kind "intra" or "inter" as canonical_pairs: a
+    sorted, read-only ``(n, 2)`` int64 array of (smaller id, larger id) rows.
+    ``intra`` and ``inter`` are the same pairs as frozensets of tuples,
+    built on first use for the readers that test pairs one at a time.
+    """
+
+    def __init__(self, intra: Iterable[tuple[int, int]] = (), inter: Iterable[tuple[int, int]] = ()):
+        self.pairs = {"intra": canonical_pairs(intra), "inter": canonical_pairs(inter)}
+        for pairs in self.pairs.values():
+            pairs.flags.writeable = False
 
     @staticmethod
-    def of(pairs: frozenset[tuple[int, int]]) -> "PairIndex":
-        flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-        ids, at = np.unique(flat, return_inverse=True)
-        return PairIndex(ids, at.reshape(-1, 2))
+    def of(intra=(), inter=()) -> "RestrictionSets":
+        """The same as the constructor."""
+        return RestrictionSets(intra, inter)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RestrictionSets):
+            return NotImplemented
+        return all(np.array_equal(pairs, other.pairs[kind]) for kind, pairs in self.pairs.items())
 
     @functools.cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Partners as CSR arrays ``(indptr, indices)``: the partners of
-        ids[k] are ids[indices[indptr[k]:indptr[k + 1]]]."""
-        src = self.at.ravel()
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(len(self.ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=len(self.ids)), out=indptr[1:])
-        return indptr, self.at[:, ::-1].ravel()[order]
+    def intra(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.pairs["intra"].tolist()))
 
-    def csr_over(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``csr`` over positions in ``ids``, a sorted array holding every id
-        of this kind (KeyError names the first one it lacks)."""
-        indptr, indices = self.csr
-        pos = np.searchsorted(ids, self.ids)
-        known = (pos < len(ids)) & (np.append(ids, 0)[pos] == self.ids)
-        if not known.all():
-            raise KeyError(int(self.ids[~known][0]))
-        counts = np.zeros(len(ids), dtype=np.int64)
-        counts[pos] = np.diff(indptr)
-        over = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=over[1:])
-        return over, pos[indices]
-
-
-@dataclass(frozen=True)
-class RestrictionSets:
-    """Unordered intra-group (handover) and inter-group (interference) pairs,
-    each stored as (smaller id, larger id); a reflexive pair is rejected."""
-
-    intra: frozenset[tuple[int, int]] = frozenset()
-    inter: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        for name in ("intra", "inter"):
-            pairs = getattr(self, name)
-            if any(itertools.starmap(operator.ge, pairs)):  # derived sets are already in order
-                for i, j in pairs:
-                    if i == j:
-                        raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
-                object.__setattr__(self, name, frozenset((i, j) if i < j else (j, i) for i, j in pairs))
-
-    @staticmethod
-    def of(
-        intra: Iterable[tuple[int, int]] = (),
-        inter: Iterable[tuple[int, int]] = (),
-    ) -> "RestrictionSets":
-        return RestrictionSets(frozenset(intra), frozenset(inter))
+    @functools.cached_property
+    def inter(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.pairs["inter"].tolist()))
 
     def check_ids(self, beam_ids: Iterable[int]) -> None:
         known = set(beam_ids)
-        for name, pairs in (("intra", self.intra), ("inter", self.inter)):
-            for i, j in pairs:
+        for kind, pairs in self.pairs.items():
+            for i, j in pairs.tolist():
                 if i not in known or j not in known:
-                    raise DomainError(f"{name} pair ({i}, {j}) references unknown beam")
-
-    # Built on first use and kept with the (immutable) sets, so the warm
-    # start, every iteration and validate_plan share one copy per kind.
-    @functools.cached_property
-    def intra_index(self) -> PairIndex:
-        return PairIndex.of(self.intra)
-
-    @functools.cached_property
-    def inter_index(self) -> PairIndex:
-        return PairIndex.of(self.inter)
+                    raise DomainError(f"{kind} pair ({i}, {j}) references unknown beam")
 
 
 @dataclass(frozen=True)
@@ -289,13 +267,16 @@ def overlaps(a: Assignment, b: Assignment) -> bool:
     return a.f <= b.last_slot and b.f <= a.last_slot
 
 
-def reject_unknown_beams(plan: FrequencyPlan, beams: Sequence[Beam]) -> None:
-    """Raise PlanStructureError when ``plan`` names a beam id that ``beams``
-    lacks."""
+def check_plan_beams(plan: FrequencyPlan, beams: Sequence[Beam], allow_missing: bool = False) -> None:
+    """Raise PlanStructureError when ``plan`` omits a beam of ``beams``
+    (unless ``allow_missing``) or names a beam id that ``beams`` lacks."""
     known = {b.id for b in beams}
-    unknown = [b for b in plan.assignments if b not in known]
+    missing = sorted(known - plan.assignments.keys())
+    if missing and not allow_missing:
+        raise PlanStructureError(f"plan missing beams {missing}")
+    unknown = sorted(plan.assignments.keys() - known)
     if unknown:
-        raise PlanStructureError(f"plan names unknown beams {sorted(unknown)}")
+        raise PlanStructureError(f"plan names unknown beams {unknown}")
 
 
 def validate_plan(
@@ -309,12 +290,7 @@ def validate_plan(
     Inactive beams are exempt from every check. An empty result means the
     plan is valid.
     """
-    by_id = {b.id: b for b in beams}
-    missing = [b for b in by_id if b not in plan.assignments]
-    if missing:
-        raise PlanStructureError(f"plan missing beams {sorted(missing)}")
-    reject_unknown_beams(plan, beams)
-
+    check_plan_beams(plan, beams)
     violations: list[Violation] = []
     for beam in beams:
         a = plan[beam.id]
@@ -349,13 +325,13 @@ def validate_plan(
             )
 
     arrays = None
-    for kind, pairs in (("intra-overlap", restrictions.intra), ("inter-overlap", restrictions.inter)):
+    for name, pairs in restrictions.pairs.items():
+        kind = f"{name}-overlap"
         if len(pairs) >= _ARRAY_MIN_PAIRS:
             if arrays is None:
                 arrays = _plan_arrays(plan)
-            index = restrictions.intra_index if kind == "intra-overlap" else restrictions.inter_index
-            pairs = _flagged_pairs(kind, index, *arrays, grid.n_p)
-        for i, j in sorted(pairs):
+            pairs = pairs[_flagged_pairs(kind, pairs, *arrays, grid.n_p)]
+        for i, j in pairs.tolist():
             violation = _pair_violation(kind, i, j, plan, grid.n_p)
             if violation is not None:
                 violations.append(violation)
@@ -394,24 +370,30 @@ def _plan_arrays(plan: FrequencyPlan) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], state[np.append(order, len(ids))]
 
 
-def _flagged_pairs(
-    kind: str, index: PairIndex, ids: np.ndarray, state: np.ndarray, n_p: int
-) -> list[tuple[int, int]]:
-    """The pairs on which _pair_violation reports or raises, found for all
-    pairs at once: both beams active with the same row (intra) or
+def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of each pair's two ids in the sorted ``ids`` (a missing one
+    where it would be inserted) and whether each is there, both (n, 2). A
+    column at a time: the sorted first column searches fastest alone. The
+    positions are int32, half the memory of millions of pairs."""
+    at = np.empty(pairs.shape, dtype=np.int32)
+    for c in range(2):
+        at[:, c] = np.searchsorted(ids, pairs[:, c])
+    return at, (at < len(ids)) & (np.append(ids, 0)[at] == pairs)
+
+
+def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndarray, n_p: int) -> np.ndarray:
+    """Mask of the pairs on which _pair_violation reports or raises, found
+    for all pairs at once: both beams active with the same row (intra) or
     polarization (inter) and intersecting slot intervals, or an id the plan
     lacks (KeyError)."""
-    row = np.searchsorted(ids, index.ids)
-    found = (row < len(ids)) & (np.append(ids, 0)[row] == index.ids)
-    known = found[index.at].all(axis=1)
-    active, f, g, b = np.moveaxis(state[row[index.at]], 2, 0)  # each (pairs, 2)
+    at, found = pair_positions(ids, pairs)
+    known = found.all(axis=1)
+    active, f, g, b = np.moveaxis(state[at], 2, 0)  # each (pairs, 2)
     both = known & active.all(axis=1)
-    flagged = ~known
     if kind == "inter-overlap":
         g = _polarization(g, n_p)
     last = f + b - 1
-    flagged |= both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])
-    return list(map(tuple, index.ids[index.at[flagged]].tolist()))
+    return ~known | both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])
 
 
 def slot_capacity(grid: FrequencyGrid, n_s: int) -> int:

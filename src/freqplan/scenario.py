@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, RoutingError, ScenarioFormatError
-from .model import Beam, FrequencyGrid, RestrictionSets, range_problem
+from .model import Beam, FrequencyGrid, RestrictionSets, canonical_pairs, range_problem
 from .power import LinkBudget
 
 EARTH_RADIUS_KM = 6371.0
@@ -321,36 +321,31 @@ def route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:
 
 
 # elements per block of the pair kernels' beams x beams arrays, which keeps
-# their temporaries small next to the pair sets they produce
+# their temporaries small next to the pair arrays they produce
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _block_pairs(ids: Sequence[int], pair_mask) -> frozenset[tuple[int, int]]:
-    """(min, max) id pairs of the beams at positions i < j that are marked in
-    ``pair_mask(lo, hi)``, a boolean array over positions [lo, hi) x [lo, n).
-
-    Rows go in blocks of about _BLOCK_ELEMENTS cells. The tuples hold the
-    beams' own id objects, as the scalar loops' did, not two new ints.
-    """
+def _block_pairs(ids: Sequence[int], pair_mask) -> np.ndarray:
+    """The id pairs, as model.canonical_pairs, of the beams at positions
+    i < j that are marked in ``pair_mask(lo, hi)``, a boolean array over
+    positions [lo, hi) x [lo, n). Rows go in blocks of about _BLOCK_ELEMENTS
+    cells. With ids ascending by position, as generated, the pairs come out
+    canonical and are not sorted again."""
     n = len(ids)
-    keys, objs = np.asarray(ids), np.array(ids, dtype=object)
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
-
-    def pairs():
-        for lo in range(0, n, step):
-            r, c = np.nonzero(np.triu(pair_mask(lo, min(n, lo + step)), 1))
-            r += lo
-            c += lo
-            swap = keys[r] > keys[c]
-            yield from zip(objs[np.where(swap, c, r)].tolist(), objs[np.where(swap, r, c)].tolist())
-
-    return frozenset(pairs())
+    keys = np.asarray(ids, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    blocks = []
+    for lo in range(0, n, step):
+        r, c = np.nonzero(np.triu(pair_mask(lo, min(n, lo + step)), 1))
+        blocks.append(np.column_stack((keys[r + lo], keys[c + lo])))
+    pairs = np.concatenate(blocks)
+    del blocks  # before canonical_pairs' temporaries
+    return canonical_pairs(pairs)
 
 
-def derive_intra_pairs(
-    scenario: Scenario, routing: Mapping[float, Mapping[int, int]]
-) -> frozenset[tuple[int, int]]:
-    """Pairs of beams sharing a satellite at any routing step."""
+def derive_intra_pairs(scenario: Scenario, routing: Mapping[float, Mapping[int, int]]) -> np.ndarray:
+    """Pairs of beams sharing a satellite at any routing step, as
+    model.canonical_pairs."""
     ids = scenario.beam_ids()
     n = len(ids)
     # sat[t, i]: satellite of the i-th beam at the t-th step
@@ -368,9 +363,10 @@ def derive_intra_pairs(
     return _block_pairs(ids, shares_satellite)
 
 
-def derive_inter_pairs(scenario: Scenario) -> frozenset[tuple[int, int]]:
+def derive_inter_pairs(scenario: Scenario) -> np.ndarray:
     """Pairs of beams whose footprint centers are closer than
-    interference_multiplier * half_cone_deg (strict)."""
+    interference_multiplier * half_cone_deg (strict), as
+    model.canonical_pairs."""
     threshold = scenario.interference_multiplier * scenario.half_cone_deg
     beams = scenario.beams
     sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
@@ -398,9 +394,10 @@ def derive_restrictions(scenario: Scenario) -> RestrictionSets:
     """
     if scenario.restrictions is not None:
         return scenario.restrictions
-    routing = route_beams(scenario)
+    # the routing (about 1 MB of dicts at 443 beams) is freed before the
+    # inter kernel's blocks are made
     return RestrictionSets(
-        intra=derive_intra_pairs(scenario, routing),
+        intra=derive_intra_pairs(scenario, route_beams(scenario)),
         inter=derive_inter_pairs(scenario),
     )
 
@@ -509,12 +506,12 @@ def _beams(doc, grid: FrequencyGrid) -> tuple[Beam, ...]:
 def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
     doc = _object(doc, "restrictions")
     pairs = {}
-    for f in fields(RestrictionSets):
-        path = f"restrictions.{f.name}"
-        listed = _list(doc.get(f.name, []), path)
-        pairs[f.name] = [_cast(_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
+    for kind in ("intra", "inter"):
+        path = f"restrictions.{kind}"
+        listed = _list(doc.get(kind, []), path)
+        pairs[kind] = [_cast(_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
     try:
-        restrictions = RestrictionSets.of(**pairs)
+        restrictions = RestrictionSets(**pairs)
         restrictions.check_ids(b.id for b in beams)
     except DomainError as exc:
         raise ScenarioFormatError("restrictions", str(exc)) from exc
@@ -538,8 +535,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "geometry": _values(scenario.geometry),
         "beams": [_values(b) for b in scenario.beams],
         "restrictions": None if restrictions is None else {
-            f.name: [list(p) for p in sorted(getattr(restrictions, f.name))]
-            for f in fields(RestrictionSets)
+            kind: pairs.tolist() for kind, pairs in restrictions.pairs.items()
         },
         "link": None if link is None else _values(link),
     }

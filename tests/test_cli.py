@@ -347,6 +347,24 @@ class TestRender:
             root = ET.fromstring(svg.read_text())
             assert root.tag.endswith("svg")
 
+    def test_plan_naming_an_unknown_beam_exits_1(self, tmp_path, scenario_file, capsys):
+        plan = plan_with_unknown_beam(tmp_path, scenario_file)
+        capsys.readouterr()
+        assert main(["render", str(plan), str(scenario_file), "--out-prefix", str(tmp_path / "grid")]) == 1
+        assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
+        assert not list(tmp_path.glob("grid_sat*.svg"))
+
+    def test_plan_missing_a_beam_exits_1(self, tmp_path, scenario_file, capsys):
+        plan = tmp_path / "plan.csv"
+        assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                     "--out-plan", str(plan)]) == 0
+        header, first, *rest = plan.read_text().splitlines(keepends=True)
+        plan.write_text("".join([header, *rest]))
+        capsys.readouterr()
+        assert main(["render", str(plan), str(scenario_file), "--out-prefix", str(tmp_path / "grid")]) == 1
+        assert capsys.readouterr().err == f"error: plan missing beams [{first.split(',')[0]}]\n"
+        assert not list(tmp_path.glob("grid_sat*.svg"))
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, tmp_path, scenario_file):

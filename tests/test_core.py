@@ -3,8 +3,9 @@
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from freqplan import (
     Assignment,
@@ -265,6 +266,32 @@ class TestRestrictionSets:
         r = RestrictionSets.of(inter=[(1, 9)])
         with pytest.raises(DomainError):
             r.check_ids([1, 2, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), max_size=25))
+    def test_array_and_iterable_inputs_give_the_same_canonical_pairs(self, pairs):
+        """Reversed and repeated pairs merge into one sorted (smaller,
+        larger) row, a reflexive pair is rejected with the same message,
+        and the frozenset views hold the same pairs as the arrays."""
+        as_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        reflexive = [i for i, j in pairs if i == j]
+        if reflexive:
+            message = rf"^restriction pair \({reflexive[0]}, {reflexive[0]}\) is reflexive$"
+            for given_pairs in (pairs, as_array):
+                with pytest.raises(DomainError, match=message):
+                    RestrictionSets(inter=given_pairs)
+            return
+        expected = sorted({(min(p), max(p)) for p in pairs})
+        from_list = RestrictionSets(intra=pairs, inter=pairs[::-1])
+        from_array = RestrictionSets(intra=as_array, inter=as_array[::-1])
+        for r in (from_list, from_array):
+            for kind in ("intra", "inter"):
+                got = r.pairs[kind]
+                assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+                assert got.tolist() == [list(p) for p in expected]
+            assert r.intra == r.inter == frozenset(expected)
+        assert from_list == from_array
+        assert (from_list == RestrictionSets(intra=pairs)) == (not expected)
 
 
 class TestPlanCsv:

@@ -41,7 +41,7 @@ from freqplan.iterative import (
     OptionGroup,
     PairConflicts,
     PlanArrays,
-    _blocked_prefix,
+    _blocked_cells,
     _sanitize_warm_start,
 )
 from freqplan.model import _plan_arrays, beam_scores
@@ -371,6 +371,25 @@ class TestSubproblem:
         _, total = solve_option_selection(scores, allow_none, conflict)
         assert milp_sol.objective == pytest.approx(total, abs=1e-9)
 
+    def test_restricted_pairs_match_set_lookups_for_any_ids(self):
+        """The same (a, b, by_pol), in the same order, as looking every pair
+        of positions up in the frozenset views, for ids in any order,
+        negative ones and ones past 32 bits included."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            pool = [-2**62, -7, 0, 3, 5, 9, 2**33, 2**62, 11, 12]
+            ids = rng.choice(pool, size=int(rng.integers(0, 9)), replace=False).tolist()
+            pairs = [(i, j) for i in ids + [100, 101] for j in ids + [100, 101] if i != j]
+            r = RestrictionSets(intra=[p for p in pairs if rng.random() < 0.2],
+                                inter=[p for p in pairs if rng.random() < 0.2])
+            expected = []
+            for a in range(len(ids)):
+                for b in range(a + 1, len(ids)):
+                    key = (min(ids[a], ids[b]), max(ids[a], ids[b]))
+                    if key in r.inter or key in r.intra:
+                        expected.append((a, b, key in r.inter))
+            assert list(iterative._restricted_pairs(ids, r)) == expected
+
 
 class TestHighsOracle:
     @pytest.mark.parametrize("seed", range(8))
@@ -628,15 +647,15 @@ class TestIterationProperties:
             before = record.objective
 
 
-def ref_blocked_prefix(beam_id, grid, plan, restrictions, selected):
-    """_blocked_prefix from _ref_blocked: a cell is blocked when a one-slot
+def ref_blocked_cells(beam_id, grid, plan, restrictions, selected):
+    """_blocked_cells from _ref_blocked: a cell is blocked when a one-slot
     candidate on it collides with an active partner outside ``selected``."""
     blocked = np.array([
         [_ref_blocked(beam_id, Assignment(f, g, 1), grid, plan, restrictions, selected)
          for f in range(1, grid.n_bw + 1)]
         for g in range(1, grid.n_rows + 1)
-    ])
-    return np.concatenate((np.zeros((grid.n_rows, 1), dtype=int), np.cumsum(blocked, axis=1)), axis=1)
+    ], dtype=bool)
+    return np.concatenate((np.zeros((grid.n_rows, 1), dtype=bool), blocked), axis=1)
 
 
 class TestPlanArrays:
@@ -675,8 +694,8 @@ class TestPlanArrays:
                 partners = {j for p in restrictions.intra | restrictions.inter if beam_id in p for j in p} - {beam_id}
                 for selected in ({i for i in plan.assignments if rng.random() < 0.3}, partners):
                     arrays.select([arrays.at[i] for i in selected], True)
-                    expected = ref_blocked_prefix(beam_id, grid, plan, restrictions, selected)
-                    assert _blocked_prefix(arrays, k).tolist() == expected.tolist()
+                    expected = ref_blocked_cells(beam_id, grid, plan, restrictions, selected)
+                    assert _blocked_cells(arrays, k).tolist() == expected.tolist()
                     if selected is partners:
                         assert not expected.any()
                     arrays.select([arrays.at[i] for i in selected], False)

@@ -153,7 +153,7 @@ class TestRestrictionDerivation:
         beams = [Beam(id=i, lat=0.0, lon=float(i)) for i in (1, 2, 3)]
         s = tiny_scenario(beams, geometry=geom, horizon_min=1, step_min=1)
         routing = route_beams(s)
-        assert derive_intra_pairs(s, routing) == frozenset({(1, 2), (1, 3), (2, 3)})
+        assert derive_intra_pairs(s, routing).tolist() == [[1, 2], [1, 3], [2, 3]]
 
     def test_inter_uses_strict_threshold(self):
         # threshold = multiplier * half_cone = 4 degrees
@@ -163,7 +163,7 @@ class TestRestrictionDerivation:
             Beam(id=3, lat=0.0, lon=4.0),
         ]
         s = tiny_scenario(beams, half_cone_deg=1.0, interference_multiplier=4.0)
-        assert derive_inter_pairs(s) == frozenset({(1, 2), (2, 3)})
+        assert derive_inter_pairs(s).tolist() == [[1, 2], [2, 3]]
 
     def test_explicit_restrictions_win(self):
         r = RestrictionSets.of(intra=[(1, 2)])

@@ -32,7 +32,7 @@ from freqplan import (
     route_beams,
     validate_plan,
 )
-from freqplan import model, scenario as scenario_mod
+from freqplan import iterative, model, scenario as scenario_mod
 from freqplan.iterative import IterationConfig
 from freqplan.model import ObjectiveWeights
 from freqplan.scenario import (
@@ -64,13 +64,22 @@ def routed_or_error(route, scenario):
         return (err.beam_id, err.step_min)
 
 
+def pair_set(pairs):
+    """A derived pair array as a frozenset of tuples, once it is checked to
+    be canonical: int64 rows (smaller id, larger id), sorted and distinct."""
+    rows = list(map(tuple, pairs.tolist()))
+    assert pairs.dtype == np.int64 and pairs.shape == (len(rows), 2)
+    assert rows == sorted(set(rows)) and all(i < j for i, j in rows)
+    return frozenset(rows)
+
+
 def assert_pipeline_matches_reference(scenario):
     routing = routed_or_error(route_beams, scenario)
     assert routing == routed_or_error(ref_route_beams, scenario)
     if isinstance(routing, dict):
         assert list(routing) == list(ref_route_beams(scenario))
-        assert derive_intra_pairs(scenario, routing) == ref_derive_intra_pairs(scenario, routing)
-    assert derive_inter_pairs(scenario) == ref_derive_inter_pairs(scenario)
+        assert pair_set(derive_intra_pairs(scenario, routing)) == ref_derive_intra_pairs(scenario, routing)
+    assert pair_set(derive_inter_pairs(scenario)) == ref_derive_inter_pairs(scenario)
 
 
 @pytest.fixture(scope="module")
@@ -176,14 +185,14 @@ class TestNearTies:
         for a, b in zip(beams[::2], beams[1::2]):
             sep = central_angle_deg(a.lat, a.lon, b.lat, b.lon)
             s = Scenario(grid=GRID, beams=(a, b), geometry=GEOM, half_cone_deg=sep / 4.0)
-            assert derive_inter_pairs(s) == frozenset()
+            assert pair_set(derive_inter_pairs(s)) == frozenset()
 
     def test_pair_exactly_at_the_inter_threshold_is_not_restricted(self):
         beams = (Beam(id=1, lat=0.0, lon=0.0), Beam(id=2, lat=0.0, lon=4.0), Beam(id=3, lat=0.0, lon=7.5))
         sep = central_angle_deg(0.0, 0.0, 0.0, 4.0)
         for half_cone, expected in ((sep / 4.0, {(2, 3)}), (math.nextafter(sep, 10.0) / 4.0, {(1, 2), (2, 3)})):
             s = Scenario(grid=GRID, beams=beams, geometry=GEOM, half_cone_deg=half_cone)
-            assert derive_inter_pairs(s) == ref_derive_inter_pairs(s) == frozenset(expected)
+            assert pair_set(derive_inter_pairs(s)) == ref_derive_inter_pairs(s) == frozenset(expected)
 
     def test_beam_equidistant_from_two_satellites_takes_the_lower_index(self):
         # four satellites at 0, 90, 180, 270 deg at t=0; the beam at 45 deg
@@ -241,20 +250,31 @@ class TestNearTies:
         assert routed_or_error(route_beams, s) == expected
 
 
-def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
-    """Peak traced allocation while deriving M's pairs stays within twice
-    what the returned sets keep; a full beams x beams float64 angle array
-    and its temporaries would not."""
+def traced_memory(fn):
+    """fn(), and the bytes of traced allocation it kept and at its peak."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        restrictions = derive_restrictions(m_scenario)
-        retained, peak = tracemalloc.get_traced_memory()
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(restrictions.intra) == 27686
-    assert peak - base <= 2 * (retained - base)
+    return out, kept - base, peak - base
+
+
+def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
+    """Peak traced allocation while deriving M's pairs, beyond the routing
+    dicts it reads, stays below one beams x beams float64 array (1.57 MB at
+    443 beams), so a full angle array and its temporaries would not fit.
+    What the pair arrays keep (0.44 MB) is no yardstick: the routing alone
+    keeps more."""
+    _, routing, _ = traced_memory(lambda: route_beams(m_scenario))
+    restrictions, kept, peak = traced_memory(lambda: derive_restrictions(m_scenario))
+    n = len(m_scenario.beams)
+    print(f"derive_restrictions on M: peak {peak} B, kept {kept} B, routing {routing} B")
+    assert len(restrictions.pairs["intra"]) == 27686
+    assert peak < routing + 8 * n * n
 
 
 def random_plan(rng, beams, grid):
@@ -333,14 +353,33 @@ def test_validate_plan_raises_like_the_pairwise_loop(array_min_pairs, monkeypatc
     assert outcome(ref_validate_plan, plan, grid, unknown, beams) == (KeyError, "9")
 
 
-def test_pipeline_indexes_each_restriction_kind_once(monkeypatch):
-    """The warm start and every iteration share one partner index per kind."""
+def test_pipeline_builds_one_partner_csr_per_plan_arrays(monkeypatch):
+    """The warm start and the optimizer each build one PlanArrays, and with
+    it the only partner CSR of the run; iterations build none."""
     built = []
-    real_of = model.PairIndex.of
-    monkeypatch.setattr(model.PairIndex, "of", staticmethod(lambda pairs: built.append(len(pairs)) or real_of(pairs)))
+    real_csr = iterative._partner_csr
+    monkeypatch.setattr(iterative, "_partner_csr", lambda ids, r: built.append(len(ids)) or real_csr(ids, r))
     scenario = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
     restrictions = derive_restrictions(scenario)
     warm = greedy_warm_start(scenario, restrictions)
     optimize(scenario, restrictions, ObjectiveWeights(), warm_start=warm,
              config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
-    assert built == [1315, 6]
+    assert built == [98, 98]
+
+
+def test_pipeline_reads_only_the_pair_arrays(monkeypatch):
+    """From derive_restrictions to the final validate_plan no frozenset of
+    pairs is built: the intra kind (1315 pairs) takes validate_plan's array
+    path, the inter kind (6 pairs) its pair-by-pair path."""
+    scenario = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
+    restrictions = derive_restrictions(scenario)
+
+    def no_view(self):
+        raise AssertionError("a frozenset of restriction pairs was built")
+
+    for kind in ("intra", "inter"):
+        monkeypatch.setattr(RestrictionSets, kind, property(no_view))
+    warm = greedy_warm_start(scenario, restrictions)
+    plan, _ = optimize(scenario, restrictions, ObjectiveWeights(), warm_start=warm,
+                       config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
+    assert validate_plan(plan, scenario.grid, restrictions, scenario.beams) == []

@@ -202,6 +202,8 @@ def cmd_generate(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
+    if args.mode == "full" and args.out_trace is not None:
+        raise UsageError("--out-trace needs --mode iterative: full mode runs no iterations")
     # derived once here, so extract_plan reads the embedded sets
     scenario = scen.with_restrictions(scen.load_scenario(args.scenario))
     restrictions = scenario.restrictions
@@ -227,7 +229,6 @@ def cmd_optimize(args) -> int:
             print(f"solver status: {solution.status}", file=sys.stderr)
             return EXIT_INFEASIBLE
         plan = milp.extract_plan(model, solution, scenario)
-        trace = None
         iterations = 0
     else:
         config = iterative.IterationConfig(
@@ -245,7 +246,7 @@ def cmd_optimize(args) -> int:
         iterations = len(trace.records)
 
     save_plan_csv(plan, args.out_plan)
-    if args.out_trace is not None and trace is not None:
+    if args.out_trace is not None:
         iterative.export_trace(trace, args.out_trace)
 
     n_s = scenario.geometry.n_s

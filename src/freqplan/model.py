@@ -129,11 +129,14 @@ class FrequencyPlan:
 
 def canonical_pairs(pairs) -> np.ndarray:
     """``pairs`` as a sorted ``(n, 2)`` int64 array of distinct (smaller id,
-    larger id) rows; a reflexive pair raises DomainError. An ndarray that is
-    already canonical, as derivation emits, passes one vectorized check; any
-    other input takes one Python pass, cheaper than numpy's fixed costs on
-    the few pairs of a scenario file or a list."""
+    larger id) rows; a reflexive pair, or a non-empty ndarray of any other
+    shape than ``(n, 2)``, raises DomainError. An ndarray that is already
+    canonical, as derivation emits, passes one vectorized check; any other
+    input takes one Python pass, cheaper than numpy's fixed costs on the few
+    pairs of a scenario file or a list."""
     if isinstance(pairs, np.ndarray):
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise DomainError(f"restriction pairs must be an (n, 2) array, not {pairs.shape}")
         pairs = pairs.reshape(-1, 2)  # a view: the caller's array keeps its flags
         i, j = pairs.T
         if (i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():

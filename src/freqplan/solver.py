@@ -10,7 +10,9 @@ Three routes live here:
   testing oracle. It never touches the model IR.
 * ``solve_option_selection`` -- an exact depth-first search over per-beam
   option lists (pick at most one per beam, pairwise conflicts), used by
-  the iterative optimizer's subproblems.
+  the iterative optimizer's subproblems. It takes one input form: each
+  beam's options in score-rank order and one conflict object of int
+  bitsets per restricted pair, as ``iterative._subproblem`` builds them.
 """
 
 from __future__ import annotations
@@ -436,12 +438,6 @@ def brute_force_best_plan(
 # --- exact option-selection search (iterative subproblems) ----------------
 
 
-def _packed_rows(mat: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int whose bit v is column v."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def solve_option_selection(
     scores: Sequence[Sequence[float]],
     allow_none: Sequence[bool],
@@ -451,26 +447,24 @@ def solve_option_selection(
 ) -> tuple[list[int | None], float]:
     """Pick at most one option per group maximizing the score sum.
 
-    ``scores[g]`` lists option scores for group g; groups with
+    ``scores[g]`` lists the option scores of group g in rank order
+    (non-increasing), so option index, score rank and bit position are one;
+    a group whose scores rise anywhere raises ValueError. Groups with
     ``allow_none[g]`` may also select nothing (contribution 0), otherwise a
-    selection is mandatory. ``pair_conflict[(g1, g2)]`` (g1 < g2) says which
-    concrete options collide, in one of two forms:
-
-    * a boolean matrix indexed ``[opt1, opt2]``;
-    * a conflict object exposing ``rows[opt1]`` (the options of g2 that
-      collide with ``opt1``, as an int with bit ``opt2`` set) and
-      ``cols[opt2]`` (the options of g1, likewise), plus ``size``, the
-      number of cells of the matrix it stands for. Both of its groups must
-      list their scores in rank order (non-increasing), so that option
-      index and bit position equal score rank.
+    selection is mandatory. ``pair_conflict[(g1, g2)]`` (g1 < g2) is a
+    conflict object saying which options collide: ``rows[opt1]`` is the int
+    with bit ``opt2`` set for each option of g2 colliding with option
+    ``opt1`` of g1, ``cols[opt2]`` the same for the options of g1, and
+    ``size`` the number of cells of the matrix it stands for.
 
     Deterministic; with an unlimited budget, equivalent to solving the
     pairwise-constraint binary program exactly.
 
-    ``initial`` seeds the incumbent with a known-feasible selection, which
-    the result is then guaranteed to match or beat. ``node_budget`` > 0
-    caps the search tree per connected component; a truncated search
-    returns the best selection found so far (anytime behavior).
+    ``initial`` seeds the incumbent with a known-feasible selection, given
+    as option indices (ranks), which the result is then guaranteed to match
+    or beat. ``node_budget`` > 0 caps the search tree per connected
+    component; a truncated search returns the best selection found so far
+    (anytime behavior).
 
     The search is depth-first with forward checking over connected
     components of the group conflict graph, always branching on the group
@@ -481,28 +475,21 @@ def solve_option_selection(
     San Segundo, Rodriguez-Losada and Jimenez, Computers & OR 38(2), 2011).
     """
     n = len(scores)
-    # rank r of group g is option ranked[g][r]: score descending, then index
     score_arr = [np.asarray(s, dtype=float) for s in scores]
-    ranked = [np.argsort(-s, kind="stable") for s in score_arr]
-    rank_scores: list[list[float]] = [s[r].tolist() for s, r in zip(score_arr, ranked)]
+    for g, s in enumerate(score_arr):
+        if np.any(s[1:] > s[:-1]):
+            raise ValueError(f"group {g} is not in rank order")
+    rank_scores: list[list[float]] = [s.tolist() for s in score_arr]
     # None sits after every strictly positive option
     none_rank: list[int | None] = [
         int(np.count_nonzero(s > 0)) if allow_none[g] else None
         for g, s in enumerate(score_arr)
     ]
 
-    # adj[g][h][r] -> bitset over h's ranks colliding with rank r of g
+    # adj[g][h][r] -> bitset over h's options colliding with option r of g
     adj: list[dict] = [{} for _ in range(n)]
-    unranked = {g for g, r in enumerate(ranked) if np.any(r != np.arange(r.size))}
     for (g1, g2), conf in pair_conflict.items():
-        if hasattr(conf, "rows"):
-            for g in (g1, g2):
-                if g in unranked:
-                    raise ValueError(f"group {g} of a conflict object is not in rank order")
-            adj[g1][g2], adj[g2][g1] = conf.rows, conf.cols
-        else:
-            mat = np.asarray(conf, dtype=bool)[np.ix_(ranked[g1], ranked[g2])]
-            adj[g1][g2], adj[g2][g1] = _packed_rows(mat), _packed_rows(mat.T)
+        adj[g1][g2], adj[g2][g1] = conf.rows, conf.cols
 
     mask = [(1 << len(s)) - 1 for s in rank_scores]
     none_width = [1 if allow_none[g] else 0 for g in range(n)]
@@ -550,22 +537,13 @@ def solve_option_selection(
     for g in range(n):
         components.setdefault(find(g), []).append(g)
 
-    initial_rank: list[int | None] | None = None
-    if initial is not None:
-        initial_rank = [
-            None if opt is None else int(np.flatnonzero(ranked[g] == opt)[0])
-            for g, opt in enumerate(initial)
-        ]
-
     def solve_component(groups: list[int]) -> None:
         nonlocal infeasible
         best_total = neg_inf
         best_pick: dict[int, int | None] | None = None
-        if initial_rank is not None:
-            best_total = sum(
-                rank_scores[g][initial_rank[g]] for g in groups if initial_rank[g] is not None
-            )
-            best_pick = {g: initial_rank[g] for g in groups}
+        if initial is not None:
+            best_total = sum(rank_scores[g][initial[g]] for g in groups if initial[g] is not None)
+            best_pick = {g: initial[g] for g in groups}
         chosen: dict[int, int | None] = {}
         remaining = set(groups)
         # incrementally maintained per-group data over `remaining`
@@ -631,14 +609,12 @@ def solve_option_selection(
             infeasible = True
             return
         for g, r in best_pick.items():
-            pick[g] = None if r is None else int(ranked[g][r])
+            pick[g] = r
 
     for root in sorted(components, key=lambda r: min(components[r])):
         solve_component(sorted(components[root]))
         if infeasible:
             raise UnsupportedModelError("option selection has no feasible point")
 
-    total = sum(
-        float(score_arr[g][pick[g]]) for g in range(n) if pick[g] is not None
-    )
+    total = sum(rank_scores[g][pick[g]] for g in range(n) if pick[g] is not None)
     return pick, total

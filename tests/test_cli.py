@@ -37,6 +37,17 @@ def scenario_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def small_scenario_file(tmp_path):
+    """A 3-beam scenario small enough for --mode full."""
+    path = tmp_path / "small.json"
+    assert main(["generate", "--seed", "4", "--users", "3",
+                 "--n-bw", "3", "--n-fr", "1", "--n-p", "2", "--n-s", "4",
+                 "--horizon-min", "5", "--lat-band", "-20", "20",
+                 "--out", str(path)]) == 0
+    return path
+
+
 def plan_with_unknown_beam(tmp_path, scenario_file):
     """An optimized plan of ``scenario_file`` with a line for beam 999,
     which the scenario lacks."""
@@ -90,27 +101,31 @@ class TestOptimize:
         )
         assert report.read_text().startswith("scenario,n_beams,mode,")
 
-    def test_full_mode_small_scenario(self, tmp_path):
-        scen = tmp_path / "small.json"
-        rc = main(["generate", "--seed", "4", "--users", "3",
-                   "--n-bw", "3", "--n-fr", "1", "--n-p", "2", "--n-s", "4",
-                   "--horizon-min", "5", "--lat-band", "-20", "20",
-                   "--out", str(scen)])
-        assert rc == 0
+    def test_full_mode_small_scenario(self, tmp_path, small_scenario_file):
+        scen = small_scenario_file
         plan = tmp_path / "plan.csv"
         rc = main(["optimize", str(scen), "--mode", "full",
                    "--out-plan", str(plan)])
         assert rc == 0
         assert main(["validate", str(plan), str(scen)]) == 0
 
-    def test_full_mode_checks_warm_start_beams(self, tmp_path, capsys):
+    def test_full_mode_rejects_out_trace(self, tmp_path, small_scenario_file, capsys):
+        """Full mode runs no iterations, so asking it for a trace is a usage
+        error, not a run that silently writes none."""
+        scen = small_scenario_file
+        capsys.readouterr()
+        trace, plan = tmp_path / "trace.csv", tmp_path / "plan.csv"
+        rc = main(["optimize", str(scen), "--mode", "full",
+                   "--out-trace", str(trace), "--out-plan", str(plan)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not trace.exists() and not plan.exists()
+
+    def test_full_mode_checks_warm_start_beams(self, tmp_path, small_scenario_file, capsys):
         """A full-mode warm start may omit beams but not name one the
         scenario lacks, as in the iterative mode."""
-        scen = tmp_path / "small.json"
-        assert main(["generate", "--seed", "4", "--users", "3",
-                     "--n-bw", "3", "--n-fr", "1", "--n-p", "2", "--n-s", "4",
-                     "--horizon-min", "5", "--lat-band", "-20", "20",
-                     "--out", str(scen)]) == 0
+        scen = small_scenario_file
         warm = tmp_path / "warm.csv"
         assert main(["optimize", str(scen), "--mode", "full", "--out-plan", str(warm)]) == 0
         header, first, *_ = warm.read_text().splitlines(keepends=True)

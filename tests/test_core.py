@@ -262,6 +262,19 @@ class TestRestrictionSets:
         with pytest.raises(DomainError):
             RestrictionSets(inter=frozenset({(2, 1), (3, 3)}))
 
+    def test_array_pairs_must_be_n_by_2(self):
+        """A non-empty ndarray of any other shape is rejected, not read as
+        reshaped pairs; an empty one is no pairs; an (n, 2) one is held as a
+        view, the caller's array left writeable."""
+        for bad in (np.array([[1, 2, 3], [4, 5, 6]]), np.array([1, 2, 3, 4]), np.ones((1, 1, 2), int)):
+            with pytest.raises(DomainError, match=r"^restriction pairs must be an \(n, 2\) array"):
+                RestrictionSets(intra=bad)
+        assert RestrictionSets(intra=np.array([]), inter=np.empty((0, 3), int)) == RestrictionSets()
+        given_pairs = np.array([[1, 2], [1, 3]], dtype=np.int64)
+        r = RestrictionSets(inter=given_pairs)
+        assert np.shares_memory(r.pairs["inter"], given_pairs)
+        assert given_pairs.flags.writeable and not r.pairs["inter"].flags.writeable
+
     def test_check_ids(self):
         r = RestrictionSets.of(inter=[(1, 9)])
         with pytest.raises(DomainError):

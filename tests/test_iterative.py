@@ -56,6 +56,7 @@ from util import (
     ref_options_collide,
     ref_reoptimize,
     ref_sanitize_warm_start,
+    solve_dense_selection,
     solve_with_scipy_milp,
 )
 
@@ -343,6 +344,10 @@ class TestSubproblem:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_milp_subproblem_matches_direct_search(self, seed):
+        """build_subproblem's optimum is the search's total, both over dense
+        reference matrices (keep-as-is last, through the rank-order
+        adapter) and over _subproblem's own columns, keep-as-is ranks and
+        kernels, the input iterate_once passes."""
         s, w, osets = self.build(seed=seed)
         model = build_subproblem(osets, s.restrictions, s.grid)
         milp_sol = solve_exact(model)
@@ -368,7 +373,13 @@ class TestSubproblem:
                         for u in full[a]
                     ]
                 )
-        _, total = solve_option_selection(scores, allow_none, conflict)
+        _, dense_total = solve_dense_selection(scores, allow_none, conflict)
+        assert milp_sol.objective == pytest.approx(dense_total, abs=1e-9)
+
+        columns, initial, kernels = iterative._subproblem(osets, s.restrictions, s.grid)
+        _, total = solve_option_selection(
+            [c[3] for c in columns], [at is None for at in initial], kernels, initial=initial,
+        )
         assert milp_sol.objective == pytest.approx(total, abs=1e-9)
 
     def test_restricted_pairs_match_set_lookups_for_any_ids(self):

@@ -33,6 +33,7 @@ from util import (
     ref_plan_is_valid,
     ref_solve_exact,
     ref_solve_option_selection,
+    solve_dense_selection,
 )
 
 
@@ -321,7 +322,7 @@ class TestOptionSelection:
         # two groups, option 0/0 conflicts; best is 5 + 3 = 8 via (1, 0)
         scores = [[4.0, 5.0], [3.0, 1.0]]
         conflict = {(0, 1): np.array([[True, False], [False, False]])}
-        picks, total = solve_option_selection(scores, [False, False], conflict)
+        picks, total = solve_dense_selection(scores, [False, False], conflict)
         assert picks == [1, 0]
         assert total == pytest.approx(8.0)
 
@@ -333,7 +334,7 @@ class TestOptionSelection:
         gc.collect()
         gc.disable()
         try:
-            solve_option_selection(scores, [False, False, True], conflict)
+            solve_dense_selection(scores, [False, False, True], conflict)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -342,12 +343,12 @@ class TestOptionSelection:
         scores = [[1.0], [1.0]]
         conflict = {(0, 1): np.array([[True]])}
         with pytest.raises(UnsupportedModelError):
-            solve_option_selection(scores, [False, False], conflict)
+            solve_dense_selection(scores, [False, False], conflict)
 
     def test_allow_none_resolves_total_conflict(self):
         scores = [[2.0], [1.0]]
         conflict = {(0, 1): np.array([[True]])}
-        picks, total = solve_option_selection(scores, [False, True], conflict)
+        picks, total = solve_dense_selection(scores, [False, True], conflict)
         assert picks == [0, None]
         assert total == pytest.approx(2.0)
 
@@ -375,7 +376,7 @@ class TestOptionSelection:
         assert [kernel.rows[u] for u in range(2)] == [0b00, 0b01]
         assert [kernel.cols[v] for v in range(2)] == [0b10, 0b00]
         assert kernel.size == mat.size
-        by_matrix = solve_option_selection(scores, [False, False], {(0, 1): mat})
+        by_matrix = solve_dense_selection(scores, [False, False], {(0, 1): mat})
         by_kernel = solve_option_selection(scores, [False, False], {(0, 1): kernel})
         assert by_matrix == by_kernel == ([0, 0], 8.0)
 
@@ -383,19 +384,23 @@ class TestOptionSelection:
         grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
         group = OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid)
         kernel = PairConflicts(group, group, by_pol=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group 0 is not in rank order$"):
             solve_option_selection([[4.0, 5.0], [3.0, 1.0]], [False, False], {(0, 1): kernel})
 
     def test_rank_order_error_names_the_unranked_group(self):
-        """Each group is checked once, whichever pair it appears in."""
+        """Every group's scores must be non-increasing, whether or not a
+        conflict object names it; ties are in order."""
         grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
         group = OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid)
         kernel = PairConflicts(group, group, by_pol=False)
         scores = [[5.0, 4.0], [3.0, 2.0], [1.0, 3.0]]
         pairs = {(0, 1): kernel, (0, 2): kernel, (1, 2): kernel}
-        with pytest.raises(ValueError, match="^group 2 of a conflict object is not in rank order$"):
+        with pytest.raises(ValueError, match="^group 2 is not in rank order$"):
             solve_option_selection(scores, [True] * 3, pairs)
+        with pytest.raises(ValueError, match="^group 1 is not in rank order$"):
+            solve_option_selection([[5.0, 4.0], [1.0, 2.0]], [True, True], {})
         assert solve_option_selection(scores[:2], [True] * 2, {(0, 1): kernel})[1] == 7.0
+        assert solve_option_selection([[2.0, 2.0], []], [False, True], {}) == ([0, None], 2.0)
 
     def test_budget_truncation_returns_initial_or_better(self):
         rng = np.random.default_rng(3)
@@ -408,8 +413,8 @@ class TestOptionSelection:
         }
         # fall back to an all-None start; every group may select nothing
         initial = [None] * n
-        exact = solve_option_selection(scores, [True] * n, conflict)
-        truncated = solve_option_selection(
+        exact = solve_dense_selection(scores, [True] * n, conflict)
+        truncated = solve_dense_selection(
             scores, [True] * n, conflict, initial=initial, node_budget=3
         )
         assert truncated[1] <= exact[1] + 1e-9
@@ -448,9 +453,9 @@ class TestOptionSelection:
                 )
         if not feasible:
             with pytest.raises(UnsupportedModelError):
-                solve_option_selection(scores, allow, conflict)
+                solve_dense_selection(scores, allow, conflict)
         else:
-            _, total = solve_option_selection(scores, allow, conflict)
+            _, total = solve_dense_selection(scores, allow, conflict)
             assert total == pytest.approx(best, abs=1e-9)
 
 
@@ -496,7 +501,8 @@ def _feasible_initial(rng, scores, allow, conflict):
 @pytest.mark.parametrize("seed", range(12))
 def test_bitset_search_matches_reference(seed, node_budget):
     """Picks and totals equal the numpy-mask reference search, including
-    which options a node-budget truncation settles on."""
+    which options a node-budget truncation settles on, when unsorted scores
+    and dense matrices reach the search through the rank-order adapter."""
     rng = np.random.default_rng(4000 + seed)
     for _ in range(8):
         scores, allow, conflict = _random_selection(
@@ -508,6 +514,6 @@ def test_bitset_search_matches_reference(seed, node_budget):
             expected = ref_solve_option_selection(scores, allow, conflict, **kwargs)
         except UnsupportedModelError:
             with pytest.raises(UnsupportedModelError):
-                solve_option_selection(scores, allow, conflict, **kwargs)
+                solve_dense_selection(scores, allow, conflict, **kwargs)
             continue
-        assert solve_option_selection(scores, allow, conflict, **kwargs) == expected
+        assert solve_dense_selection(scores, allow, conflict, **kwargs) == expected

@@ -3,9 +3,10 @@
 Everything here is deliberately written without reusing package internals
 beyond the public data types, so oracle comparisons stay independent. The
 exceptions are the reference warm-start repair, which re-runs the public
-``validate_plan`` exactly as the loop it preserves did, and the scalar
-scenario pipeline and validator at the end, which keep the scalar geometry
-functions and reuse helpers that define the array code's results.
+``validate_plan`` exactly as the loop it preserves did, the adapter that
+feeds dense conflict matrices to the package's option-selection search, and
+the scalar scenario pipeline and validator at the end, which keep the scalar
+geometry functions and reuse helpers that define the array code's results.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from freqplan import (
 )
 from freqplan.errors import PlanStructureError, RoutingError, UnsupportedModelError
 from freqplan.scenario import central_angle_deg, elevation_deg, routing_steps
-from freqplan.solver import SolveStats
+from freqplan.solver import SolveStats, solve_option_selection
 
 REF_OPT_TOL = 1e-9
 
@@ -766,6 +767,48 @@ def ref_solve_option_selection(
         float(score_arr[g][pick[g]]) for g in range(n) if pick[g] is not None
     )
     return pick, total
+
+
+class _MatrixConflicts:
+    """A boolean conflict matrix in the conflict-object form
+    solve_option_selection takes: each row, and each column, as an int
+    whose bit v is set where the cell is."""
+
+    def __init__(self, mat: np.ndarray):
+        def packed(m):
+            return [int.from_bytes(row.tobytes(), "little")
+                    for row in np.packbits(m, axis=1, bitorder="little")]
+
+        self.rows, self.cols, self.size = packed(mat), packed(mat.T), mat.size
+
+
+def solve_dense_selection(
+    scores: Sequence[Sequence[float]],
+    allow_none: Sequence[bool],
+    pair_conflict: Mapping[tuple[int, int], np.ndarray],
+    initial: Sequence[int | None] | None = None,
+    node_budget: int = 0,
+) -> tuple[list[int | None], float]:
+    """freqplan's solve_option_selection on the input form of
+    ref_solve_option_selection: scores in any order and dense boolean
+    conflict matrices indexed by option. Each group is ranked stably by
+    descending score, the matrices are permuted to those ranks and wrapped
+    as conflict objects, and the picks are mapped back to option indices.
+    An adapter, not a reference: the search is the package's."""
+    score_arr = [np.asarray(s, dtype=float) for s in scores]
+    ranked = [np.argsort(-s, kind="stable") for s in score_arr]
+    rank_of = [np.argsort(r) for r in ranked]
+    conflicts = {
+        (g1, g2): _MatrixConflicts(np.asarray(mat, dtype=bool)[np.ix_(ranked[g1], ranked[g2])])
+        for (g1, g2), mat in pair_conflict.items()
+    }
+    if initial is not None:
+        initial = [None if o is None else int(rank_of[g][o]) for g, o in enumerate(initial)]
+    picks, total = solve_option_selection(
+        [s[r] for s, r in zip(score_arr, ranked)],
+        allow_none, conflicts, initial=initial, node_budget=node_budget,
+    )
+    return [None if r is None else int(ranked[g][r]) for g, r in enumerate(picks)], total
 
 
 # --- scalar scenario pipeline and validator (the loops the array code replaced)

@@ -215,14 +215,15 @@ def cmd_optimize(args) -> int:
         tables = power.power_tables_for(scenario.beams, scenario.grid, link)
 
     if args.warm_start is not None:
-        warm = load_plan_csv(args.warm_start)
+        # The report's warm figures are those of the repaired start that the
+        # iterative mode begins from, in either mode: no width outside the
+        # grid reaches a power table. The file may omit beams but not name
+        # one the scenario lacks.
+        warm = iterative.sanitize_warm_start(load_plan_csv(args.warm_start), scenario, restrictions)
     else:
         warm = iterative.greedy_warm_start(scenario, restrictions)
 
     if args.mode == "full":
-        # the warm start only feeds the report here; it may omit beams, as
-        # in the iterative mode, but not name one the scenario lacks
-        check_plan_beams(warm, scenario.beams, allow_missing=True)
         model = milp.build_full_model(scenario, restrictions, weights)
         solution = solver.solve_exact(model)
         if solution.status not in ("optimal", "feasible"):

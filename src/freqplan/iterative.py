@@ -551,7 +551,7 @@ class IterationState:
         return functools.reduce(add, self.scores, 0.0)
 
 
-def _sanitize_warm_start(
+def sanitize_warm_start(
     plan: FrequencyPlan,
     scenario: Scenario,
     restrictions: RestrictionSets,
@@ -676,7 +676,7 @@ def optimize(
     zero violations; the warm start need not be valid."""
     if warm_start is None:
         warm_start = greedy_warm_start(scenario, restrictions)
-    plan = _sanitize_warm_start(warm_start, scenario, restrictions)
+    plan = sanitize_warm_start(warm_start, scenario, restrictions)
     state = IterationState(
         scenario=scenario,
         restrictions=restrictions,

@@ -384,19 +384,27 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     return at, (at < len(ids)) & (np.append(ids, 0)[at] == pairs)
 
 
+# Pairs per block of _flagged_pairs: its gathered (pairs, 2, 4) int64 plan
+# state is then 2 MB, however many pairs there are.
+_FLAG_BLOCK_PAIRS = 1 << 15
+
+
 def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndarray, n_p: int) -> np.ndarray:
     """Mask of the pairs on which _pair_violation reports or raises, found
-    for all pairs at once: both beams active with the same row (intra) or
-    polarization (inter) and intersecting slot intervals, or an id the plan
-    lacks (KeyError)."""
-    at, found = pair_positions(ids, pairs)
-    known = found.all(axis=1)
-    active, f, g, b = np.moveaxis(state[at], 2, 0)  # each (pairs, 2)
-    both = known & active.all(axis=1)
-    if kind == "inter-overlap":
-        g = _polarization(g, n_p)
-    last = f + b - 1
-    return ~known | both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])
+    for a block of pairs at once: both beams active with the same row
+    (intra) or polarization (inter) and intersecting slot intervals, or an
+    id the plan lacks (KeyError)."""
+    flagged = np.empty(len(pairs), dtype=bool)
+    for lo in range(0, len(pairs), _FLAG_BLOCK_PAIRS):
+        at, found = pair_positions(ids, pairs[lo:lo + _FLAG_BLOCK_PAIRS])
+        known = found.all(axis=1)
+        active, f, g, b = np.moveaxis(state[at], 2, 0)  # each (block, 2)
+        both = known & active.all(axis=1)
+        if kind == "inter-overlap":
+            g = _polarization(g, n_p)
+        last = f + b - 1
+        flagged[lo:lo + len(at)] = ~known | both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])
+    return flagged
 
 
 def slot_capacity(grid: FrequencyGrid, n_s: int) -> int:

@@ -13,6 +13,7 @@ Atmospheric losses are neglected; free-space path loss dominates.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -134,12 +135,18 @@ def required_spectral_efficiency(demand_bps: float, rolloff: float, bw_hz: float
     return demand_bps * (1.0 + rolloff) / bw_hz
 
 
+def _modcod_index(efficiencies: Sequence[float], gamma_req: float) -> int | None:
+    """Position of the first of the strictly increasing ``efficiencies``
+    that is >= gamma_req, or None. The last test rejects a NaN gamma_req,
+    as a scan would."""
+    k = bisect.bisect_left(efficiencies, gamma_req)
+    return k if k < len(efficiencies) and efficiencies[k] >= gamma_req else None
+
+
 def select_modcod(table: ModCodTable, gamma_req: float) -> ModCod | None:
     """First entry whose spectral efficiency is >= gamma_req, or None."""
-    for entry in table.entries:
-        if entry.spectral_efficiency >= gamma_req:
-            return entry
-    return None
+    k = _modcod_index([e.spectral_efficiency for e in table.entries], gamma_req)
+    return None if k is None else table.entries[k]
 
 
 def fspl_db(distance_m: float, carrier_hz: float) -> float:
@@ -147,6 +154,25 @@ def fspl_db(distance_m: float, carrier_hz: float) -> float:
     if distance_m <= 0 or carrier_hz <= 0:
         raise DomainError("distance_m and carrier_hz must be positive")
     return 20.0 * math.log10(4.0 * math.pi * distance_m * carrier_hz / SPEED_OF_LIGHT)
+
+
+def _noise_db(link: LinkBudget) -> float:
+    """10*log10(k * T_sys), the chain's noise density in dBW/Hz."""
+    return 10.0 * math.log10(BOLTZMANN * link.t_sys_k)
+
+
+def _carried_power(
+    modcod: ModCod, demand_bps: float, link: LinkBudget, path_loss: float, noise_db: float
+) -> tuple[float, float, float]:
+    """C/N0 [dBHz], power [dBW] and power [W] of a demand that ``modcod``
+    carries: the dB chain, summed left to right and floored at
+    MIN_POWER_DBW. Demand 0 needs no power."""
+    if demand_bps == 0:
+        return MIN_POWER_DBW, MIN_POWER_DBW, 0.0
+    cn0_dbhz = modcod.ebn0_db + 10.0 * math.log10(demand_bps)
+    dbw = cn0_dbhz + link.obo_db - link.g_tx_db - link.g_rx_db + path_loss + noise_db
+    dbw = max(dbw, MIN_POWER_DBW)
+    return cn0_dbhz, dbw, 10.0 ** (dbw / 10.0)
 
 
 @dataclass(frozen=True)
@@ -180,29 +206,11 @@ def beam_power(
     modcod = select_modcod(table, gamma_req)
     if modcod is None:
         return PowerResult(dbw=big_m, watts=10.0 ** (big_m / 10.0), gamma_req=gamma_req, modcod=None)
-    if demand_bps == 0:
-        return PowerResult(
-            dbw=MIN_POWER_DBW,
-            watts=0.0,
-            gamma_req=0.0,
-            modcod=modcod,
-            cn0_dbhz=MIN_POWER_DBW,
-            fspl_db=fspl_db(link.distance_m, link.carrier_hz),
-        )
-    cn0_dbhz = modcod.ebn0_db + 10.0 * math.log10(demand_bps)
     path_loss = fspl_db(link.distance_m, link.carrier_hz)
-    dbw = (
-        cn0_dbhz
-        + link.obo_db
-        - link.g_tx_db
-        - link.g_rx_db
-        + path_loss
-        + 10.0 * math.log10(BOLTZMANN * link.t_sys_k)
-    )
-    dbw = max(dbw, MIN_POWER_DBW)
+    cn0_dbhz, dbw, watts = _carried_power(modcod, demand_bps, link, path_loss, _noise_db(link))
     return PowerResult(
         dbw=dbw,
-        watts=10.0 ** (dbw / 10.0),
+        watts=watts,
         gamma_req=gamma_req,
         modcod=modcod,
         cn0_dbhz=cn0_dbhz,
@@ -220,16 +228,22 @@ class PowerTable:
     by_slots_w: tuple[float, ...]
     by_slots_carried: tuple[bool, ...]  # False: no MODCOD, the power is the big_m sentinel
 
+    def _at(self, column: tuple, b: int):
+        # a width of 0 or below would index the tuple from its end
+        if not 1 <= b <= len(column):
+            raise DomainError(f"beam {self.beam_id}: b={b} outside 1..{len(column)}")
+        return column[b - 1]
+
     def value(self, f: int, b: int) -> float:
         """Power in dBW for an assignment of b slots (f ignored)."""
-        return self.by_slots_dbw[b - 1]
+        return self._at(self.by_slots_dbw, b)
 
     def watts(self, f: int, b: int) -> float:
-        return self.by_slots_w[b - 1]
+        return self._at(self.by_slots_w, b)
 
     def carries(self, b: int) -> bool:
         """Whether some MODCOD carries the beam's demand in b slots."""
-        return self.by_slots_carried[b - 1]
+        return self._at(self.by_slots_carried, b)
 
 
 def precompute_power_table(
@@ -240,13 +254,7 @@ def precompute_power_table(
     big_m: float,
 ) -> PowerTable:
     """Power for every slot count b in 1..n_bw at this beam's demand."""
-    dbw, watts, carried = [], [], []
-    for b in range(1, grid.n_bw + 1):
-        res = beam_power(beam.demand_bps, b * grid.slot_bandwidth_hz, link, table, big_m)
-        dbw.append(res.dbw)
-        watts.append(res.watts)
-        carried.append(res.feasible)
-    return PowerTable(beam.id, tuple(dbw), tuple(watts), tuple(carried))
+    return power_tables_for((beam,), grid, link, table, big_m)[beam.id]
 
 
 def power_tables_for(
@@ -256,8 +264,25 @@ def power_tables_for(
     table: ModCodTable = DEFAULT_MODCODS,
     big_m: float = 1000.0,
 ) -> dict[int, PowerTable]:
-    """Precompute power tables for every beam."""
-    return {
-        beam.id: precompute_power_table(beam, grid, link, table, big_m)
-        for beam in beams
-    }
+    """Precompute power tables for every beam: the values beam_power gives
+    at each width b * slot_bandwidth_hz. Widths that select the same MODCOD
+    need the same power, so the chain runs once per MODCOD a beam uses."""
+    efficiencies = [e.spectral_efficiency for e in table.entries]
+    path_loss, noise_db = fspl_db(link.distance_m, link.carrier_hz), _noise_db(link)
+    tables = {}
+    for beam in beams:
+        by_modcod: dict[int | None, tuple[float, float, bool]] = {}
+        rows = []
+        for b in range(1, grid.n_bw + 1):
+            gamma_req = required_spectral_efficiency(beam.demand_bps, link.rolloff, b * grid.slot_bandwidth_hz)
+            k = _modcod_index(efficiencies, gamma_req)
+            if k not in by_modcod:
+                if k is None:
+                    by_modcod[k] = (big_m, 10.0 ** (big_m / 10.0), False)
+                else:
+                    _, dbw, watts = _carried_power(table.entries[k], beam.demand_bps, link, path_loss, noise_db)
+                    by_modcod[k] = (dbw, watts, True)
+            rows.append(by_modcod[k])
+        dbw, watts, carried = zip(*rows)
+        tables[beam.id] = PowerTable(beam.id, dbw, watts, carried)
+    return tables

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -159,33 +160,88 @@ class GenerationParams:
     n_gateways: int = 0
 
 
+# elements per block of the clustering's user pairs and of the pair kernels'
+# beams x beams arrays, which keeps their temporaries small
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + counts[k] - 1 (k >= 1 of them),
+    concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
+def _earlier_neighbours(points: np.ndarray, side: float):
+    """Yield blocks (lo, hi, us, vs) of the pairs of each user u in lo..hi-1
+    and each earlier user v in u's cubic cell of side ``side`` or an
+    adjacent one, in u order; a block holds about _BLOCK_ELEMENTS pairs."""
+    n = len(points)
+    coords = np.floor(points / side).astype(np.int64)
+    coords -= coords.min(axis=0) - 1  # from 1, so every neighbour's is >= 0
+    # one int64 key per cell: below 8.1e18 for any side >= 1e-6 on the unit sphere
+    span = coords.max(axis=0) + 2
+    keys = (coords[:, 0] * span[1] + coords[:, 1]) * span[2] + coords[:, 2]
+    occupied, cell = np.unique(keys, return_inverse=True)
+    # a row (u, c) per user u and occupied cell c adjacent to u's or u's own
+    steps = [(dx * span[1] + dy) * span[2] + dz for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+    wanted = keys[:, None] + np.array(steps)
+    at = np.searchsorted(occupied, wanted)
+    u, k = np.nonzero(np.append(occupied, -1)[at] == wanted)
+    c = at[u, k]
+    # with the users by cell, then index, u's earlier users in c are
+    # members[first:first + count]
+    members = np.argsort(cell, kind="stable")
+    first = np.searchsorted(cell[members], c)
+    count = np.searchsorted(cell[members] * n + members, c * n + u) - first
+    user_rows = np.searchsorted(u, np.arange(n + 1))
+    before = np.append(0, np.cumsum(count))[user_rows]  # pairs before each user
+    lo = 0
+    while lo < n:
+        hi = min(n, max(lo + 1, int(np.searchsorted(before, before[lo] + _BLOCK_ELEMENTS))))
+        rows = slice(user_rows[lo], user_rows[hi])
+        yield lo, hi, np.repeat(u[rows], count[rows]), members[_spans(first[rows], count[rows])]
+        lo = hi
+
+
 def _cluster_users(lats: np.ndarray, lons: np.ndarray, half_cone_deg: float) -> list[list[int]]:
     """Greedy clustering: each user joins the first cluster all of whose
     members lie within 2*half_cone_deg of it, else starts a new one.
 
-    Each user is tested against all earlier users at once; a bincount of the
-    clusters of the too-far ones gives the first cluster with none. Members
-    stay in ascending user order.
+    Users are bucketed into cubic cells of their unit vectors (no seam at
+    0/360 deg, no special case at the poles) whose side exceeds the chord of
+    2*half_cone_deg, so every earlier user near a user sits in its cell or
+    an adjacent one (fixed-radius near neighbours, Bentley, Stanat and
+    Williams, IPL 6(6), 1977). A cluster with a member outside those cells
+    has a too-far member, so the user joins the lowest-numbered cluster whose
+    near members are all of its members. Members stay in ascending user
+    order.
     """
     threshold = 2.0 * half_cone_deg
     sin_lat, cos_lat, p_lon = _trig(lats, lons)
-    label = np.empty(len(lats), dtype=np.intp)
+    # The padding, 1e-6 of chord or about 6e-5 deg, exceeds the error of the
+    # scalar test's arccos, which is largest near 0 deg at a few 1e-6 deg.
+    side = 2.0 * math.sin(math.radians(min(threshold, 180.0)) / 2.0) + 1e-6
+    points = np.column_stack((cos_lat * np.cos(p_lon), cos_lat * np.sin(p_lon), sin_lat))
+    label: list[int] = []
     clusters: list[list[int]] = []
-    for u in range(len(lats)):
-        ang = _central_angles(sin_lat[u], cos_lat[u], p_lon[u], sin_lat[:u], cos_lat[:u], p_lon[:u])
+    for lo, hi, us, vs in _earlier_neighbours(points, side):
+        ang = _central_angles(sin_lat[us], cos_lat[us], p_lon[us], sin_lat[vs], cos_lat[vs], p_lon[vs])
 
-        def exact(v: int) -> float:
+        def exact(k: int) -> float:
+            u, v = us[k], vs[k]
             return central_angle_deg(lats[u], lons[u], lats[v], lons[v])
 
-        too_far = _exact_near(ang, threshold, exact) > threshold
-        blocked = np.bincount(label[:u][too_far], minlength=len(clusters))
-        free = np.flatnonzero(blocked == 0)
-        if free.size:
-            label[u] = free[0]
-            clusters[free[0]].append(u)
-        else:
-            label[u] = len(clusters)
-            clusters.append([u])
+        near = _exact_near(ang, threshold, exact) <= threshold
+        near_users = vs[near].tolist()
+        ends = np.cumsum(np.bincount(us[near] - lo, minlength=hi - lo)).tolist()
+        for u, start, end in zip(range(lo, hi), [0] + ends, ends):
+            counts = Counter(map(label.__getitem__, near_users[start:end]))
+            join = min((c for c, k in counts.items() if k == len(clusters[c])), default=len(clusters))
+            if join == len(clusters):
+                clusters.append([])
+            clusters[join].append(u)
+            label.append(join)
     return clusters
 
 
@@ -318,11 +374,6 @@ def route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:
             raise RoutingError(ids[sats.index(None)], t)
         routing[t] = dict(zip(ids, sats))
     return routing
-
-
-# elements per block of the pair kernels' beams x beams arrays, which keeps
-# their temporaries small next to the pair arrays they produce
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def _block_pairs(ids: Sequence[int], pair_mask) -> np.ndarray:

@@ -575,6 +575,7 @@ def solve_option_selection(
             g = branch
             rest = bound - total - gb[g]
             remaining.discard(g)
+            live = [(h, rows) for h, rows in adj[g].items() if h in remaining]
             for opt in candidates(g):
                 if node_budget and nodes > node_budget:
                     break
@@ -586,9 +587,7 @@ def solve_option_selection(
                     search(total)
                 else:
                     saved = []
-                    for h, rows in adj[g].items():
-                        if h not in remaining:
-                            continue
+                    for h, rows in live:
                         row = rows[opt]
                         if row:
                             saved.append((h, mask[h], gb[h], width[h]))

@@ -158,6 +158,30 @@ class TestOptimize:
         assert rc == 0
         assert main(["validate", str(plan), str(scenario_file)]) == 0
 
+    @pytest.mark.parametrize("width", [0, 6], ids=["width-0", "past-the-grid"])
+    def test_warm_start_width_outside_the_grid_is_repaired(self, tmp_path, scenario_file, width):
+        """A warm-start row whose width lies outside 1..n_bw (5 here) is
+        deactivated by the optimizer's repair, and the report's warm figures
+        are those of the repaired start: no power lookup wraps to the widest
+        width (b=0) or fails (b=6)."""
+        first = tmp_path / "first.csv"
+        assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                     "--out-plan", str(first)]) == 0
+        header, row, *rest = first.read_text().splitlines(keepends=True)
+        beam, active, *_ = row.split(",")
+        assert active == "1"
+        reports = []
+        for name, line in (("outside", f"{beam},1,1,1,{width}\n"), ("inactive", f"{beam},0,0,0,0\n")):
+            warm, report = tmp_path / f"{name}.csv", tmp_path / f"{name}-report.csv"
+            warm.write_text(header + line + "".join(rest))
+            assert main(["optimize", str(scenario_file), "--beta4", "0.05", "--n-ch", "4", "--window", "3",
+                         "--warm-start", str(warm), "--out-plan", str(tmp_path / f"{name}-plan.csv"),
+                         "--report", str(report)]) == 0
+            reports.append(next(csv.DictReader(report.read_text().splitlines())))
+        warm_figures = ("bw_warm", "power_warm_w", "uncarried_warm")
+        assert [reports[0][k] for k in warm_figures] == [reports[1][k] for k in warm_figures]
+        assert (tmp_path / "outside-plan.csv").read_text() == (tmp_path / "inactive-plan.csv").read_text()
+
     def test_unroutable_beam_is_infeasible(self, tmp_path, capsys):
         path = tmp_path / "pole.json"
         save_scenario(

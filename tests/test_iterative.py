@@ -42,7 +42,7 @@ from freqplan.iterative import (
     PairConflicts,
     PlanArrays,
     _blocked_cells,
-    _sanitize_warm_start,
+    sanitize_warm_start,
 )
 from freqplan.model import _plan_arrays, beam_scores
 from freqplan.solver import brute_force_best_plan, solve_option_selection
@@ -556,7 +556,7 @@ def _iteration_case(draw):
         start = greedy_warm_start(s, restrictions)
     else:
         f = [draw(st.integers(1, grid.n_bw)) for _ in beams]
-        start = _sanitize_warm_start(FrequencyPlan({
+        start = sanitize_warm_start(FrequencyPlan({
             beam.id: Assignment(f[k], draw(st.integers(1, grid.n_rows)),
                                 draw(st.integers(1, grid.n_bw - f[k] + 1)))
             for k, beam in enumerate(beams)
@@ -824,7 +824,7 @@ class TestWarmStartAndRepair:
     def test_sanitize_repairs_invalid_start(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
         bad = FrequencyPlan({1: Assignment(1, 1, 4), 2: Assignment(2, 1, 4)})
-        fixed = _sanitize_warm_start(bad, s, s.restrictions)
+        fixed = sanitize_warm_start(bad, s, s.restrictions)
         assert validate_plan(fixed, s.grid, s.restrictions, s.beams) == []
         # deterministic repair deactivates the higher id of the clash
         assert fixed[1].active and not fixed[2].active
@@ -832,7 +832,7 @@ class TestWarmStartAndRepair:
     def test_sanitize_fills_missing_beams(self):
         s = scenario_with([Beam(id=1), Beam(id=2)])
         partial = FrequencyPlan({1: Assignment(1, 1, 1)})
-        fixed = _sanitize_warm_start(partial, s, s.restrictions)
+        fixed = sanitize_warm_start(partial, s, s.restrictions)
         assert not fixed[2].active
 
 
@@ -854,7 +854,7 @@ class TestWarmStartAndRepair:
                 g = int(rng.integers(1, s.grid.n_rows + 1))
                 assignments[beam.id] = Assignment(f, g, b)
             plan = FrequencyPlan(assignments)
-            fixed = _sanitize_warm_start(plan, s, s.restrictions)
+            fixed = sanitize_warm_start(plan, s, s.restrictions)
             assert fixed.assignments == ref_sanitize_warm_start(plan, s, s.restrictions).assignments
 
     def test_sanitize_is_one_pass(self, monkeypatch):
@@ -875,7 +875,7 @@ class TestWarmStartAndRepair:
         monkeypatch.setattr(
             iterative, "validate_plan", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        fixed = _sanitize_warm_start(every_beam_collides, s, s.restrictions)
+        fixed = sanitize_warm_start(every_beam_collides, s, s.restrictions)
         assert len(calls) <= 1
         assert validate_plan(fixed, s.grid, s.restrictions, s.beams) == []
         # beam 1 collides with every other beam and has the lowest id
@@ -982,7 +982,7 @@ class TestOptimize:
         }
         state = iterative.IterationState(
             scenario=s, restrictions=s.restrictions, weights=w, config=config,
-            plan=_sanitize_warm_start(FrequencyPlan(start), s, s.restrictions),
+            plan=sanitize_warm_start(FrequencyPlan(start), s, s.restrictions),
         )
         rng_run, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):

@@ -145,6 +145,41 @@ class TestPowerTables:
         assert table.value(1, 3) == pytest.approx(direct.dbw)
         assert table.watts(1, 3) == pytest.approx(direct.watts)
 
+    @pytest.mark.parametrize("big_m", [1000.0, 612.5])
+    @pytest.mark.parametrize("ladder", ["default", "csv"])
+    def test_tables_equal_beam_power_at_every_width(self, tmp_path, ladder, big_m):
+        table = DEFAULT_MODCODS
+        if ladder == "csv":
+            path = tmp_path / "modcods.csv"
+            path.write_text("name,spectral_efficiency,ebn0_db\nA,0.3,-3.1\nB,0.95,0.7\nC,2.2,7.3\nD,3.7,12.9\n")
+            table = load_modcod_csv(path)
+        grid = FrequencyGrid(n_bw=40, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
+        link = LinkBudget(rolloff=0.25, obo_db=1.5, t_sys_k=410.0)
+        rng = np.random.default_rng(11)
+        # demand 0, one no MODCOD carries at any width, then a spread
+        demands = [0.0, 1e13, *np.exp(rng.uniform(math.log(1e5), math.log(2e10), 80)).tolist()]
+        beams = [Beam(id=i, demand_bps=d) for i, d in enumerate(demands, start=1)]
+        tables = power_tables_for(beams, grid, link, table, big_m)
+        for beam in beams:
+            direct = [
+                beam_power(beam.demand_bps, b * grid.slot_bandwidth_hz, link, table, big_m)
+                for b in range(1, grid.n_bw + 1)
+            ]
+            got = tables[beam.id]
+            assert got.by_slots_dbw == tuple(p.dbw for p in direct)
+            assert got.by_slots_w == tuple(p.watts for p in direct)
+            assert got.by_slots_carried == tuple(p.feasible for p in direct)
+        assert tables[1].by_slots_w == (0.0,) * grid.n_bw and all(tables[1].by_slots_carried)
+        assert tables[2].by_slots_dbw == (big_m,) * grid.n_bw and not any(tables[2].by_slots_carried)
+
+    @pytest.mark.parametrize("b", [0, -1, 9])
+    def test_width_outside_the_grid_raises(self, b):
+        grid = FrequencyGrid(n_bw=8, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
+        table = precompute_power_table(Beam(id=4, demand_bps=80e6), grid, LinkBudget(), DEFAULT_MODCODS, 1000.0)
+        for lookup in (lambda: table.value(1, b), lambda: table.watts(1, b), lambda: table.carries(b)):
+            with pytest.raises(DomainError, match=rf"beam 4: b={b} outside 1\.\.8"):
+                lookup()
+
     def test_tables_for_all_beams(self):
         beams = [Beam(id=1, demand_bps=1e7), Beam(id=9, demand_bps=2e8)]
         grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)

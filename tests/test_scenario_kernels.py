@@ -152,6 +152,40 @@ def test_small_scenarios_match_reference(
     assert_pipeline_matches_reference(scenario)
 
 
+def _users(seed, n_users, lat_band, lon_range):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(*lat_band, n_users), np.mod(rng.uniform(*lon_range, n_users), 360.0)
+
+
+@pytest.mark.parametrize(
+    "lats, lons, half_cone_deg",
+    [
+        pytest.param(*_users(3, 600, (-3.0, 3.0), (0.0, 360.0)), 1.0, id="dense-narrow-band"),
+        # the last users sit on the pole itself, at different longitudes
+        pytest.param(
+            *(np.append(a, [90.0, 90.0, 89.99]) for a in _users(4, 300, (84.0, 90.0), (0.0, 360.0))),
+            1.0, id="polar-cap",
+        ),
+        pytest.param(
+            *(np.append(a, b) for a, b in zip(_users(5, 300, (-8.0, 8.0), (-6.0, 6.0)), ([0.0, 0.0], [0.0, 359.5]))),
+            1.0, id="seam",
+        ),
+        pytest.param(*_users(6, 150, (-90.0, 90.0), (0.0, 360.0)), 60.0, id="half-cone-60"),
+        pytest.param(*_users(7, 150, (-90.0, 90.0), (0.0, 360.0)), 90.0, id="half-cone-90"),
+        pytest.param(*_users(8, 150, (-90.0, 90.0), (0.0, 360.0)), 135.0, id="half-cone-135"),
+    ],
+)
+def test_cell_bucketed_clustering_matches_reference(lats, lons, half_cone_deg):
+    assert _cluster_users(lats, lons, half_cone_deg) == ref_cluster_users(lats, lons, half_cone_deg)
+
+
+def test_clustering_in_many_blocks_matches_reference(monkeypatch):
+    # blocks of about 8 user pairs put most users' pairs in a block of their own
+    monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", 8)
+    lats, lons = _users(9, 400, (-5.0, 5.0), (0.0, 40.0))
+    assert _cluster_users(lats, lons, 1.0) == ref_cluster_users(lats, lons, 1.0)
+
+
 class TestNearTies:
     def test_users_exactly_two_half_cones_apart_share_a_cluster(self):
         lats, lons = [0.0, 0.0], [0.0, 2.0]
@@ -310,12 +344,8 @@ def outcome(validate, *args):
 ARRAY_MIN_PAIRS = [0, model._ARRAY_MIN_PAIRS]
 
 
-@pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)
-@pytest.mark.parametrize("n_p", [1, 2])
-def test_validate_plan_matches_pairwise_reference(n_p, array_min_pairs, monkeypatch):
-    monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
-    rng = np.random.default_rng(n_p)
-    for _ in range(150):
+def assert_validate_plan_matches_reference(rng, n_p, cases):
+    for _ in range(cases):
         grid = FrequencyGrid(n_bw=int(rng.integers(2, 9)), n_fr=int(rng.integers(1, 4)), n_p=n_p)
         ids = rng.choice(np.arange(1, 60), size=int(rng.integers(2, 12)), replace=False).tolist()
         beams = [
@@ -330,6 +360,21 @@ def test_validate_plan_matches_pairwise_reference(n_p, array_min_pairs, monkeypa
         plan = random_plan(rng, beams, grid)
         got = outcome(validate_plan, plan, grid, restrictions, beams)
         assert got == outcome(ref_validate_plan, plan, grid, restrictions, beams)
+
+
+@pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)
+@pytest.mark.parametrize("n_p", [1, 2])
+def test_validate_plan_matches_pairwise_reference(n_p, array_min_pairs, monkeypatch):
+    monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
+    assert_validate_plan_matches_reference(np.random.default_rng(n_p), n_p, 150)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7])
+def test_validate_plan_in_pair_blocks_matches_reference(block_pairs, monkeypatch):
+    # every pair set through the array filter, in blocks that split it
+    monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", 0)
+    monkeypatch.setattr(model, "_FLAG_BLOCK_PAIRS", block_pairs)
+    assert_validate_plan_matches_reference(np.random.default_rng(block_pairs), 2, 60)
 
 
 @pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     InstanceTooLargeError,
     SolutionImportError,
     UnsupportedModelError,
@@ -51,9 +52,14 @@ LIMIT_REACHED = "limit-reached"
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Search limits; zero means unlimited."""
+    """Search limits; zero means unlimited, a negative limit is a
+    DomainError."""
 
     max_nodes: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_nodes < 0:
+            raise DomainError("max_nodes must be >= 0")
 
 
 @dataclass
@@ -90,10 +96,21 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     as both), plus one row for the incumbent cut ``objective >= best +
     step``. Each node tightens integer bounds over these rows to a fixpoint
     with a lowest-row-first worklist. The root seeds every row; a child
-    starts from its parent's fixpoint and seeds only the rows of the
-    branched variable, plus the cut row when the incumbent has improved
-    since the parent was propagated. Row tightening is monotone, so the
-    fixpoint does not depend on the order rows are processed in.
+    starts from its parent's fixpoint. A row's minimum activity, and so
+    every bound it implies, reads ``lb[v]`` where v's coefficient is
+    positive and ``ub[v]`` where it is negative, so a rising ``lb[v]`` wakes
+    only the former rows and a falling ``ub[v]`` only the latter
+    (event-driven propagation after Achterberg, *Constraint Integer
+    Programming*, PhD thesis, TU Berlin, 2007). The low child of a branch
+    (``ub`` lowered) and the high child (``lb`` raised) seed those rows of
+    the branched variable, plus the cut row when the incumbent has improved
+    since the parent was propagated. A popped row
+    whose slack ``rhs - minact`` is at least its largest ``|c| * (ub - lb)``
+    implies no bound inside any domain and skips its tightening loop
+    (``FEAS_TOL`` covers the rounding). A row left asleep or skipped would
+    have tightened nothing and the worklist still pops the lowest row
+    first, so the tightenings, the fixpoint and the search tree are those
+    of waking every row of a changed variable.
     """
     n = len(model.variables)
     for var in model.variables:
@@ -103,11 +120,12 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     lb0 = [int(math.ceil(v.lower - FEAS_TOL)) for v in model.variables]
     ub0 = [int(math.floor(v.upper + FEAS_TOL)) for v in model.variables]
 
-    # rows[r] holds the (coef, var) terms of sum(terms) <= rhs[r]
+    # rows[r] holds the (coef, var) terms of sum(terms) <= rhs[r]; a zero
+    # coefficient adds nothing to a row and implies no bound, so it is dropped
     rows: list[tuple[tuple[float, int], ...]] = []
     rhs: list[float] = []
     for con in model.constraints:
-        terms = tuple((c, model.variable_index(v)) for c, v in con.terms)
+        terms = tuple((c, model.variable_index(v)) for c, v in con.terms if c != 0.0)
         if con.sense in (LE, EQ):
             rows.append(terms)
             rhs.append(con.rhs)
@@ -118,10 +136,18 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     obj_terms = tuple((c, v) for v, c in enumerate(obj) if c != 0.0)
     integral_obj = all(float(c).is_integer() for c, _ in obj_terms)
     improve_step = 1.0 if integral_obj else OPT_TOL
-    var_rows: list[list[int]] = [[] for _ in range(n)]
+    # a row's minimum activity reads lb[v] where v's coefficient is positive
+    # and ub[v] where it is negative: lb_rows[v] and ub_rows[v] are the rows
+    # a rise of lb[v] and a fall of ub[v] can tighten or fail
+    lb_rows: list[list[int]] = [[] for _ in range(n)]
+    ub_rows: list[list[int]] = [[] for _ in range(n)]
+
+    def register(r: int, terms) -> None:
+        for c, v in terms:
+            (lb_rows if c > 0 else ub_rows)[v].append(r)
+
     for r, terms in enumerate(rows):
-        for _, v in terms:
-            var_rows[v].append(r)
+        register(r, terms)
     # the incumbent cut -objective <= -(best + step) is the last row; it
     # stays empty, a no-op, until the first incumbent
     cut = None
@@ -130,8 +156,7 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         cut = len(rows)
         rows.append(())
         rhs.append(0.0)
-        for _, v in obj_terms:
-            var_rows[v].append(cut)
+        register(cut, cut_terms)
 
     start = time.perf_counter()
     stats = SolveStats()
@@ -142,8 +167,8 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     queue: list[int] = []
     queued = [False] * len(rows)
 
-    def wake(v: int) -> None:
-        for r in var_rows[v]:
+    def wake(woken: list[int]) -> None:
+        for r in woken:
             if not queued[r]:
                 queued[r] = True
                 heappush(queue, r)
@@ -156,10 +181,20 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             queued[r] = False
             terms, limit = rows[r], rhs[r]
             minact = 0.0
+            span = 0.0  # the largest |c| * (ub - lb) of the row's terms
             for c, v in terms:
-                minact += c * (lb[v] if c > 0 else ub[v])
+                if c > 0:
+                    minact += c * lb[v]
+                    width = c * (ub[v] - lb[v])
+                else:
+                    minact += c * ub[v]
+                    width = c * (lb[v] - ub[v])
+                if width > span:
+                    span = width
             if minact > limit + FEAS_TOL:
                 return False
+            if limit - minact >= span:
+                continue  # the slack covers every term's domain: nothing tightens
             for c, v in terms:
                 if c > 0:
                     hi = math.floor((limit - minact + c * lb[v]) / c + FEAS_TOL)
@@ -167,14 +202,14 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
                         ub[v] = hi
                         if lb[v] > hi:
                             return False
-                        wake(v)
+                        wake(ub_rows[v])
                 else:
                     lo = math.ceil((limit - minact + c * ub[v]) / c - FEAS_TOL)
                     if lo > lb[v]:
                         lb[v] = lo
                         if lo > ub[v]:
                             return False
-                        wake(v)
+                        wake(lb_rows[v])
         return True
 
     def obj_upper(lb, ub) -> float:
@@ -183,9 +218,9 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             total += c * (ub[v] if c > 0 else lb[v])
         return total
 
-    # (lb, ub, parent bound, branched variable or None at the root, the
-    # incumbent the parent was propagated against)
-    stack: list[tuple[list[int], list[int], float, int | None, float]] = [
+    # (lb, ub, parent bound, the rows the branching bound change wakes or
+    # None at the root, the incumbent the parent was propagated against)
+    stack: list[tuple[list[int], list[int], float, list[int] | None, float]] = [
         (lb0, ub0, float("inf"), None, best_obj)
     ]
 
@@ -193,18 +228,18 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         if limits.max_nodes and stats.nodes >= limits.max_nodes:
             hit_limit = True
             break
-        lb, ub, parent_bound, branched, seen_obj = stack.pop()
+        lb, ub, parent_bound, woken, seen_obj = stack.pop()
         if parent_bound <= best_obj and best_values is not None:
             frontier_bound = max(frontier_bound, parent_bound)
             continue
         stats.nodes += 1
-        if branched is None:
+        if woken is None:
             if any(lb[v] > ub[v] for v in range(n)):
                 continue
             queue[:] = range(len(rows))
             queued[:] = [True] * len(rows)
         else:
-            wake(branched)
+            wake(woken)
             if cut is not None and best_obj != seen_obj and not queued[cut]:
                 queued[cut] = True
                 heappush(queue, cut)
@@ -232,8 +267,8 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         low_ub[branch_var] = mid
         high_lb, high_ub = lb.copy(), ub.copy()
         high_lb[branch_var] = mid + 1
-        low = (low_lb, low_ub, bound, branch_var, best_obj)
-        high = (high_lb, high_ub, bound, branch_var, best_obj)
+        low = (low_lb, low_ub, bound, ub_rows[branch_var], best_obj)
+        high = (high_lb, high_ub, bound, lb_rows[branch_var], best_obj)
         if obj[branch_var] > 0:
             stack.append(low)
             stack.append(high)  # popped first: objective-improving half
@@ -464,16 +499,23 @@ def solve_option_selection(
     as option indices (ranks), which the result is then guaranteed to match
     or beat. ``node_budget`` > 0 caps the search tree per connected
     component; a truncated search returns the best selection found so far
-    (anytime behavior).
+    (anytime behavior). 0 is unlimited; a negative budget is a DomainError.
 
     The search is depth-first with forward checking over connected
     components of the group conflict graph, always branching on the group
-    with the fewest surviving candidates; the node bound sums the best
-    still-compatible score per remaining group. Surviving candidates are
-    int bitsets in score-rank order, so a group's best is its lowest set bit
-    and its width is ``bit_count()`` (bit-parallel branch-and-bound after
-    San Segundo, Rodriguez-Losada and Jimenez, Computers & OR 38(2), 2011).
+    with the fewest surviving candidates (the lowest id on ties); the node
+    bound sums the best still-compatible score per remaining group, left to
+    right in ascending id order. Each child is counted against the budget
+    and tested (leaf, dead end, bound) in its parent's candidate loop, and
+    only a surviving child is searched, so a node is never entered just to
+    be pruned; the tree and visit order are those of testing on entry.
+    Surviving candidates are int bitsets in score-rank order, so a group's
+    best is its lowest set bit and its width is ``bit_count()``
+    (bit-parallel branch-and-bound after San Segundo, Rodriguez-Losada and
+    Jimenez, Computers & OR 38(2), 2011).
     """
+    if node_budget < 0:
+        raise DomainError("node_budget must be >= 0")
     n = len(scores)
     score_arr = [np.asarray(s, dtype=float) for s in scores]
     for g, s in enumerate(score_arr):
@@ -499,29 +541,6 @@ def solve_option_selection(
     infeasible = False
     neg_inf = float("-inf")
 
-    def group_best(g: int) -> float:
-        m = mask[g]
-        best = rank_scores[g][(m & -m).bit_length() - 1] if m else neg_inf
-        if allow_none[g]:
-            best = max(best, 0.0)
-        return best
-
-    def candidates(g: int):
-        """Still-compatible ranks in non-increasing gain order; None (when
-        allowed) sits at its score-rank position."""
-        m = mask[g]
-        cut = none_rank[g]
-        while m:
-            low = m & -m
-            r = low.bit_length() - 1
-            if cut is not None and r >= cut:
-                yield None
-                cut = None
-            yield r
-            m ^= low
-        if cut is not None:
-            yield None
-
     # connected components of the group conflict graph are independent
     comp_of = list(range(n))
 
@@ -545,62 +564,90 @@ def solve_option_selection(
             best_total = sum(rank_scores[g][initial[g]] for g in groups if initial[g] is not None)
             best_pick = {g: initial[g] for g in groups}
         chosen: dict[int, int | None] = {}
-        remaining = set(groups)
+        # the unchosen groups in ascending id order, the order the bound sums
+        # them in; a group adjacent to the branched one is unchosen iff it is
+        # not in `chosen`
+        remaining = list(groups)
         # incrementally maintained per-group data over `remaining`
         for h in groups:
-            gb[h] = group_best(h)
-            width[h] = mask[h].bit_count() + none_width[h]
-        nodes = 0
+            m = mask[h]
+            best = rank_scores[h][(m & -m).bit_length() - 1] if m else neg_inf
+            gb[h] = 0.0 if allow_none[h] and best < 0.0 else best
+            width[h] = m.bit_count() + none_width[h]
+        nodes = 1  # the root
 
-        def search(total: float) -> None:
+        def search(total: float, bound: float, g: int) -> None:
+            """Branch on g at a node already counted and tested (bound above
+            the incumbent). Each child is counted and tested here and only
+            the survivors are searched, so the tree is the one a test at
+            node entry gives."""
             nonlocal best_total, best_pick, nodes
-            nodes += 1
-            if node_budget and nodes > node_budget:
-                return
-            if not remaining:
-                if total > best_total + OPT_TOL:
-                    best_total = total
-                    best_pick = dict(chosen)
-                return
-            bound = total
-            branch, branch_width = None, math.inf
-            for h in sorted(remaining):
-                if gb[h] == neg_inf:
-                    return  # mandatory group fully pruned: dead end
-                bound += gb[h]
-                if width[h] < branch_width:
-                    branch, branch_width = h, width[h]
-            if bound <= best_total + OPT_TOL:
-                return
-            g = branch
             rest = bound - total - gb[g]
-            remaining.discard(g)
-            live = [(h, rows) for h, rows in adj[g].items() if h in remaining]
-            for opt in candidates(g):
+            at = remaining.index(g)
+            del remaining[at]
+            live = [(h, rows) for h, rows in adj[g].items() if h not in chosen]
+            scores_g = rank_scores[g]
+            m, cut = mask[g], none_rank[g]
+            # the still-compatible ranks in non-increasing gain order; None
+            # (when allowed) sits at its score-rank position
+            while m or cut is not None:
                 if node_budget and nodes > node_budget:
                     break
-                gain = rank_scores[g][opt] if opt is not None else 0.0
+                low = m & -m
+                opt = low.bit_length() - 1
+                if cut is not None and (not m or opt >= cut):
+                    opt = cut = None
+                else:
+                    m ^= low
+                gain = scores_g[opt] if opt is not None else 0.0
                 if total + gain + rest <= best_total + OPT_TOL:
                     break  # gains only shrink from here on
                 chosen[g] = opt
-                if opt is None:
-                    search(total)
-                else:
-                    saved = []
+                saved = []
+                if opt is not None:
                     for h, rows in live:
                         row = rows[opt]
-                        if row:
-                            saved.append((h, mask[h], gb[h], width[h]))
-                            mask[h] &= ~row
-                            gb[h] = group_best(h)
-                            width[h] = mask[h].bit_count() + none_width[h]
-                    search(total + gain)
-                    for h, m_old, gb_old, w_old in saved:
-                        mask[h], gb[h], width[h] = m_old, gb_old, w_old
+                        old = mask[h]
+                        if old & row:
+                            saved.append((h, old, gb[h], width[h]))
+                            new = mask[h] = old & ~row
+                            best = rank_scores[h][(new & -new).bit_length() - 1] if new else neg_inf
+                            gb[h] = 0.0 if allow_none[h] and best < 0.0 else best
+                            width[h] = new.bit_count() + none_width[h]
+                    child = total + gain
+                else:
+                    child = total
+                nodes += 1
+                if not (node_budget and nodes > node_budget):
+                    if not remaining:
+                        if child > best_total + OPT_TOL:
+                            best_total = child
+                            best_pick = dict(chosen)
+                    else:
+                        child_bound = child
+                        branch, branch_width = None, math.inf
+                        for h in remaining:
+                            h_best = gb[h]
+                            if h_best == neg_inf:
+                                break  # mandatory group fully pruned: dead end
+                            child_bound += h_best
+                            if width[h] < branch_width:
+                                branch, branch_width = h, width[h]
+                        else:
+                            if child_bound > best_total + OPT_TOL:
+                                search(child, child_bound, branch)
+                for h, m_old, gb_old, w_old in saved:
+                    mask[h], gb[h], width[h] = m_old, gb_old, w_old
                 del chosen[g]
-            remaining.add(g)
+            remaining.insert(at, g)
 
-        search(0.0)
+        # the root, tested as a child is below
+        if all(gb[h] != neg_inf for h in groups):
+            bound = 0.0
+            for h in groups:
+                bound += gb[h]
+            if bound > best_total + OPT_TOL:
+                search(0.0, bound, min(groups, key=width.__getitem__))
         # the recursive closure refers to itself through its cell; drop it so
         # the component's state goes now, not at the next cyclic collection
         del search

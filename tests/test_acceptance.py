@@ -7,6 +7,7 @@ reference validator) rather than package internals.
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,10 +68,13 @@ def test_01_exact_solver_matches_enumeration_oracle():
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
     checked = 0
+    nodes, statuses = 0, Counter()
     for _ in range(100):
         scenario, weights = random_instance(rng)
         model = build_full_model(scenario, scenario.restrictions, weights)
         solution = solve_exact(model)
+        nodes += solution.stats.nodes
+        statuses[solution.status] += 1
         oracle = brute_force_best_plan(scenario, scenario.restrictions, weights)
         if oracle.status == "infeasible":
             assert solution.status == "infeasible"
@@ -80,6 +84,9 @@ def test_01_exact_solver_matches_enumeration_oracle():
             for name, value in solution.values.items():
                 assert abs(value - round(value)) < 1e-9, f"{name} not integral"
             checked += 1
+    # the search tree itself: a propagation change that adds or drops one
+    # node anywhere fails here
+    assert (nodes, statuses) == (21682, Counter(optimal=77, infeasible=23))
     elapsed = time.perf_counter() - started
     _report(
         1,

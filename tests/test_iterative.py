@@ -56,12 +56,41 @@ from util import (
     ref_options_collide,
     ref_reoptimize,
     ref_sanitize_warm_start,
+    ref_solve_option_selection,
     solve_dense_selection,
     solve_with_scipy_milp,
 )
 
 GRID = FrequencyGrid(n_bw=4, n_fr=2, n_p=2)
 GEOM = ConstellationGeometry(n_s=2, altitude_km=8062.0)
+
+
+def large_case():
+    """The acceptance large_case: 98 beams on a 40x8x2 grid, its derived
+    restrictions and the greedy warm start."""
+    scenario = generate_synthetic(
+        seed=7,
+        n_users=100,
+        grid=FrequencyGrid(n_bw=40, n_fr=8, n_p=2, slot_bandwidth_hz=50e6),
+        geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+    )
+    restrictions = derive_restrictions(scenario)
+    return scenario, restrictions, greedy_warm_start(scenario, restrictions)
+
+
+def dense_conflicts(rows, n_source: int, n_target: int) -> np.ndarray:
+    """The boolean matrix a conflict-rows bitset map stands for."""
+    n_bytes = (n_target + 7) // 8
+    return np.array(
+        [
+            np.unpackbits(
+                np.frombuffer(rows[u].to_bytes(n_bytes, "little"), dtype=np.uint8),
+                bitorder="little",
+            )[:n_target]
+            for u in range(n_source)
+        ],
+        dtype=bool,
+    ).reshape(n_source, n_target)
 
 
 def scenario_with(beams, intra=(), inter=()):
@@ -381,6 +410,48 @@ class TestSubproblem:
             [c[3] for c in columns], [at is None for at in initial], kernels, initial=initial,
         )
         assert milp_sol.objective == pytest.approx(total, abs=1e-9)
+
+    def test_search_matches_reference_at_production_size(self, monkeypatch):
+        """The subproblems iterate_once builds on the acceptance large_case
+        (25 beams of about 400 candidates, about 80 restricted pairs) give
+        the reference search's picks and total at node budgets 1, 50, 100
+        and 2000, the conflict kernels expanded into dense matrices. At 100
+        the third subproblem's result depends on counting the children the
+        parent prunes."""
+        scenario, restrictions, warm = large_case()
+        captured = []
+
+        def capture(scores, allow_none, pair_conflict, initial=None, node_budget=0):
+            captured.append((scores, allow_none, pair_conflict, initial))
+            return solve_option_selection(scores, allow_none, pair_conflict, initial, node_budget)
+
+        monkeypatch.setattr(iterative, "solve_option_selection", capture)
+        state = iterative.IterationState(
+            scenario=scenario, restrictions=restrictions,
+            weights=ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001),
+            config=IterationConfig(n_ch=25, seed=0), plan=warm,
+        )
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            state = iterative.iterate_once(state, rng)
+
+        assert len(captured) == 3
+        for scores, allow_none, pair_conflict, initial in captured:
+            sizes = [len(s) for s in scores]
+            assert len(sizes) == 25 and np.mean(sizes) > 350 and len(pair_conflict) > 70
+            dense = {}
+            for (a, b), conf in pair_conflict.items():
+                mat = dense_conflicts(conf.rows, sizes[a], sizes[b])
+                assert np.array_equal(dense_conflicts(conf.cols, sizes[b], sizes[a]), mat.T)
+                dense[(a, b)] = mat
+            for node_budget in (1, 50, 100, 2000):
+                got = solve_option_selection(
+                    scores, allow_none, pair_conflict, initial, node_budget
+                )
+                expected = ref_solve_option_selection(
+                    scores, allow_none, dense, initial, node_budget
+                )
+                assert got == expected, node_budget
 
     def test_restricted_pairs_match_set_lookups_for_any_ids(self):
         """The same (a, b, by_pol), in the same order, as looking every pair
@@ -931,14 +1002,7 @@ class TestOptimize:
         """The acceptance large_case after 50 iterations at seed 0: pins the
         search semantics (ranking, candidate order, node counting) to one
         plan, byte for byte."""
-        scenario = generate_synthetic(
-            seed=7,
-            n_users=100,
-            grid=FrequencyGrid(n_bw=40, n_fr=8, n_p=2, slot_bandwidth_hz=50e6),
-            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
-        )
-        restrictions = derive_restrictions(scenario)
-        warm = greedy_warm_start(scenario, restrictions)
+        scenario, restrictions, warm = large_case()
         plan, trace = optimize(
             scenario, restrictions, ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001),
             warm_start=warm,

@@ -24,7 +24,7 @@ from freqplan import (
     solve_exact,
     write_solution,
 )
-from freqplan.errors import UnsupportedModelError
+from freqplan.errors import DomainError, UnsupportedModelError
 from freqplan.iterative import OptionGroup, PairConflicts
 from freqplan.solver import solve_option_selection
 
@@ -84,6 +84,25 @@ class TestSolveExact:
         sol = solve_exact(model, SolveLimits(max_nodes=1))
         assert sol.status in ("limit-reached", "feasible")
         assert sol.stats.nodes <= 1
+
+    def test_negative_node_limit_is_a_domain_error(self):
+        # not a 0-node limit-reached answer with an infinite bound
+        s, w = random_instance(np.random.default_rng(0))
+        model = build_full_model(s, s.restrictions, w)
+        with pytest.raises(DomainError, match="max_nodes"):
+            solve_exact(model, SolveLimits(max_nodes=-1))
+
+    def test_zero_coefficient_adds_nothing(self):
+        # max x + y  s.t.  x + 0y <= 2: the zero term neither bounds y nor
+        # divides by zero when the row tightens x
+        m = MilpModel()
+        m.add_variable("x", 0, 3, "integer")
+        m.add_variable("y", 0, 3, "integer")
+        m.add_constraint("cap", [(1.0, "x"), (0.0, "y")], "<=", 2.0)
+        m.add_constraint("low", [(0.0, "x"), (1.0, "y")], ">=", 1.0)
+        m.set_objective([(1.0, "x"), (1.0, "y")])
+        sol = solve_exact(m)
+        assert (sol.status, sol.values, sol.objective) == ("optimal", {"x": 2.0, "y": 3.0}, 5.0)
 
     def test_rejects_continuous_variables(self):
         m = MilpModel()
@@ -151,10 +170,13 @@ def _general_model(rng):
 
 
 class TestIncrementalPropagation:
-    """solve_exact re-propagates only the rows a branch touched; the
-    full-queue reference re-propagates every row at every node. Both must
-    reach the same fixpoints, so every result field and the node count
-    agree, also where a node cap stops the search."""
+    """solve_exact re-propagates only the rows a bound change can tighten
+    (a rising lb wakes the rows where the variable's coefficient is
+    positive, a falling ub those where it is negative) and skips a row
+    whose slack covers every term's domain; the full-queue reference
+    re-propagates every row at every node. Both must reach the same
+    fixpoints, so every result field and the node count agree, also where a
+    node cap stops the search."""
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_full_models_match_reference(self, chunk):
@@ -351,6 +373,11 @@ class TestOptionSelection:
         picks, total = solve_dense_selection(scores, [False, True], conflict)
         assert picks == [0, None]
         assert total == pytest.approx(2.0)
+
+    def test_negative_node_budget_is_a_domain_error(self):
+        # not "no feasible point" for a trivially feasible problem
+        with pytest.raises(DomainError, match="node_budget"):
+            solve_option_selection([[1.0]], [True], {}, node_budget=-1)
 
     def test_negative_scores_prefer_none_when_allowed(self):
         picks, total = solve_option_selection([[-1.0]], [True], {})

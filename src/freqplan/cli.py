@@ -304,11 +304,9 @@ def cmd_render(args) -> int:
     scenario = scen.load_scenario(args.scenario)
     plan = load_plan_csv(args.plan)
     check_plan_beams(plan, scenario.beams)
-    routing = scen.route_beams(scenario)
-    at_zero = routing[0.0]
     beams_by_sat: dict[int, list] = {s: [] for s in range(scenario.geometry.n_s)}
-    for beam in scenario.beams:
-        beams_by_sat[at_zero[beam.id]].append(beam)
+    for beam, sat in zip(scenario.beams, scen.route_beams(scenario)[0].tolist()):
+        beams_by_sat[sat].append(beam)
     written = []
     for sat in range(scenario.geometry.n_s):
         svg = render.render_plan_svg(

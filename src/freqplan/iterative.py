@@ -177,7 +177,8 @@ class PlanArrays:
     (model._plan_arrays) and ``selected[k]`` whether it is re-optimized.
 
     ``indptr``/``indices`` are the partners of each position in CSR form,
-    an intra partner as its position j and an inter partner as n + j.
+    an intra partner as its position j and an inter partner as n + j, built
+    once per restriction sets and ids (RestrictionSets.partner_csr).
     Partners mark a difference array of ``n_bw + 2`` cells per key (one key
     per row, then one per polarization; cell s is slot s): from cell
     ``first.ravel()[j]``, ``span.ravel()[j]`` cells, 0 unless the beam is
@@ -189,7 +190,10 @@ class PlanArrays:
         self.ids, self.state = _plan_arrays(plan)
         n = len(self.ids)
         self.at = dict(zip(self.ids.tolist(), range(n)))
-        self.indptr, self.indices = _partner_csr(self.ids, restrictions)
+        key = self.ids.tobytes()
+        if restrictions.partner_csr is None or restrictions.partner_csr[0] != key:
+            restrictions.partner_csr = (key, _partner_csr(self.ids, restrictions))
+        self.indptr, self.indices = restrictions.partner_csr[1]
         self.selected = np.zeros(n, dtype=bool)
         self.first = np.zeros((2, n), dtype=np.int64)
         self.span = np.zeros((2, n), dtype=np.int64)
@@ -242,7 +246,9 @@ def _partner_csr(ids: np.ndarray, restrictions: RestrictionSets) -> tuple[np.nda
     owner = np.concatenate(owners)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    return indptr, np.concatenate(partners)[np.argsort(owner, kind="stable")]
+    indices = np.concatenate(partners)[np.argsort(owner, kind="stable")]
+    indptr.flags.writeable = indices.flags.writeable = False  # shared by every PlanArrays over ids
+    return indptr, indices
 
 
 def _blocked_cells(plan: PlanArrays, k: int) -> np.ndarray:

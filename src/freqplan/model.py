@@ -157,12 +157,16 @@ class RestrictionSets:
     sorted, read-only ``(n, 2)`` int64 array of (smaller id, larger id) rows.
     ``intra`` and ``inter`` are the same pairs as frozensets of tuples,
     built on first use for the readers that test pairs one at a time.
+    ``partner_csr`` is the last (plan id bytes, CSR) that
+    iterative.PlanArrays built from these pairs, which later plans over the
+    same ids reuse.
     """
 
     def __init__(self, intra: Iterable[tuple[int, int]] = (), inter: Iterable[tuple[int, int]] = ()):
         self.pairs = {"intra": canonical_pairs(intra), "inter": canonical_pairs(inter)}
         for pairs in self.pairs.values():
             pairs.flags.writeable = False
+        self.partner_csr: tuple[bytes, tuple[np.ndarray, np.ndarray]] | None = None
 
     @staticmethod
     def of(intra=(), inter=()) -> "RestrictionSets":

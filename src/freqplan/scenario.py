@@ -132,22 +132,16 @@ def _central_angles(sin1, cos1, lon1, sin2, cos2, lon2) -> np.ndarray:
     return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
-def _elevations(central_deg: np.ndarray, altitude_km: float) -> np.ndarray:
-    """elevation_deg over an array."""
-    psi = np.radians(central_deg)
-    ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
-    sin_psi = np.sin(psi)
-    elev = np.degrees(np.arctan2(np.cos(psi) - ratio, sin_psi))
-    return np.where(sin_psi == 0.0, 90.0, elev)
-
-
-def _exact_near(values: np.ndarray, threshold: float, exact) -> np.ndarray:
-    """``values`` (modified in place) with every entry within _GUARD_DEG of
-    ``threshold`` replaced by ``exact(*index)``, its scalar recomputation."""
-    near = np.abs(values - threshold) <= _GUARD_DEG
-    for index in zip(*np.nonzero(near)):
-        values[index] = exact(*(int(i) for i in index))
-    return values
+def _pair_angles(lats, lons, trig, first: np.ndarray, second: np.ndarray, threshold: float) -> np.ndarray:
+    """central_angle_deg from point first[k] to point second[k], over the
+    points' ``_trig`` values, with every angle within _GUARD_DEG of
+    ``threshold`` recomputed by central_angle_deg itself."""
+    sin, cos, lon = trig
+    ang = _central_angles(sin[first], cos[first], lon[first], sin[second], cos[second], lon[second])
+    for k in np.flatnonzero(np.abs(ang - threshold) <= _GUARD_DEG).tolist():
+        a, b = first[k], second[k]
+        ang[k] = central_angle_deg(lats[a], lons[a], lats[b], lons[b])
+    return ang
 
 
 @dataclass(frozen=True)
@@ -172,10 +166,21 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
 
 
-def _earlier_neighbours(points: np.ndarray, side: float):
-    """Yield blocks (lo, hi, us, vs) of the pairs of each user u in lo..hi-1
-    and each earlier user v in u's cubic cell of side ``side`` or an
-    adjacent one, in u order; a block holds about _BLOCK_ELEMENTS pairs."""
+def _earlier_neighbours(sin_lat, cos_lat, p_lon, threshold: float):
+    """Yield blocks (lo, hi, us, vs) of the pairs of each point u in lo..hi-1
+    and each earlier point v that may lie within ``threshold`` deg of it, in
+    u order; a block holds about _BLOCK_ELEMENTS pairs.
+
+    Points are bucketed into cubic cells of their unit vectors (no seam at
+    0/360 deg, no special case at the poles) whose side exceeds the chord of
+    ``threshold``, so every such v sits in u's cell or an adjacent one
+    (fixed-radius near neighbours, Bentley, Stanat and Williams, IPL 6(6),
+    1977). The padding, 1e-6 of chord or about 6e-5 deg, exceeds the error
+    of the scalar test's arccos, which is largest near 0 deg at a few 1e-6
+    deg.
+    """
+    side = 2.0 * math.sin(math.radians(min(threshold, 180.0)) / 2.0) + 1e-6
+    points = np.column_stack((cos_lat * np.cos(p_lon), cos_lat * np.sin(p_lon), sin_lat))
     n = len(points)
     coords = np.floor(points / side).astype(np.int64)
     coords -= coords.min(axis=0) - 1  # from 1, so every neighbour's is >= 0
@@ -208,31 +213,17 @@ def _cluster_users(lats: np.ndarray, lons: np.ndarray, half_cone_deg: float) -> 
     """Greedy clustering: each user joins the first cluster all of whose
     members lie within 2*half_cone_deg of it, else starts a new one.
 
-    Users are bucketed into cubic cells of their unit vectors (no seam at
-    0/360 deg, no special case at the poles) whose side exceeds the chord of
-    2*half_cone_deg, so every earlier user near a user sits in its cell or
-    an adjacent one (fixed-radius near neighbours, Bentley, Stanat and
-    Williams, IPL 6(6), 1977). A cluster with a member outside those cells
-    has a too-far member, so the user joins the lowest-numbered cluster whose
-    near members are all of its members. Members stay in ascending user
-    order.
+    Each user is tested only against the earlier users _earlier_neighbours
+    finds near it. A cluster with a member outside those has a too-far
+    member, so the user joins the lowest-numbered cluster whose near members
+    are all of its members. Members stay in ascending user order.
     """
     threshold = 2.0 * half_cone_deg
-    sin_lat, cos_lat, p_lon = _trig(lats, lons)
-    # The padding, 1e-6 of chord or about 6e-5 deg, exceeds the error of the
-    # scalar test's arccos, which is largest near 0 deg at a few 1e-6 deg.
-    side = 2.0 * math.sin(math.radians(min(threshold, 180.0)) / 2.0) + 1e-6
-    points = np.column_stack((cos_lat * np.cos(p_lon), cos_lat * np.sin(p_lon), sin_lat))
+    trig = _trig(lats, lons)
     label: list[int] = []
     clusters: list[list[int]] = []
-    for lo, hi, us, vs in _earlier_neighbours(points, side):
-        ang = _central_angles(sin_lat[us], cos_lat[us], p_lon[us], sin_lat[vs], cos_lat[vs], p_lon[vs])
-
-        def exact(k: int) -> float:
-            u, v = us[k], vs[k]
-            return central_angle_deg(lats[u], lons[u], lats[v], lons[v])
-
-        near = _exact_near(ang, threshold, exact) <= threshold
+    for lo, hi, us, vs in _earlier_neighbours(*trig, threshold):
+        near = _pair_angles(lats, lons, trig, us, vs, threshold) <= threshold
         near_users = vs[near].tolist()
         ends = np.cumsum(np.bincount(us[near] - lo, minlength=hi - lo)).tolist()
         for u, start, end in zip(range(lo, hi), [0] + ends, ends):
@@ -339,41 +330,57 @@ def _nearest_visible(beam: Beam, sat_lons: Sequence[float], scenario: Scenario) 
     return None if best is None else best[1]
 
 
-def route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:
-    """Map each (time step, beam) to the nearest visible satellite (0-based).
+def route_beams(scenario: Scenario) -> np.ndarray:
+    """The nearest satellite (0-based) above the minimum elevation of each
+    beam at each time step, ties to the lower index: ``sat[t, i]`` for the
+    t-th of routing_steps and the i-th of ``scenario.beams``, a (steps,
+    beams) int64 array.
 
     Raises RoutingError when a beam has no satellite above the minimum
     elevation at some step (the first step, then the first beam in
-    ``scenario.beams`` order). Each step is one beams x satellites array;
-    a beam whose visibility or best two angles lie within the guard band
-    is routed with the scalar rule.
+    ``scenario.beams`` order). A satellite is visible when its central angle
+    is at most the horizon angle psi_max = acos(r cos e) - e (r = R / (R + h),
+    e the minimum elevation), where elevation_deg reaches e. Elevation falls
+    at least 1 deg per degree of central angle above the horizon and at least
+    half a degree anywhere, so this test agrees with elevation_deg's outside
+    _GUARD_DEG of psi_max. A beam with an angle inside that band, or with its
+    best two angles within it of each other, is routed with the scalar rule.
+    Steps go in blocks of about _BLOCK_ELEMENTS beam-satellite angles.
     """
     geom = scenario.geometry
     beams = scenario.beams
-    ids = scenario.beam_ids()
+    n, n_s = len(beams), geom.n_s
+    elev = math.radians(scenario.min_elevation_deg)
+    ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + geom.altitude_km)
+    horizon = math.degrees(math.acos(ratio * math.cos(elev)) - elev)
     sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
-    min_elev = scenario.min_elevation_deg
-    routing: dict[float, dict[int, int]] = {}
-    for t in routing_steps(scenario):
-        sat_lons = [geom.subsatellite_lon(s, t) for s in range(geom.n_s)]
-        ang = _central_angles(sin_b[:, None], cos_b[:, None], lon_b[:, None], *_trig(0.0, sat_lons))
-        elev = _elevations(ang, geom.altitude_km)
-        unsure = (np.abs(elev - min_elev) <= _GUARD_DEG).any(axis=1)
-        ang[elev < min_elev] = np.inf
-        best = np.argmin(ang, axis=1)  # first minimum: lower satellite index
-        if geom.n_s > 1:
-            top2 = np.partition(ang, 1, axis=1)[:, :2]
+    steps = routing_steps(scenario)
+    sat = np.empty((len(steps), n), dtype=np.int64)
+    per_block = max(1, _BLOCK_ELEMENTS // (n * n_s))
+    for lo in range(0, len(steps), per_block):
+        times = steps[lo : lo + per_block]
+        sat_lons = [[geom.subsatellite_lon(s, t) for s in range(n_s)] for t in times]
+        # ang[t, i, s]: central angle of the i-th beam to satellite s at step lo + t
+        ang = _central_angles(
+            sin_b[:, None], cos_b[:, None], lon_b[:, None], *_trig(0.0, np.array(sat_lons)[:, None, :])
+        )
+        unsure = (np.abs(ang - horizon) <= _GUARD_DEG).any(axis=2)
+        ang[ang > horizon] = np.inf
+        best = sat[lo : lo + len(times)]
+        np.argmin(ang, axis=2, out=best)  # first minimum: lower satellite index
+        if n_s > 1:
+            ang.partition(1, axis=2)  # the smallest angle first, the next second
             with np.errstate(invalid="ignore"):  # inf - inf: no visible satellite
-                unsure |= top2[:, 1] - top2[:, 0] <= _GUARD_DEG
-        sats: list[int | None] = best.tolist()
-        for k in np.flatnonzero(np.isinf(ang.min(axis=1))).tolist():
-            sats[k] = None
-        for k in np.flatnonzero(unsure).tolist():
-            sats[k] = _nearest_visible(beams[k], sat_lons, scenario)
-        if None in sats:
-            raise RoutingError(ids[sats.index(None)], t)
-        routing[t] = dict(zip(ids, sats))
-    return routing
+                unsure |= ang[..., 1] - ang[..., 0] <= _GUARD_DEG
+        best[np.isinf(ang[..., 0])] = -1
+        for t, i in np.argwhere(unsure).tolist():
+            nearest = _nearest_visible(beams[i], sat_lons[t], scenario)
+            best[t, i] = -1 if nearest is None else nearest
+        unrouted = np.argwhere(best < 0)  # by step, then by beam
+        if len(unrouted):
+            t, i = unrouted[0].tolist()
+            raise RoutingError(beams[i].id, times[t])
+    return sat
 
 
 def _block_pairs(ids: Sequence[int], pair_mask) -> np.ndarray:
@@ -394,48 +401,53 @@ def _block_pairs(ids: Sequence[int], pair_mask) -> np.ndarray:
     return canonical_pairs(pairs)
 
 
-def derive_intra_pairs(scenario: Scenario, routing: Mapping[float, Mapping[int, int]]) -> np.ndarray:
+def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     """Pairs of beams sharing a satellite at any routing step, as
-    model.canonical_pairs."""
-    ids = scenario.beam_ids()
-    n = len(ids)
-    # sat[t, i]: satellite of the i-th beam at the t-th step
-    sat = np.array([[at_t[i] for i in ids] for at_t in routing.values()], dtype=np.int64)
-    sat = sat.reshape(len(routing), n)
+    model.canonical_pairs, from route_beams' (steps, beams) array ``sat``.
+
+    Each beam's one-hot (step, satellite) memberships are packed into 64-bit
+    words (7 words for 61 steps and 7 satellites), so a block of beam pairs
+    takes one AND per word instead of one compare per step.
+    """
+    steps, n = sat.shape
+    n_s = scenario.geometry.n_s
+    member = np.zeros((n, -(-steps * n_s // 64) * 64), dtype=bool)  # whole words
+    member[np.arange(n), np.arange(steps)[:, None] * n_s + sat] = True
+    # words[w, i]: word w of the i-th beam
+    words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
+    del member
 
     def shares_satellite(lo: int, hi: int) -> np.ndarray:
         shared = np.zeros((hi - lo, n - lo), dtype=bool)
+        both = np.empty(shared.shape, dtype=np.uint64)
         hit = np.empty_like(shared)
-        for at_t in sat:
-            np.equal(at_t[lo:hi, None], at_t[None, lo:], out=hit)
+        for word in words:
+            np.bitwise_and(word[lo:hi, None], word[None, lo:], out=both)
+            np.not_equal(both, 0, out=hit)
             shared |= hit
         return shared
 
-    return _block_pairs(ids, shares_satellite)
+    return _block_pairs(scenario.beam_ids(), shares_satellite)
 
 
 def derive_inter_pairs(scenario: Scenario) -> np.ndarray:
     """Pairs of beams whose footprint centers are closer than
     interference_multiplier * half_cone_deg (strict), as
-    model.canonical_pairs."""
+    model.canonical_pairs.
+
+    Only the pairs of beams that _earlier_neighbours finds near each other
+    are tested."""
     threshold = scenario.interference_multiplier * scenario.half_cone_deg
-    beams = scenario.beams
-    sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
-
-    def too_close(lo: int, hi: int) -> np.ndarray:
+    lats, lons = [b.lat for b in scenario.beams], [b.lon for b in scenario.beams]
+    trig = _trig(lats, lons)
+    ids = np.asarray(scenario.beam_ids(), dtype=np.int64)
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for _, _, us, vs in _earlier_neighbours(*trig, threshold):
         # the earlier beam is the first point, as in the scalar loop
-        ang = _central_angles(
-            sin_b[lo:hi, None], cos_b[lo:hi, None], lon_b[lo:hi, None],
-            sin_b[lo:], cos_b[lo:], lon_b[lo:],
-        )
-
-        def exact(r: int, c: int) -> float:
-            a, b = beams[lo + r], beams[lo + c]
-            return central_angle_deg(a.lat, a.lon, b.lat, b.lon)
-
-        return _exact_near(ang, threshold, exact) < threshold
-
-    return _block_pairs(scenario.beam_ids(), too_close)
+        close = _pair_angles(lats, lons, trig, vs, us, threshold) < threshold
+        blocks.append(np.column_stack((ids[vs[close]], ids[us[close]])))
+    pairs = np.sort(np.concatenate(blocks), axis=1)
+    return canonical_pairs(pairs[np.lexsort(pairs.T[::-1])])
 
 
 def derive_restrictions(scenario: Scenario) -> RestrictionSets:
@@ -445,8 +457,8 @@ def derive_restrictions(scenario: Scenario) -> RestrictionSets:
     """
     if scenario.restrictions is not None:
         return scenario.restrictions
-    # the routing (about 1 MB of dicts at 443 beams) is freed before the
-    # inter kernel's blocks are made
+    # the routing array (216 KB at 443 beams) is freed before the inter
+    # kernel's blocks are made
     return RestrictionSets(
         intra=derive_intra_pairs(scenario, route_beams(scenario)),
         inter=derive_inter_pairs(scenario),

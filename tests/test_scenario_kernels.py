@@ -5,6 +5,7 @@ references' beams, routes and pairs, including at hand-built ties and
 thresholds where numpy's and math's trigonometry could disagree by an ulp.
 """
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -36,11 +37,13 @@ from freqplan import iterative, model, scenario as scenario_mod
 from freqplan.iterative import IterationConfig
 from freqplan.model import ObjectiveWeights
 from freqplan.scenario import (
+    EARTH_RADIUS_KM,
     _cluster_users,
     central_angle_deg,
     derive_inter_pairs,
     derive_intra_pairs,
     elevation_deg,
+    routing_steps,
 )
 
 from util import (
@@ -50,6 +53,7 @@ from util import (
     ref_generate_beams,
     ref_route_beams,
     ref_validate_plan,
+    routing_as_dict,
 )
 
 GRID = FrequencyGrid(n_bw=40, n_fr=8, n_p=2, slot_bandwidth_hz=50e6)
@@ -57,11 +61,18 @@ GEOM = ConstellationGeometry(n_s=7, altitude_km=8062.0)
 
 
 def routed_or_error(route, scenario):
-    """The routing, or the (beam, t) of the RoutingError it raises."""
+    """The routing as {step: {beam id: satellite}}, or the (beam, t) of the
+    RoutingError it raises. route_beams' array is checked to be (steps,
+    beams) int64 first."""
     try:
-        return route(scenario)
+        routing = route(scenario)
     except RoutingError as err:
         return (err.beam_id, err.step_min)
+    if isinstance(routing, dict):
+        return routing
+    assert routing.dtype == np.int64
+    assert routing.shape == (len(routing_steps(scenario)), len(scenario.beams))
+    return routing_as_dict(scenario, routing)
 
 
 def pair_set(pairs):
@@ -78,7 +89,8 @@ def assert_pipeline_matches_reference(scenario):
     assert routing == routed_or_error(ref_route_beams, scenario)
     if isinstance(routing, dict):
         assert list(routing) == list(ref_route_beams(scenario))
-        assert pair_set(derive_intra_pairs(scenario, routing)) == ref_derive_intra_pairs(scenario, routing)
+        intra = derive_intra_pairs(scenario, route_beams(scenario))
+        assert pair_set(intra) == ref_derive_intra_pairs(scenario, routing)
     assert pair_set(derive_inter_pairs(scenario)) == ref_derive_inter_pairs(scenario)
 
 
@@ -186,6 +198,161 @@ def test_clustering_in_many_blocks_matches_reference(monkeypatch):
     assert _cluster_users(lats, lons, 1.0) == ref_cluster_users(lats, lons, 1.0)
 
 
+def horizon_angle_deg(altitude_km, min_elevation_deg):
+    """Central angle at which a satellite sits at the minimum elevation:
+    90 deg - e - nadir angle, sin(nadir) = cos(e) R / (R + h)."""
+    ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
+    e = math.radians(min_elevation_deg)
+    return 90.0 - min_elevation_deg - math.degrees(math.asin(ratio * math.cos(e)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_s=st.integers(1, 8),
+    altitude_km=st.sampled_from([550.0, 1200.0, 8062.0, 35786.0]),
+    min_elevation_deg=st.floats(0.0, 60.0),
+    step_min=st.sampled_from([0.5, 3.0, 11.0]),
+    n_steps=st.integers(1, 5),
+    edge_beams=st.lists(
+        st.tuples(st.integers(0, 7), st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0])), max_size=10,
+    ),
+    seed=st.integers(0, 10_000),
+    n_random=st.integers(0, 10),
+)
+def test_routing_matches_reference_at_the_horizon_angle(
+    n_s, altitude_km, min_elevation_deg, step_min, n_steps, edge_beams, seed, n_random,
+):
+    """Beams exactly at the horizon angle of a satellite at t = 0 (lat a
+    fraction of the angle, the longitude offset that completes it), among
+    random ones; some unroutable scenarios are expected."""
+    geom = ConstellationGeometry(n_s=n_s, altitude_km=altitude_km)
+    psi = horizon_angle_deg(altitude_km, min_elevation_deg)
+    cos_psi = math.cos(math.radians(psi))
+    spots = []
+    for sat, frac, side in edge_beams:
+        lat = frac * psi
+        offset = math.degrees(math.acos(min(1.0, cos_psi / math.cos(math.radians(lat)))))
+        spots.append((lat, (geom.subsatellite_lon(sat % n_s, 0.0) + side * offset) % 360.0))
+    rng = np.random.default_rng(seed)
+    spots += zip(rng.uniform(-psi, psi, n_random).tolist(), rng.uniform(0.0, 360.0, n_random).tolist())
+    if not spots:
+        spots = [(0.0, 0.0)]
+    beams = tuple(Beam(id=k, lat=lat, lon=lon) for k, (lat, lon) in enumerate(spots, 1))
+    s = Scenario(grid=GRID, beams=beams, geometry=geom, horizon_min=step_min * n_steps,
+                 step_min=step_min, min_elevation_deg=min_elevation_deg)
+    assert routed_or_error(route_beams, s) == routed_or_error(ref_route_beams, s)
+
+
+def test_routing_in_many_blocks_matches_reference(monkeypatch):
+    # blocks of about 8 angles put each step in a block of its own, so the
+    # unroutable beam is found in a later block than the first
+    monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", 8)
+    params = GenerationParams(lat_band_deg=(-30.0, 30.0))
+    routable = generate_synthetic(seed=7, n_users=60, grid=GRID, geometry=GEOM, params=params, horizon_min=20.0)
+    assert routed_or_error(route_beams, routable) == ref_route_beams(routable)
+    geom = ConstellationGeometry(n_s=1, altitude_km=8062.0)
+    beams = (Beam(id=5, lat=0.0, lon=10.0), Beam(id=9, lat=0.0, lon=318.0), Beam(id=3, lat=0.0, lon=317.0))
+    unroutable = Scenario(grid=GRID, beams=beams, geometry=geom, horizon_min=30.0, step_min=1.0)
+    expected = routed_or_error(ref_route_beams, unroutable)
+    assert expected[0] == 3 and expected[1] > 0.0
+    assert routed_or_error(route_beams, unroutable) == expected
+
+
+def beams_at(lats, lons, ids=None):
+    ids = range(1, len(lats) + 1) if ids is None else ids
+    return tuple(Beam(id=int(i), lat=float(lat), lon=float(lon)) for i, lat, lon in zip(ids, lats, lons))
+
+
+@pytest.mark.parametrize("block_elements", [scenario_mod._BLOCK_ELEMENTS, 8])
+@pytest.mark.parametrize(
+    "lats, lons, half_cone_deg, ids",
+    [
+        # pairs across the 0/360 deg seam, with two beams on it
+        pytest.param(
+            *(np.append(a, b) for a, b in zip(_users(11, 150, (-6.0, 6.0), (-8.0, 8.0)), ([0.0, 1.0], [0.0, 359.0]))),
+            1.0, None, id="seam",
+        ),
+        # the last beams sit on the poles themselves, at different longitudes
+        pytest.param(
+            *(np.append(a, b) for a, b in zip(_users(12, 150, (80.0, 90.0), (0.0, 360.0)),
+                                               ([90.0, 90.0, -90.0, -89.5], [0.0, 123.0, 10.0, 190.0]))),
+            1.5, None, id="poles",
+        ),
+        # a threshold of 180 deg: every pair but the antipodal ones
+        pytest.param(
+            *(np.append(a, b) for a, b in zip(_users(13, 60, (-90.0, 90.0), (0.0, 360.0)),
+                                               ([0.0, 0.0, 30.0, -30.0], [0.0, 180.0, 45.0, 225.0]))),
+            45.0, None, id="threshold-180",
+        ),
+        pytest.param(*_users(14, 60, (-90.0, 90.0), (0.0, 360.0)), 50.0, None, id="threshold-200"),
+        # ids descending by position, so the kernel's pairs need sorting
+        pytest.param(*_users(15, 200, (-10.0, 10.0), (0.0, 60.0)), 1.0, range(900, 700, -1), id="ids-descending"),
+    ],
+)
+def test_inter_pairs_match_reference(lats, lons, half_cone_deg, ids, block_elements, monkeypatch):
+    monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", block_elements)
+    s = Scenario(grid=GRID, beams=beams_at(lats, lons, ids), geometry=GEOM, half_cone_deg=half_cone_deg)
+    expected = ref_derive_inter_pairs(s)
+    assert expected  # the case has pairs to find
+    assert pair_set(derive_inter_pairs(s)) == expected
+
+
+@pytest.mark.parametrize("block_elements", [scenario_mod._BLOCK_ELEMENTS, 8])
+@pytest.mark.parametrize(
+    "n_s, n_steps",
+    [
+        pytest.param(8, 8, id="64-bits"),
+        pytest.param(4, 48, id="192-bits"),
+        pytest.param(7, 61, id="427-bits"),
+        pytest.param(3, 5, id="15-bits"),
+        pytest.param(1, 4, id="one-satellite"),
+        pytest.param(7, 1, id="one-step"),
+    ],
+)
+def test_intra_pairs_match_reference(n_s, n_steps, block_elements, monkeypatch):
+    """Random routings in which each beam moves to the next satellite now
+    and then, over beam ids in shuffled order."""
+    monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(n_s * 100 + n_steps)
+    n = 90
+    lats, lons = _users(n_steps, n, (-10.0, 10.0), (0.0, 360.0))
+    s = Scenario(grid=GRID, beams=beams_at(lats, lons, rng.permutation(n) * 3 + 10),
+                 geometry=ConstellationGeometry(n_s=n_s, altitude_km=8062.0))
+    moves = np.cumsum(rng.random((n_steps, n)) < 0.1, axis=0)
+    sat = (rng.integers(0, n_s, n) + moves) % n_s
+    expected = ref_derive_intra_pairs(s, {t: dict(zip(s.beam_ids(), row)) for t, row in enumerate(sat.tolist())})
+    if n_s == 1:
+        assert len(expected) == n * (n - 1) // 2
+    assert pair_set(derive_intra_pairs(s, sat)) == expected
+
+
+@pytest.mark.parametrize(
+    "n_users, band, digests",
+    [
+        pytest.param(
+            2000, 30.0,
+            {"intra": "9ea5937e6a1ba16b4bc8ba205e745449b704751753762e6f3d2496af57dd1bce",
+             "inter": "e2d85d0b67be199423e9877224c3f395d37a1e53c60edf42f357a007ea662890"},
+            id="2000-users-30deg",
+        ),
+        pytest.param(
+            100, 50.0,
+            {"intra": "12c8e89893812356be2f5eef7712448eff1f358aacb689ea36bf11fabf9a3b9c",
+             "inter": "b9970731213d9bfc4c484982523bfe3f79ddf11191d7bbe46db2601eb5eb0da5"},
+            id="100-users-50deg",
+        ),
+    ],
+)
+def test_benchmark_scenarios_derive_pinned_pair_arrays(n_users, band, digests):
+    """The seed-7 scenarios of the two iterative benchmark workloads derive
+    exactly these pair arrays (SHA-256 of their bytes), not only as many."""
+    params = GenerationParams(lat_band_deg=(-band, band))
+    scenario = generate_synthetic(seed=7, n_users=n_users, grid=GRID, geometry=GEOM, params=params)
+    restrictions = derive_restrictions(scenario)
+    got = {kind: hashlib.sha256(pairs.tobytes()).hexdigest() for kind, pairs in restrictions.pairs.items()}
+    assert got == digests
+
+
 class TestNearTies:
     def test_users_exactly_two_half_cones_apart_share_a_cluster(self):
         lats, lons = [0.0, 0.0], [0.0, 2.0]
@@ -235,7 +402,7 @@ class TestNearTies:
         beam = Beam(id=1, lat=0.0, lon=45.0)
         assert central_angle_deg(0.0, 45.0, 0.0, 0.0) == central_angle_deg(0.0, 45.0, 0.0, 90.0)
         s = Scenario(grid=GRID, beams=(beam,), geometry=geom, horizon_min=1.0, step_min=1.0)
-        routing = route_beams(s)
+        routing = routed_or_error(route_beams, s)
         assert routing == ref_route_beams(s)
         assert routing[0.0] == {1: 0}
 
@@ -249,7 +416,7 @@ class TestNearTies:
             for i, (lat, k) in enumerate(zip(rng.uniform(-20, 20, 300), rng.integers(-4, 5, 300)), 1)
         )
         s = Scenario(grid=GRID, beams=beams, geometry=geom, horizon_min=1.0, step_min=1.0)
-        assert route_beams(s) == ref_route_beams(s)
+        assert routed_or_error(route_beams, s) == ref_route_beams(s)
 
     def test_many_beams_exactly_at_the_minimum_elevation(self):
         geom = ConstellationGeometry(n_s=1, altitude_km=8062.0)
@@ -268,7 +435,8 @@ class TestNearTies:
         edge = elevation_deg(central_angle_deg(0.0, 40.0, 0.0, 0.0), geom.altitude_km)
         visible = Scenario(grid=GRID, beams=beams, geometry=geom, horizon_min=0.5, step_min=0.5,
                            min_elevation_deg=edge)
-        assert route_beams(visible) == ref_route_beams(visible) == {0.0: {1: 0, 2: 0}, 0.5: {1: 0, 2: 0}}
+        assert routed_or_error(route_beams, visible) == ref_route_beams(visible)
+        assert ref_route_beams(visible) == {0.0: {1: 0, 2: 0}, 0.5: {1: 0, 2: 0}}
         hidden = Scenario(grid=GRID, beams=beams, geometry=geom, horizon_min=0.5, step_min=0.5,
                           min_elevation_deg=math.nextafter(edge, 90.0))
         assert routed_or_error(route_beams, hidden) == routed_or_error(ref_route_beams, hidden) == (2, 0.0)
@@ -299,10 +467,9 @@ def traced_memory(fn):
 
 def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
     """Peak traced allocation while deriving M's pairs, beyond the routing
-    dicts it reads, stays below one beams x beams float64 array (1.57 MB at
-    443 beams), so a full angle array and its temporaries would not fit.
-    What the pair arrays keep (0.44 MB) is no yardstick: the routing alone
-    keeps more."""
+    array it reads (0.22 MB), stays below one beams x beams float64 array
+    (1.57 MB at 443 beams), so a full angle array and its temporaries would
+    not fit."""
     _, routing, _ = traced_memory(lambda: route_beams(m_scenario))
     restrictions, kept, peak = traced_memory(lambda: derive_restrictions(m_scenario))
     n = len(m_scenario.beams)
@@ -398,9 +565,10 @@ def test_validate_plan_raises_like_the_pairwise_loop(array_min_pairs, monkeypatc
     assert outcome(ref_validate_plan, plan, grid, unknown, beams) == (KeyError, "9")
 
 
-def test_pipeline_builds_one_partner_csr_per_plan_arrays(monkeypatch):
-    """The warm start and the optimizer each build one PlanArrays, and with
-    it the only partner CSR of the run; iterations build none."""
+def test_pipeline_builds_one_partner_csr_per_restriction_set(monkeypatch):
+    """The warm start and the optimizer each build one PlanArrays over the
+    same ids, and the optimizer's reuses the warm start's partner CSR, the
+    only one of the run; iterations build none."""
     built = []
     real_csr = iterative._partner_csr
     monkeypatch.setattr(iterative, "_partner_csr", lambda ids, r: built.append(len(ids)) or real_csr(ids, r))
@@ -409,7 +577,11 @@ def test_pipeline_builds_one_partner_csr_per_plan_arrays(monkeypatch):
     warm = greedy_warm_start(scenario, restrictions)
     optimize(scenario, restrictions, ObjectiveWeights(), warm_start=warm,
              config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
-    assert built == [98, 98]
+    assert built == [98]
+    # a plan over other ids gets its own CSR
+    wider = iterative.PlanArrays(FrequencyPlan({**warm.assignments, 10_000: Assignment.inactive()}),
+                                 restrictions, scenario.grid)
+    assert built == [98, 99] and len(wider.indptr) == 100
 
 
 def test_pipeline_reads_only_the_pair_arrays(monkeypatch):

@@ -893,6 +893,13 @@ def ref_route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:
     return routing
 
 
+def routing_as_dict(scenario: Scenario, sat: np.ndarray) -> dict[float, dict[int, int]]:
+    """route_beams' (steps, beams) satellite array in ref_route_beams' form:
+    {step: {beam id: satellite}}."""
+    ids = scenario.beam_ids()
+    return {t: dict(zip(ids, row)) for t, row in zip(routing_steps(scenario), sat.tolist(), strict=True)}
+
+
 def ref_derive_intra_pairs(scenario: Scenario, routing) -> frozenset[tuple[int, int]]:
     """Reference: pairs of beams sharing a satellite at any routing step."""
     pairs: set[tuple[int, int]] = set()

@@ -32,7 +32,7 @@ from .iterative import (
     optimize,
     score_option,
 )
-from .milp import MilpConfig, MilpModel, build_full_model, emit_lp, extract_plan
+from .milp import MilpModel, build_full_model, emit_lp, extract_plan
 from .model import (
     Assignment,
     Beam,
@@ -61,7 +61,6 @@ from .power import (
     fspl_db,
     load_modcod_csv,
     power_tables_for,
-    precompute_power_table,
     required_spectral_efficiency,
     select_modcod,
 )

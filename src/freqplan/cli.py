@@ -290,8 +290,7 @@ def cmd_emit_lp(args) -> int:
     scenario = scen.load_scenario(args.scenario)
     restrictions = scen.derive_restrictions(scenario)
     weights = _weights_from_args(args)
-    config = milp.MilpConfig(use_activation=args.activation)
-    model = milp.build_full_model(scenario, restrictions, weights, config)
+    model = milp.build_full_model(scenario, restrictions, weights, activation=args.activation)
     text = milp.emit_lp(model)
     with open(args.out, "w") as fh:
         fh.write(text)

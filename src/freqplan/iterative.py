@@ -66,8 +66,6 @@ class _OptionView(Sequence[BeamOption]):
         return len(self._oset.score)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[k] for k in range(*index.indices(len(self))))
         o = self._oset
         return BeamOption(int(o.f[index]), int(o.g[index]), int(o.b[index]), float(o.score[index]))
 
@@ -141,19 +139,18 @@ class IterationTrace:
         return [r.objective for r in self.records]
 
 
-def export_trace(trace: IterationTrace, path, deterministic: bool = True) -> None:
+def export_trace(trace: IterationTrace, path) -> None:
     """Write `iteration, objective, normalized_bw, beams_changed, wall_ms`.
 
-    With ``deterministic`` the wall_ms column is zeroed so repeated runs
-    produce byte-identical files; real timings stay on the in-memory trace.
+    The wall_ms column is written as 0 so repeated runs produce
+    byte-identical files; real timings stay on TraceRecord.wall_ms.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "objective", "normalized_bw", "beams_changed", "wall_ms"])
         for rec in trace.records:
-            wall = 0 if deterministic else int(round(rec.wall_ms))
             writer.writerow(
-                [rec.iteration, repr(rec.objective), repr(rec.normalized_bw), rec.beams_changed, wall]
+                [rec.iteration, repr(rec.objective), repr(rec.normalized_bw), rec.beams_changed, 0]
             )
 
 
@@ -679,10 +676,13 @@ def optimize(
 ) -> tuple[FrequencyPlan, IterationTrace]:
     """Run iterations until the objective stalls for ``convergence_window``
     consecutive iterations (or ``max_iterations``). The returned plan has
-    zero violations; the warm start need not be valid."""
-    if warm_start is None:
-        warm_start = greedy_warm_start(scenario, restrictions)
-    plan = sanitize_warm_start(warm_start, scenario, restrictions)
+    zero violations; a given warm start need not be valid and is repaired
+    first, while the greedy one is valid by construction."""
+    plan = (
+        greedy_warm_start(scenario, restrictions)
+        if warm_start is None
+        else sanitize_warm_start(warm_start, scenario, restrictions)
+    )
     state = IterationState(
         scenario=scenario,
         restrictions=restrictions,

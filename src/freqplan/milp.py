@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import (
-    DomainError,
     ExtractionError,
     ModelBuildError,
     UnsupportedConfigurationError,
@@ -101,39 +100,19 @@ class MilpModel:
         return name in self._index
 
 
-@dataclass(frozen=True)
-class MilpConfig:
-    """Big-M / epsilon settings. Defaults: the smallest M dominating every
-    occurrence in the pair constraints, and epsilon = 1 (exact for integer
-    quantities)."""
-
-    big_m: float | None = None
-    epsilon: float = 1.0
-    use_activation: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.epsilon <= 1):
-            raise DomainError("epsilon must be in (0, 1]")
-
-    def resolved_big_m(self, n_bw: int, n_rows: int) -> float:
-        if self.big_m is None:
-            return float(n_bw + n_rows + 2)
-        if self.big_m < n_bw + n_rows + 1:
-            raise DomainError(
-                f"big_m {self.big_m} below required {n_bw + n_rows + 1}"
-            )
-        return float(self.big_m)
-
-
 def build_full_model(
     scenario: Scenario,
     restrictions: RestrictionSets,
     weights: ObjectiveWeights,
-    config: MilpConfig = MilpConfig(),
+    activation: bool = False,
 ) -> MilpModel:
     """Build the complete model: per-beam decision variables, the reuse and
     polarization decomposition, spectrum bounds, and big-M pair constraints
-    for every intra- and inter-group restriction.
+    for every intra- and inter-group restriction. With ``activation`` each
+    beam gets a binary ``a_i`` that may switch it off.
+
+    M = n_bw + n_rows + 2 dominates every difference in the pair rows, and
+    epsilon = 1 makes their strict inequalities exact over integers.
 
     The power objective term is not representable here; any nonzero beta4
     is rejected (power-aware objectives live in the iterative formulation).
@@ -144,8 +123,8 @@ def build_full_model(
         )
     grid = scenario.grid
     restrictions.check_ids(scenario.beam_ids())
-    m_val = config.resolved_big_m(grid.n_bw, grid.n_rows)
-    eps = config.epsilon
+    m_val = float(grid.n_bw + grid.n_rows + 2)
+    eps = 1.0
 
     model = MilpModel()
     objective: list[tuple[float, str]] = []
@@ -164,12 +143,12 @@ def build_full_model(
         model.add_variable(f"b_{i}", beam.min_slots, width, INTEGER)
         model.add_variable(f"k_{i}", 1, grid.n_fr, INTEGER)
         model.add_variable(f"m_{i}", 0, grid.n_p - 1, INTEGER)
-        if config.use_activation:
+        if activation:
             model.add_variable(f"a_{i}", 0, 1, BINARY)
 
         spectrum_terms = [(1.0, f"f_{i}"), (1.0, f"b_{i}")]
         spectrum_rhs = float(slot_hi + 1)
-        if config.use_activation:
+        if activation:
             # f + b - 1 <= hi + M(1 - a)
             spectrum_terms.append((m_val, f"a_{i}"))
             spectrum_rhs += m_val
@@ -188,7 +167,7 @@ def build_full_model(
             objective.append((-b2, f"g_{i}"))
         if b3 != 0:
             objective.append((-b3, f"f_{i}"))
-        if config.use_activation and b5 != 0:
+        if activation and b5 != 0:
             objective.append((b5, f"a_{i}"))
 
     intra, inter = restrictions.intra, restrictions.inter
@@ -244,7 +223,7 @@ def build_full_model(
             # non-overlap, active iff y = 1, gated by z
             left = [(1.0, f"f_{i}"), (1.0, f"b_{i}"), (-1.0, f"f_{j}"), (m_val, y), (m_val, z)]
             right = [(1.0, f"f_{j}"), (1.0, f"b_{j}"), (-1.0, f"f_{i}"), (m_val, y), (-m_val, z)]
-            if config.use_activation:
+            if activation:
                 left += [(m_val, f"a_{i}"), (m_val, f"a_{j}")]
                 right += [(m_val, f"a_{i}"), (m_val, f"a_{j}")]
                 model.add_constraint(f"intra_left_{i}_{j}", left, LE, 4 * m_val)
@@ -289,7 +268,7 @@ def build_full_model(
             # non-overlap, active iff s = 0, gated by z
             left = [(1.0, f"f_{i}"), (1.0, f"b_{i}"), (-1.0, f"f_{j}"), (-m_val, s), (m_val, z)]
             right = [(1.0, f"f_{j}"), (1.0, f"b_{j}"), (-1.0, f"f_{i}"), (-m_val, s), (-m_val, z)]
-            if config.use_activation:
+            if activation:
                 left += [(m_val, f"a_{i}"), (m_val, f"a_{j}")]
                 right += [(m_val, f"a_{i}"), (m_val, f"a_{j}")]
                 model.add_constraint(f"inter_left_{i}_{j}", left, LE, 3 * m_val)

@@ -246,17 +246,6 @@ class PowerTable:
         return self._at(self.by_slots_carried, b)
 
 
-def precompute_power_table(
-    beam: Beam,
-    grid: FrequencyGrid,
-    link: LinkBudget,
-    table: ModCodTable,
-    big_m: float,
-) -> PowerTable:
-    """Power for every slot count b in 1..n_bw at this beam's demand."""
-    return power_tables_for((beam,), grid, link, table, big_m)[beam.id]
-
-
 def power_tables_for(
     beams: Sequence[Beam],
     grid: FrequencyGrid,

@@ -383,24 +383,6 @@ def route_beams(scenario: Scenario) -> np.ndarray:
     return sat
 
 
-def _block_pairs(ids: Sequence[int], pair_mask) -> np.ndarray:
-    """The id pairs, as model.canonical_pairs, of the beams at positions
-    i < j that are marked in ``pair_mask(lo, hi)``, a boolean array over
-    positions [lo, hi) x [lo, n). Rows go in blocks of about _BLOCK_ELEMENTS
-    cells. With ids ascending by position, as generated, the pairs come out
-    canonical and are not sorted again."""
-    n = len(ids)
-    keys = np.asarray(ids, dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // n)
-    blocks = []
-    for lo in range(0, n, step):
-        r, c = np.nonzero(np.triu(pair_mask(lo, min(n, lo + step)), 1))
-        blocks.append(np.column_stack((keys[r + lo], keys[c + lo])))
-    pairs = np.concatenate(blocks)
-    del blocks  # before canonical_pairs' temporaries
-    return canonical_pairs(pairs)
-
-
 def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     """Pairs of beams sharing a satellite at any routing step, as
     model.canonical_pairs, from route_beams' (steps, beams) array ``sat``.
@@ -416,8 +398,14 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     # words[w, i]: word w of the i-th beam
     words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
     del member
-
-    def shares_satellite(lo: int, hi: int) -> np.ndarray:
+    # Rows of the upper triangle go in blocks of about _BLOCK_ELEMENTS
+    # cells. With ids ascending by position, as generated, the pairs come
+    # out canonical and are not sorted again.
+    keys = np.asarray(scenario.beam_ids(), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    blocks = []
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
         shared = np.zeros((hi - lo, n - lo), dtype=bool)
         both = np.empty(shared.shape, dtype=np.uint64)
         hit = np.empty_like(shared)
@@ -425,9 +413,11 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
             np.bitwise_and(word[lo:hi, None], word[None, lo:], out=both)
             np.not_equal(both, 0, out=hit)
             shared |= hit
-        return shared
-
-    return _block_pairs(scenario.beam_ids(), shares_satellite)
+        r, c = np.nonzero(np.triu(shared, 1))
+        blocks.append(np.column_stack((keys[r + lo], keys[c + lo])))
+    pairs = np.concatenate(blocks)
+    del blocks  # before canonical_pairs' temporaries
+    return canonical_pairs(pairs)
 
 
 def derive_inter_pairs(scenario: Scenario) -> np.ndarray:

@@ -59,6 +59,21 @@ def plan_with_unknown_beam(tmp_path, scenario_file):
     return path
 
 
+def three_beams_on_one_cell(path):
+    """Three pairwise-intra beams on a 1x1x1 grid: at most one fits, so the
+    full model, which keeps every beam active, has no feasible point."""
+    save_scenario(
+        Scenario(
+            grid=FrequencyGrid(n_bw=1, n_fr=1, n_p=1),
+            beams=(Beam(id=1), Beam(id=2), Beam(id=3)),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+            restrictions=RestrictionSets.of(intra=[(1, 2), (1, 3), (2, 3)]),
+        ),
+        path,
+    )
+    return path
+
+
 class TestGenerate:
     def test_writes_scenario(self, scenario_file):
         assert scenario_file.exists()
@@ -142,6 +157,32 @@ class TestOptimize:
         assert rc == 1
         assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
         assert not (tmp_path / "out.csv").exists()
+
+    def test_full_mode_without_feasible_point_exits_3(self, tmp_path, capsys):
+        scen = three_beams_on_one_cell(tmp_path / "crowded.json")
+        plan = tmp_path / "plan.csv"
+        capsys.readouterr()
+        rc = main(["optimize", str(scen), "--mode", "full", "--out-plan", str(plan)])
+        assert rc == 3
+        assert capsys.readouterr().err == "solver status: infeasible\n"
+        assert not plan.exists()
+
+    def test_report_without_warm_bandwidth_has_no_increase(self, tmp_path, capsys):
+        """An all-inactive warm start has normalized bandwidth 0, so there is
+        no increase to report: the CSV field is empty and the summary leaves
+        the line out."""
+        scen = three_beams_on_one_cell(tmp_path / "crowded.json")
+        warm, report = tmp_path / "warm.csv", tmp_path / "report.csv"
+        save_plan_csv(FrequencyPlan({i: Assignment.inactive() for i in (1, 2, 3)}), warm)
+        capsys.readouterr()
+        assert main(["optimize", str(scen), "--n-ch", "3", "--window", "2", "--warm-start", str(warm),
+                     "--out-plan", str(tmp_path / "plan.csv"), "--report", str(report)]) == 0
+        row = next(csv.DictReader(report.read_text().splitlines()))
+        assert float(row["bw_warm"]) == 0.0 and float(row["bw_final"]) > 0.0
+        assert row["bw_increase_pct"] == ""
+        out = capsys.readouterr().out
+        assert "normalized BW:   warm 0.0000 -> final" in out
+        assert "BW increase" not in out
 
     def test_warm_start_file_replaces_greedy(self, tmp_path, scenario_file, monkeypatch):
         first = tmp_path / "first.csv"

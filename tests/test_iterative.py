@@ -1074,6 +1074,55 @@ class TestOptimize:
         assert validate_plan(oracle.plan, s.grid, s.restrictions, s.beams) == []
         assert oracle.objective == 2.0
 
+    def test_one_uncapped_iteration_reaches_the_power_aware_oracle(self):
+        """Acceptance 03 with power: where the greedy start places every
+        beam, one iteration over every beam with every candidate and no node
+        cap reaches the brute-force optimum, whose scores subtract beta4
+        times the power table's dBW."""
+        rng = np.random.default_rng(31)
+        compared = moved_by_power = 0
+        for _ in range(60):
+            s, _ = random_instance(rng, max_beams=4, max_bw=4)
+            s = dataclasses.replace(s, grid=dataclasses.replace(s.grid, slot_bandwidth_hz=20e6))
+            tables = power_tables_for(s.beams, s.grid, LinkBudget())
+            w = ObjectiveWeights(
+                beta1=1.0, beta2=float(rng.uniform(0, 0.05)), beta3=float(rng.uniform(0, 0.05)),
+                beta4=float(rng.uniform(0.05, 0.5)),
+            )
+            warm = greedy_warm_start(s, s.restrictions)
+            if any(not warm[b.id].active for b in s.beams):
+                continue  # keep the candidate spaces identical: every beam re-placed
+            oracle = brute_force_best_plan(s, s.restrictions, w, power_table=tables)
+            config = IterationConfig(
+                n_ch=len(s.beams), top_per_bandwidth=None, convergence_window=1,
+                max_iterations=1, node_budget=0,
+            )
+            plan, _ = optimize(s, s.restrictions, w, config=config, power_table=tables)
+            assert objective_value(plan, w, tables) == pytest.approx(oracle.objective, abs=1e-6)
+            without = brute_force_best_plan(s, s.restrictions, dataclasses.replace(w, beta4=0.0))
+            moved_by_power += without.plan.assignments != oracle.plan.assignments
+            compared += 1
+        assert compared >= 20 and moved_by_power > 0
+
+    def test_validates_only_a_given_start(self, monkeypatch):
+        """The greedy start is valid by construction; only a start from the
+        caller goes through sanitize_warm_start's validate_plan."""
+        s = self.small_scenario()
+        calls = []
+        real = iterative.validate_plan
+        monkeypatch.setattr(
+            iterative, "validate_plan", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        config = IterationConfig(n_ch=2, seed=3, convergence_window=4)
+        own, _ = optimize(s, s.restrictions, ObjectiveWeights(), config=config)
+        assert len(calls) == 0
+        given, _ = optimize(
+            s, s.restrictions, ObjectiveWeights(),
+            warm_start=greedy_warm_start(s, s.restrictions), config=config,
+        )
+        assert len(calls) == 1
+        assert own.assignments == given.assignments
+
     def small_scenario(self):
         beams = [Beam(id=i) for i in (1, 2, 3, 4)]
         return scenario_with(
@@ -1139,21 +1188,4 @@ class TestTraceExport:
         header, first = a.read_text().splitlines()[:2]
         assert header == "iteration,objective,normalized_bw,beams_changed,wall_ms"
         assert first.endswith(",0")
-
-    def test_non_deterministic_export_keeps_timings(self, tmp_path):
-        s = Scenario(
-            grid=GRID,
-            beams=(Beam(id=1),),
-            geometry=GEOM,
-            restrictions=RestrictionSets(),
-        )
-        config = IterationConfig(n_ch=1, seed=0, convergence_window=2)
-        _, trace = optimize(s, s.restrictions, ObjectiveWeights(), config=config)
-        trace.records[0] = type(trace.records[0])(
-            iteration=1, objective=trace.records[0].objective,
-            normalized_bw=trace.records[0].normalized_bw,
-            beams_changed=0, wall_ms=12.6,
-        )
-        out = tmp_path / "t.csv"
-        export_trace(trace, out, deterministic=False)
-        assert out.read_text().splitlines()[1].endswith(",13")
+        assert all(rec.wall_ms > 0 for rec in trace.records)  # timings stay in memory

@@ -8,10 +8,8 @@ import pytest
 from freqplan import (
     Beam,
     ConstellationGeometry,
-    DomainError,
     ExtractionError,
     FrequencyGrid,
-    MilpConfig,
     MilpModel,
     ModelBuildError,
     ObjectiveWeights,
@@ -76,9 +74,7 @@ class TestModelShape:
     def test_activation_adds_one_binary_per_beam(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
         base = build_full_model(s, s.restrictions, ObjectiveWeights())
-        act = build_full_model(
-            s, s.restrictions, ObjectiveWeights(), MilpConfig(use_activation=True)
-        )
+        act = build_full_model(s, s.restrictions, ObjectiveWeights(), activation=True)
         base_names = {v.name for v in base.variables}
         act_names = {v.name for v in act.variables}
         assert act_names - base_names == {"a_1", "a_2"}
@@ -104,13 +100,15 @@ class TestModelShape:
         with pytest.raises(ModelBuildError):
             build_full_model(s, s.restrictions, ObjectiveWeights())
 
-    def test_big_m_default_and_floor(self):
-        cfg = MilpConfig()
-        assert cfg.resolved_big_m(4, 4) == 10.0
-        with pytest.raises(DomainError):
-            MilpConfig(big_m=5).resolved_big_m(4, 4)
-        with pytest.raises(DomainError):
-            MilpConfig(epsilon=0.0)
+    def test_big_m_and_epsilon_are_constants(self):
+        # M = n_bw + n_rows + 2 = 10 on the 4-slot, 4-row grid; epsilon = 1
+        s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
+        model = build_full_model(s, s.restrictions, ObjectiveWeights())
+        by_name = {c.name: c for c in model.constraints}
+        assert by_name["rel_left_1_2"].terms[-1] == (-10.0, "z_1_2")
+        assert by_name["rel_left_1_2"].rhs == -10.0
+        assert by_name["rel_right_1_2"].rhs == 1.0
+        assert by_name["row_gt_1_2"].rhs == -9.0
 
 
 class TestModelIr:
@@ -230,9 +228,7 @@ class TestExtraction:
             Beam(id=2, allowed_rows=(1, 1), allowed_slots=(1, 1)),
         ]
         s = scenario_with(beams, intra=[(1, 2)])
-        model = build_full_model(
-            s, s.restrictions, ObjectiveWeights(beta5=10.0), MilpConfig(use_activation=True)
-        )
+        model = build_full_model(s, s.restrictions, ObjectiveWeights(beta5=10.0), activation=True)
         sol = solve_exact(model)
         plan = extract_plan(model, sol, s)
         actives = [i for i, _ in plan.active_items()]

@@ -17,7 +17,6 @@ from freqplan import (
     fspl_db,
     load_modcod_csv,
     power_tables_for,
-    precompute_power_table,
     required_spectral_efficiency,
     select_modcod,
 )
@@ -137,7 +136,7 @@ class TestPowerTables:
     def test_table_lookup_ignores_position(self):
         beam = Beam(id=4, demand_bps=80e6)
         grid = FrequencyGrid(n_bw=8, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
-        table = precompute_power_table(beam, grid, LinkBudget(), DEFAULT_MODCODS, 1000.0)
+        table = power_tables_for((beam,), grid, LinkBudget(), DEFAULT_MODCODS, 1000.0)[4]
         assert table.beam_id == 4
         assert len(table.by_slots_dbw) == grid.n_bw
         assert table.value(1, 3) == table.value(5, 3)
@@ -175,7 +174,7 @@ class TestPowerTables:
     @pytest.mark.parametrize("b", [0, -1, 9])
     def test_width_outside_the_grid_raises(self, b):
         grid = FrequencyGrid(n_bw=8, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
-        table = precompute_power_table(Beam(id=4, demand_bps=80e6), grid, LinkBudget(), DEFAULT_MODCODS, 1000.0)
+        table = power_tables_for((Beam(id=4, demand_bps=80e6),), grid, LinkBudget(), DEFAULT_MODCODS, 1000.0)[4]
         for lookup in (lambda: table.value(1, b), lambda: table.watts(1, b), lambda: table.carries(b)):
             with pytest.raises(DomainError, match=rf"beam 4: b={b} outside 1\.\.8"):
                 lookup()

@@ -10,7 +10,6 @@ from freqplan import (
     ConstellationGeometry,
     FrequencyGrid,
     InstanceTooLargeError,
-    MilpConfig,
     MilpModel,
     ObjectiveWeights,
     RestrictionSets,
@@ -141,8 +140,9 @@ def _fields(sol):
 def _general_model(rng):
     """A small general-integer program of the kinds full models never
     produce: negative ranges, ">=" and "=" rows with negative coefficients,
-    and a fractional, integral or empty objective. Most right-hand sides
-    hold at a random point of the box, so most models are feasible."""
+    a fractional, integral or empty objective, and some fractional
+    right-hand sides. Most right-hand sides hold at a random point of the
+    box, so most models are feasible."""
     m = MilpModel()
     names = [f"x{k}" for k in range(int(rng.integers(2, 8)))]
     point = {}
@@ -160,6 +160,8 @@ def _general_model(rng):
         rhs = {"<=": at_point + slack, ">=": at_point - slack, "=": at_point}[sense]
         if rng.random() < 0.2:
             rhs = float(rng.integers(-6, 7))
+        if rng.random() < 0.25:
+            rhs += float(rng.choice([-0.5, -0.3, 0.3, 0.5]))
         m.add_constraint(f"c{r}", terms, sense, rhs)
     kind = rng.integers(3)
     if kind == 0:
@@ -183,8 +185,7 @@ class TestIncrementalPropagation:
         rng = np.random.default_rng(6000 + chunk)
         for k in range(40):
             s, w = random_instance(rng)
-            config = MilpConfig(use_activation=bool(k % 2), epsilon=(1.0, 0.5, 0.3)[k % 3])
-            model = build_full_model(s, s.restrictions, w, config)
+            model = build_full_model(s, s.restrictions, w, activation=bool(k % 2))
             caps = (0, 1, 7, 30) if k % 10 == 0 else (1, 7, 30)
             for cap in caps:
                 got = solve_exact(model, SolveLimits(max_nodes=cap))

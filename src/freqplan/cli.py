@@ -214,16 +214,17 @@ def cmd_optimize(args) -> int:
         link = scenario.link or power.LinkBudget()
         tables = power.power_tables_for(scenario.beams, scenario.grid, link)
 
-    if args.warm_start is not None:
-        # The report's warm figures are those of the repaired start that the
-        # iterative mode begins from, in either mode: no width outside the
-        # grid reaches a power table. The file may omit beams but not name
-        # one the scenario lacks.
-        warm = iterative.sanitize_warm_start(load_plan_csv(args.warm_start), scenario, restrictions)
-    else:
-        warm = iterative.greedy_warm_start(scenario, restrictions)
-
+    # The file may omit beams but not name one the scenario lacks.
+    warm_file = None if args.warm_start is None else load_plan_csv(args.warm_start)
     if args.mode == "full":
+        # The report's warm figures are those of the start the iterative
+        # mode would begin from: no width outside the grid reaches a power
+        # table.
+        warm = (
+            iterative.greedy_warm_start(scenario, restrictions)
+            if warm_file is None
+            else iterative.sanitize_warm_start(warm_file, scenario, restrictions)
+        )
         model = milp.build_full_model(scenario, restrictions, weights)
         solution = solver.solve_exact(model)
         if solution.status not in ("optimal", "feasible"):
@@ -240,10 +241,12 @@ def cmd_optimize(args) -> int:
             max_iterations=args.max_iterations,
             node_budget=args.node_budget,
         )
+        # optimize repairs the file's start once, or builds the greedy one
         plan, trace = iterative.optimize(
             scenario, restrictions, weights,
-            warm_start=warm, config=config, power_table=tables,
+            warm_start=warm_file, config=config, power_table=tables,
         )
+        warm = trace.start
         iterations = len(trace.records)
 
     save_plan_csv(plan, args.out_plan)

@@ -133,7 +133,10 @@ class TraceRecord:
 
 @dataclass
 class IterationTrace:
+    """Per-iteration records, and the valid plan the run started from."""
+
     records: list[TraceRecord] = field(default_factory=list)
+    start: FrequencyPlan | None = None
 
     def objectives(self) -> list[float]:
         return [r.objective for r in self.records]
@@ -240,10 +243,11 @@ def _partner_csr(ids: np.ndarray, restrictions: RestrictionSets) -> tuple[np.nda
             raise KeyError(int(pairs[~found][0]))
         owners += [at[:, 0], at[:, 1]]
         partners += [at[:, 1] + offset, at[:, 0] + offset]
-    owner = np.concatenate(owners)
+    owner, partner = np.concatenate(owners), np.concatenate(partners)
+    del owners, partners  # the pair positions, before the sort's temporaries
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    indices = np.concatenate(partners)[np.argsort(owner, kind="stable")]
+    indices = partner[np.argsort(owner, kind="stable")]
     indptr.flags.writeable = indices.flags.writeable = False  # shared by every PlanArrays over ids
     return indptr, indices
 
@@ -677,7 +681,8 @@ def optimize(
     """Run iterations until the objective stalls for ``convergence_window``
     consecutive iterations (or ``max_iterations``). The returned plan has
     zero violations; a given warm start need not be valid and is repaired
-    first, while the greedy one is valid by construction."""
+    first, while the greedy one is valid by construction. The trace's
+    ``start`` is the plan the iterations began from."""
     plan = (
         greedy_warm_start(scenario, restrictions)
         if warm_start is None
@@ -691,6 +696,7 @@ def optimize(
         plan=plan,
         power_table=power_table,
     )
+    state.trace.start = plan
     rng = np.random.default_rng(config.seed)
     while state.iteration < config.max_iterations:
         state = iterate_once(state, rng)

@@ -187,8 +187,15 @@ class RestrictionSets:
         return frozenset(map(tuple, self.pairs["inter"].tolist()))
 
     def check_ids(self, beam_ids: Iterable[int]) -> None:
+        """Raise DomainError on the first pair, intra then inter, that names
+        an id outside ``beam_ids``. A kind of _ARRAY_MIN_PAIRS pairs or more
+        is tested at once against the sorted ids (pair_positions); a smaller
+        one pair by pair."""
         known = set(beam_ids)
         for kind, pairs in self.pairs.items():
+            if len(pairs) >= _ARRAY_MIN_PAIRS:
+                found = pair_positions(np.sort(np.fromiter(known, dtype=np.int64, count=len(known))), pairs)[1]
+                pairs = pairs[np.flatnonzero(~(found[:, 0] & found[:, 1]))[:1]]  # the first unknown, if any
             for i, j in pairs.tolist():
                 if i not in known or j not in known:
                     raise DomainError(f"{kind} pair ({i}, {j}) references unknown beam")
@@ -378,36 +385,48 @@ def _plan_arrays(plan: FrequencyPlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of each pair's two ids in the sorted ``ids`` (a missing one
-    where it would be inserted) and whether each is there, both (n, 2). A
-    column at a time: the sorted first column searches fastest alone. The
-    positions are int32, half the memory of millions of pairs."""
-    at = np.empty(pairs.shape, dtype=np.int32)
+    """Positions of each pair's two ids in the sorted, distinct ``ids`` (a
+    missing one where it would be inserted) and whether each is there, both
+    (n, 2). The positions are int32, half the memory of millions of pairs,
+    found a column at a time into a column-major array. When ``ids`` are
+    contiguous, as generated ids are, a position is the id's offset from the
+    first, clipped to the insertion points 0 and len(ids); else the sorted
+    first column searches fastest alone."""
+    n = len(ids)
+    at = np.empty((2, len(pairs)), dtype=np.int32)
+    if n and ids[-1] - ids[0] == n - 1:
+        lo = ids[0]
+        for c in range(2):
+            np.subtract(np.clip(pairs[:, c], lo, lo + n), lo, out=at[c], casting="unsafe")
+        return at.T, (pairs >= lo) & (pairs < lo + n)
     for c in range(2):
-        at[:, c] = np.searchsorted(ids, pairs[:, c])
-    return at, (at < len(ids)) & (np.append(ids, 0)[at] == pairs)
+        at[c] = np.searchsorted(ids, pairs[:, c])
+    return at.T, (at.T < n) & (np.append(ids, 0)[at.T] == pairs)
 
 
-# Pairs per block of _flagged_pairs: its gathered (pairs, 2, 4) int64 plan
-# state is then 2 MB, however many pairs there are.
+# Pairs per block of _flagged_pairs: its gathered per-pair temporaries stay
+# below 2 MB, however many pairs there are.
 _FLAG_BLOCK_PAIRS = 1 << 15
 
 
 def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndarray, n_p: int) -> np.ndarray:
-    """Mask of the pairs on which _pair_violation reports or raises, found
-    for a block of pairs at once: both beams active with the same row
-    (intra) or polarization (inter) and intersecting slot intervals, or an
-    id the plan lacks (KeyError)."""
+    """Mask of the pairs on which _pair_violation may report or raise,
+    found for a block of pairs at once: an id the plan lacks (KeyError), or
+    both beams on the same key with intersecting slot intervals.
+
+    A position's key is its row (intra) or polarization (inter) when the
+    beam is active, else a negative value of its own. An inactive beam's key
+    can then match only an active beam's invalid negative row, a pair that
+    _pair_violation passes.
+    """
+    active, f, g, b = state.T
+    key = np.where(active != 0, g if kind == "intra-overlap" else _polarization(g, n_p), -1 - np.arange(len(g)))
+    last = f + b - 1
     flagged = np.empty(len(pairs), dtype=bool)
     for lo in range(0, len(pairs), _FLAG_BLOCK_PAIRS):
         at, found = pair_positions(ids, pairs[lo:lo + _FLAG_BLOCK_PAIRS])
-        known = found.all(axis=1)
-        active, f, g, b = np.moveaxis(state[at], 2, 0)  # each (block, 2)
-        both = known & active.all(axis=1)
-        if kind == "inter-overlap":
-            g = _polarization(g, n_p)
-        last = f + b - 1
-        flagged[lo:lo + len(at)] = ~known | both & (g[:, 0] == g[:, 1]) & (f[:, 0] <= last[:, 1]) & (f[:, 1] <= last[:, 0])
+        i, j = at.T
+        flagged[lo:lo + len(at)] = ~(found[:, 0] & found[:, 1]) | (key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])
     return flagged
 
 

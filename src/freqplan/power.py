@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .model import Beam, FrequencyGrid
 
@@ -246,6 +248,11 @@ class PowerTable:
         return self._at(self.by_slots_carried, b)
 
 
+# beams per block of power_tables_for's (beams, widths) arrays, which keeps
+# them and their nested lists short-lived
+_TABLE_BLOCK_BEAMS = 512
+
+
 def power_tables_for(
     beams: Sequence[Beam],
     grid: FrequencyGrid,
@@ -254,24 +261,39 @@ def power_tables_for(
     big_m: float = 1000.0,
 ) -> dict[int, PowerTable]:
     """Precompute power tables for every beam: the values beam_power gives
-    at each width b * slot_bandwidth_hz. Widths that select the same MODCOD
-    need the same power, so the chain runs once per MODCOD a beam uses."""
-    efficiencies = [e.spectral_efficiency for e in table.entries]
+    at each width b * slot_bandwidth_hz.
+
+    For a block of beams at once, gamma_req of every (beam, width) is
+    required_spectral_efficiency's expression in its order of operations,
+    and the MODCOD is _modcod_index's: a left searchsorted, then the >= test
+    that rejects NaN. Widths that select the same MODCOD need the same
+    power, so the scalar chain runs once per (beam, MODCOD)."""
+    efficiencies = np.array([e.spectral_efficiency for e in table.entries], dtype=np.float64)
+    uncarried = len(efficiencies)  # the MODCOD column of a width none carries
     path_loss, noise_db = fspl_db(link.distance_m, link.carrier_hz), _noise_db(link)
+    bw_hz = np.arange(1, grid.n_bw + 1) * grid.slot_bandwidth_hz
     tables = {}
-    for beam in beams:
-        by_modcod: dict[int | None, tuple[float, float, bool]] = {}
-        rows = []
-        for b in range(1, grid.n_bw + 1):
-            gamma_req = required_spectral_efficiency(beam.demand_bps, link.rolloff, b * grid.slot_bandwidth_hz)
-            k = _modcod_index(efficiencies, gamma_req)
-            if k not in by_modcod:
-                if k is None:
-                    by_modcod[k] = (big_m, 10.0 ** (big_m / 10.0), False)
-                else:
-                    _, dbw, watts = _carried_power(table.entries[k], beam.demand_bps, link, path_loss, noise_db)
-                    by_modcod[k] = (dbw, watts, True)
-            rows.append(by_modcod[k])
-        dbw, watts, carried = zip(*rows)
-        tables[beam.id] = PowerTable(beam.id, dbw, watts, carried)
+    for lo in range(0, len(beams), _TABLE_BLOCK_BEAMS):
+        block = beams[lo : lo + _TABLE_BLOCK_BEAMS]
+        demand = np.array([beam.demand_bps for beam in block], dtype=np.float64)
+        if (demand < 0).any():
+            raise DomainError("demand_bps must be >= 0")
+        gamma = (demand * (1.0 + link.rolloff))[:, None] / bw_hz
+        k = np.searchsorted(efficiencies, gamma)
+        carried = np.append(efficiencies, -np.inf)[k] >= gamma
+        k[~carried] = uncarried
+        # the (dbw, watts) of each (beam, MODCOD) the block uses, as Python
+        # floats that every width selecting it shares
+        codes, inverse = np.unique(np.arange(len(block))[:, None] * (uncarried + 1) + k, return_inverse=True)
+        powers = np.empty((len(codes), 2), dtype=object)
+        powers[:] = [
+            (big_m, 10.0 ** (big_m / 10.0)) if c == uncarried
+            else _carried_power(table.entries[c], block[r].demand_bps, link, path_loss, noise_db)[1:]
+            for r, c in (divmod(code, uncarried + 1) for code in codes.tolist())
+        ]
+        powers = powers[inverse.reshape(k.shape)]
+        for beam, by_dbw, by_w, by_carried in zip(
+            block, powers[..., 0].tolist(), powers[..., 1].tolist(), carried.tolist()
+        ):
+            tables[beam.id] = PowerTable(beam.id, tuple(by_dbw), tuple(by_w), tuple(by_carried))
     return tables

@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -236,6 +237,28 @@ def _cluster_users(lats: np.ndarray, lons: np.ndarray, half_cone_deg: float) -> 
     return clusters
 
 
+def _cluster_reductions(clusters: list[list[int]], lats, lons, demands) -> list[list[float]]:
+    """Per cluster, the np.mean of its members' lats and lons and the np.sum
+    of their demands: three lists in cluster order.
+
+    Clusters of one size are reduced together along the rows of their
+    (clusters, size) member matrix. numpy sums each C-contiguous row as it
+    sums a 1-D array (pairwise, with the same grouping at 8 and 128
+    elements), so every value equals the per-cluster call's.
+    """
+    sizes = np.fromiter(map(len, clusters), dtype=np.int64, count=len(clusters))
+    members = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((3, len(clusters)))
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        which = np.flatnonzero(sizes == size)
+        rows = members[starts[which, None] + np.arange(size)]
+        out[0, which] = np.mean(lats[rows], axis=1)
+        out[1, which] = np.mean(lons[rows], axis=1)
+        out[2, which] = np.sum(demands[rows], axis=1)
+    return out.tolist()
+
+
 def generate_synthetic(
     seed: int,
     n_users: int,
@@ -268,19 +291,12 @@ def generate_synthetic(
     demands = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_users))
 
     clusters = _cluster_users(lats, lons, half_cone_deg)
+    centroids = _cluster_reductions(clusters, lats, lons, demands)
 
-    beams = []
-    for idx, members in enumerate(clusters, start=1):
-        beams.append(
-            Beam(
-                id=idx,
-                kind="user",
-                lat=float(np.mean(lats[members])),
-                lon=float(np.mean(lons[members])),
-                demand_bps=float(np.sum(demands[members])),
-                min_slots=params.min_slots,
-            )
-        )
+    beams = [
+        Beam(id=idx, kind="user", lat=lat, lon=lon, demand_bps=demand, min_slots=params.min_slots)
+        for idx, (lat, lon, demand) in enumerate(zip(*centroids), start=1)
+    ]
     for gw in range(params.n_gateways):
         beams.append(
             Beam(

@@ -199,6 +199,22 @@ class TestOptimize:
         assert rc == 0
         assert main(["validate", str(plan), str(scenario_file)]) == 0
 
+    def test_start_is_validated_once(self, tmp_path, scenario_file, monkeypatch):
+        """The iterative mode validates no start of its own making (the
+        greedy one is valid by construction) and repairs a --warm-start file
+        once, in iterative.optimize."""
+        calls = []
+        real = iterative.validate_plan
+        monkeypatch.setattr(iterative, "validate_plan", lambda *a: calls.append(1) or real(*a))
+        first = tmp_path / "first.csv"
+        assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                     "--beta4", "0.05", "--out-plan", str(first)]) == 0
+        assert len(calls) == 0
+        assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                     "--beta4", "0.05", "--warm-start", str(first),
+                     "--out-plan", str(tmp_path / "plan.csv")]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("width", [0, 6], ids=["width-0", "past-the-grid"])
     def test_warm_start_width_outside_the_grid_is_repaired(self, tmp_path, scenario_file, width):
         """A warm-start row whose width lies outside 1..n_bw (5 here) is

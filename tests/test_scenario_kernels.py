@@ -7,6 +7,7 @@ thresholds where numpy's and math's trigonometry could disagree by an ulp.
 
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -33,9 +34,10 @@ from freqplan import (
     route_beams,
     validate_plan,
 )
-from freqplan import iterative, model, scenario as scenario_mod
+from freqplan import iterative, model, power as power_mod, scenario as scenario_mod
 from freqplan.iterative import IterationConfig
 from freqplan.model import ObjectiveWeights
+from freqplan.power import DEFAULT_MODCODS, LinkBudget, beam_power, power_tables_for
 from freqplan.scenario import (
     EARTH_RADIUS_KM,
     _cluster_users,
@@ -332,24 +334,29 @@ def test_intra_pairs_match_reference(n_s, n_steps, block_elements, monkeypatch):
         pytest.param(
             2000, 30.0,
             {"intra": "9ea5937e6a1ba16b4bc8ba205e745449b704751753762e6f3d2496af57dd1bce",
-             "inter": "e2d85d0b67be199423e9877224c3f395d37a1e53c60edf42f357a007ea662890"},
+             "inter": "e2d85d0b67be199423e9877224c3f395d37a1e53c60edf42f357a007ea662890",
+             "csr": "52aad3f117972ea70a73ff6786dc17a5e3fe059a54f515bbbf0b74ba018deced"},
             id="2000-users-30deg",
         ),
         pytest.param(
             100, 50.0,
             {"intra": "12c8e89893812356be2f5eef7712448eff1f358aacb689ea36bf11fabf9a3b9c",
-             "inter": "b9970731213d9bfc4c484982523bfe3f79ddf11191d7bbe46db2601eb5eb0da5"},
+             "inter": "b9970731213d9bfc4c484982523bfe3f79ddf11191d7bbe46db2601eb5eb0da5",
+             "csr": "7bd62c4e6a3533f419b9397a57cd3ee459599c56f95f4f0f409701bfcee1b2a5"},
             id="100-users-50deg",
         ),
     ],
 )
 def test_benchmark_scenarios_derive_pinned_pair_arrays(n_users, band, digests):
     """The seed-7 scenarios of the two iterative benchmark workloads derive
-    exactly these pair arrays (SHA-256 of their bytes), not only as many."""
+    exactly these pair arrays and partner CSR (SHA-256 of their bytes, the
+    CSR's indptr then indices), not only as many."""
     params = GenerationParams(lat_band_deg=(-band, band))
     scenario = generate_synthetic(seed=7, n_users=n_users, grid=GRID, geometry=GEOM, params=params)
     restrictions = derive_restrictions(scenario)
     got = {kind: hashlib.sha256(pairs.tobytes()).hexdigest() for kind, pairs in restrictions.pairs.items()}
+    indptr, indices = iterative._partner_csr(np.array(sorted(scenario.beam_ids())), restrictions)
+    got["csr"] = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
     assert got == digests
 
 
@@ -600,3 +607,153 @@ def test_pipeline_reads_only_the_pair_arrays(monkeypatch):
     plan, _ = optimize(scenario, restrictions, ObjectiveWeights(), warm_start=warm,
                        config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
     assert validate_plan(plan, scenario.grid, restrictions, scenario.beams) == []
+
+
+# SHA-256 of the beams the two iterative benchmark workloads generate: per
+# beam, id, lat, lon and demand_bps as float64 bytes
+BENCHMARK_BEAMS = {
+    "s_iterate": (100, 50.0, "570ddeebeecc189b4200b241be5cf05c208d443ac99fd7f0d9e2c99398d88910"),
+    "l_pipeline": (2000, 30.0, "1002e433a2a1eecdda7456615a8b2532354dcd365da0286829b609d71ac35606"),
+}
+
+
+def benchmark_scenario(name):
+    n_users, band, _ = BENCHMARK_BEAMS[name]
+    params = GenerationParams(lat_band_deg=(-band, band))
+    return generate_synthetic(seed=7, n_users=n_users, grid=GRID, geometry=GEOM, params=params)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_BEAMS))
+def test_benchmark_scenarios_generate_pinned_beams(name):
+    beams = benchmark_scenario(name).beams
+    rows = np.array([(b.id, b.lat, b.lon, b.demand_bps) for b in beams], dtype=np.float64)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == BENCHMARK_BEAMS[name][2]
+
+
+def test_benchmark_power_tables_are_pinned():
+    """l_pipeline's power tables, every beam's by_slots_dbw, then by_slots_w
+    (float64 bytes) and by_slots_carried (bool bytes), in beam order."""
+    tables = list(power_tables_for(benchmark_scenario("l_pipeline").beams, GRID, LinkBudget()).values())
+    digest = hashlib.sha256()
+    for column, dtype in (("by_slots_dbw", np.float64), ("by_slots_w", np.float64), ("by_slots_carried", bool)):
+        digest.update(np.array([getattr(t, column) for t in tables], dtype=dtype).tobytes())
+    assert digest.hexdigest() == "28ccd64a3d324f54c32bad002cbdcb6233e3d02ba47f37fada2efdf5ef0c32da"
+
+
+def test_power_tables_match_beam_power_in_blocks(monkeypatch):
+    """Blocks of 7 beams whose demands put gamma_req on, or an ulp either
+    side of, a MODCOD's efficiency at some width, so the order of gamma's
+    operations and the search's side decide; demand 0, NaN and one that no
+    width carries included."""
+    monkeypatch.setattr(power_mod, "_TABLE_BLOCK_BEAMS", 7)
+    grid = FrequencyGrid(n_bw=12, n_fr=1, n_p=1, slot_bandwidth_hz=10e6)
+    link = LinkBudget(rolloff=0.1)
+    demands = [0.0, float("nan"), 1e12]
+    for e in DEFAULT_MODCODS.entries:
+        for b in range(1, grid.n_bw + 1):
+            d = e.spectral_efficiency * (b * grid.slot_bandwidth_hz) / (1.0 + link.rolloff)
+            demands += [math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)]
+    beams = [Beam(id=i, demand_bps=d) for i, d in enumerate(demands, 1)]
+    tables = power_tables_for(beams, grid, link)
+    for beam in beams:
+        table = tables[beam.id]
+        for b in range(1, grid.n_bw + 1):
+            want = beam_power(beam.demand_bps, b * grid.slot_bandwidth_hz, link, DEFAULT_MODCODS, 1000.0)
+            assert (table.value(1, b), table.watts(1, b), table.carries(b)) == (want.dbw, want.watts, want.feasible)
+    with pytest.raises(DomainError, match="demand_bps must be >= 0"):
+        power_tables_for(beams + [Beam(id=len(beams) + 1, demand_bps=-1.0)], grid, link)
+
+
+def test_size_grouped_reductions_equal_per_cluster_calls():
+    """Pairwise summation changes its grouping at 8 and at 128 elements, so
+    every cluster size from 1 to 300 is checked, with members interleaved
+    across clusters and values of mixed magnitude."""
+    rng = np.random.default_rng(0)
+    sizes = rng.permutation(np.repeat(np.arange(1, 301), 2))
+    order = rng.permutation(int(sizes.sum()))
+    clusters = [sorted(c.tolist()) for c in np.split(order, np.cumsum(sizes)[:-1])]
+    n = len(order)
+    lats = rng.uniform(-50.0, 50.0, n)
+    lons = rng.uniform(0.0, 360.0, n)
+    demands = np.exp(rng.uniform(math.log(10e6), math.log(500e6), n)) * rng.choice([1.0, 1e-7, 1e9], n)
+    got = scenario_mod._cluster_reductions(clusters, lats, lons, demands)
+    want = [[float(np.mean(lats[c])) for c in clusters], [float(np.mean(lons[c])) for c in clusters],
+            [float(np.sum(demands[c])) for c in clusters]]
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.integers(-5, 40),
+    count=st.integers(0, 30),
+    gaps=st.lists(st.integers(1, 4), min_size=30, max_size=30),
+    gapped=st.booleans(),
+    pair_ids=st.lists(st.integers(-10, 200), max_size=60),
+)
+def test_pair_positions_match_searchsorted(first, count, gaps, gapped, pair_ids):
+    """Contiguous and gapped ids; pair ids below, inside, between and above
+    them."""
+    steps = gaps[:count] if gapped else [1] * count
+    ids = first + np.cumsum(np.array([0] + steps[1:], dtype=np.int64))[:count]
+    pairs = np.array(pair_ids[: len(pair_ids) // 2 * 2], dtype=np.int64).reshape(-1, 2)
+    at, found = model.pair_positions(ids, pairs)
+    want = np.searchsorted(ids, pairs)
+    assert at.dtype == np.int32 and at.shape == found.shape == pairs.shape
+    assert (at == want).all()
+    assert (found == np.isin(pairs, ids)).all()
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
+@pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
+@pytest.mark.parametrize("n_p", [1, 2])
+def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
+    """_flagged_pairs flags exactly the pairs on which _pair_violation
+    reports or raises (an id the plan lacks), over plans with inactive
+    beams, rows 0 and n_rows + 1 and slots outside the grid, in blocks that
+    split the pair list."""
+    monkeypatch.setattr(model, "_FLAG_BLOCK_PAIRS", 37)
+    rng = np.random.default_rng(n_p * 10 + gapped)
+    grid = FrequencyGrid(n_bw=6, n_fr=3, n_p=n_p)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        ids = (np.sort(rng.choice(np.arange(1, 4 * n), n, replace=False)) if gapped else np.arange(5, 5 + n))
+        plan = random_plan(rng, [Beam(id=int(i)) for i in ids], grid)
+        # some inactive beams keep a stale block, as PlanArrays rows do
+        plan = FrequencyPlan({
+            i: Assignment(a.f, a.g, a.b, active=False) if a.active and rng.random() < 0.3 else a
+            for i, a in plan.assignments.items()
+        })
+        # ids of the plan, and some below, between and above them
+        pool = np.concatenate((ids, [ids[0] - 1, ids[-1] + 1, ids[-1] + 50, -3], np.arange(ids[0], ids[-1])))
+        pairs = np.sort(rng.choice(pool, (int(rng.integers(1, 200)), 2)), axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        plan_ids, state = model._plan_arrays(plan)
+        flagged = model._flagged_pairs(kind, pairs, plan_ids, state, n_p)
+        want = []
+        for i, j in pairs.tolist():
+            try:
+                want.append(model._pair_violation(kind, i, j, plan, n_p) is not None)
+            except KeyError:
+                want.append(True)
+        assert flagged.tolist() == want
+
+
+@pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)
+def test_check_ids_raises_on_the_first_unknown_pair(array_min_pairs, monkeypatch):
+    """The array test and the pair loop raise on the same pair: intra
+    before inter, then in pair order."""
+    monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
+    ids = list(range(3, 20))
+    restrictions = RestrictionSets.of(intra=[(3, 4), (5, 6)], inter=[(3, 5)])
+    restrictions.check_ids(ids)
+    restrictions.check_ids(ids[::-1] + [40, 1])
+    for intra, inter, message in (
+        ([(3, 4), (4, 21), (2, 5)], [(1, 3)], "intra pair (2, 5)"),
+        ([(3, 4), (5, 19)], [(7, 8), (8, 20), (19, 30)], "inter pair (8, 20)"),
+        ([(3, 4)], [(3, 25), (10, 11)], "inter pair (3, 25)"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(f"{message} references unknown beam")):
+            RestrictionSets.of(intra=intra, inter=inter).check_ids(ids)
+    gapped = [3, 7, 9]
+    with pytest.raises(DomainError, match=re.escape("intra pair (7, 8) references")):
+        RestrictionSets.of(intra=[(3, 9), (7, 8)]).check_ids(gapped)

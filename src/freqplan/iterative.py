@@ -225,10 +225,13 @@ class PlanArrays:
         self._refresh(ks)
 
     def powers(self, beam: Beam, table, widths: np.ndarray) -> np.ndarray:
-        """``table.value`` of each of the beam's ``widths``, read once."""
+        """``table.value`` of each of the beam's ``widths`` (ascending, from
+        ``min_slots`` >= 1), gathered from ``table.by_slots_dbw`` once."""
         got = self._powers.get(beam.id)
         if got is None:
-            got = self._powers[beam.id] = np.array([table.value(1, b) for b in widths.tolist()])
+            if widths.size and widths[-1] > len(table.by_slots_dbw):
+                table.value(1, int(widths[-1]))  # raises the table's range error
+            got = self._powers[beam.id] = np.array(table.by_slots_dbw)[widths - 1]
         return got
 
 

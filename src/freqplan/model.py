@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -212,6 +213,19 @@ class ObjectiveWeights:
     beta4: float = 0.0
     beta5: float = 0.0
     per_beam: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # a NaN weight compares false with every score, so no plan would ever
+        # change; an infinite one has no finite objective
+        weights = [(name, getattr(self, name)) for name in ("beta1", "beta2", "beta3", "beta4", "beta5")]
+        weights += [
+            (f"per_beam[{beam_id}].{name}", value)
+            for beam_id, overrides in self.per_beam.items()
+            for name, value in overrides.items()
+        ]
+        for name, value in weights:
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
     def for_beam(self, beam_id: int) -> tuple[float, float, float, float, float]:
         o = self.per_beam.get(beam_id, {})

@@ -77,13 +77,6 @@ class Solution:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _objective_coefs(model: MilpModel, n: int) -> list[float]:
-    coefs = [0.0] * n
-    for coef, name in model.objective:
-        coefs[model.variable_index(name)] += coef
-    return coefs
-
-
 def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Solution:
     """Depth-first branch-and-bound over a pure-integer model.
 
@@ -113,50 +106,57 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     of waking every row of a changed variable.
     """
     n = len(model.variables)
-    for var in model.variables:
-        if var.integrality not in (INTEGER, BINARY):
-            raise UnsupportedModelError(f"variable {var.name} is not integral")
-
-    lb0 = [int(math.ceil(v.lower - FEAS_TOL)) for v in model.variables]
-    ub0 = [int(math.floor(v.upper + FEAS_TOL)) for v in model.variables]
+    lb0: list[int] = []
+    ub0: list[int] = []
+    for name, lower, upper, integrality in model.variables:
+        if integrality not in (INTEGER, BINARY):
+            raise UnsupportedModelError(f"variable {name} is not integral")
+        lb0.append(math.ceil(lower - FEAS_TOL))
+        ub0.append(math.floor(upper + FEAS_TOL))
 
     # rows[r] holds the (coef, var) terms of sum(terms) <= rhs[r]; a zero
-    # coefficient adds nothing to a row and implies no bound, so it is dropped
+    # coefficient adds nothing to a row and implies no bound, so it is dropped.
+    # A row's minimum activity reads lb[v] where v's coefficient is positive
+    # and ub[v] where it is negative: lb_rows[v] and ub_rows[v] are the rows
+    # a rise of lb[v] and a fall of ub[v] can tighten or fail. One pass over
+    # the constraints compiles the rows and fills both lists.
+    index = model._index
     rows: list[tuple[tuple[float, int], ...]] = []
     rhs: list[float] = []
-    for con in model.constraints:
-        terms = tuple((c, model.variable_index(v)) for c, v in con.terms if c != 0.0)
-        if con.sense in (LE, EQ):
-            rows.append(terms)
-            rhs.append(con.rhs)
-        if con.sense in (GE, EQ):
-            rows.append(tuple((-c, v) for c, v in terms))
-            rhs.append(-con.rhs)
-    obj = _objective_coefs(model, n)
+    lb_rows: list[list[int]] = [[] for _ in range(n)]
+    ub_rows: list[list[int]] = [[] for _ in range(n)]
+    for _, terms, sense, limit in model.constraints:
+        if sense != GE:  # LE, or the first row of EQ
+            row = tuple([(c, index[v]) for c, v in terms if c != 0.0])
+            r = len(rows)
+            for c, v in row:
+                (lb_rows if c > 0 else ub_rows)[v].append(r)
+            rows.append(row)
+            rhs.append(limit)
+        if sense != LE:  # GE, or the second row of EQ: negated
+            row = tuple([(-c, index[v]) for c, v in terms if c != 0.0])
+            r = len(rows)
+            for c, v in row:
+                (lb_rows if c > 0 else ub_rows)[v].append(r)
+            rows.append(row)
+            rhs.append(-limit)
+    obj = [0.0] * n
+    for c, name in model.objective:
+        obj[index[name]] += c
     obj_terms = tuple((c, v) for v, c in enumerate(obj) if c != 0.0)
     integral_obj = all(float(c).is_integer() for c, _ in obj_terms)
     improve_step = 1.0 if integral_obj else OPT_TOL
-    # a row's minimum activity reads lb[v] where v's coefficient is positive
-    # and ub[v] where it is negative: lb_rows[v] and ub_rows[v] are the rows
-    # a rise of lb[v] and a fall of ub[v] can tighten or fail
-    lb_rows: list[list[int]] = [[] for _ in range(n)]
-    ub_rows: list[list[int]] = [[] for _ in range(n)]
-
-    def register(r: int, terms) -> None:
-        for c, v in terms:
-            (lb_rows if c > 0 else ub_rows)[v].append(r)
-
-    for r, terms in enumerate(rows):
-        register(r, terms)
-    # the incumbent cut -objective <= -(best + step) is the last row; it
-    # stays empty, a no-op, until the first incumbent
+    # the incumbent cut -objective <= -(best + step) is the last row; its
+    # variables wake it from the start, but it stays empty, a no-op, until
+    # the first incumbent
     cut = None
     cut_terms = tuple((-c, v) for c, v in obj_terms)
     if obj_terms:
         cut = len(rows)
+        for c, v in cut_terms:
+            (lb_rows if c > 0 else ub_rows)[v].append(cut)
         rows.append(())
         rhs.append(0.0)
-        register(cut, cut_terms)
 
     start = time.perf_counter()
     stats = SolveStats()
@@ -283,11 +283,11 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         )
         if best_values is None:
             return Solution(LIMIT_REACHED, {}, float("-inf"), frontier_bound, stats)
-        values = {v.name: float(best_values[i]) for i, v in enumerate(model.variables)}
+        values = dict(zip(index, map(float, best_values)))  # index: the names in order
         return Solution(FEASIBLE, values, best_obj, frontier_bound, stats)
     if best_values is None:
         return Solution(INFEASIBLE, {}, float("-inf"), float("-inf"), stats)
-    values = {v.name: float(best_values[i]) for i, v in enumerate(model.variables)}
+    values = dict(zip(index, map(float, best_values)))
     return Solution(OPTIMAL, values, best_obj, best_obj, stats)
 
 

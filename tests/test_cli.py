@@ -99,6 +99,17 @@ class TestGenerate:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("flag, value", [("--beta2", "nan"), ("--beta2", "inf"), ("--beta5", "-inf")])
+    def test_non_finite_weight_exits_1(self, tmp_path, scenario_file, capsys, flag, value):
+        """A NaN weight used to run to a plan that never moved (every
+        comparison with NaN is false) and exit 0."""
+        out = tmp_path / "plan.csv"
+        capsys.readouterr()
+        assert main(["optimize", str(scenario_file), f"{flag}={value}", "--n-ch", "4", "--window", "3",
+                     "--out-plan", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got {float(value)}\n"
+        assert not out.exists()
+
     def test_iterative_run_produces_valid_outputs(self, tmp_path, scenario_file):
         plan = tmp_path / "plan.csv"
         trace = tmp_path / "trace.csv"
@@ -420,6 +431,14 @@ class TestEmitLp:
         text = a.read_text()
         assert text.startswith("Maximize\n")
         assert text.rstrip().endswith("End")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exits_1(self, tmp_path, scenario_file, capsys, value):
+        lp = tmp_path / "x.lp"
+        capsys.readouterr()
+        assert main(["emit-lp", str(scenario_file), f"--beta2={value}", "--out", str(lp)]) == 1
+        assert capsys.readouterr().err == f"error: beta2 must be finite, got {float(value)}\n"
+        assert not lp.exists()
 
     def test_activation_flag_adds_binaries(self, tmp_path, scenario_file):
         base, act = tmp_path / "base.lp", tmp_path / "act.lp"

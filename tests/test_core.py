@@ -341,3 +341,15 @@ class TestWeights:
         assert not ObjectiveWeights().uses_power()
         assert ObjectiveWeights(beta4=0.1).uses_power()
         assert ObjectiveWeights(per_beam={3: {"beta4": 1.0}}).uses_power()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"beta1": float("nan")}, "beta1 must be finite, got nan"),
+            ({"beta3": float("-inf")}, "beta3 must be finite, got -inf"),
+            ({"per_beam": {7: {"beta2": float("inf")}}}, r"per_beam\[7\]\.beta2 must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_weight_rejected(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            ObjectiveWeights(**kwargs)

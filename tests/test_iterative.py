@@ -11,6 +11,7 @@ from freqplan import (
     Assignment,
     Beam,
     ConstellationGeometry,
+    DomainError,
     FrequencyGrid,
     FrequencyPlan,
     IterationConfig,
@@ -120,6 +121,20 @@ class TestScoring:
         beam = Beam(id=1)
         plan = FrequencyPlan({1: Assignment(3, 2, 4)})
         assert score_option(beam, 3, 2, 4, w) == pytest.approx(objective_value(plan, w))
+
+    def test_powers_are_the_table_values_of_the_widths(self):
+        """PlanArrays.powers gathers each width's power from the table: the
+        floats PowerTable.value gives, and its range error for a table
+        narrower than the beam's widths."""
+        s = scenario_with([Beam(id=1, min_slots=2)])
+        widths = np.arange(2, GRID.n_bw + 1)
+        table = PowerTable(1, (1.5, 2.25, 3.0, 4.75), (1.0,) * 4, (True,) * 4)
+        got = PlanArrays(all_inactive(s), s.restrictions, GRID).powers(s.beams[0], table, widths)
+        assert got.dtype == np.float64
+        assert got.tolist() == [table.value(1, b) for b in widths.tolist()] == [2.25, 3.0, 4.75]
+        narrow = PowerTable(1, (1.5, 2.25), (1.0,) * 2, (True,) * 2)
+        with pytest.raises(DomainError, match=r"beam 1: b=4 outside 1\.\.2"):
+            PlanArrays(all_inactive(s), s.restrictions, GRID).powers(s.beams[0], narrow, widths)
 
     def test_beta4_without_power_table_is_unsupported(self):
         """Each scorer raises the one missing-table error, also when another

@@ -1,5 +1,6 @@
 """Model assembly, LP emission and plan extraction tests."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -17,11 +18,14 @@ from freqplan import (
     Scenario,
     UnsupportedConfigurationError,
     build_full_model,
+    derive_restrictions,
     emit_lp,
     extract_plan,
+    generate_synthetic,
     solve_exact,
     validate_plan,
 )
+from freqplan.solver import SolveLimits
 
 from util import all_active_plans, model_accepts_plan, random_instance, ref_plan_is_valid
 
@@ -127,6 +131,33 @@ class TestModelIr:
         m = MilpModel()
         with pytest.raises(ModelBuildError):
             m.add_constraint("c", [(1.0, "ghost")], "<=", 1.0)
+
+    def test_nan_and_infinite_coefficients_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        m = MilpModel()
+        m.add_variable("x", 0, 3, "integer")
+        for lower, upper in ((nan, 1.0), (0.0, nan)):
+            with pytest.raises(ModelBuildError, match="NaN bound"):
+                m.add_variable("y", lower, upper, "continuous")
+        for coef in (nan, inf, -inf):
+            with pytest.raises(ModelBuildError, match="constraint c has a non-finite coefficient"):
+                m.add_constraint("c", [(1.0, "x"), (coef, "x")], "<=", 1.0)
+            with pytest.raises(ModelBuildError, match="objective has a non-finite coefficient"):
+                m.set_objective([(coef, "x")])
+        with pytest.raises(ModelBuildError, match="NaN rhs"):
+            m.add_constraint("c", [(1.0, "x")], ">=", nan)
+        assert m.constraints == [] and m.objective == () and len(m.variables) == 1
+
+    def test_infinite_bounds_and_rhs_are_written(self):
+        inf = float("inf")
+        m = MilpModel()
+        m.add_variable("x", -inf, inf, "continuous")
+        m.add_variable("y", 0, inf, "continuous")
+        m.add_constraint("c", [(1.0, "x"), (-0.5, "y")], "<=", inf)
+        m.set_objective([(1.0, "y")])
+        parsed = parse_lp(emit_lp(m))
+        assert parsed["bounds"] == ["-inf <= x <= +inf", "0 <= y <= +inf"]
+        assert parsed["constraints"] == ["c: 1 x - 0.5 y <= +inf"]
 
 
 LP_SECTION_RE = re.compile(
@@ -263,3 +294,46 @@ class TestExtraction:
         sol.values["f_1"] = 1.5
         with pytest.raises(ExtractionError):
             extract_plan(model, sol, s)
+
+
+class TestByteIdentity:
+    """SHA-256 pins of what the full-model path produces: the LP text of a
+    generated scenario and solve_exact's outcomes on small instances. A
+    change to one byte of the LP, or to one status, value, bound or node
+    count of the search, fails here."""
+
+    @pytest.mark.parametrize(
+        "activation, length, digest",
+        [
+            (False, 770242, "72d482360bf4d1b7608a52887b5dbc1173f148a86d006b93c063eb7bf68ae3cd"),
+            (True, 828013, "06ea98b50101d8de5af60a5ea1edfca4a796215e95fd7e0dcd4457308b61488d"),
+        ],
+    )
+    def test_lp_of_the_98_beam_scenario(self, activation, length, digest):
+        # acceptance's 98-beam scenario (seed 7), with fractional weights so
+        # the writer's non-integral coefficients are pinned too
+        scenario = generate_synthetic(
+            seed=7,
+            n_users=100,
+            grid=FrequencyGrid(n_bw=40, n_fr=8, n_p=2, slot_bandwidth_hz=50e6),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        )
+        weights = ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001, beta5=0.5)
+        model = build_full_model(
+            scenario, derive_restrictions(scenario), weights, activation=activation
+        )
+        text = emit_lp(model)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (length, digest)
+
+    def test_solve_exact_outcomes_on_200_small_instances(self):
+        # the first 200 instances of the exact_small distribution (seed 2024)
+        # at its 30-node cap: optimal, infeasible and capped searches alike
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            scenario, weights = random_instance(rng)
+            model = build_full_model(scenario, scenario.restrictions, weights)
+            sol = solve_exact(model, SolveLimits(max_nodes=30))
+            outcome = (sol.status, sol.objective, sol.bound, sorted(sol.values.items()), sol.stats.nodes)
+            digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == "2eeb2eabfceb2637db3e7eb0630bd28c659613162c32b0a2b1f97c2a52ec951d"

@@ -35,7 +35,6 @@ from .model import (
     _polarization,
     beam_scores,
     objective_value,
-    pair_positions,
     slot_capacity,
     validate_plan,
 )
@@ -177,8 +176,8 @@ class PlanArrays:
     (model._plan_arrays) and ``selected[k]`` whether it is re-optimized.
 
     ``indptr``/``indices`` are the partners of each position in CSR form,
-    an intra partner as its position j and an inter partner as n + j, built
-    once per restriction sets and ids (RestrictionSets.partner_csr).
+    an intra partner as its position j and an inter partner as n + j
+    (RestrictionSets.partners, shared by every plan over the same ids).
     Partners mark a difference array of ``n_bw + 2`` cells per key (one key
     per row, then one per polarization; cell s is slot s): from cell
     ``first.ravel()[j]``, ``span.ravel()[j]`` cells, 0 unless the beam is
@@ -190,10 +189,7 @@ class PlanArrays:
         self.ids, self.state = _plan_arrays(plan)
         n = len(self.ids)
         self.at = dict(zip(self.ids.tolist(), range(n)))
-        key = self.ids.tobytes()
-        if restrictions.partner_csr is None or restrictions.partner_csr[0] != key:
-            restrictions.partner_csr = (key, _partner_csr(self.ids, restrictions))
-        self.indptr, self.indices = restrictions.partner_csr[1]
+        self.indptr, self.indices = restrictions.partners(self.ids)
         self.selected = np.zeros(n, dtype=bool)
         self.first = np.zeros((2, n), dtype=np.int64)
         self.span = np.zeros((2, n), dtype=np.int64)
@@ -233,26 +229,6 @@ class PlanArrays:
                 table.value(1, int(widths[-1]))  # raises the table's range error
             got = self._powers[beam.id] = np.array(table.by_slots_dbw)[widths - 1]
         return got
-
-
-def _partner_csr(ids: np.ndarray, restrictions: RestrictionSets) -> tuple[np.ndarray, np.ndarray]:
-    """PlanArrays' ``indptr``/``indices`` over the sorted plan ``ids``: the
-    intra partners of each position, as their positions j, then its inter
-    partners, as n + j. A pair id outside ``ids`` raises KeyError."""
-    n, owners, partners = len(ids), [], []
-    for offset, pairs in ((0, restrictions.pairs["intra"]), (n, restrictions.pairs["inter"])):
-        at, found = pair_positions(ids, pairs)
-        if not found.all():
-            raise KeyError(int(pairs[~found][0]))
-        owners += [at[:, 0], at[:, 1]]
-        partners += [at[:, 1] + offset, at[:, 0] + offset]
-    owner, partner = np.concatenate(owners), np.concatenate(partners)
-    del owners, partners  # the pair positions, before the sort's temporaries
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    indices = partner[np.argsort(owner, kind="stable")]
-    indptr.flags.writeable = indices.flags.writeable = False  # shared by every PlanArrays over ids
-    return indptr, indices
 
 
 def _blocked_cells(plan: PlanArrays, k: int) -> np.ndarray:
@@ -431,33 +407,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _restricted_pairs(beam_ids: Sequence[int], restrictions: RestrictionSets):
-    """(a, b, by_pol) for positions a < b of restricted beams, in that
-    order. A row fixes the polarization, so a pair that is both intra and
-    inter collides exactly as an inter pair. The pairs whose first id is a
-    given beam's are one searchsorted range of the sorted pair arrays."""
-    ids = np.asarray(beam_ids, dtype=np.int64)
-    n, order = len(ids), np.argsort(ids)
-    kind = np.zeros((n, n), dtype=np.int8)  # 1 intra, 2 inter (written last)
-    for code, pairs in ((1, restrictions.pairs["intra"]), (2, restrictions.pairs["inter"])):
-        lo, hi = np.searchsorted(pairs[:, 0], ids), np.searchsorted(pairs[:, 0], ids, side="right")
-        a = np.repeat(np.arange(n), hi - lo)  # per pair in those ranges: its first id's position
-        second = pairs[np.arange(len(a)) + (hi - np.cumsum(hi - lo))[a], 1]
-        b = order[np.minimum(np.searchsorted(ids, second, sorter=order), n - 1)]
-        hit = ids[b] == second
-        kind[np.minimum(a, b)[hit], np.maximum(a, b)[hit]] = code
-    a, b = np.nonzero(kind)
-    return zip(a.tolist(), b.tolist(), (kind[a, b] == 2).tolist())
-
-
-def _subproblem(option_sets: Sequence[OptionSet], restrictions: RestrictionSets, grid: FrequencyGrid):
+def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays):
     """The selection problem over the sampled beams' candidates, which
     iterate_once solves and build_subproblem writes out: per beam the
     ``f, g, b, score`` arrays in rank order with the keep-as-is candidate
     inserted at its score rank (after every option scoring at least as
     much), so option index equals rank in every group; per beam that rank,
-    or None; and the PairConflicts kernel of each restricted pair of
-    positions."""
+    or None; and the PairConflicts kernel of each restricted pair (a, b),
+    a < b, of positions, found in the sampled beams' rows of ``plan``'s
+    partner CSR. A row fixes the polarization, so a pair that is both intra
+    and inter collides exactly as an inter pair."""
     columns: list[tuple[np.ndarray, ...]] = []
     initial: list[int | None] = []
     for oset in option_sets:
@@ -470,20 +429,31 @@ def _subproblem(option_sets: Sequence[OptionSet], restrictions: RestrictionSets,
             )
         columns.append(column)
         initial.append(at)
-    groups = [OptionGroup(f, g, b, grid) for f, g, b, _ in columns]
+    groups = [OptionGroup(f, g, b, plan.grid) for f, g, b, _ in columns]
+
+    n, m = len(plan.ids), len(option_sets)
+    ks = np.array([plan.at[o.beam_id] for o in option_sets], dtype=np.int64)
+    sample = np.full(2 * n, -1)  # sample position of each CSR entry's beam: j and n + j
+    sample[ks] = sample[ks + n] = np.arange(m)
+    lo, hi = plan.indptr[ks], plan.indptr[ks + 1]
+    a = np.repeat(np.arange(m), hi - lo)  # per entry of those rows: its row's sample position
+    entry = plan.indices[np.arange(len(a)) + (hi - np.cumsum(hi - lo))[a]]
+    b = sample[entry]
+    kind = np.zeros((m, m), dtype=np.int8)  # 1 intra, 2 inter (written last)
+    for code, of_kind in ((1, entry < n), (2, entry >= n)):
+        hit = of_kind & (a < b)
+        kind[a[hit], b[hit]] = code
+    a, b = np.nonzero(kind)
     pair_conflict = {
         (a, b): PairConflicts(groups[a], groups[b], by_pol)
-        for a, b, by_pol in _restricted_pairs([o.beam_id for o in option_sets], restrictions)
+        for a, b, by_pol in zip(a.tolist(), b.tolist(), (kind[a, b] == 2).tolist())
     }
     return columns, initial, pair_conflict
 
 
-def build_subproblem(
-    option_sets: Sequence[OptionSet],
-    restrictions: RestrictionSets,
-    grid: FrequencyGrid,
-) -> MilpModel:
-    """Binary selection model: one variable per candidate in rank order,
+def build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> MilpModel:
+    """Binary selection model over the candidates of beams of ``plan``
+    (_subproblem): one variable per candidate in rank order,
     exactly-one per previously-active beam (keep-as-is ``x_orig`` included
     at its rank), linked activation for previously-inactive beams, and a
     pairwise constraint per colliding candidate pair across restricted
@@ -491,7 +461,7 @@ def build_subproblem(
     model = MilpModel()
     objective: list[tuple[float, str]] = []
     names: list[list[str]] = []
-    columns, initial, pair_conflict = _subproblem(option_sets, restrictions, grid)
+    columns, initial, pair_conflict = _subproblem(option_sets, plan)
     for oset, (f, g, b, score), at in zip(option_sets, columns, initial):
         i = oset.beam_id
         beam_names = [f"x_{i}_{fv}_{gv}_{bv}" for fv, gv, bv in zip(f.tolist(), g.tolist(), b.tolist())]
@@ -502,9 +472,7 @@ def build_subproblem(
             objective.append((value, name))
         if at is None:
             model.add_variable(f"a_{i}", 0, 1, BINARY)
-            model.add_constraint(
-                f"act_{i}", [(1.0, v) for v in beam_names] + [(-1.0, f"a_{i}")], EQ, 0.0
-            )
+            model.add_constraint(f"act_{i}", [(1.0, v) for v in beam_names] + [(-1.0, f"a_{i}")], EQ, 0.0)
         else:
             model.add_constraint(f"one_{i}", [(1.0, v) for v in beam_names], EQ, 1.0)
         names.append(beam_names)
@@ -513,12 +481,7 @@ def build_subproblem(
         i, j = option_sets[a].beam_id, option_sets[b].beam_id
         for u in range(len(names[a])):
             for v in _bits(pair.rows[u]):
-                model.add_constraint(
-                    f"conf_{i}_{j}_{u}_{v}",
-                    [(1.0, names[a][u]), (1.0, names[b][v])],
-                    LE,
-                    1.0,
-                )
+                model.add_constraint(f"conf_{i}_{j}_{u}_{v}", [(1.0, names[a][u]), (1.0, names[b][v])], LE, 1.0)
     model.set_objective(objective)
     return model
 
@@ -607,7 +570,7 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         plan.select(positions, False)
 
     # exact selection: same semantics as solving build_subproblem()
-    columns, initial, pair_conflict = _subproblem(option_sets, state.restrictions, plan.grid)
+    columns, initial, pair_conflict = _subproblem(option_sets, plan)
 
     # the keep-as-is selection (x_orig where available) seeds the incumbent,
     # guaranteeing the applied selection never worsens the plan

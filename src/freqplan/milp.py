@@ -68,14 +68,15 @@ _record = tuple.__new__
 class MilpModel:
     """Language-neutral linear model: variables, constraints and a
     maximization objective. A coefficient is finite; an rhs or a bound may
-    be infinite but not NaN."""
+    be infinite but not NaN. Only the checked add_variable, add_constraint
+    and set_objective fill a model; the constructor takes no contents."""
 
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: tuple[tuple[float, str], ...] = ()
+    variables: list[Variable] = field(default_factory=list, init=False)
+    constraints: list[Constraint] = field(default_factory=list, init=False)
+    objective: tuple[tuple[float, str], ...] = field(default=(), init=False)
 
     def __post_init__(self):
-        self._index: dict[str, int] = {v.name: i for i, v in enumerate(self.variables)}
+        self._index: dict[str, int] = {}  # variable name -> position
 
     def add_variable(self, name: str, lower: float, upper: float, integrality: str) -> None:
         index = self._index
@@ -190,14 +191,16 @@ def build_full_model(
         if activation and b5 != 0:
             objective.append((b5, a))
 
-    intra, inter = restrictions.intra, restrictions.inter
+    kinds = dict.fromkeys(map(tuple, restrictions.pairs["intra"].tolist()), 1)  # 1 intra, 2 inter, 3 both
+    for pair in map(tuple, restrictions.pairs["inter"].tolist()):
+        kinds[pair] = kinds.get(pair, 0) | 2
     # the rhs of each pair row, in the order the rows are added below
     intra_rhs = (4 * m_val, 3 * m_val) if activation else (2 * m_val, m_val)
     inter_rhs = (3 * m_val, 2 * m_val) if activation else (m_val, 0.0)
     row_gt_rhs, pol_lt_rhs, pol_gt_rhs = eps - m_val, m_val - eps, eps - 2 * m_val
     s_upper = 0 if grid.n_p == 1 else 1  # with a single polarization s is the constant 0
 
-    for i, j in sorted(intra | inter):
+    for (i, j), kind in sorted(kinds.items()):
         plus_f_i, minus_f_i, plus_b_i, plus_g_i, _, plus_m_i, _, gate_i = terms_of[i]
         plus_f_j, minus_f_j, plus_b_j, _, minus_g_j, _, minus_m_j, gate_j = terms_of[j]
         gates = gate_i + gate_j  # () without activation
@@ -209,7 +212,7 @@ def build_full_model(
         add_constraint(f"rel_left_{ij}", (plus_f_j, minus_f_i, minus_z), GE, neg_m)
         add_constraint(f"rel_right_{ij}", (plus_f_i, minus_f_j, plus_z), GE, eps)
 
-        if (i, j) in intra:
+        if kind & 1:
             y, p = f"y_{ij}", f"p_{ij}"
             add_variable(y, 0, 1, BINARY)
             add_variable(p, 0, 1, BINARY)
@@ -226,7 +229,7 @@ def build_full_model(
             add_constraint(f"intra_left_{ij}", left, LE, intra_rhs[0])
             add_constraint(f"intra_right_{ij}", right, LE, intra_rhs[1])
 
-        if (i, j) in inter:
+        if kind & 2:
             s, d = f"s_{ij}", f"d_{ij}"
             add_variable(s, 0, s_upper, BINARY)
             add_variable(d, 0, 1, BINARY)

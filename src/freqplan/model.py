@@ -156,18 +156,17 @@ class RestrictionSets:
 
     ``pairs[kind]`` holds kind "intra" or "inter" as canonical_pairs: a
     sorted, read-only ``(n, 2)`` int64 array of (smaller id, larger id) rows.
-    ``intra`` and ``inter`` are the same pairs as frozensets of tuples,
-    built on first use for the readers that test pairs one at a time.
-    ``partner_csr`` is the last (plan id bytes, CSR) that
-    iterative.PlanArrays built from these pairs, which later plans over the
-    same ids reuse.
+    ``partners(ids)`` gives the same pairs as a partner CSR over a plan's
+    sorted beam ids.
     """
+
+    __slots__ = ("pairs", "_csr")
 
     def __init__(self, intra: Iterable[tuple[int, int]] = (), inter: Iterable[tuple[int, int]] = ()):
         self.pairs = {"intra": canonical_pairs(intra), "inter": canonical_pairs(inter)}
         for pairs in self.pairs.values():
             pairs.flags.writeable = False
-        self.partner_csr: tuple[bytes, tuple[np.ndarray, np.ndarray]] | None = None
+        self._csr: tuple[bytes, tuple[np.ndarray, np.ndarray]] | None = None  # the last partners()
 
     @staticmethod
     def of(intra=(), inter=()) -> "RestrictionSets":
@@ -179,13 +178,30 @@ class RestrictionSets:
             return NotImplemented
         return all(np.array_equal(pairs, other.pairs[kind]) for kind, pairs in self.pairs.items())
 
-    @functools.cached_property
-    def intra(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, self.pairs["intra"].tolist()))
-
-    @functools.cached_property
-    def inter(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, self.pairs["inter"].tolist()))
+    def partners(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The partners of each position of the sorted, distinct int64
+        ``ids`` in read-only CSR form ``(indptr, indices)``: its intra
+        partners, as their positions j, then its inter partners, as n + j.
+        The last CSR built is returned again for the same ids, so every plan
+        over them shares one. A pair id outside ``ids`` raises KeyError."""
+        key = ids.tobytes()
+        if self._csr is not None and self._csr[0] == key:
+            return self._csr[1]
+        n, owners, partners = len(ids), [], []
+        for offset, pairs in ((0, self.pairs["intra"]), (n, self.pairs["inter"])):
+            at, found = pair_positions(ids, pairs)
+            if not found.all():
+                raise KeyError(int(pairs[~found][0]))
+            owners += [at[:, 0], at[:, 1]]
+            partners += [at[:, 1] + offset, at[:, 0] + offset]
+        owner, partner = np.concatenate(owners), np.concatenate(partners)
+        del owners, partners  # the pair positions, before the sort's temporaries
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+        indices = partner[np.argsort(owner, kind="stable")]
+        indptr.flags.writeable = indices.flags.writeable = False
+        self._csr = (key, (indptr, indices))
+        return indptr, indices
 
     def check_ids(self, beam_ids: Iterable[int]) -> None:
         """Raise DomainError on the first pair, intra then inter, that names
@@ -408,7 +424,7 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     first column searches fastest alone."""
     n = len(ids)
     at = np.empty((2, len(pairs)), dtype=np.int32)
-    if n and ids[-1] - ids[0] == n - 1:
+    if n and int(ids[-1]) - int(ids[0]) == n - 1:  # Python ints: the span may pass int64
         lo = ids[0]
         for c in range(2):
             np.subtract(np.clip(pairs[:, c], lo, lo + n), lo, out=at[c], casting="unsafe")

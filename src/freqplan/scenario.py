@@ -73,6 +73,8 @@ class Scenario:
     def __post_init__(self):
         if not self.beams:
             raise DomainError("scenario needs at least one beam")
+        if not math.isfinite(self.horizon_min):
+            raise DomainError(f"horizon_min must be finite, got {self.horizon_min}")
         if not (self.horizon_min >= self.step_min > 0):
             raise DomainError("need horizon_min >= step_min > 0")
         if self.half_cone_deg <= 0:
@@ -153,6 +155,14 @@ class GenerationParams:
     demand_range_bps: tuple[float, float] = (10e6, 500e6)
     min_slots: int = 1
     n_gateways: int = 0
+
+    def __post_init__(self):
+        lo, hi = self.lat_band_deg
+        if not -90.0 <= lo <= hi <= 90.0:
+            raise DomainError(f"lat_band_deg must satisfy -90 <= lo <= hi <= 90, got {lo} {hi}")
+        lo, hi = self.demand_range_bps
+        if not 0.0 < lo <= hi < math.inf:
+            raise DomainError(f"demand_range_bps must satisfy 0 < lo <= hi, both finite, got {lo} {hi}")
 
 
 # elements per block of the clustering's user pairs and of the pair kernels'
@@ -494,6 +504,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):  # JSON readers accept NaN and Infinity
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -509,7 +526,7 @@ def _pair(value) -> tuple[int, int]:
 # the cast of each declared field type (annotations are strings here)
 _CASTS = {
     "int": _integer,
-    "float": float,
+    "float": _float,
     "str": _string,
     "tuple[int, int] | None": lambda value: None if value in (None, []) else _pair(value),
 }

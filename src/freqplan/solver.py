@@ -415,13 +415,13 @@ def brute_force_best_plan(
     if any(not opts for opts in options):
         return OracleResult(INFEASIBLE, None, None)
 
-    intra = restrictions.intra
-    inter = restrictions.inter
-    partners: list[list[tuple[int, bool, bool]]] = [[] for _ in beams]
+    # per position, each earlier restricted partner's [is intra, is inter]
+    partners: list[dict[int, list[bool]]] = [{} for _ in beams]
     index_of = {beam.id: pos for pos, beam in enumerate(beams)}
-    for i, j in intra | inter:
-        a, b = index_of[i], index_of[j]
-        partners[max(a, b)].append((min(a, b), (i, j) in intra, (i, j) in inter))
+    for is_inter, kind in enumerate(("intra", "inter")):
+        for i, j in restrictions.pairs[kind].tolist():
+            a, b = index_of[i], index_of[j]
+            partners[max(a, b)].setdefault(min(a, b), [False, False])[is_inter] = True
 
     n_p = grid.n_p
     suffix_max = [0.0] * (len(beams) + 1)
@@ -435,7 +435,7 @@ def brute_force_best_plan(
     def conflicts(pos: int, cand: Assignment) -> bool:
         if not cand.active:
             return False
-        for other, is_intra, is_inter in partners[pos]:
+        for other, (is_intra, is_inter) in partners[pos].items():
             o = chosen[other]
             if o is None or not o.active:
                 continue

@@ -89,6 +89,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("band", [("10", "-10"), ("80", "100")])
+    def test_bad_latitude_band_exits_1(self, tmp_path, capsys, band):
+        """A reversed band was a numpy traceback; one past a pole wrote
+        beams at latitude 99."""
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert main(["generate", "--seed", "1", "--users", "20", "--lat-band", *band, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lat_band_deg must satisfy") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_with_restrictions_flag_embeds_sets(self, tmp_path):
         path = tmp_path / "s.json"
         rc = main(["generate", "--seed", "2", "--users", "6",
@@ -384,6 +395,10 @@ class TestMalformedScenario:
                          id="slots-reversed"),
             pytest.param(lambda d: d["beams"][1].update(allowed_slots=[0, 2]), "beams[1].allowed_slots",
                          id="slots-below-1"),
+            pytest.param(lambda d: d["geometry"].update(altitude_km=float("nan")), "geometry.altitude_km",
+                         id="nan-altitude"),
+            pytest.param(lambda d: d["sim"].update(horizon_min=float("inf")), "sim.horizon_min",
+                         id="infinite-horizon"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, mutate, field):

@@ -246,8 +246,8 @@ class TestMetrics:
 class TestRestrictionSets:
     def test_canonicalizes_order(self):
         r = RestrictionSets.of(intra=[(3, 1), (1, 3)], inter=[(2, 1)])
-        assert r.intra == frozenset({(1, 3)})
-        assert r.inter == frozenset({(1, 2)})
+        assert r.pairs["intra"].tolist() == [[1, 3]]
+        assert r.pairs["inter"].tolist() == [[1, 2]]
 
     def test_rejects_reflexive_pair(self):
         with pytest.raises(DomainError):
@@ -255,8 +255,8 @@ class TestRestrictionSets:
 
     def test_constructor_canonicalizes_and_rejects_reflexive_pair(self):
         r = RestrictionSets(intra=frozenset({(2, 1)}), inter=frozenset({(1, 3), (4, 3)}))
-        assert r.intra == frozenset({(1, 2)})
-        assert r.inter == frozenset({(1, 3), (3, 4)})
+        assert r.pairs["intra"].tolist() == [[1, 2]]
+        assert r.pairs["inter"].tolist() == [[1, 3], [3, 4]]
         with pytest.raises(DomainError):
             RestrictionSets(intra=frozenset({(1, 1)}))
         with pytest.raises(DomainError):
@@ -275,6 +275,24 @@ class TestRestrictionSets:
         assert np.shares_memory(r.pairs["inter"], given_pairs)
         assert given_pairs.flags.writeable and not r.pairs["inter"].flags.writeable
 
+    def test_partners_csr_is_built_once_per_ids(self):
+        """partners() lists each position's intra partners j, then its inter
+        partners n + j, read-only; the same ids get the same arrays back,
+        other ids a new CSR, and an id the pairs name but ``ids`` lack a
+        KeyError. No other attribute can be set."""
+        r = RestrictionSets.of(intra=[(1, 3)], inter=[(1, 2), (1, 3)])
+        ids = np.array([1, 2, 3], dtype=np.int64)
+        indptr, indices = r.partners(ids)
+        assert (indptr.tolist(), indices.tolist()) == ([0, 3, 4, 6], [2, 4, 5, 3, 0, 3])
+        assert not (indptr.flags.writeable or indices.flags.writeable)
+        assert r.partners(ids.copy())[1] is indices
+        wider = r.partners(np.array([1, 2, 3, 4], dtype=np.int64))
+        assert wider[0].tolist() == [0, 3, 4, 6, 6] and wider[1] is not indices
+        with pytest.raises(KeyError, match="3"):
+            r.partners(np.array([1, 2], dtype=np.int64))
+        with pytest.raises(AttributeError):
+            r.partner_csr = None
+
     def test_check_ids(self):
         r = RestrictionSets.of(inter=[(1, 9)])
         with pytest.raises(DomainError):
@@ -284,8 +302,8 @@ class TestRestrictionSets:
     @given(pairs=st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), max_size=25))
     def test_array_and_iterable_inputs_give_the_same_canonical_pairs(self, pairs):
         """Reversed and repeated pairs merge into one sorted (smaller,
-        larger) row, a reflexive pair is rejected with the same message,
-        and the frozenset views hold the same pairs as the arrays."""
+        larger) row, and a reflexive pair is rejected with the same
+        message."""
         as_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         reflexive = [i for i, j in pairs if i == j]
         if reflexive:
@@ -302,7 +320,6 @@ class TestRestrictionSets:
                 got = r.pairs[kind]
                 assert got.dtype == np.int64 and got.shape == (len(expected), 2)
                 assert got.tolist() == [list(p) for p in expected]
-            assert r.intra == r.inter == frozenset(expected)
         assert from_list == from_array
         assert (from_list == RestrictionSets(intra=pairs)) == (not expected)
 

@@ -50,6 +50,7 @@ from freqplan.solver import brute_force_best_plan, solve_option_selection
 
 from util import (
     _ref_blocked,
+    pair_sets,
     random_instance,
     ref_enumerate_options,
     ref_greedy_warm_start,
@@ -368,16 +369,16 @@ class TestSubproblem:
             )
             for i in picked
         ]
-        return s, w, osets
+        return s, w, osets, PlanArrays(warm, s.restrictions, s.grid)
 
     def test_structure_one_constraint_per_beam(self):
         """One exactly-one or activation row per beam, its variables in the
         search's rank order: x_orig_i sits at the keep-as-is rank."""
         for seed in range(3):
-            s, w, osets = self.build(seed=seed)
-            model = build_subproblem(osets, s.restrictions, s.grid)
+            s, w, osets, plan = self.build(seed=seed)
+            model = build_subproblem(osets, plan)
             rows = {c.name: [v for _, v in c.terms] for c in model.constraints}
-            columns, initial, _ = iterative._subproblem(osets, s.restrictions, s.grid)
+            columns, initial, _ = iterative._subproblem(osets, plan)
             for oset, (f, g, b, _), at in zip(osets, columns, initial):
                 i = oset.beam_id
                 names = rows[f"act_{i}"][:-1] if at is None else rows[f"one_{i}"]
@@ -392,8 +393,8 @@ class TestSubproblem:
         reference matrices (keep-as-is last, through the rank-order
         adapter) and over _subproblem's own columns, keep-as-is ranks and
         kernels, the input iterate_once passes."""
-        s, w, osets = self.build(seed=seed)
-        model = build_subproblem(osets, s.restrictions, s.grid)
+        s, w, osets, plan = self.build(seed=seed)
+        model = build_subproblem(osets, plan)
         milp_sol = solve_exact(model)
         assert milp_sol.status == "optimal"
 
@@ -404,11 +405,12 @@ class TestSubproblem:
             scores.append([o.score for o in opts])
             allow_none.append(not oset.includes_original)
         conflict = {}
+        intra, inter = pair_sets(s.restrictions)
         for a in range(len(osets)):
             for b in range(a + 1, len(osets)):
                 i, j = osets[a].beam_id, osets[b].beam_id
                 key = (min(i, j), max(i, j))
-                ii, ie = key in s.restrictions.intra, key in s.restrictions.inter
+                ii, ie = key in intra, key in inter
                 if not (ii or ie):
                     continue
                 conflict[(a, b)] = np.array(
@@ -420,7 +422,7 @@ class TestSubproblem:
         _, dense_total = solve_dense_selection(scores, allow_none, conflict)
         assert milp_sol.objective == pytest.approx(dense_total, abs=1e-9)
 
-        columns, initial, kernels = iterative._subproblem(osets, s.restrictions, s.grid)
+        columns, initial, kernels = iterative._subproblem(osets, plan)
         _, total = solve_option_selection(
             [c[3] for c in columns], [at is None for at in initial], kernels, initial=initial,
         )
@@ -469,23 +471,30 @@ class TestSubproblem:
                 assert got == expected, node_budget
 
     def test_restricted_pairs_match_set_lookups_for_any_ids(self):
-        """The same (a, b, by_pol), in the same order, as looking every pair
-        of positions up in the frozenset views, for ids in any order,
-        negative ones and ones past 32 bits included."""
+        """_subproblem's kernels are keyed by the same (a, b), with the same
+        by_pol, in the same order, as looking every pair of sample positions
+        up in sets of the pairs, for sampled ids in any order, negative ones
+        and ones past 32 bits included, in a plan whose beams 100 and 101
+        have partners but are never sampled."""
         rng = np.random.default_rng(31)
+        empty = np.zeros(0, dtype=np.int64)
         for _ in range(300):
             pool = [-2**62, -7, 0, 3, 5, 9, 2**33, 2**62, 11, 12]
             ids = rng.choice(pool, size=int(rng.integers(0, 9)), replace=False).tolist()
             pairs = [(i, j) for i in ids + [100, 101] for j in ids + [100, 101] if i != j]
             r = RestrictionSets(intra=[p for p in pairs if rng.random() < 0.2],
                                 inter=[p for p in pairs if rng.random() < 0.2])
+            intra, inter = pair_sets(r)
             expected = []
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     key = (min(ids[a], ids[b]), max(ids[a], ids[b]))
-                    if key in r.inter or key in r.intra:
-                        expected.append((a, b, key in r.inter))
-            assert list(iterative._restricted_pairs(ids, r)) == expected
+                    if key in inter or key in intra:
+                        expected.append((a, b, key in inter))
+            plan = PlanArrays(FrequencyPlan({i: Assignment.inactive() for i in ids + [100, 101]}), r, GRID)
+            osets = [iterative.OptionSet(i, empty, empty, empty, empty.astype(float)) for i in ids]
+            _, _, kernels = iterative._subproblem(osets, plan)
+            assert [(a, b, kernel.rows.by_pol) for (a, b), kernel in kernels.items()] == expected
 
 
 class TestHighsOracle:
@@ -526,10 +535,11 @@ class TestHighsOracle:
             enumerate_against(s.beam(i), grid, warm, s.restrictions, set(picked), config, weights)
             for i in picked
         ]
-        status, highs = solve_with_scipy_milp(build_subproblem(osets, s.restrictions, grid))
+        plan = PlanArrays(warm, s.restrictions, grid)
+        status, highs = solve_with_scipy_milp(build_subproblem(osets, plan))
         assert status == 0
 
-        columns, initial, conflicts = iterative._subproblem(osets, s.restrictions, grid)
+        columns, initial, conflicts = iterative._subproblem(osets, plan)
         _, total = solve_option_selection(
             [c[3] for c in columns], [at is None for at in initial], conflicts, node_budget=0,
         )
@@ -582,7 +592,7 @@ class TestCollisionKernel:
         ]
         groups = [OptionGroup(oset.f, oset.g, oset.b, grid) for oset in osets]
         opts = [list(oset.options) for oset in osets]
-        is_intra, is_inter = (1, 2) in restrictions.intra, (1, 2) in restrictions.inter
+        is_intra, is_inter = ((1, 2) in pairs for pairs in pair_sets(restrictions))
         kernel = PairConflicts(groups[0], groups[1], by_pol=is_inter)
         assert kernel.size == len(opts[0]) * len(opts[1])
         for u, ou in enumerate(opts[0]):
@@ -788,7 +798,7 @@ class TestPlanArrays:
             assert arrays.indptr[lonely] == arrays.indptr[lonely + 1]  # an empty CSR row
             for beam_id in plan.assignments:
                 k = arrays.at[beam_id]
-                partners = {j for p in restrictions.intra | restrictions.inter if beam_id in p for j in p} - {beam_id}
+                partners = {j for p, kind in zip(pairs, kinds) if kind != "none" and beam_id in p for j in p} - {beam_id}
                 for selected in ({i for i in plan.assignments if rng.random() < 0.3}, partners):
                     arrays.select([arrays.at[i] for i in selected], True)
                     expected = ref_blocked_cells(beam_id, grid, plan, restrictions, selected)

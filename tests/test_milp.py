@@ -25,6 +25,7 @@ from freqplan import (
     solve_exact,
     validate_plan,
 )
+from freqplan.milp import Constraint, Variable
 from freqplan.solver import SolveLimits
 
 from util import all_active_plans, model_accepts_plan, random_instance, ref_plan_is_valid
@@ -147,6 +148,19 @@ class TestModelIr:
         with pytest.raises(ModelBuildError, match="NaN rhs"):
             m.add_constraint("c", [(1.0, "x")], ">=", nan)
         assert m.constraints == [] and m.objective == () and len(m.variables) == 1
+
+    def test_constructor_takes_no_contents(self):
+        """Variables, constraints and the objective enter only through the
+        checked methods, so the constructor cannot pass a NaN coefficient
+        or a bad sense to emit_lp or solve_exact."""
+        x = Variable("x", 0, 1, "binary")
+        for contents in ({"variables": [x]}, {"constraints": [Constraint("c", ((float("nan"), "x"),), "<", 1.0)]},
+                         {"objective": ((1.0, "x"),)}):
+            with pytest.raises(TypeError):
+                MilpModel(**contents)
+        m = MilpModel()
+        assert (m.variables, m.constraints, m.objective) == ([], [], ())
+        assert MilpModel().variables is not m.variables
 
     def test_infinite_bounds_and_rhs_are_written(self):
         inf = float("inf")
@@ -324,6 +338,16 @@ class TestByteIdentity:
         )
         text = emit_lp(model)
         assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (length, digest)
+
+    def test_lp_of_2000_small_instances(self):
+        # the exact_small distribution (seed 2024), 1815 of whose pairs are
+        # both intra and inter: the walk over both kinds in pair order
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            scenario, weights = random_instance(rng)
+            digest.update(emit_lp(build_full_model(scenario, scenario.restrictions, weights)).encode())
+        assert digest.hexdigest() == "7b3702b155502379100deaf9ab026d1d0930c29d26e9d3244c5d641c1cd819bb"
 
     def test_solve_exact_outcomes_on_200_small_instances(self):
         # the first 200 instances of the exact_small distribution (seed 2024)

@@ -107,6 +107,27 @@ class TestGeneration:
         with pytest.raises(DomainError):
             generate_synthetic(seed=0, n_users=0, grid=GRID, geometry=GEOM)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"lat_band_deg": (10.0, -10.0)},
+            {"lat_band_deg": (80.0, 100.0)},
+            {"lat_band_deg": (-90.5, 0.0)},
+            {"lat_band_deg": (math.nan, 0.0)},
+            {"demand_range_bps": (0.0, 1e6)},
+            {"demand_range_bps": (2e6, 1e6)},
+            {"demand_range_bps": (1e6, math.inf)},
+            {"demand_range_bps": (math.nan, 1e6)},
+        ],
+    )
+    def test_generation_params_reject_bad_ranges(self, params):
+        """A reversed latitude band used to be a numpy ValueError, one past
+        a pole gave beams at latitude 99; the demand range must be finite
+        and positive for its log-uniform draw."""
+        with pytest.raises(DomainError):
+            GenerationParams(**params)
+        GenerationParams(lat_band_deg=(-90.0, 90.0), demand_range_bps=(1.0, 1.0))
+
 
 class TestRouting:
     def test_steps_cover_horizon_inclusive(self):
@@ -263,6 +284,27 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError) as err:
             scenario_from_dict(doc)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "path", ["geometry.altitude_km", "grid.slot_bandwidth_hz", "sim.horizon_min",
+                 "sim.half_cone_deg", "sim.min_elevation_deg", "beams[0].lat"],
+    )
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_rejected_at_their_field(self, path, token):
+        """JSON readers accept NaN and Infinity, which pass every range
+        check (an infinite horizon routes forever); the cast rejects them."""
+        doc = scenario_to_dict(generate_synthetic(seed=5, n_users=5, grid=GRID, geometry=GEOM))
+        section, name = path.split(".")
+        (doc["beams"][0] if section == "beams[0]" else doc[section])[name] = float(token)
+        text = json.dumps(doc)
+        assert token in text
+        with pytest.raises(ScenarioFormatError, match="is not a finite number") as err:
+            scenario_from_dict(json.loads(text))
+        assert err.value.field == path
+
+    def test_scenario_rejects_an_infinite_horizon(self):
+        with pytest.raises(DomainError, match="horizon_min must be finite"):
+            tiny_scenario([Beam(id=1)], horizon_min=math.inf)
 
     def test_invalid_json_reports_document(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -111,7 +111,7 @@ def test_large_case_matches_reference():
     assert len(scenario.beams) == 98
     assert_pipeline_matches_reference(scenario)
     restrictions = derive_restrictions(scenario)
-    assert (len(restrictions.intra), len(restrictions.inter)) == (1315, 6)
+    assert (len(restrictions.pairs["intra"]), len(restrictions.pairs["inter"])) == (1315, 6)
 
 
 def test_m_scenario_matches_reference(m_scenario):
@@ -355,7 +355,7 @@ def test_benchmark_scenarios_derive_pinned_pair_arrays(n_users, band, digests):
     scenario = generate_synthetic(seed=7, n_users=n_users, grid=GRID, geometry=GEOM, params=params)
     restrictions = derive_restrictions(scenario)
     got = {kind: hashlib.sha256(pairs.tobytes()).hexdigest() for kind, pairs in restrictions.pairs.items()}
-    indptr, indices = iterative._partner_csr(np.array(sorted(scenario.beam_ids())), restrictions)
+    indptr, indices = restrictions.partners(np.array(sorted(scenario.beam_ids())))
     got["csr"] = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
     assert got == digests
 
@@ -576,9 +576,17 @@ def test_pipeline_builds_one_partner_csr_per_restriction_set(monkeypatch):
     """The warm start and the optimizer each build one PlanArrays over the
     same ids, and the optimizer's reuses the warm start's partner CSR, the
     only one of the run; iterations build none."""
-    built = []
-    real_csr = iterative._partner_csr
-    monkeypatch.setattr(iterative, "_partner_csr", lambda ids, r: built.append(len(ids)) or real_csr(ids, r))
+    built, kept = [], []  # the length of the ids of each new CSR, and its indptr
+    real_partners = RestrictionSets.partners
+
+    def partners(self, ids):
+        csr = real_partners(self, ids)
+        if not any(csr[0] is indptr for indptr in kept):
+            kept.append(csr[0])
+            built.append(len(ids))
+        return csr
+
+    monkeypatch.setattr(RestrictionSets, "partners", partners)
     scenario = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
     restrictions = derive_restrictions(scenario)
     warm = greedy_warm_start(scenario, restrictions)
@@ -589,24 +597,6 @@ def test_pipeline_builds_one_partner_csr_per_restriction_set(monkeypatch):
     wider = iterative.PlanArrays(FrequencyPlan({**warm.assignments, 10_000: Assignment.inactive()}),
                                  restrictions, scenario.grid)
     assert built == [98, 99] and len(wider.indptr) == 100
-
-
-def test_pipeline_reads_only_the_pair_arrays(monkeypatch):
-    """From derive_restrictions to the final validate_plan no frozenset of
-    pairs is built: the intra kind (1315 pairs) takes validate_plan's array
-    path, the inter kind (6 pairs) its pair-by-pair path."""
-    scenario = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
-    restrictions = derive_restrictions(scenario)
-
-    def no_view(self):
-        raise AssertionError("a frozenset of restriction pairs was built")
-
-    for kind in ("intra", "inter"):
-        monkeypatch.setattr(RestrictionSets, kind, property(no_view))
-    warm = greedy_warm_start(scenario, restrictions)
-    plan, _ = optimize(scenario, restrictions, ObjectiveWeights(), warm_start=warm,
-                       config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
-    assert validate_plan(plan, scenario.grid, restrictions, scenario.beams) == []
 
 
 # SHA-256 of the beams the two iterative benchmark workloads generate: per

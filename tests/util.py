@@ -85,6 +85,13 @@ def random_instance(
     return scenario, weights
 
 
+def pair_sets(restrictions: RestrictionSets) -> tuple[frozenset, frozenset]:
+    """The intra and inter pairs of ``restrictions`` as frozensets of
+    (smaller id, larger id) tuples, for the references that test pairs one
+    at a time."""
+    return tuple(frozenset(map(tuple, restrictions.pairs[kind].tolist())) for kind in ("intra", "inter"))
+
+
 def ref_decompose(g: int, n_p: int) -> tuple[int, int]:
     """Reference reuse/polarization split: smallest k >= g / n_p."""
     k = math.ceil(g / n_p)
@@ -113,12 +120,13 @@ def ref_plan_is_valid(
             return False
         if not (row_lo <= a.g <= row_hi):
             return False
-    for i, j in restrictions.intra:
+    intra, inter = pair_sets(restrictions)
+    for i, j in intra:
         ai, aj = plan[i], plan[j]
         if ai.active and aj.active and ai.g == aj.g:
             if ref_intervals_overlap(ai.f, ai.b, aj.f, aj.b):
                 return False
-    for i, j in restrictions.inter:
+    for i, j in inter:
         ai, aj = plan[i], plan[j]
         if ai.active and aj.active:
             if ref_decompose(ai.g, grid.n_p)[1] == ref_decompose(aj.g, grid.n_p)[1]:
@@ -231,15 +239,14 @@ def ref_options_collide(oi, oj, is_intra: bool, is_inter: bool, n_p: int) -> boo
 def _ref_blocked(beam_id, cand, grid, plan, restrictions, selected) -> bool:
     """Whether ``cand`` collides with an active restricted partner of the
     beam that is not being re-optimized."""
-    for i, j in restrictions.intra | restrictions.inter:
+    intra, inter = pair_sets(restrictions)
+    for i, j in intra | inter:
         if beam_id not in (i, j):
             continue
         other = j if i == beam_id else i
         if other in selected or not plan[other].active:
             continue
-        if ref_options_collide(
-            cand, plan[other], (i, j) in restrictions.intra, (i, j) in restrictions.inter, grid.n_p
-        ):
+        if ref_options_collide(cand, plan[other], (i, j) in intra, (i, j) in inter, grid.n_p):
             return True
     return False
 
@@ -313,10 +320,11 @@ def ref_reoptimize(scenario, restrictions, weights, plan, picked, cap, node_budg
         allow.append(not keep)
         initial.append(len(opts) - 1 if keep else None)
     conflict = {}
+    intra, inter = pair_sets(restrictions)
     for x in range(len(picked)):
         for y in range(x + 1, len(picked)):
             key = (min(picked[x], picked[y]), max(picked[x], picked[y]))
-            ii, ie = key in restrictions.intra, key in restrictions.inter
+            ii, ie = key in intra, key in inter
             if ii or ie:
                 conflict[(x, y)] = np.array(
                     [[ref_options_collide(Assignment(*u[:3]), Assignment(*v[:3]), ii, ie, grid.n_p)
@@ -355,8 +363,9 @@ def ref_greedy_warm_start(scenario: Scenario, restrictions) -> FrequencyPlan:
     grid = scenario.grid
     assignments = {b.id: Assignment.inactive() for b in scenario.beams}
     partners: dict[int, list[tuple[int, bool, bool]]] = {b.id: [] for b in scenario.beams}
-    for i, j in restrictions.intra | restrictions.inter:
-        kind = ((i, j) in restrictions.intra, (i, j) in restrictions.inter)
+    intra, inter = pair_sets(restrictions)
+    for i, j in intra | inter:
+        kind = ((i, j) in intra, (i, j) in inter)
         partners[i].append((j, *kind))
         partners[j].append((i, *kind))
     for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
@@ -983,13 +992,14 @@ def ref_validate_plan(
             return ai, aj
         return None
 
-    for i, j in sorted(restrictions.intra):
+    intra, inter = pair_sets(restrictions)
+    for i, j in sorted(intra):
         pair = _both_active(i, j)
         if pair and pair[0].g == pair[1].g and overlaps(*pair):
             violations.append(
                 Violation("intra-overlap", (i, j), f"row {pair[0].g} shared slots")
             )
-    for i, j in sorted(restrictions.inter):
+    for i, j in sorted(inter):
         pair = _both_active(i, j)
         if pair is None:
             continue

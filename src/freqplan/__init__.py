@@ -30,7 +30,6 @@ from .iterative import (
     export_trace,
     greedy_warm_start,
     optimize,
-    score_option,
 )
 from .milp import MilpModel, build_full_model, emit_lp, extract_plan
 from .model import (

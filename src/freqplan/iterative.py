@@ -34,6 +34,7 @@ from .model import (
     _plan_arrays,
     _polarization,
     beam_scores,
+    check_plan_beams,
     objective_value,
     slot_capacity,
     validate_plan,
@@ -156,20 +157,6 @@ def export_trace(trace: IterationTrace, path) -> None:
             )
 
 
-def score_option(
-    beam: Beam,
-    f: int,
-    g: int,
-    b: int,
-    weights: ObjectiveWeights,
-    power_table: Mapping[int, object] | None = None,
-) -> float:
-    """Contribution of one candidate: ObjectiveWeights.score at its power
-    P(f, b) from ``power_table``."""
-    table = power_table.get(beam.id) if power_table else None
-    return weights.score(beam.id, f, g, b, None if table is None else table.value(f, b))
-
-
 class PlanArrays:
     """A plan as the iterative layer reads and updates it, by position in
     its sorted beam ids: ``state[k]`` is the (active, f, g, b) of ids[k]
@@ -194,7 +181,6 @@ class PlanArrays:
         self.first = np.zeros((2, n), dtype=np.int64)
         self.span = np.zeros((2, n), dtype=np.int64)
         self.row_pol = grid.n_rows + _polarization(np.arange(1, grid.n_rows + 1), grid.n_p)
-        self._powers: dict[int, np.ndarray] = {}  # per-width power of each beam read so far
         self._refresh(np.flatnonzero(self.state[:n, 0]).tolist())  # the others stay 0
 
     def _refresh(self, ks) -> None:
@@ -212,23 +198,14 @@ class PlanArrays:
         rows = zip(self.ids.tolist(), self.state.tolist())  # drops the trailing inactive row
         return FrequencyPlan({i: Assignment(f, g, b, bool(active)) for i, (active, f, g, b) in rows})
 
-    def assign(self, k: int, a: Assignment) -> None:
-        self.state[k] = (a.active, a.f, a.g, a.b)
+    def assign(self, k: int, row) -> None:
+        """Set the (active, f, g, b) row of position k."""
+        self.state[k] = row
         self._refresh([k])
 
     def select(self, ks: Sequence[int], on: bool) -> None:
         self.selected[ks] = on
         self._refresh(ks)
-
-    def powers(self, beam: Beam, table, widths: np.ndarray) -> np.ndarray:
-        """``table.value`` of each of the beam's ``widths`` (ascending, from
-        ``min_slots`` >= 1), gathered from ``table.by_slots_dbw`` once."""
-        got = self._powers.get(beam.id)
-        if got is None:
-            if widths.size and widths[-1] > len(table.by_slots_dbw):
-                table.value(1, int(widths[-1]))  # raises the table's range error
-            got = self._powers[beam.id] = np.array(table.by_slots_dbw)[widths - 1]
-        return got
 
 
 def _blocked_cells(plan: PlanArrays, k: int) -> np.ndarray:
@@ -285,13 +262,18 @@ def enumerate_options(
     (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
     run = _free_runs(_blocked_cells(plan, k), *ranges)
+    table = power_table.get(beam.id) if power_table else None
+    if table is not None and widths.size and widths[-1] > len(table.by_slots_dbw):
+        table.value(1, int(widths[-1]))  # raises the table's range error
+    power = None if table is None else np.array(table.by_slots_dbw)[widths - 1]  # by width
 
     original = None
     active, f, g, b = plan.state[k].tolist()
     if active:
         at = (g - row_lo, f - slot_lo)
         if all(0 <= i < n for i, n in zip(at, run.shape)) and beam.min_slots <= b <= run[at]:
-            original = BeamOption(f, g, b, score_option(beam, f, g, b, weights, power_table))
+            own = None if power is None else power[b - beam.min_slots]
+            original = BeamOption(f, g, b, float(weights.score(beam.id, f, g, b, own)))
 
     cap = config.top_per_bandwidth
     live = run.T >= beam.min_slots  # by first slot, then row
@@ -306,9 +288,7 @@ def enumerate_options(
     f_idx, g_idx = np.nonzero(live)
     cell, b_idx = np.nonzero(run[g_idx, f_idx, None] >= widths)
     f_vals, g_vals, b_vals = f_idx[cell] + slot_lo, g_idx[cell] + row_lo, widths[b_idx]
-    table = power_table.get(beam.id) if power_table else None
-    power = None if table is None else plan.powers(beam, table, widths)[b_idx]
-    scores = weights.score(beam.id, f_vals, g_vals, b_vals, power)
+    scores = weights.score(beam.id, f_vals, g_vals, b_vals, None if power is None else power[b_idx])
 
     # score descending, then f, g, b: within one width, the cap's order
     order = np.argsort(-scores, kind="stable")
@@ -490,8 +470,8 @@ class IterationState:
     """One optimizer run's state. The plan lives only in ``arrays`` (its
     PlanArrays), built once from the plan given; iterate_once keeps
     ``scores`` (each beam's ObjectiveWeights.score, 0.0 when inactive, by
-    position in the plan's sorted beam ids) and ``slots`` (the active slot
-    total) in step with it."""
+    position in the plan's sorted beam ids, as ``beams`` lists the beams)
+    and ``slots`` (the active slot total) in step with it."""
 
     def __init__(
         self,
@@ -506,8 +486,8 @@ class IterationState:
         self.config, self.power_table = config, power_table
         self.trace = IterationTrace()
         self.iteration = self.stall = 0
-        self.beams = {b.id: b for b in scenario.beams}
-        self.beam_ids = np.array(sorted(self.beams), dtype=np.int64)
+        check_plan_beams(plan, scenario.beams)  # so a position indexes the plan's ids and beams alike
+        self.beams = sorted(scenario.beams, key=lambda b: b.id)
         self.capacity = slot_capacity(scenario.grid, scenario.geometry.n_s)
         self.arrays = PlanArrays(plan, restrictions, scenario.grid)
         self.scores = beam_scores(plan, weights, power_table)
@@ -556,18 +536,19 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     record, and returns it."""
     started = time.perf_counter()
     plan = state.arrays
-    n_pick = min(state.config.n_ch, len(state.beam_ids))
-    picked = sorted(int(x) for x in rng.choice(state.beam_ids, size=n_pick, replace=False))
-    positions = [plan.at[i] for i in picked]
+    # positions ascend with the sorted ids, so this draws the beams that
+    # rng.choice over the sorted ids would
+    n = len(plan.ids)
+    picked = sorted(rng.choice(n, size=min(state.config.n_ch, n), replace=False).tolist())
 
-    plan.select(positions, True)
+    plan.select(picked, True)
     try:
         option_sets = [
-            enumerate_options(state.beams[i], plan, state.config, state.weights, state.power_table)
-            for i in picked
+            enumerate_options(state.beams[k], plan, state.config, state.weights, state.power_table)
+            for k in picked
         ]
     finally:
-        plan.select(positions, False)
+        plan.select(picked, False)
 
     # exact selection: same semantics as solving build_subproblem()
     columns, initial, pair_conflict = _subproblem(option_sets, plan)
@@ -585,24 +566,15 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     records = state.trace.records
     prev = records[-1].objective if records else objective_value(state.plan, state.weights, state.power_table)
     changed = 0
-    for pos, (beam_id, k) in enumerate(zip(picked, positions)):
-        sel = picks[pos]
-        if sel is None:
-            new = Assignment.inactive()
-        else:
-            f, g, b, _ = columns[pos]
-            new = Assignment(int(f[sel]), int(g[sel]), int(b[sel]))
-        old = plan.state[k].tolist()  # active, f, g, b: an inactive row may keep stale f, g, b
-        if old == [new.active, new.f, new.g, new.b]:
+    for k, sel, (f, g, b, score) in zip(picked, picks, columns):
+        row = [0, 0, 0, 0] if sel is None else [1, f[sel].item(), g[sel].item(), b[sel].item()]
+        old = plan.state[k].tolist()  # an inactive row may keep stale f, g, b
+        if old == row:
             continue
         changed += 1
-        plan.assign(k, new)
-        state.slots += new.b * new.active - old[3] * old[0]
-        state.scores[k] = (
-            score_option(state.beams[beam_id], new.f, new.g, new.b, state.weights, state.power_table)
-            if new.active
-            else 0.0
-        )
+        plan.assign(k, row)
+        state.slots += row[3] * row[0] - old[3] * old[0]
+        state.scores[k] = 0.0 if sel is None else score[sel].item()
 
     state.iteration += 1
     objective = state.objective()
@@ -632,7 +604,7 @@ def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> Freq
         free = _free_runs(_blocked_cells(plan, k), *ranges) >= beam.min_slots
         if free.any():
             g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
-            plan.assign(k, Assignment(slot_lo + f, row_lo + g, beam.min_slots))
+            plan.assign(k, (1, slot_lo + f, row_lo + g, beam.min_slots))
     return plan.plan()
 
 

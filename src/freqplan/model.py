@@ -35,8 +35,7 @@ class FrequencyGrid:
             raise DomainError(f"n_fr must be >= 1, got {self.n_fr}")
         if self.n_p not in (1, 2):
             raise DomainError(f"n_p must be 1 or 2, got {self.n_p}")
-        if self.slot_bandwidth_hz <= 0:
-            raise DomainError("slot_bandwidth_hz must be positive")
+        check_positive_finite("slot_bandwidth_hz", self.slot_bandwidth_hz)
 
     @property
     def n_rows(self) -> int:
@@ -80,6 +79,12 @@ class Beam:
         if problem:
             raise DomainError(f"beam {self.id}: {name} {span} {problem}")
         return span[0], span[1]
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise DomainError unless ``value`` is positive and finite (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def range_problem(span: tuple[int, int], n: int) -> str | None:
@@ -311,12 +316,12 @@ def overlaps(a: Assignment, b: Assignment) -> bool:
     return a.f <= b.last_slot and b.f <= a.last_slot
 
 
-def check_plan_beams(plan: FrequencyPlan, beams: Sequence[Beam], allow_missing: bool = False) -> None:
-    """Raise PlanStructureError when ``plan`` omits a beam of ``beams``
-    (unless ``allow_missing``) or names a beam id that ``beams`` lacks."""
+def check_plan_beams(plan: FrequencyPlan, beams: Sequence[Beam]) -> None:
+    """Raise PlanStructureError when ``plan`` omits a beam of ``beams`` or
+    names a beam id that ``beams`` lacks."""
     known = {b.id for b in beams}
     missing = sorted(known - plan.assignments.keys())
-    if missing and not allow_missing:
+    if missing:
         raise PlanStructureError(f"plan missing beams {missing}")
     unknown = sorted(plan.assignments.keys() - known)
     if unknown:

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, RoutingError, ScenarioFormatError
-from .model import Beam, FrequencyGrid, RestrictionSets, canonical_pairs, range_problem
+from .model import Beam, FrequencyGrid, RestrictionSets, canonical_pairs, check_positive_finite, range_problem
 from .power import LinkBudget
 
 EARTH_RADIUS_KM = 6371.0
@@ -37,8 +37,7 @@ class ConstellationGeometry:
     def __post_init__(self):
         if self.n_s < 1:
             raise DomainError(f"n_s must be >= 1, got {self.n_s}")
-        if self.altitude_km <= 0:
-            raise DomainError("altitude_km must be positive")
+        check_positive_finite("altitude_km", self.altitude_km)
 
     @property
     def period_min(self) -> float:
@@ -77,8 +76,12 @@ class Scenario:
             raise DomainError(f"horizon_min must be finite, got {self.horizon_min}")
         if not (self.horizon_min >= self.step_min > 0):
             raise DomainError("need horizon_min >= step_min > 0")
-        if self.half_cone_deg <= 0:
-            raise DomainError("half_cone_deg must be positive")
+        check_positive_finite("half_cone_deg", self.half_cone_deg)
+        # a NaN horizon would count every satellite as visible
+        if not math.isfinite(self.min_elevation_deg):
+            raise DomainError(f"min_elevation_deg must be finite, got {self.min_elevation_deg}")
+        if not 0 <= self.interference_multiplier < math.inf:
+            raise DomainError(f"interference_multiplier must be finite and >= 0, got {self.interference_multiplier}")
         ids = [b.id for b in self.beams]
         if len(ids) != len(set(ids)):
             raise DomainError("beam ids must be unique")
@@ -293,6 +296,7 @@ def generate_synthetic(
         raise DomainError(f"n_users must be >= 1, got {n_users}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    check_positive_finite("half_cone_deg", half_cone_deg)  # the clustering reads it
     rng = np.random.default_rng(seed)
     lat_lo, lat_hi = params.lat_band_deg
     lats = rng.uniform(lat_lo, lat_hi, size=n_users)

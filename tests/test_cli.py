@@ -89,6 +89,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--altitude-km", "--slot-bandwidth-hz", "--half-cone-deg"])
+    def test_non_finite_geometry_exits_1(self, tmp_path, capsys, flag):
+        """A NaN passed the library's `<= 0` checks, so generate exited 0
+        with a NaN token that load_scenario then rejected."""
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert main(["generate", "--seed", "1", "--users", "5", flag, "nan", "--out", str(out)]) == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be positive and finite, got nan\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("band", [("10", "-10"), ("80", "100")])
     def test_bad_latitude_band_exits_1(self, tmp_path, capsys, band):
         """A reversed band was a numpy traceback; one past a pole wrote

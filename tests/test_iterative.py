@@ -17,6 +17,7 @@ from freqplan import (
     IterationConfig,
     LinkBudget,
     ObjectiveWeights,
+    PlanStructureError,
     PowerTable,
     RestrictionSets,
     Scenario,
@@ -31,7 +32,6 @@ from freqplan import (
     optimize,
     power_tables_for,
     save_plan_csv,
-    score_option,
     solve_exact,
     total_normalized_bandwidth,
     validate_plan,
@@ -50,6 +50,7 @@ from freqplan.solver import brute_force_best_plan, solve_option_selection
 
 from util import (
     _ref_blocked,
+    _ref_score,
     pair_sets,
     random_instance,
     ref_enumerate_options,
@@ -118,24 +119,35 @@ def enumerate_against(beam, grid, plan, restrictions, selected, config, weights,
 
 class TestScoring:
     def test_score_matches_objective_contribution(self):
+        """ObjectiveWeights.score of one candidate is its beam's objective
+        term, and enumerate_options scores the keep-as-is candidate with it."""
         w = ObjectiveWeights(beta1=2.0, beta2=0.5, beta3=0.25, beta5=1.5)
-        beam = Beam(id=1)
-        plan = FrequencyPlan({1: Assignment(3, 2, 4)})
-        assert score_option(beam, 3, 2, 4, w) == pytest.approx(objective_value(plan, w))
+        s = scenario_with([Beam(id=1)])
+        plan = FrequencyPlan({1: Assignment(3, 2, 2)})
+        assert w.score(1, 3, 2, 2, None) == pytest.approx(objective_value(plan, w))
+        oset = enumerate_against(s.beams[0], GRID, plan, s.restrictions, {1}, IterationConfig(n_ch=1), w)
+        assert oset.original == BeamOption(3, 2, 2, w.score(1, 3, 2, 2, None))
+        assert type(oset.original.score) is float
 
     def test_powers_are_the_table_values_of_the_widths(self):
-        """PlanArrays.powers gathers each width's power from the table: the
-        floats PowerTable.value gives, and its range error for a table
-        narrower than the beam's widths."""
+        """enumerate_options reads each width's power from the table: every
+        candidate, the keep-as-is one too, scores ObjectiveWeights.score at
+        PowerTable.value, and a table narrower than the beam's widths raises
+        the table's range error."""
         s = scenario_with([Beam(id=1, min_slots=2)])
-        widths = np.arange(2, GRID.n_bw + 1)
+        w = ObjectiveWeights(beta1=1.0, beta2=0.1, beta4=0.5)
         table = PowerTable(1, (1.5, 2.25, 3.0, 4.75), (1.0,) * 4, (True,) * 4)
-        got = PlanArrays(all_inactive(s), s.restrictions, GRID).powers(s.beams[0], table, widths)
-        assert got.dtype == np.float64
-        assert got.tolist() == [table.value(1, b) for b in widths.tolist()] == [2.25, 3.0, 4.75]
+        config = IterationConfig(n_ch=1, top_per_bandwidth=None)
+        plan = FrequencyPlan({1: Assignment(2, 3, 3)})
+        oset = enumerate_against(s.beams[0], GRID, plan, s.restrictions, {1}, config, w, {1: table})
+        assert sorted({o.b for o in oset.options}) == [2, 3, 4]
+        assert oset.includes_original
+        for o in [*oset.options, oset.original]:
+            assert o.score == w.score(1, o.f, o.g, o.b, table.value(o.f, o.b))
+        assert type(oset.original.score) is float
         narrow = PowerTable(1, (1.5, 2.25), (1.0,) * 2, (True,) * 2)
         with pytest.raises(DomainError, match=r"beam 1: b=4 outside 1\.\.2"):
-            PlanArrays(all_inactive(s), s.restrictions, GRID).powers(s.beams[0], narrow, widths)
+            enumerate_against(s.beams[0], GRID, all_inactive(s), s.restrictions, {1}, config, w, {1: narrow})
 
     def test_beta4_without_power_table_is_unsupported(self):
         """Each scorer raises the one missing-table error, also when another
@@ -147,7 +159,12 @@ class TestScoring:
             with pytest.raises(UnsupportedConfigurationError):
                 objective_value(FrequencyPlan({1: Assignment(1, 1, 1)}), w, power_table)
             with pytest.raises(UnsupportedConfigurationError):
-                score_option(s.beams[0], 1, 1, 1, w, power_table)
+                w.score(1, 1, 1, 1, None)
+            with pytest.raises(UnsupportedConfigurationError):  # the keep-as-is candidate's score
+                enumerate_against(
+                    s.beams[0], GRID, FrequencyPlan({1: Assignment(1, 1, 1)}), s.restrictions, {1},
+                    IterationConfig(n_ch=1), w, power_table,
+                )
             with pytest.raises(UnsupportedConfigurationError):
                 enumerate_against(
                     s.beams[0], GRID, all_inactive(s), s.restrictions, {1},
@@ -220,7 +237,7 @@ class TestEnumerateOptions:
         scores = [o.score for o in oset.options]
         assert scores == sorted(scores, reverse=True)
         for o in oset.options:
-            assert o.score == pytest.approx(score_option(s.beams[0], o.f, o.g, o.b, w))
+            assert o.score == pytest.approx(w.score(1, o.f, o.g, o.b, None))
 
     def test_keep_as_is_candidate_present_iff_conflict_free(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
@@ -298,7 +315,7 @@ class TestEnumerateOptions:
             keep = ref_keeps_as_is(beams[0], grid, plan, restrictions, selected)
             a = plan[1]
             assert got.original == (
-                BeamOption(a.f, a.g, a.b, score_option(beams[0], a.f, a.g, a.b, weights, tables))
+                BeamOption(a.f, a.g, a.b, _ref_score(1, a, weights, tables))
                 if keep else None
             )
 
@@ -351,7 +368,7 @@ class TestEnumerateOptions:
         assert (len(expected) > 0) == (min_slots <= 40)
         a = plan[1]
         assert got.original == (
-            BeamOption(a.f, a.g, a.b, score_option(beam, a.f, a.g, a.b, weights, tables))
+            BeamOption(a.f, a.g, a.b, _ref_score(1, a, weights, tables))
             if ref_keeps_as_is(beam, grid, plan, own_pairs, selected) else None
         )
 
@@ -1007,6 +1024,21 @@ class TestIterateOnce:
         assert iterative.iterate_once(state, np.random.default_rng(0)).trace.records[-1].beams_changed == 1
         assert state.plan[1] == Assignment.inactive()
 
+    def test_state_needs_a_plan_of_exactly_the_scenario_beams(self):
+        """Iterations read beams by position in the plan's ids, so a plan
+        that omits a scenario beam or names an unknown one is rejected."""
+        s = scenario_with([Beam(id=i) for i in (1, 2, 3)])
+        on = Assignment(1, 1, 1)
+        for assignments, problem in (
+            ({1: on, 2: on}, r"plan missing beams \[3\]"),
+            ({1: on, 2: on, 3: on, 4: on}, r"plan names unknown beams \[4\]"),
+        ):
+            with pytest.raises(PlanStructureError, match=problem):
+                iterative.IterationState(
+                    scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(),
+                    config=IterationConfig(n_ch=3), plan=FrequencyPlan(assignments),
+                )
+
     def test_plan_is_read_from_the_arrays(self):
         """state.plan is the PlanArrays' plan after every iteration and
         cannot be replaced from outside."""
@@ -1045,42 +1077,45 @@ class TestOptimize:
     def test_iterations_match_reference_step(self, seed, node_budget):
         """Each iteration applies what the reference ranking, dense pairwise
         conflicts and the reference search select, keep-as-is candidate
-        last. Flat weights make equal scores across different blocks common."""
+        last. Flat weights make equal scores across different blocks common.
+        The reference draws ids where iterate_once draws positions, so the
+        non-contiguous ids show that both pick the same beams."""
         rng = np.random.default_rng(700 + seed)
-        grid = FrequencyGrid(n_bw=int(rng.integers(3, 7)), n_fr=2, n_p=int(rng.integers(1, 3)))
-        beams = tuple(
-            Beam(id=i, allowed_rows=(1, grid.n_rows - 1) if i % 3 == 0 else None)
-            for i in range(1, 10)
-        )
-        pairs = [(i, j) for i in range(1, 10) for j in range(i + 1, 10)]
-        s = Scenario(
-            grid=grid, beams=beams, geometry=GEOM,
-            restrictions=RestrictionSets.of(
-                intra=[p for p in pairs if rng.random() < 0.5],
-                inter=[p for p in pairs if rng.random() < 0.3],
-            ),
-        )
-        w = ObjectiveWeights(beta1=1.0, beta2=float(rng.choice([0.0, 0.5])), beta5=0.5)
-        config = IterationConfig(
-            n_ch=6, top_per_bandwidth=int(rng.choice([1, 2])), node_budget=node_budget,
-        )
-        # a random start leaves beams behind equal-score blocks ranked first
-        start = {
-            beam.id: Assignment(int(rng.integers(1, grid.n_bw + 1)), int(rng.integers(1, grid.n_rows)), 1)
-            for beam in beams
-        }
-        state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=w, config=config,
-            plan=sanitize_warm_start(FrequencyPlan(start), s, s.restrictions),
-        )
-        rng_run, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            picked = sorted(int(x) for x in rng_ref.choice(sorted(s.beam_ids()), size=6, replace=False))
-            expected = ref_reoptimize(
-                s, s.restrictions, w, state.plan, picked, config.top_per_bandwidth, node_budget
+        for ids in (range(1, 10), (-5, 3, 10, 42, 10_000, 10_001, 20_000, 31_337, 99_999)):
+            grid = FrequencyGrid(n_bw=int(rng.integers(3, 7)), n_fr=2, n_p=int(rng.integers(1, 3)))
+            beams = tuple(
+                Beam(id=i, allowed_rows=(1, grid.n_rows - 1) if n % 3 == 2 else None)
+                for n, i in enumerate(ids)
             )
-            state = iterative.iterate_once(state, rng_run)
-            assert state.plan.assignments == expected.assignments
+            pairs = [(i, j) for i in ids for j in ids if i < j]
+            s = Scenario(
+                grid=grid, beams=beams, geometry=GEOM,
+                restrictions=RestrictionSets.of(
+                    intra=[p for p in pairs if rng.random() < 0.5],
+                    inter=[p for p in pairs if rng.random() < 0.3],
+                ),
+            )
+            w = ObjectiveWeights(beta1=1.0, beta2=float(rng.choice([0.0, 0.5])), beta5=0.5)
+            config = IterationConfig(
+                n_ch=6, top_per_bandwidth=int(rng.choice([1, 2])), node_budget=node_budget,
+            )
+            # a random start leaves beams behind equal-score blocks ranked first
+            start = {
+                beam.id: Assignment(int(rng.integers(1, grid.n_bw + 1)), int(rng.integers(1, grid.n_rows)), 1)
+                for beam in beams
+            }
+            state = iterative.IterationState(
+                scenario=s, restrictions=s.restrictions, weights=w, config=config,
+                plan=sanitize_warm_start(FrequencyPlan(start), s, s.restrictions),
+            )
+            rng_run, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                picked = sorted(int(x) for x in rng_ref.choice(sorted(s.beam_ids()), size=6, replace=False))
+                expected = ref_reoptimize(
+                    s, s.restrictions, w, state.plan, picked, config.top_per_bandwidth, node_budget
+                )
+                state = iterative.iterate_once(state, rng_run)
+                assert state.plan.assignments == expected.assignments
 
     @pytest.mark.parametrize("kind", ["intra", "inter"])
     @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])

@@ -84,6 +84,30 @@ class TestGeometry:
         with pytest.raises(DomainError):
             ConstellationGeometry(n_s=1, altitude_km=0.0)
 
+    NON_FINITE = {
+        "altitude_km": lambda v: ConstellationGeometry(n_s=1, altitude_km=v),
+        "slot_bandwidth_hz": lambda v: FrequencyGrid(n_bw=1, n_fr=1, n_p=1, slot_bandwidth_hz=v),
+        "half_cone_deg": lambda v: tiny_scenario([Beam(id=1)], half_cone_deg=v),
+        "min_elevation_deg": lambda v: tiny_scenario([Beam(id=1)], min_elevation_deg=v),
+        "interference_multiplier": lambda v: tiny_scenario([Beam(id=1)], interference_multiplier=v),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", NON_FINITE)
+    def test_constructors_reject_non_finite_numbers(self, field, value):
+        """NaN passed the old `<= 0` tests: a NaN altitude was written to a
+        scenario file, a NaN horizon made every satellite visible and a NaN
+        multiplier found no inter pairs."""
+        with pytest.raises(DomainError, match=f"^{field} must be .*, got {value}$"):
+            self.NON_FINITE[field](value)
+
+    def test_interference_multiplier_must_not_be_negative(self):
+        """A negative multiplier silently found no inter pairs; 0 finds none
+        by definition."""
+        with pytest.raises(DomainError, match=r"interference_multiplier must be finite and >= 0, got -3\.0"):
+            tiny_scenario([Beam(id=1)], interference_multiplier=-3.0)
+        assert tiny_scenario([Beam(id=1)], interference_multiplier=0.0).interference_multiplier == 0.0
+
 
 class TestGeneration:
     def test_deterministic_for_seed(self):

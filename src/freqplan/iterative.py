@@ -26,12 +26,10 @@ from .errors import DomainError
 from .milp import BINARY, EQ, LE, MilpModel
 from .model import (
     Assignment,
-    Beam,
     FrequencyGrid,
     FrequencyPlan,
     ObjectiveWeights,
     RestrictionSets,
-    _plan_arrays,
     _polarization,
     beam_scores,
     check_plan_beams,
@@ -158,9 +156,10 @@ def export_trace(trace: IterationTrace, path) -> None:
 
 
 class PlanArrays:
-    """A plan as the iterative layer reads and updates it, by position in
-    its sorted beam ids: ``state[k]`` is the (active, f, g, b) of ids[k]
-    (model._plan_arrays) and ``selected[k]`` whether it is re-optimized.
+    """A run's plan, by position k in the scenario's beams sorted by id:
+    ``beams[k]``, ``ids[k]``, ``state[k]`` its (active, f, g, b), all
+    inactive unless ``plan`` is loaded, and ``selected[k]`` whether it is
+    re-optimized.
 
     ``indptr``/``indices`` are the partners of each position in CSR form,
     an intra partner as its position j and an inter partner as n + j
@@ -171,17 +170,22 @@ class PlanArrays:
     active and not selected.
     """
 
-    def __init__(self, plan: FrequencyPlan, restrictions: RestrictionSets, grid: FrequencyGrid):
-        self.grid = grid
-        self.ids, self.state = _plan_arrays(plan)
+    def __init__(self, scenario: Scenario, restrictions: RestrictionSets, plan: FrequencyPlan | None = None):
+        self.grid = grid = scenario.grid
+        self.beams = sorted(scenario.beams, key=lambda b: b.id)
+        self.ids = np.array([b.id for b in self.beams], dtype=np.int64)
         n = len(self.ids)
-        self.at = dict(zip(self.ids.tolist(), range(n)))
+        self.state = np.zeros((n, 4), dtype=np.int64)
+        if plan is not None:
+            check_plan_beams(plan, scenario.beams)
+            rows = map(plan.assignments.__getitem__, self.ids.tolist())
+            self.state[:] = [(a.active, a.f, a.g, a.b) for a in rows]
         self.indptr, self.indices = restrictions.partners(self.ids)
         self.selected = np.zeros(n, dtype=bool)
         self.first = np.zeros((2, n), dtype=np.int64)
         self.span = np.zeros((2, n), dtype=np.int64)
         self.row_pol = grid.n_rows + _polarization(np.arange(1, grid.n_rows + 1), grid.n_p)
-        self._refresh(np.flatnonzero(self.state[:n, 0]).tolist())  # the others stay 0
+        self._refresh(np.flatnonzero(self.state[:, 0]).tolist())  # the others stay 0
 
     def _refresh(self, ks) -> None:
         cells, n_rows, n_p = self.grid.n_bw + 2, self.grid.n_rows, self.grid.n_p
@@ -195,7 +199,7 @@ class PlanArrays:
 
     def plan(self) -> FrequencyPlan:
         """The plan these arrays hold, in id order."""
-        rows = zip(self.ids.tolist(), self.state.tolist())  # drops the trailing inactive row
+        rows = zip(self.ids.tolist(), self.state.tolist())
         return FrequencyPlan({i: Assignment(f, g, b, bool(active)) for i, (active, f, g, b) in rows})
 
     def assign(self, k: int, row) -> None:
@@ -240,14 +244,15 @@ def _free_runs(blocked: np.ndarray, rows: tuple[int, int], slots: tuple[int, int
 
 
 def enumerate_options(
-    beam: Beam,
     plan: PlanArrays,
+    k: int,
     config: IterationConfig,
     weights: ObjectiveWeights,
     power_table: Mapping[int, object] | None = None,
 ) -> OptionSet:
-    """Ranked feasible candidates for one beam against the fixed complement:
-    the active beams of ``plan`` that are not selected.
+    """Ranked feasible candidates for the beam at position ``k`` of ``plan``
+    against the fixed complement: the active beams of ``plan`` that are not
+    selected.
 
     Keeps the top ``top_per_bandwidth`` candidates per slot count; ties go
     to lower f, then lower g. The current assignment becomes the keep-as-is
@@ -258,7 +263,7 @@ def enumerate_options(
     (f, g, b), one stable sort by score puts them in rank order, and the cap
     keeps the first ``top_per_bandwidth`` of each width in it.
     """
-    grid, k = plan.grid, plan.at[beam.id]
+    grid, beam = plan.grid, plan.beams[k]
     (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
     run = _free_runs(_blocked_cells(plan, k), *ranges)
@@ -394,9 +399,9 @@ def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays):
     inserted at its score rank (after every option scoring at least as
     much), so option index equals rank in every group; per beam that rank,
     or None; and the PairConflicts kernel of each restricted pair (a, b),
-    a < b, of positions, found in the sampled beams' rows of ``plan``'s
-    partner CSR. A row fixes the polarization, so a pair that is both intra
-    and inter collides exactly as an inter pair."""
+    a < b, of sample positions, from the partner CSR rows at the sampled
+    ids' positions in ``plan.ids``. A row fixes the polarization, so a pair
+    that is both intra and inter collides exactly as an inter pair."""
     columns: list[tuple[np.ndarray, ...]] = []
     initial: list[int | None] = []
     for oset in option_sets:
@@ -412,7 +417,7 @@ def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays):
     groups = [OptionGroup(f, g, b, plan.grid) for f, g, b, _ in columns]
 
     n, m = len(plan.ids), len(option_sets)
-    ks = np.array([plan.at[o.beam_id] for o in option_sets], dtype=np.int64)
+    ks = np.searchsorted(plan.ids, [o.beam_id for o in option_sets])
     sample = np.full(2 * n, -1)  # sample position of each CSR entry's beam: j and n + j
     sample[ks] = sample[ks + n] = np.arange(m)
     lo, hi = plan.indptr[ks], plan.indptr[ks + 1]
@@ -468,30 +473,25 @@ def build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> Milp
 
 class IterationState:
     """One optimizer run's state. The plan lives only in ``arrays`` (its
-    PlanArrays), built once from the plan given; iterate_once keeps
-    ``scores`` (each beam's ObjectiveWeights.score, 0.0 when inactive, by
-    position in the plan's sorted beam ids, as ``beams`` lists the beams)
-    and ``slots`` (the active slot total) in step with it."""
+    PlanArrays), which ``trace.start`` copies; iterate_once keeps ``scores``
+    (each beam's ObjectiveWeights.score, 0.0 when inactive, by position in
+    the arrays) and ``slots`` (the active slot total) in step with it."""
 
     def __init__(
         self,
         scenario: Scenario,
-        restrictions: RestrictionSets,
         weights: ObjectiveWeights,
         config: IterationConfig,
-        plan: FrequencyPlan,
+        arrays: PlanArrays,
         power_table: Mapping[int, object] | None = None,
     ):
-        self.scenario, self.restrictions, self.weights = scenario, restrictions, weights
-        self.config, self.power_table = config, power_table
-        self.trace = IterationTrace()
+        self.scenario, self.weights, self.config, self.power_table = scenario, weights, config, power_table
+        self.arrays = arrays
+        self.trace = IterationTrace(start=arrays.plan())
         self.iteration = self.stall = 0
-        check_plan_beams(plan, scenario.beams)  # so a position indexes the plan's ids and beams alike
-        self.beams = sorted(scenario.beams, key=lambda b: b.id)
         self.capacity = slot_capacity(scenario.grid, scenario.geometry.n_s)
-        self.arrays = PlanArrays(plan, restrictions, scenario.grid)
-        self.scores = beam_scores(plan, weights, power_table)
-        self.slots = int(self.arrays.state[:, 3] @ self.arrays.state[:, 0])
+        self.scores = beam_scores(self.trace.start, weights, power_table)
+        self.slots = int(arrays.state[:, 3] @ arrays.state[:, 0])
 
     @property
     def plan(self) -> FrequencyPlan:
@@ -544,7 +544,7 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     plan.select(picked, True)
     try:
         option_sets = [
-            enumerate_options(state.beams[k], plan, state.config, state.weights, state.power_table)
+            enumerate_options(plan, k, state.config, state.weights, state.power_table)
             for k in picked
         ]
     finally:
@@ -591,21 +591,26 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     return state
 
 
-def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> FrequencyPlan:
-    """First-fit baseline: beams in descending demand order each take the
-    lowest (g, f) slot block of exactly min_slots that breaks nothing;
-    beams with no fit stay inactive. Always valid."""
-    grid = scenario.grid
-    inactive = FrequencyPlan({b.id: Assignment.inactive() for b in scenario.beams})
-    plan = PlanArrays(inactive, restrictions, grid)
-    for beam in sorted(scenario.beams, key=lambda b: (-b.demand_bps, b.id)):
-        k = plan.at[beam.id]
+def _first_fit(scenario: Scenario, restrictions: RestrictionSets) -> PlanArrays:
+    """greedy_warm_start's plan, as the PlanArrays it is placed in."""
+    plan = PlanArrays(scenario, restrictions)
+    grid, beams = plan.grid, plan.beams
+    # positions ascend with the ids, so ties in demand go to the lower id
+    for k in sorted(range(len(beams)), key=lambda k: (-beams[k].demand_bps, k)):
+        beam = beams[k]
         (row_lo, _), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
         free = _free_runs(_blocked_cells(plan, k), *ranges) >= beam.min_slots
         if free.any():
             g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
             plan.assign(k, (1, slot_lo + f, row_lo + g, beam.min_slots))
-    return plan.plan()
+    return plan
+
+
+def greedy_warm_start(scenario: Scenario, restrictions: RestrictionSets) -> FrequencyPlan:
+    """First-fit baseline: beams in descending demand order each take the
+    lowest (g, f) slot block of exactly min_slots that breaks nothing;
+    beams with no fit stay inactive. Always valid."""
+    return _first_fit(scenario, restrictions).plan()
 
 
 def optimize(
@@ -619,22 +624,15 @@ def optimize(
     """Run iterations until the objective stalls for ``convergence_window``
     consecutive iterations (or ``max_iterations``). The returned plan has
     zero violations; a given warm start need not be valid and is repaired
-    first, while the greedy one is valid by construction. The trace's
-    ``start`` is the plan the iterations began from."""
-    plan = (
-        greedy_warm_start(scenario, restrictions)
+    first, while the greedy one is valid by construction and iterated on in
+    the arrays it was placed in. The trace's ``start`` is the plan the
+    iterations began from."""
+    arrays = (
+        _first_fit(scenario, restrictions)
         if warm_start is None
-        else sanitize_warm_start(warm_start, scenario, restrictions)
+        else PlanArrays(scenario, restrictions, sanitize_warm_start(warm_start, scenario, restrictions))
     )
-    state = IterationState(
-        scenario=scenario,
-        restrictions=restrictions,
-        weights=weights,
-        config=config,
-        plan=plan,
-        power_table=power_table,
-    )
-    state.trace.start = plan
+    state = IterationState(scenario, weights, config, arrays, power_table)
     rng = np.random.default_rng(config.seed)
     while state.iteration < config.max_iterations:
         state = iterate_once(state, rng)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import Beam, FrequencyGrid
+from .model import Beam, FrequencyGrid, check_positive_finite
 
 BOLTZMANN = 1.380649e-23  # J/K
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -40,8 +40,9 @@ class ModCod:
     ebn0_db: float
 
     def __post_init__(self):
-        if self.spectral_efficiency <= 0:
-            raise DomainError(f"{self.name}: spectral_efficiency must be positive")
+        check_positive_finite(f"{self.name}: spectral_efficiency", self.spectral_efficiency)
+        if not math.isfinite(self.ebn0_db):
+            raise DomainError(f"{self.name}: ebn0_db must be finite, got {self.ebn0_db}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ DEFAULT_MODCODS = ModCodTable(
 def load_modcod_csv(path) -> ModCodTable:
     """Load a `name, spectral_efficiency, ebn0_db` table (header row required).
 
-    A number that does not parse raises DomainError naming its line and column.
+    A number that does not parse, or is not finite, raises DomainError naming
+    its line and column.
     """
     entries = []
     with open(path, newline="") as fh:
@@ -100,11 +102,13 @@ def load_modcod_csv(path) -> ModCodTable:
             for column in ("spectral_efficiency", "ebn0_db"):
                 try:
                     numbers.append(float(row[column]))
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError):
+                    numbers.append(math.nan)
+                if not math.isfinite(numbers[-1]):
                     raise DomainError(
                         f"modcod CSV line {reader.line_num}, column {column}: "
-                        f"{row[column]!r} is not a number"
-                    ) from exc
+                        f"{row[column]!r} is not a finite number"
+                    )
             entries.append(ModCod(row["name"].strip(), *numbers))
     return ModCodTable(tuple(entries))
 
@@ -122,10 +126,13 @@ class LinkBudget:
     distance_m: float = 8062e3
 
     def __post_init__(self):
-        if self.rolloff < 0:
-            raise DomainError("rolloff must be >= 0")
-        if self.t_sys_k <= 0 or self.carrier_hz <= 0 or self.distance_m <= 0:
-            raise DomainError("t_sys_k, carrier_hz and distance_m must be positive")
+        if not 0 <= self.rolloff < math.inf:
+            raise DomainError(f"rolloff must be finite and >= 0, got {self.rolloff}")
+        for name in ("obo_db", "g_tx_db", "g_rx_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("t_sys_k", "carrier_hz", "distance_m"):
+            check_positive_finite(name, getattr(self, name))
 
 
 def required_spectral_efficiency(demand_bps: float, rolloff: float, bw_hz: float) -> float:

@@ -91,12 +91,6 @@ class Scenario:
     def beam_ids(self) -> list[int]:
         return [b.id for b in self.beams]
 
-    def beam(self, beam_id: int) -> Beam:
-        for b in self.beams:
-            if b.id == beam_id:
-                return b
-        raise KeyError(beam_id)
-
 
 def central_angle_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Geocentric great-circle angle between two lat/lon points, degrees."""

@@ -226,6 +226,7 @@ class TestOptimize:
             raise AssertionError("greedy warm start built although a warm start was given")
 
         monkeypatch.setattr(iterative, "greedy_warm_start", fail)
+        monkeypatch.setattr(iterative, "_first_fit", fail)
         plan = tmp_path / "plan.csv"
         rc = main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
                    "--warm-start", str(first), "--out-plan", str(plan)])

@@ -45,7 +45,7 @@ from freqplan.iterative import (
     _blocked_cells,
     sanitize_warm_start,
 )
-from freqplan.model import _plan_arrays, beam_scores
+from freqplan.model import beam_scores
 from freqplan.solver import brute_force_best_plan, solve_option_selection
 
 from util import (
@@ -110,11 +110,23 @@ def all_inactive(scenario):
 
 
 def enumerate_against(beam, grid, plan, restrictions, selected, config, weights, power_table=None):
-    """enumerate_options on the PlanArrays of ``plan`` with the beams of
+    """enumerate_options for ``beam`` on the PlanArrays of ``plan``, whose
+    other beams have the whole grid as their domain, with the beams of
     ``selected`` marked as re-optimized."""
-    arrays = PlanArrays(plan, restrictions, grid)
-    arrays.select([arrays.at[i] for i in selected], True)
-    return enumerate_options(beam, arrays, config, weights, power_table)
+    beams = tuple(beam if i == beam.id else Beam(id=i) for i in plan.assignments)
+    arrays = PlanArrays(Scenario(grid=grid, beams=beams, geometry=GEOM), restrictions, plan)
+    arrays.select(np.searchsorted(arrays.ids, sorted(selected)).tolist(), True)
+    return enumerate_options(arrays, int(np.searchsorted(arrays.ids, beam.id)), config, weights, power_table)
+
+
+def enumerate_selected(arrays, ks, config, weights):
+    """enumerate_options at each position of ``ks`` with all of them marked
+    as re-optimized, as iterate_once calls it."""
+    arrays.select(ks, True)
+    try:
+        return [enumerate_options(arrays, k, config, weights) for k in ks]
+    finally:
+        arrays.select(ks, False)
 
 
 class TestScoring:
@@ -377,16 +389,10 @@ class TestSubproblem:
     def build(self, seed=0, n_pick=3):
         rng = np.random.default_rng(seed)
         s, w = random_instance(rng, max_beams=4, max_bw=3)
-        warm = greedy_warm_start(s, s.restrictions)
-        picked = [b.id for b in s.beams][:n_pick]
+        plan = PlanArrays(s, s.restrictions, greedy_warm_start(s, s.restrictions))
+        picked = list(range(min(n_pick, len(s.beams))))  # the first beams: ids 1, 2, ...
         config = IterationConfig(n_ch=len(picked), top_per_bandwidth=None)
-        osets = [
-            enumerate_against(
-                s.beam(i), s.grid, warm, s.restrictions, set(picked), config, w
-            )
-            for i in picked
-        ]
-        return s, w, osets, PlanArrays(warm, s.restrictions, s.grid)
+        return s, w, enumerate_selected(plan, picked, config, w), plan
 
     def test_structure_one_constraint_per_beam(self):
         """One exactly-one or activation row per beam, its variables in the
@@ -461,9 +467,8 @@ class TestSubproblem:
 
         monkeypatch.setattr(iterative, "solve_option_selection", capture)
         state = iterative.IterationState(
-            scenario=scenario, restrictions=restrictions,
-            weights=ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001),
-            config=IterationConfig(n_ch=25, seed=0), plan=warm,
+            scenario=scenario, weights=ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001),
+            config=IterationConfig(n_ch=25, seed=0), arrays=PlanArrays(scenario, restrictions, warm),
         )
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -508,7 +513,7 @@ class TestSubproblem:
                     key = (min(ids[a], ids[b]), max(ids[a], ids[b]))
                     if key in inter or key in intra:
                         expected.append((a, b, key in inter))
-            plan = PlanArrays(FrequencyPlan({i: Assignment.inactive() for i in ids + [100, 101]}), r, GRID)
+            plan = PlanArrays(Scenario(grid=GRID, beams=tuple(Beam(id=i) for i in ids + [100, 101]), geometry=GEOM), r)
             osets = [iterative.OptionSet(i, empty, empty, empty, empty.astype(float)) for i in ids]
             _, _, kernels = iterative._subproblem(osets, plan)
             assert [(a, b, kernel.rows.by_pol) for (a, b), kernel in kernels.items()] == expected
@@ -548,11 +553,8 @@ class TestHighsOracle:
         n_pick = int(rng.integers(6, 11))
         picked = sorted(int(i) for i in rng.choice(np.arange(1, n + 1), size=n_pick, replace=False))
         config = IterationConfig(n_ch=len(picked), top_per_bandwidth=3)
-        osets = [
-            enumerate_against(s.beam(i), grid, warm, s.restrictions, set(picked), config, weights)
-            for i in picked
-        ]
-        plan = PlanArrays(warm, s.restrictions, grid)
+        plan = PlanArrays(s, s.restrictions, warm)
+        osets = enumerate_selected(plan, [i - 1 for i in picked], config, weights)  # ids 1..n
         status, highs = solve_with_scipy_milp(build_subproblem(osets, plan))
         assert status == 0
 
@@ -708,11 +710,10 @@ def assert_state_matches_plan(state):
     state read afresh from its plan, and the last record states its
     objective and normalized bandwidth exactly."""
     s, plan = state.scenario, state.plan
-    ids, rows = _plan_arrays(plan)
-    fresh = PlanArrays(plan, state.restrictions, s.grid)
+    fresh = PlanArrays(s, RestrictionSets(), plan)  # partners play no part in what is compared
     arrays = state.arrays
-    assert arrays.ids.tolist() == ids.tolist()
-    assert arrays.state.tolist() == rows.tolist()
+    assert arrays.ids.tolist() == sorted(plan.assignments)
+    assert arrays.state.tolist() == fresh.state.tolist()
     assert not arrays.selected.any()
     assert arrays.first.tolist() == fresh.first.tolist()
     assert arrays.span.tolist() == fresh.span.tolist()
@@ -733,7 +734,7 @@ class TestIterationProperties:
         s, weights, start, config = case
         assert validate_plan(start, s.grid, s.restrictions, s.beams) == []
         state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=weights, config=config, plan=start,
+            scenario=s, weights=weights, config=config, arrays=PlanArrays(s, s.restrictions, start),
         )
         assert_state_matches_plan(state)
         rng = np.random.default_rng(config.seed)
@@ -756,7 +757,7 @@ class TestIterationProperties:
         the step's plan."""
         s, weights, start, config, tables = case
         state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=weights, config=config, plan=start,
+            scenario=s, weights=weights, config=config, arrays=PlanArrays(s, s.restrictions, start),
             power_table=tables,
         )
         rng = np.random.default_rng(config.seed)
@@ -810,24 +811,44 @@ class TestPlanArrays:
                     if rng.random() < 0.7 else Assignment.inactive()
                 )
             plan = FrequencyPlan(plan)
-            arrays = PlanArrays(plan, restrictions, grid)
-            lonely = arrays.at[n + 1]
-            assert arrays.indptr[lonely] == arrays.indptr[lonely + 1]  # an empty CSR row
-            for beam_id in plan.assignments:
-                k = arrays.at[beam_id]
+            s = Scenario(grid=grid, beams=tuple(Beam(id=i) for i in plan.assignments), geometry=GEOM)
+            arrays = PlanArrays(s, restrictions, plan)
+            assert arrays.indptr[n] == arrays.indptr[n + 1]  # beam n + 1: an empty CSR row
+            for k, beam_id in enumerate(arrays.ids.tolist()):  # ids 1..n + 1
                 partners = {j for p, kind in zip(pairs, kinds) if kind != "none" and beam_id in p for j in p} - {beam_id}
                 for selected in ({i for i in plan.assignments if rng.random() < 0.3}, partners):
-                    arrays.select([arrays.at[i] for i in selected], True)
+                    arrays.select([i - 1 for i in selected], True)
                     expected = ref_blocked_cells(beam_id, grid, plan, restrictions, selected)
                     assert _blocked_cells(arrays, k).tolist() == expected.tolist()
                     if selected is partners:
                         assert not expected.any()
-                    arrays.select([arrays.at[i] for i in selected], False)
+                    arrays.select([i - 1 for i in selected], False)
 
     def test_partner_ids_outside_the_plan_raise_key_error(self):
         restrictions = RestrictionSets.of(intra=[(1, 2), (2, 9)])
         with pytest.raises(KeyError, match="9"):
-            PlanArrays(FrequencyPlan({1: Assignment(1, 1, 1), 2: Assignment.inactive()}), restrictions, GRID)
+            PlanArrays(Scenario(grid=GRID, beams=(Beam(id=1), Beam(id=2)), geometry=GEOM), restrictions)
+
+    def test_plan_must_name_exactly_the_scenario_beams(self):
+        """Positions index the scenario's beams and the plan's rows alike,
+        so a plan that omits a scenario beam or names an unknown one is
+        rejected."""
+        s = scenario_with([Beam(id=i) for i in (1, 2, 3)])
+        on = Assignment(1, 1, 1)
+        for assignments, problem in (
+            ({1: on, 2: on}, r"plan missing beams \[3\]"),
+            ({1: on, 2: on, 3: on, 4: on}, r"plan names unknown beams \[4\]"),
+        ):
+            with pytest.raises(PlanStructureError, match=problem):
+                PlanArrays(s, s.restrictions, FrequencyPlan(assignments))
+
+    def test_starts_inactive_over_the_beams_in_id_order(self):
+        s = scenario_with([Beam(id=i) for i in (42, -5, 10_000, 3, 7)])
+        arrays = PlanArrays(s, s.restrictions)
+        assert arrays.ids.tolist() == [-5, 3, 7, 42, 10_000]
+        assert [b.id for b in arrays.beams] == arrays.ids.tolist()
+        assert not arrays.state.any() and arrays.state.shape == (5, 4)
+        assert arrays.plan().assignments == {i: Assignment.inactive() for i in (-5, 3, 7, 42, 10_000)}
 
     def test_deactivated_beam_leaves_the_cached_state(self):
         """A picked beam without a keep-as-is candidate (its row is outside
@@ -836,12 +857,12 @@ class TestPlanArrays:
         s = scenario_with([Beam(id=1), Beam(id=2, allowed_rows=(2, 4)), Beam(id=3)], intra=[(1, 2)])
         start = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(3, 1, 2), 3: Assignment(1, 2, 4)})
         state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, config=IterationConfig(n_ch=3), plan=start,
+            scenario=s, config=IterationConfig(n_ch=3), arrays=PlanArrays(s, s.restrictions, start),
             weights=ObjectiveWeights(beta2=0.5, per_beam={2: {"beta2": 10.0}}),
         )
         iterative.iterate_once(state, np.random.default_rng(0))
         assert not state.plan[2].active
-        assert state.scores[state.arrays.at[2]] == 0.0
+        assert state.scores[1] == 0.0  # beam 2's position
         assert_state_matches_plan(state)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -862,8 +883,8 @@ class TestPlanArrays:
             per_beam={ids[0]: {"beta4": 0.2, "beta5": 0.1}, ids[5]: {"beta1": 0.3, "beta2": 1.0}},
         )
         state = iterative.IterationState(
-            scenario=s, restrictions=restrictions, weights=weights, power_table=tables,
-            config=IterationConfig(n_ch=25, seed=seed), plan=greedy_warm_start(s, restrictions),
+            scenario=s, weights=weights, power_table=tables, config=IterationConfig(n_ch=25, seed=seed),
+            arrays=PlanArrays(s, restrictions, greedy_warm_start(s, restrictions)),
         )
         rng = np.random.default_rng(seed)
         for _ in range(4):
@@ -1002,8 +1023,8 @@ class TestIterateOnce:
         record."""
         s = scenario_with([Beam(id=i) for i in (1, 2, 3)], intra=[(1, 2)], inter=[(2, 3)])
         state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(),
-            config=IterationConfig(n_ch=2), plan=all_inactive(s),
+            scenario=s, weights=ObjectiveWeights(), config=IterationConfig(n_ch=2),
+            arrays=PlanArrays(s, s.restrictions),
         )
         rng = np.random.default_rng(0)
         for n in (1, 2, 3):
@@ -1018,34 +1039,19 @@ class TestIterateOnce:
         the trace's beams_changed column."""
         s = scenario_with([Beam(id=1)])
         state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(beta1=0.0, beta2=1.0),
-            config=IterationConfig(n_ch=1), plan=FrequencyPlan({1: Assignment(3, 2, 1, active=False)}),
+            scenario=s, weights=ObjectiveWeights(beta1=0.0, beta2=1.0), config=IterationConfig(n_ch=1),
+            arrays=PlanArrays(s, s.restrictions, FrequencyPlan({1: Assignment(3, 2, 1, active=False)})),
         )
         assert iterative.iterate_once(state, np.random.default_rng(0)).trace.records[-1].beams_changed == 1
         assert state.plan[1] == Assignment.inactive()
-
-    def test_state_needs_a_plan_of_exactly_the_scenario_beams(self):
-        """Iterations read beams by position in the plan's ids, so a plan
-        that omits a scenario beam or names an unknown one is rejected."""
-        s = scenario_with([Beam(id=i) for i in (1, 2, 3)])
-        on = Assignment(1, 1, 1)
-        for assignments, problem in (
-            ({1: on, 2: on}, r"plan missing beams \[3\]"),
-            ({1: on, 2: on, 3: on, 4: on}, r"plan names unknown beams \[4\]"),
-        ):
-            with pytest.raises(PlanStructureError, match=problem):
-                iterative.IterationState(
-                    scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(),
-                    config=IterationConfig(n_ch=3), plan=FrequencyPlan(assignments),
-                )
 
     def test_plan_is_read_from_the_arrays(self):
         """state.plan is the PlanArrays' plan after every iteration and
         cannot be replaced from outside."""
         s = scenario_with([Beam(id=i) for i in (1, 2, 3)], intra=[(1, 2)], inter=[(2, 3)])
         state = iterative.IterationState(
-            scenario=s, restrictions=s.restrictions, weights=ObjectiveWeights(),
-            config=IterationConfig(n_ch=2), plan=all_inactive(s),
+            scenario=s, weights=ObjectiveWeights(), config=IterationConfig(n_ch=2),
+            arrays=PlanArrays(s, s.restrictions),
         )
         iterative.iterate_once(state, np.random.default_rng(0))
         assert state.plan.assignments == state.arrays.plan().assignments
@@ -1105,8 +1111,8 @@ class TestOptimize:
                 for beam in beams
             }
             state = iterative.IterationState(
-                scenario=s, restrictions=s.restrictions, weights=w, config=config,
-                plan=sanitize_warm_start(FrequencyPlan(start), s, s.restrictions),
+                scenario=s, weights=w, config=config,
+                arrays=PlanArrays(s, s.restrictions, sanitize_warm_start(FrequencyPlan(start), s, s.restrictions)),
             )
             rng_run, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
@@ -1116,6 +1122,38 @@ class TestOptimize:
                 )
                 state = iterative.iterate_once(state, rng_run)
                 assert state.plan.assignments == expected.assignments
+
+    def test_unordered_gapped_ids_iterate_alike_from_either_start(self):
+        """Beams listed out of id order, with gaps between the ids: the
+        first fit places them as the scalar reference does, and optimize
+        from no start gives the plan, start and records (wall clock aside)
+        of optimize from the greedy start passed in."""
+        rng = np.random.default_rng(23)
+        ids = (42, -5, 10_000, 3, 7)
+        pairs = [(i, j) for i in ids for j in ids if i < j]
+        left_out = improved = 0
+        for _ in range(12):
+            grid = FrequencyGrid(n_bw=int(rng.integers(2, 6)), n_fr=int(rng.integers(1, 3)), n_p=int(rng.integers(1, 3)))
+            beams = tuple(
+                Beam(id=i, demand_bps=float(rng.choice([1e6, 5e6, 2e7])), min_slots=int(rng.integers(1, 3)))
+                for i in ids
+            )
+            s = Scenario(grid=grid, beams=beams, geometry=GEOM, restrictions=RestrictionSets.of(
+                intra=[p for p in pairs if rng.random() < 0.6], inter=[p for p in pairs if rng.random() < 0.3],
+            ))
+            warm = greedy_warm_start(s, s.restrictions)
+            assert warm.assignments == ref_greedy_warm_start(s, s.restrictions).assignments
+            w = ObjectiveWeights(beta1=1.0, beta2=0.1, beta3=0.01)
+            config = IterationConfig(n_ch=3, seed=int(rng.integers(0, 100)), convergence_window=4)
+            own, own_trace = optimize(s, s.restrictions, w, config=config)
+            given, given_trace = optimize(s, s.restrictions, w, warm_start=warm, config=config)
+            assert own.assignments == given.assignments
+            assert own_trace.start.assignments == given_trace.start.assignments == warm.assignments
+            records = [[dataclasses.replace(r, wall_ms=0.0) for r in t.records] for t in (own_trace, given_trace)]
+            assert records[0] == records[1]
+            left_out += any(not a.active for a in warm.assignments.values())
+            improved += own.assignments != warm.assignments
+        assert left_out and improved
 
     @pytest.mark.parametrize("kind", ["intra", "inter"])
     @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])

@@ -81,6 +81,51 @@ class TestModCodSelection:
         with pytest.raises(DomainError):
             ModCodTable((ModCod("a", 1.0, 3.0), ModCod("b", 2.0, 2.0)))
 
+    @pytest.mark.parametrize(
+        "efficiency, ebn0_db, problem",
+        [
+            (math.nan, 1.0, "spectral_efficiency must be positive and finite"),
+            (math.inf, 1.0, "spectral_efficiency must be positive and finite"),
+            (0.0, 1.0, "spectral_efficiency must be positive and finite"),
+            (1.0, math.nan, "ebn0_db must be finite"),
+            (1.0, -math.inf, "ebn0_db must be finite"),
+        ],
+    )
+    def test_modcod_numbers_must_be_finite(self, efficiency, ebn0_db, problem):
+        """A NaN efficiency compares false with every gamma_req and a
+        non-finite Eb/N0 gives no finite power."""
+        with pytest.raises(DomainError, match=f"x: {problem}"):
+            ModCod("x", efficiency, ebn0_db)
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize(
+        "name, value, problem",
+        [
+            ("rolloff", math.nan, "finite and >= 0"),
+            ("rolloff", math.inf, "finite and >= 0"),
+            ("rolloff", -0.1, "finite and >= 0"),
+            ("obo_db", math.nan, "finite"),
+            ("g_tx_db", math.inf, "finite"),
+            ("g_rx_db", -math.inf, "finite"),
+            ("t_sys_k", math.nan, "positive and finite"),
+            ("t_sys_k", 0.0, "positive and finite"),
+            ("carrier_hz", math.inf, "positive and finite"),
+            ("carrier_hz", -1.0, "positive and finite"),
+            ("distance_m", math.inf, "positive and finite"),
+            ("distance_m", math.nan, "positive and finite"),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range_inputs(self, name, value, problem):
+        """A NaN system temperature would give power tables of NaN, every
+        width marked carried."""
+        with pytest.raises(DomainError, match=f"{name} must be {problem}"):
+            LinkBudget(**{name: value})
+
+    def test_accepts_zero_rolloff_and_negative_gains(self):
+        link = LinkBudget(rolloff=0.0, obo_db=-1.0, g_tx_db=-3.0, g_rx_db=0.0)
+        assert link.rolloff == 0.0 and link.g_tx_db == -3.0
+
 
 class TestBeamPower:
     LINK = LinkBudget()
@@ -201,6 +246,9 @@ class TestModcodCsv:
         [
             ("A,1.0,2.0\nB,abc,5.5\n", "line 3, column spectral_efficiency"),
             ("A,1.0\n", "line 2, column ebn0_db"),
+            ("A,nan,2.0\n", "line 2, column spectral_efficiency: 'nan' is not a finite number"),
+            ("A,1.0,2.0\nB,2.0,inf\n", "line 3, column ebn0_db: 'inf' is not a finite number"),
+            ("A,1.0,-Infinity\n", "line 2, column ebn0_db"),
         ],
     )
     def test_bad_number_names_line_and_column(self, tmp_path, body, where):

@@ -594,9 +594,36 @@ def test_pipeline_builds_one_partner_csr_per_restriction_set(monkeypatch):
              config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
     assert built == [98]
     # a plan over other ids gets its own CSR
-    wider = iterative.PlanArrays(FrequencyPlan({**warm.assignments, 10_000: Assignment.inactive()}),
-                                 restrictions, scenario.grid)
+    wider = replace(scenario, beams=scenario.beams + (Beam(id=10_000),))
+    wider = iterative.PlanArrays(wider, restrictions, FrequencyPlan({**warm.assignments, 10_000: Assignment.inactive()}))
     assert built == [98, 99] and len(wider.indptr) == 100
+
+
+def test_default_path_builds_one_plan_arrays_and_one_partner_csr(monkeypatch):
+    """optimize without a start places the first fit in one all-inactive
+    PlanArrays and iterates on it: no plan is loaded into arrays, and the
+    run's only partner CSR is that one's."""
+    built, loaded = [], []  # the ids of each new CSR; the plan of each new PlanArrays
+    real_partners, real_init = RestrictionSets.partners, iterative.PlanArrays.__init__
+
+    def partners(self, ids):
+        csr = real_partners(self, ids)
+        if not any(csr[0] is indptr for indptr, _ in built):
+            built.append((csr[0], len(ids)))
+        return csr
+
+    def init(self, scenario, restrictions, plan=None):
+        loaded.append(plan)
+        real_init(self, scenario, restrictions, plan)
+
+    monkeypatch.setattr(RestrictionSets, "partners", partners)
+    monkeypatch.setattr(iterative.PlanArrays, "__init__", init)
+    scenario = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
+    restrictions = derive_restrictions(scenario)
+    plan, trace = optimize(scenario, restrictions, ObjectiveWeights(),
+                           config=IterationConfig(n_ch=10, max_iterations=3, seed=0))
+    assert loaded == [None] and [n for _, n in built] == [98]
+    assert trace.start.assignments == greedy_warm_start(scenario, restrictions).assignments
 
 
 # SHA-256 of the beams the two iterative benchmark workloads generate: per

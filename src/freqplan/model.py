@@ -64,6 +64,9 @@ class Beam:
             raise DomainError(f"beam kind must be user|gateway, got {self.kind!r}")
         if self.min_slots < 1:
             raise DomainError("min_slots must be >= 1")
+        # a NaN demand would break the warm start's demand order
+        if not 0 <= self.demand_bps < math.inf:
+            raise DomainError(f"demand_bps must be >= 0 and finite, got {self.demand_bps}")
 
     def row_range(self, grid: FrequencyGrid) -> tuple[int, int]:
         return self._range("allowed_rows", grid.n_rows)
@@ -188,22 +191,46 @@ class RestrictionSets:
         ``ids`` in read-only CSR form ``(indptr, indices)``: its intra
         partners, as their positions j, then its inter partners, as n + j.
         The last CSR built is returned again for the same ids, so every plan
-        over them shares one. A pair id outside ``ids`` raises KeyError."""
+        over them shares one. A pair id outside ``ids`` raises KeyError.
+
+        Within a kind, an owner's partners from its (owner, larger) pairs
+        come before those from its (smaller, owner) pairs, each in pair
+        order. The CSR is a counting placement (Gustavson, ACM TOMS 4(3),
+        1978) over blocks of _BLOCK_PAIRS pairs, so its temporaries stay
+        bounded: pass 1 counts each position's partners in each of the four
+        segments, pass 2 writes each block at its owners' next free slots.
+        """
         key = ids.tobytes()
         if self._csr is not None and self._csr[0] == key:
             return self._csr[1]
-        n, owners, partners = len(ids), [], []
-        for offset, pairs in ((0, self.pairs["intra"]), (n, self.pairs["inter"])):
-            at, found = pair_positions(ids, pairs)
-            if not found.all():
-                raise KeyError(int(pairs[~found][0]))
-            owners += [at[:, 0], at[:, 1]]
-            partners += [at[:, 1] + offset, at[:, 0] + offset]
-        owner, partner = np.concatenate(owners), np.concatenate(partners)
-        del owners, partners  # the pair positions, before the sort's temporaries
+        n = len(ids)
+        kinds = ((0, self.pairs["intra"]), (n, self.pairs["inter"]))
+        # counts[2 * kind + column]: each position's partners as that column
+        counts = np.zeros((4, n), dtype=np.int64)
+        for k, (_, pairs) in enumerate(kinds):
+            for at in _position_blocks(ids, pairs):
+                for c in (0, 1):
+                    counts[2 * k + c] += np.bincount(at[:, c], minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-        indices = partner[np.argsort(owner, kind="stable")]
+        np.cumsum(counts.sum(axis=0), out=indptr[1:])
+        free = indptr[:-1] + np.cumsum(counts, axis=0) - counts  # each segment's next slot
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        # owners of 16 bits or fewer take numpy's radix sort
+        small = np.min_scalar_type(max(n - 1, 0))
+        for k, (offset, pairs) in enumerate(kinds):
+            for at in _position_blocks(ids, pairs):
+                for c in (0, 1):
+                    owner, partner = at[:, c], at[:, 1 - c] + offset
+                    if c:  # (smaller, owner) pairs come sorted by the smaller id
+                        order = np.argsort(owner.astype(small), kind="stable")
+                        owner, partner = owner[order], partner[order]
+                        del order  # before the placement's temporaries
+                    # by owner, an entry goes to its owner's next free slot
+                    # plus its offset from the owner's first entry here
+                    per_owner = np.bincount(owner, minlength=n)
+                    start = free[2 * k + c] - np.cumsum(per_owner) + per_owner
+                    indices[np.arange(len(owner)) + start[owner]] = partner
+                    free[2 * k + c] += per_owner
         indptr.flags.writeable = indices.flags.writeable = False
         self._csr = (key, (indptr, indices))
         return indptr, indices
@@ -439,9 +466,21 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     return at.T, (at.T < n) & (np.append(ids, 0)[at.T] == pairs)
 
 
-# Pairs per block of _flagged_pairs: its gathered per-pair temporaries stay
-# below 2 MB, however many pairs there are.
-_FLAG_BLOCK_PAIRS = 1 << 15
+# Pairs per block of _flagged_pairs and of RestrictionSets.partners: their
+# gathered per-pair temporaries stay below 2 MB, however many pairs there are.
+_BLOCK_PAIRS = 1 << 15
+
+
+def _position_blocks(ids: np.ndarray, pairs: np.ndarray):
+    """Yield the pair_positions of each block of _BLOCK_PAIRS ``pairs`` in
+    ``ids``, in pair order; the first pair id outside ``ids`` raises
+    KeyError."""
+    for lo in range(0, len(pairs), _BLOCK_PAIRS):
+        block = pairs[lo:lo + _BLOCK_PAIRS]
+        at, found = pair_positions(ids, block)
+        if not found.all():
+            raise KeyError(int(block[~found][0]))
+        yield at
 
 
 def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndarray, n_p: int) -> np.ndarray:
@@ -458,8 +497,8 @@ def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndar
     key = np.where(active != 0, g if kind == "intra-overlap" else _polarization(g, n_p), -1 - np.arange(len(g)))
     last = f + b - 1
     flagged = np.empty(len(pairs), dtype=bool)
-    for lo in range(0, len(pairs), _FLAG_BLOCK_PAIRS):
-        at, found = pair_positions(ids, pairs[lo:lo + _FLAG_BLOCK_PAIRS])
+    for lo in range(0, len(pairs), _BLOCK_PAIRS):
+        at, found = pair_positions(ids, pairs[lo:lo + _BLOCK_PAIRS])
         i, j = at.T
         flagged[lo:lo + len(at)] = ~(found[:, 0] & found[:, 1]) | (key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])
     return flagged

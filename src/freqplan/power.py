@@ -283,8 +283,6 @@ def power_tables_for(
     for lo in range(0, len(beams), _TABLE_BLOCK_BEAMS):
         block = beams[lo : lo + _TABLE_BLOCK_BEAMS]
         demand = np.array([beam.demand_bps for beam in block], dtype=np.float64)
-        if (demand < 0).any():
-            raise DomainError("demand_bps must be >= 0")
         gamma = (demand * (1.0 + link.rolloff))[:, None] / bw_hz
         k = np.searchsorted(efficiencies, gamma)
         carried = np.append(efficiencies, -np.inf)[k] >= gamma

@@ -423,8 +423,9 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
     del member
     # Rows of the upper triangle go in blocks of about _BLOCK_ELEMENTS
-    # cells. With ids ascending by position, as generated, the pairs come
-    # out canonical and are not sorted again.
+    # cells, each block's pairs kept as int32 positions until the ids of all
+    # are written into one array. With ids ascending by position, as
+    # generated, the pairs come out canonical and are not sorted again.
     keys = np.asarray(scenario.beam_ids(), dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // n)
     blocks = []
@@ -438,9 +439,13 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
             np.not_equal(both, 0, out=hit)
             shared |= hit
         r, c = np.nonzero(np.triu(shared, 1))
-        blocks.append(np.column_stack((keys[r + lo], keys[c + lo])))
-    pairs = np.concatenate(blocks)
-    del blocks  # before canonical_pairs' temporaries
+        blocks.append((r.astype(np.int32) + lo, c.astype(np.int32) + lo))
+    pairs = np.empty((sum(len(r) for r, _ in blocks), 2), dtype=np.int64)
+    lo = 0
+    while blocks:
+        r, c = blocks.pop(0)  # freed once written
+        pairs[lo:lo + len(r), 0], pairs[lo:lo + len(r), 1] = keys[r], keys[c]
+        lo += len(r)
     return canonical_pairs(pairs)
 
 

@@ -68,6 +68,16 @@ class TestBeamRanges:
         assert Beam(id=1).slot_range(GRID) == (1, 4)
 
 
+class TestBeamDemand:
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, -1.0])
+    def test_demand_must_be_non_negative_and_finite(self, demand):
+        with pytest.raises(DomainError, match=re.escape(f"demand_bps must be >= 0 and finite, got {demand}")):
+            Beam(id=1, demand_bps=demand)
+
+    def test_zero_demand_is_valid_and_the_default(self):
+        assert Beam(id=1).demand_bps == Beam(id=1, demand_bps=0.0).demand_bps == 0.0
+
+
 class TestReuseDecomposition:
     def test_known_values_two_polarizations(self):
         # row -> (reuse, polarization) for n_p = 2, hand-computed

@@ -955,6 +955,19 @@ class TestWarmStartAndRepair:
         assert plan[1] == Assignment(1, 1, 2)
         assert plan[2] == Assignment(3, 1, 2)
 
+    def test_greedy_warm_start_places_the_largest_demands_first(self):
+        """Two of three mutually intra-paired beams fit a 2-slot, 1-row
+        grid: the two largest demands. A NaN demand, which would break the
+        order and leave beam 3 inactive, is rejected by Beam."""
+        grid = FrequencyGrid(n_bw=2, n_fr=1, n_p=1)
+        with pytest.raises(DomainError, match="demand_bps"):
+            Beam(id=2, demand_bps=float("nan"))
+        beams = (Beam(id=1, demand_bps=1.0), Beam(id=2, demand_bps=3.0), Beam(id=3, demand_bps=5.0))
+        s = Scenario(grid=grid, beams=beams, geometry=GEOM,
+                     restrictions=RestrictionSets.of(intra=[(1, 2), (1, 3), (2, 3)]))
+        plan = greedy_warm_start(s, s.restrictions)
+        assert [plan[i] for i in (1, 2, 3)] == [Assignment.inactive(), Assignment(2, 1, 1), Assignment(1, 1, 1)]
+
     def test_sanitize_repairs_invalid_start(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
         bad = FrequencyPlan({1: Assignment(1, 1, 4), 2: Assignment(2, 1, 4)})

@@ -299,6 +299,7 @@ class TestSerialization:
             (lambda d: d.pop("geometry"), "geometry"),
             (lambda d: d["beams"][0].pop("id"), "beams[0].id"),
             (lambda d: d["beams"][0].update(min_slots=0), "beams[0]"),
+            (lambda d: d["beams"][0].update(demand_bps=-1.0), "beams[0]"),
         ],
     )
     def test_schema_errors_carry_field_path(self, mutate, field):
@@ -311,7 +312,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "path", ["geometry.altitude_km", "grid.slot_bandwidth_hz", "sim.horizon_min",
-                 "sim.half_cone_deg", "sim.min_elevation_deg", "beams[0].lat"],
+                 "sim.half_cone_deg", "sim.min_elevation_deg", "beams[0].lat", "beams[0].demand_bps"],
     )
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_numbers_are_rejected_at_their_field(self, path, token):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freqplan import (
     Assignment,
@@ -53,6 +53,7 @@ from util import (
     ref_derive_inter_pairs,
     ref_derive_intra_pairs,
     ref_generate_beams,
+    ref_partners,
     ref_route_beams,
     ref_validate_plan,
     routing_as_dict,
@@ -328,6 +329,22 @@ def test_intra_pairs_match_reference(n_s, n_steps, block_elements, monkeypatch):
     assert pair_set(derive_intra_pairs(s, sat)) == expected
 
 
+@pytest.mark.parametrize("block_elements", [1, 8, 200])
+def test_intra_pairs_in_small_blocks_equal_the_default_blocks(block_elements, monkeypatch):
+    """With ids ascending by position, as generated, the blocks' pairs are
+    written in order and come out canonical without a sort: any block size
+    gives the same array as the default."""
+    rng = np.random.default_rng(block_elements)
+    n, n_s, n_steps = 90, 7, 12
+    lats, lons = _users(16, n, (-10.0, 10.0), (0.0, 360.0))
+    s = Scenario(grid=GRID, beams=beams_at(lats, lons, np.arange(n) * 3 + 10), geometry=GEOM)
+    sat = (rng.integers(0, n_s, n) + np.cumsum(rng.random((n_steps, n)) < 0.1, axis=0)) % n_s
+    want = derive_intra_pairs(s, sat)
+    monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", block_elements)
+    got = derive_intra_pairs(s, sat)
+    assert len(want) and got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "n_users, band, digests",
     [
@@ -485,6 +502,25 @@ def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
     assert peak < routing + 8 * n * n
 
 
+def test_partner_csr_and_intra_pairs_peak_memory_is_bounded():
+    """On l_pipeline's 1,312-beam scenario both builds fill their
+    preallocated output a block at a time: the intra pairs peak at no more
+    than 1.75x their bytes of traced allocation (int32 block positions,
+    then the int64 ids), the partner CSR at no more than 2x its own (one
+    block's positions and placement). Concatenating int64 blocks took 2.0x,
+    concatenating and sorting all four CSR segments 5.0x."""
+    scenario = benchmark_scenario("l_pipeline")
+    sat = route_beams(scenario)
+    intra, _, peak = traced_memory(lambda: derive_intra_pairs(scenario, sat))
+    print(f"derive_intra_pairs: peak {peak} B for {intra.nbytes} B of pairs")
+    assert len(intra) == 242537 and peak <= 1.75 * intra.nbytes
+    restrictions = RestrictionSets(intra, derive_inter_pairs(scenario))
+    ids = np.array(sorted(scenario.beam_ids()), dtype=np.int64)
+    (indptr, indices), _, peak = traced_memory(lambda: restrictions.partners(ids))
+    print(f"partners: peak {peak} B for {indptr.nbytes + indices.nbytes} B of CSR")
+    assert len(indices) == 2 * (242537 + 1697) and peak <= 2 * (indptr.nbytes + indices.nbytes)
+
+
 def random_plan(rng, beams, grid):
     """Assignments mostly in the grid, some inactive and some out of domain
     (first slot or row below 1, width 0, past the last slot)."""
@@ -547,7 +583,7 @@ def test_validate_plan_matches_pairwise_reference(n_p, array_min_pairs, monkeypa
 def test_validate_plan_in_pair_blocks_matches_reference(block_pairs, monkeypatch):
     # every pair set through the array filter, in blocks that split it
     monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", 0)
-    monkeypatch.setattr(model, "_FLAG_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(model, "_BLOCK_PAIRS", block_pairs)
     assert_validate_plan_matches_reference(np.random.default_rng(block_pairs), 2, 60)
 
 
@@ -660,12 +696,12 @@ def test_benchmark_power_tables_are_pinned():
 def test_power_tables_match_beam_power_in_blocks(monkeypatch):
     """Blocks of 7 beams whose demands put gamma_req on, or an ulp either
     side of, a MODCOD's efficiency at some width, so the order of gamma's
-    operations and the search's side decide; demand 0, NaN and one that no
-    width carries included."""
+    operations and the search's side decide; demand 0 and one that no width
+    carries included (Beam rejects a NaN or negative demand)."""
     monkeypatch.setattr(power_mod, "_TABLE_BLOCK_BEAMS", 7)
     grid = FrequencyGrid(n_bw=12, n_fr=1, n_p=1, slot_bandwidth_hz=10e6)
     link = LinkBudget(rolloff=0.1)
-    demands = [0.0, float("nan"), 1e12]
+    demands = [0.0, 1e12]
     for e in DEFAULT_MODCODS.entries:
         for b in range(1, grid.n_bw + 1):
             d = e.spectral_efficiency * (b * grid.slot_bandwidth_hz) / (1.0 + link.rolloff)
@@ -677,8 +713,6 @@ def test_power_tables_match_beam_power_in_blocks(monkeypatch):
         for b in range(1, grid.n_bw + 1):
             want = beam_power(beam.demand_bps, b * grid.slot_bandwidth_hz, link, DEFAULT_MODCODS, 1000.0)
             assert (table.value(1, b), table.watts(1, b), table.carries(b)) == (want.dbw, want.watts, want.feasible)
-    with pytest.raises(DomainError, match="demand_bps must be >= 0"):
-        power_tables_for(beams + [Beam(id=len(beams) + 1, demand_bps=-1.0)], grid, link)
 
 
 def test_size_grouped_reductions_equal_per_cluster_calls():
@@ -720,6 +754,52 @@ def test_pair_positions_match_searchsorted(first, count, gaps, gapped, pair_ids)
     assert (found == np.isin(pairs, ids)).all()
 
 
+@st.composite
+def partner_cases(draw):
+    """Sorted, distinct ids, contiguous or gapped, and pairs of each kind
+    over them (either kind may be empty), at times naming an id outside
+    them, at times with a pair of both kinds."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        ids = sorted(draw(st.sets(st.integers(-40, 40), min_size=n, max_size=n)))
+    else:
+        lo = draw(st.integers(-5, 5))
+        ids = list(range(lo, lo + n))
+    pool = ids + draw(st.lists(st.integers(-45, 45), max_size=2))
+    size = 25 if len(set(pool)) > 1 else 0
+    pair = st.tuples(st.sampled_from(pool or [0]), st.sampled_from(pool or [0])).filter(lambda p: p[0] != p[1])
+    intra, inter = draw(st.lists(pair, max_size=size)), draw(st.lists(pair, max_size=size))
+    if intra and draw(st.booleans()):
+        inter.append(intra[0])
+    return np.array(ids, dtype=np.int64), intra, inter
+
+
+@pytest.mark.parametrize("block_pairs", [1, 2, 3, 7])
+@settings(max_examples=150, deadline=None)
+@example(case=(np.arange(1, 5), [(1, 2), (2, 3), (1, 4)], [(1, 2)]))
+@example(case=(np.array([2, 5, 9]), [], [(2, 9), (5, 9)]))
+@example(case=(np.array([2, 5, 9]), [(2, 5), (2, 4)], [(1, 5)]))
+@given(case=partner_cases())
+def test_partners_match_the_concatenate_and_sort_reference(block_pairs, case):
+    """The two-pass block fill gives the reference's CSR, the same dtypes
+    and bytes, read-only, for any block size; an id outside ``ids`` raises
+    the reference's KeyError (the first such id, intra before inter)."""
+    ids, intra, inter = case
+    restrictions = RestrictionSets(intra, inter)  # no CSR kept from another block size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK_PAIRS", block_pairs)
+        try:
+            want = ref_partners(restrictions, ids)
+        except KeyError as missing:
+            with pytest.raises(KeyError) as err:
+                restrictions.partners(ids)
+            assert err.value.args == missing.args
+            return
+        got = restrictions.partners(ids)
+    for array, ref in zip(got, want):
+        assert array.dtype == ref.dtype and array.tobytes() == ref.tobytes() and not array.flags.writeable
+
+
 @pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
 @pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
 @pytest.mark.parametrize("n_p", [1, 2])
@@ -728,7 +808,7 @@ def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
     reports or raises (an id the plan lacks), over plans with inactive
     beams, rows 0 and n_rows + 1 and slots outside the grid, in blocks that
     split the pair list."""
-    monkeypatch.setattr(model, "_FLAG_BLOCK_PAIRS", 37)
+    monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
     rng = np.random.default_rng(n_p * 10 + gapped)
     grid = FrequencyGrid(n_bw=6, n_fr=3, n_p=n_p)
     for _ in range(20):

@@ -356,6 +356,27 @@ def ref_sanitize_warm_start(plan: FrequencyPlan, scenario: Scenario, restriction
         assignments[max(violations[0].beams)] = Assignment.inactive()
 
 
+def ref_partners(restrictions: RestrictionSets, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference RestrictionSets.partners: the CSR ``(indptr, indices)``
+    over the sorted ``ids`` as one concatenation of the four (owner,
+    partner) segments, intra (i, j), intra (j, i), inter (i, j) and inter
+    (j, i), inter partners offset by n, stably sorted by owner. The first
+    pair id outside ``ids``, intra then inter, raises KeyError."""
+    n, owners, partners = len(ids), [], []
+    for offset, kind in ((0, "intra"), (n, "inter")):
+        pairs = restrictions.pairs[kind]
+        at = np.searchsorted(ids, pairs).astype(np.int32)
+        found = (at < n) & (np.append(ids, 0)[at] == pairs)
+        if not found.all():
+            raise KeyError(int(pairs[~found][0]))
+        owners += [at[:, 0], at[:, 1]]
+        partners += [at[:, 1] + offset, at[:, 0] + offset]
+    owner, partner = np.concatenate(owners), np.concatenate(partners)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr, partner[np.argsort(owner, kind="stable")]
+
+
 def ref_greedy_warm_start(scenario: Scenario, restrictions) -> FrequencyPlan:
     """Reference first-fit: beams by descending demand, then id, each take
     the first block of exactly min_slots, scanning rows g and then first

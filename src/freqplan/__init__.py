@@ -15,7 +15,6 @@ from .errors import (
     PlanStructureError,
     RoutingError,
     ScenarioFormatError,
-    SolutionImportError,
     UnsupportedConfigurationError,
     UnsupportedModelError,
 )
@@ -40,7 +39,6 @@ from .model import (
     ObjectiveWeights,
     RestrictionSets,
     Violation,
-    compose_reuse,
     decompose_reuse,
     load_plan_csv,
     objective_value,
@@ -80,10 +78,7 @@ from .solver import (
     Solution,
     SolveLimits,
     brute_force_best_plan,
-    check_solution,
-    import_solution,
     solve_exact,
-    write_solution,
 )
 
 __version__ = "1.0.0"

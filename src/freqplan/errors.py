@@ -51,9 +51,5 @@ class ExtractionError(FreqplanError):
     """A solver point cannot be decoded into a valid plan."""
 
 
-class SolutionImportError(FreqplanError):
-    """A solution file is malformed or inconsistent with its model."""
-
-
 class InstanceTooLargeError(FreqplanError):
     """Brute-force enumeration would exceed the safety guard."""

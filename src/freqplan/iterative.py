@@ -4,10 +4,12 @@ beams, warm-starting, and the convergence loop.
 
 Each iteration fixes all but ``n_ch`` randomly chosen beams, enumerates
 ranked (f, g, b) candidates for the chosen ones (discarding anything that
-collides with a fixed active beam), and solves the resulting selection
-problem exactly. A previously active, conflict-free beam always keeps its
-current assignment as a candidate, which makes the objective non-decreasing
-across iterations.
+collides with a fixed active beam), and searches the resulting selection
+problem. The search is exact only with ``node_budget=0``; under a positive
+budget (2000 by default) a component's search stops after that many nodes
+with the best selection it found. A previously active, conflict-free beam
+always keeps its current assignment as a candidate, which makes the
+objective non-decreasing across iterations either way.
 """
 
 from __future__ import annotations
@@ -530,7 +532,9 @@ def sanitize_warm_start(
 
 
 def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationState:
-    """Sample beams, re-optimize them exactly, and apply the selection.
+    """Sample beams, re-optimize them by a search capped at
+    ``config.node_budget`` nodes per component (exact when it is 0), and
+    apply the selection.
 
     Advances ``state`` in place by one iteration, appending one trace
     record, and returns it."""
@@ -550,7 +554,8 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     finally:
         plan.select(picked, False)
 
-    # exact selection: same semantics as solving build_subproblem()
+    # capped selection search: same semantics as solving build_subproblem()
+    # when the node budget is 0 or no component reaches it
     columns, initial, pair_conflict = _subproblem(option_sets, plan)
 
     # the keep-as-is selection (x_orig where available) seeds the incumbent,

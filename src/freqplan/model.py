@@ -2,7 +2,7 @@
 
 Indices are 1-based throughout: slots run over ``{1..n_bw}``, rows over
 ``{1..n_fr*n_p}``. A row combines a frequency reuse and a polarization;
-``decompose_reuse`` maps between the two coordinate systems.
+``decompose_reuse`` splits a row into its reuse and polarization.
 """
 
 from __future__ import annotations
@@ -333,11 +333,6 @@ def _polarization(g, n_p: int):
     return n_p * -(-g // n_p) - g
 
 
-def compose_reuse(k: int, m: int, n_p: int) -> int:
-    """Inverse of decompose_reuse."""
-    return n_p * k - m
-
-
 def overlaps(a: Assignment, b: Assignment) -> bool:
     """True iff the slot intervals of two active assignments intersect."""
     return a.f <= b.last_slot and b.f <= a.last_slot
@@ -437,13 +432,11 @@ def _pair_violation(kind: str, i: int, j: int, plan: FrequencyPlan, n_p: int) ->
 
 
 def _plan_arrays(plan: FrequencyPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted beam ids and their (active, f, g, b) rows, plus a trailing
-    inactive row for searchsorted positions past the last id."""
+    """Sorted beam ids and their (active, f, g, b) rows."""
     ids = np.fromiter(plan.assignments, dtype=np.int64, count=len(plan.assignments))
-    state = np.zeros((len(ids) + 1, 4), dtype=np.int64)
-    state[:-1] = [(a.active, a.f, a.g, a.b) for a in plan.assignments.values()]
+    state = np.array([(a.active, a.f, a.g, a.b) for a in plan.assignments.values()], dtype=np.int64).reshape(-1, 4)
     order = np.argsort(ids)
-    return ids[order], state[np.append(order, len(ids))]
+    return ids[order], state[order]
 
 
 def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,9 +477,10 @@ def _position_blocks(ids: np.ndarray, pairs: np.ndarray):
 
 
 def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndarray, n_p: int) -> np.ndarray:
-    """Mask of the pairs on which _pair_violation may report or raise,
-    found for a block of pairs at once: an id the plan lacks (KeyError), or
-    both beams on the same key with intersecting slot intervals.
+    """Mask of the pairs on which _pair_violation may report, found for a
+    block of pairs at once: both beams on the same key with intersecting
+    slot intervals. The first pair id the plan lacks, in pair order, raises
+    the KeyError that _pair_violation would raise (_position_blocks).
 
     A position's key is its row (intra) or polarization (inter) when the
     beam is active, else a negative value of its own. An inactive beam's key
@@ -497,10 +491,11 @@ def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndar
     key = np.where(active != 0, g if kind == "intra-overlap" else _polarization(g, n_p), -1 - np.arange(len(g)))
     last = f + b - 1
     flagged = np.empty(len(pairs), dtype=bool)
-    for lo in range(0, len(pairs), _BLOCK_PAIRS):
-        at, found = pair_positions(ids, pairs[lo:lo + _BLOCK_PAIRS])
+    lo = 0
+    for at in _position_blocks(ids, pairs):
         i, j = at.T
-        flagged[lo:lo + len(at)] = ~(found[:, 0] & found[:, 1]) | (key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])
+        flagged[lo:lo + len(at)] = (key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])
+        lo += len(at)
     return flagged
 
 
@@ -562,7 +557,8 @@ def save_plan_csv(plan: FrequencyPlan, path) -> None:
 
 
 def load_plan_csv(path) -> FrequencyPlan:
-    """Read a plan written by save_plan_csv."""
+    """Read a plan written by save_plan_csv. A repeated beam id or an
+    ``active`` other than 0 or 1 is a PlanStructureError naming the line."""
     assignments: dict[int, Assignment] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -576,5 +572,9 @@ def load_plan_csv(path) -> FrequencyPlan:
                 beam_id, active, f, g, b = (int(x) for x in row)
             except ValueError as exc:
                 raise PlanStructureError(f"line {lineno}: {exc}") from exc
+            if beam_id in assignments:
+                raise PlanStructureError(f"line {lineno}: repeated beam id {beam_id}")
+            if active not in (0, 1):
+                raise PlanStructureError(f"line {lineno}: active must be 0 or 1, got {active}")
             assignments[beam_id] = Assignment(f, g, b, active=bool(active))
     return FrequencyPlan(assignments)

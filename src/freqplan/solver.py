@@ -25,13 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InstanceTooLargeError,
-    SolutionImportError,
-    UnsupportedModelError,
-)
-from .milp import BINARY, EQ, GE, INTEGER, LE, MilpModel
+from .errors import DomainError, InstanceTooLargeError, UnsupportedModelError
+from .milp import BINARY, GE, INTEGER, LE, MilpModel
 from .model import (
     Assignment,
     FrequencyPlan,
@@ -289,64 +284,6 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         return Solution(INFEASIBLE, {}, float("-inf"), float("-inf"), stats)
     values = dict(zip(index, map(float, best_values)))
     return Solution(OPTIMAL, values, best_obj, best_obj, stats)
-
-
-def check_solution(model: MilpModel, values: Mapping[str, float]) -> list[str]:
-    """Names of constraints (or bound/integrality checks) the point violates."""
-    violated = []
-    for var in model.variables:
-        val = values[var.name]
-        if val < var.lower - FEAS_TOL or val > var.upper + FEAS_TOL:
-            violated.append(f"bounds:{var.name}")
-        elif var.integrality in (INTEGER, BINARY) and abs(val - round(val)) > FEAS_TOL:
-            violated.append(f"integrality:{var.name}")
-    for con in model.constraints:
-        lhs = sum(c * values[v] for c, v in con.terms)
-        ok = (
-            (con.sense == LE and lhs <= con.rhs + FEAS_TOL)
-            or (con.sense == GE and lhs >= con.rhs - FEAS_TOL)
-            or (con.sense == EQ and abs(lhs - con.rhs) <= FEAS_TOL)
-        )
-        if not ok:
-            violated.append(con.name)
-    return violated
-
-
-def import_solution(path, model: MilpModel) -> Solution:
-    """Read a `variable_name value` file and verify it against the model."""
-    values: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SolutionImportError(f"line {lineno}: expected 'name value'")
-            name, raw = parts
-            if not model.has_variable(name):
-                raise SolutionImportError(f"line {lineno}: unknown variable {name!r}")
-            try:
-                values[name] = float(raw)
-            except ValueError as exc:
-                raise SolutionImportError(f"line {lineno}: non-numeric value {raw!r}") from exc
-    for var in model.variables:
-        if var.name not in values:
-            raise SolutionImportError(f"missing value for variable {var.name!r}")
-    violated = check_solution(model, values)
-    objective = sum(c * values[v] for c, v in model.objective)
-    if violated:
-        sol = Solution(INFEASIBLE, values, objective, float("inf"))
-        sol.violated = violated  # type: ignore[attr-defined]
-        return sol
-    return Solution(FEASIBLE, values, objective, float("inf"))
-
-
-def write_solution(solution: Solution, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# status {solution.status}\n")
-        for name in solution.values:
-            fh.write(f"{name} {solution.values[name]:.10g}\n")
 
 
 # --- brute-force oracle ---------------------------------------------------

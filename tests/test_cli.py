@@ -364,6 +364,23 @@ class TestValidate:
         assert main(["validate", str(plan), str(scenario_file)]) == 1
         assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
 
+    def test_plan_repeating_a_beam_id_exits_1(self, tmp_path, capsys):
+        """The repeated row used to replace the first one, so this file
+        loaded as two inactive beams and validated as valid."""
+        scen = tmp_path / "two.json"
+        save_scenario(
+            Scenario(
+                grid=FrequencyGrid(n_bw=4, n_fr=1, n_p=1),
+                beams=(Beam(id=1), Beam(id=2)),
+                geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+            ),
+            scen,
+        )
+        plan = tmp_path / "plan.csv"
+        plan.write_text("beam_id,active,f,g,b\n1,1,1,1,2\n2,0,0,0,0\n1,0,0,0,0\n")
+        assert main(["validate", str(plan), str(scen)]) == 1
+        assert capsys.readouterr().err == "error: line 4: repeated beam id 1\n"
+
     def test_row_below_one_under_inter_pair_exits_2(self, tmp_path, capsys):
         scen = tmp_path / "pair.json"
         save_scenario(

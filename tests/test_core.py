@@ -16,7 +16,6 @@ from freqplan import (
     ObjectiveWeights,
     PlanStructureError,
     RestrictionSets,
-    compose_reuse,
     decompose_reuse,
     load_plan_csv,
     objective_value,
@@ -96,7 +95,6 @@ class TestReuseDecomposition:
         assert n_p * k - m == g
         assert 0 <= m <= n_p - 1
         assert k == math.ceil(g / n_p)
-        assert compose_reuse(k, m, n_p) == g
 
     def test_rejects_nonpositive_row(self):
         with pytest.raises(DomainError):
@@ -356,6 +354,20 @@ class TestPlanCsv:
         path = tmp_path / "bad.csv"
         path.write_text("beam_id,active,f,g,b\n1,1,x,1,1\n")
         with pytest.raises(PlanStructureError):
+            load_plan_csv(path)
+
+    def test_rejects_repeated_beam_id(self, tmp_path):
+        # the second row used to replace the first without a word
+        path = tmp_path / "bad.csv"
+        path.write_text("beam_id,active,f,g,b\n1,1,1,1,2\n2,0,0,0,0\n1,0,0,0,0\n")
+        with pytest.raises(PlanStructureError, match="^line 4: repeated beam id 1$"):
+            load_plan_csv(path)
+
+    @pytest.mark.parametrize("active", [-1, 2, 7])
+    def test_rejects_active_other_than_0_or_1(self, tmp_path, active):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"beam_id,active,f,g,b\n1,1,1,1,2\n2,{active},1,1,1\n")
+        with pytest.raises(PlanStructureError, match=f"^line 3: active must be 0 or 1, got {active}$"):
             load_plan_csv(path)
 
 

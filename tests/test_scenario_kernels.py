@@ -804,10 +804,11 @@ def test_partners_match_the_concatenate_and_sort_reference(block_pairs, case):
 @pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
 @pytest.mark.parametrize("n_p", [1, 2])
 def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
-    """_flagged_pairs flags exactly the pairs on which _pair_violation
-    reports or raises (an id the plan lacks), over plans with inactive
-    beams, rows 0 and n_rows + 1 and slots outside the grid, in blocks that
-    split the pair list."""
+    """Over pairs of the plan's ids, _flagged_pairs flags exactly the pairs
+    on which _pair_violation reports; over pairs that may name an id the
+    plan lacks, it raises the pair loop's KeyError (the first missing id in
+    pair order). Plans have inactive beams, rows 0 and n_rows + 1 and slots
+    outside the grid; blocks split the pair list."""
     monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
     rng = np.random.default_rng(n_p * 10 + gapped)
     grid = FrequencyGrid(n_bw=6, n_fr=3, n_p=n_p)
@@ -820,19 +821,25 @@ def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
             i: Assignment(a.f, a.g, a.b, active=False) if a.active and rng.random() < 0.3 else a
             for i, a in plan.assignments.items()
         })
-        # ids of the plan, and some below, between and above them
-        pool = np.concatenate((ids, [ids[0] - 1, ids[-1] + 1, ids[-1] + 50, -3], np.arange(ids[0], ids[-1])))
-        pairs = np.sort(rng.choice(pool, (int(rng.integers(1, 200)), 2)), axis=1)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         plan_ids, state = model._plan_arrays(plan)
-        flagged = model._flagged_pairs(kind, pairs, plan_ids, state, n_p)
-        want = []
-        for i, j in pairs.tolist():
-            try:
-                want.append(model._pair_violation(kind, i, j, plan, n_p) is not None)
-            except KeyError:
-                want.append(True)
-        assert flagged.tolist() == want
+
+        def pairs_from(pool):
+            pairs = np.sort(rng.choice(pool, (int(rng.integers(1, 200)), 2)), axis=1)
+            return pairs[pairs[:, 0] != pairs[:, 1]]
+
+        pairs = pairs_from(ids)
+        want = [model._pair_violation(kind, i, j, plan, n_p) is not None for i, j in pairs.tolist()]
+        assert model._flagged_pairs(kind, pairs, plan_ids, state, n_p).tolist() == want
+        # ids of the plan, and some below, between and above them
+        pairs = pairs_from(np.concatenate((ids, [ids[0] - 1, ids[-1] + 1, ids[-1] + 50, -3], np.arange(ids[0], ids[-1]))))
+        try:
+            want = [model._pair_violation(kind, i, j, plan, n_p) is not None for i, j in pairs.tolist()]
+        except KeyError as missing:
+            with pytest.raises(KeyError) as err:
+                model._flagged_pairs(kind, pairs, plan_ids, state, n_p)
+            assert err.value.args == missing.args
+        else:
+            assert model._flagged_pairs(kind, pairs, plan_ids, state, n_p).tolist() == want
 
 
 @pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)

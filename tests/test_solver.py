@@ -1,4 +1,4 @@
-"""Branch-and-bound, solution I/O, brute-force oracle and option selection."""
+"""Branch-and-bound, brute-force oracle and option selection."""
 
 import gc
 
@@ -14,14 +14,10 @@ from freqplan import (
     ObjectiveWeights,
     RestrictionSets,
     Scenario,
-    SolutionImportError,
     SolveLimits,
     brute_force_best_plan,
     build_full_model,
-    check_solution,
-    import_solution,
     solve_exact,
-    write_solution,
 )
 from freqplan.errors import DomainError, UnsupportedModelError
 from freqplan.iterative import OptionGroup, PairConflicts
@@ -29,6 +25,7 @@ from freqplan.solver import solve_option_selection
 
 from util import (
     random_instance,
+    ref_check_solution,
     ref_plan_is_valid,
     ref_solve_exact,
     ref_solve_option_selection,
@@ -222,7 +219,7 @@ class TestIncrementalPropagation:
         sol = solve_exact(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(best)
-        assert check_solution(m, sol.values) == []
+        assert ref_check_solution(m, sol.values) == []
         for cap in (0, 1, 2, 3, 5, 8):
             got = solve_exact(m, SolveLimits(max_nodes=cap))
             assert _fields(got) == _fields(ref_solve_exact(m, cap))
@@ -237,7 +234,7 @@ class TestIncrementalPropagation:
         sol = solve_exact(m)
         assert sol.status == "optimal"
         assert sol.objective == 0.0
-        assert check_solution(m, sol.values) == []
+        assert ref_check_solution(m, sol.values) == []
         for cap in (0, 1, 2, 4):
             got = solve_exact(m, SolveLimits(max_nodes=cap))
             assert _fields(got) == _fields(ref_solve_exact(m, cap))
@@ -251,6 +248,15 @@ class TestIncrementalPropagation:
         sol = solve_exact(m)
         assert (sol.status, sol.stats.nodes) == ("infeasible", 1)
         assert _fields(sol) == _fields(ref_solve_exact(m))
+
+    def test_ref_check_solution_flags(self):
+        # the feasibility oracle of the fractional-objective and
+        # empty-objective tests above
+        m = knapsack_model()
+        assert ref_check_solution(m, {"x": 2.0, "y": 0.0, "z": 0.0}) == ["bounds:x"]
+        assert ref_check_solution(m, {"x": 0.5, "y": 0.0, "z": 0.0}) == ["integrality:x"]
+        assert ref_check_solution(m, {"x": 1.0, "y": 1.0, "z": 0.0}) == ["cap"]
+        assert ref_check_solution(m, {"x": 1.0, "y": 0.0, "z": 1.0}) == []
 
     @pytest.mark.parametrize("cap", [1, 7, 30])
     def test_capped_results_bracket_the_oracle(self, cap):
@@ -268,48 +274,6 @@ class TestIncrementalPropagation:
                 assert sol.objective <= oracle.objective + 1e-9, k
             if oracle.status == "optimal":
                 assert sol.bound >= oracle.objective - 1e-9, k
-
-
-class TestSolutionIo:
-    def test_write_import_round_trip(self, tmp_path):
-        m = knapsack_model()
-        sol = solve_exact(m)
-        path = tmp_path / "point.sol"
-        write_solution(sol, path)
-        back = import_solution(path, m)
-        assert back.status == "feasible"
-        assert back.values == sol.values
-        assert back.objective == pytest.approx(sol.objective)
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "point.sol"
-        path.write_text("# comment\n\nx 1  # inline\ny 0\nz 1\n")
-        back = import_solution(path, knapsack_model())
-        assert back.values == {"x": 1.0, "y": 0.0, "z": 1.0}
-
-    def test_infeasible_point_reports_constraints(self, tmp_path):
-        path = tmp_path / "point.sol"
-        path.write_text("x 1\ny 1\nz 1\n")
-        back = import_solution(path, knapsack_model())
-        assert back.status == "infeasible"
-        assert back.violated == ["cap"]
-
-    @pytest.mark.parametrize(
-        "content",
-        ["w 1\nx 0\ny 0\nz 0\n", "x 0\ny 0\n", "x zero\ny 0\nz 0\n", "x\ny 0\nz 0\n"],
-    )
-    def test_malformed_files_rejected(self, tmp_path, content):
-        path = tmp_path / "point.sol"
-        path.write_text(content)
-        with pytest.raises(SolutionImportError):
-            import_solution(path, knapsack_model())
-
-    def test_check_solution_flags(self):
-        m = knapsack_model()
-        assert check_solution(m, {"x": 2.0, "y": 0.0, "z": 0.0}) == ["bounds:x"]
-        assert check_solution(m, {"x": 0.5, "y": 0.0, "z": 0.0}) == ["integrality:x"]
-        assert check_solution(m, {"x": 1.0, "y": 1.0, "z": 0.0}) == ["cap"]
-        assert check_solution(m, {"x": 1.0, "y": 0.0, "z": 1.0}) == []
 
 
 class TestBruteForceOracle:

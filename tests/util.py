@@ -449,6 +449,26 @@ def solve_with_scipy_milp(model):
     return res.status, (None if res.x is None else -float(res.fun))
 
 
+def ref_check_solution(model, values: Mapping[str, float], tol: float = 1e-6) -> list[str]:
+    """The checks the point ``values`` fails by more than ``tol``, in
+    declaration order: ``bounds:<name>`` for a value outside its variable's
+    bounds, else ``integrality:<name>`` for a fractional integer or binary
+    value, then the name of each violated constraint. An independent
+    feasibility oracle for solver points."""
+    within = {"<=": lambda d: d <= tol, ">=": lambda d: d >= -tol, "=": lambda d: abs(d) <= tol}
+    violated = []
+    for name, lower, upper, integrality in model.variables:
+        val = values[name]
+        if not lower - tol <= val <= upper + tol:
+            violated.append(f"bounds:{name}")
+        elif integrality in ("integer", "binary") and abs(val - round(val)) > tol:
+            violated.append(f"integrality:{name}")
+    for name, terms, sense, rhs in model.constraints:
+        if not within[sense](sum(c * values[v] for c, v in terms) - rhs):
+            violated.append(name)
+    return violated
+
+
 # Reference branch-and-bound: the full-queue solver that freqplan's
 # solve_exact must reproduce node for node. Every node re-propagates every
 # constraint from a full queue and re-applies the incumbent cut after each

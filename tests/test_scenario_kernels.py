@@ -800,46 +800,64 @@ def test_partners_match_the_concatenate_and_sort_reference(block_pairs, case):
         assert array.dtype == ref.dtype and array.tobytes() == ref.tobytes() and not array.flags.writeable
 
 
-@pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
-@pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
-@pytest.mark.parametrize("n_p", [1, 2])
-def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
-    """Over pairs of the plan's ids, _flagged_pairs flags exactly the pairs
-    on which _pair_violation reports; over pairs that may name an id the
-    plan lacks, it raises the pair loop's KeyError (the first missing id in
-    pair order). Plans have inactive beams, rows 0 and n_rows + 1 and slots
-    outside the grid; blocks split the pair list."""
-    monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
-    rng = np.random.default_rng(n_p * 10 + gapped)
+def _flagged_pair_cases(rng, n_p, gapped):
+    """Yield 20 (ids, plan) cases for the _flagged_pairs tests: plans with
+    inactive beams, rows 0 and n_rows + 1 and slots outside the grid."""
     grid = FrequencyGrid(n_bw=6, n_fr=3, n_p=n_p)
     for _ in range(20):
         n = int(rng.integers(2, 30))
         ids = (np.sort(rng.choice(np.arange(1, 4 * n), n, replace=False)) if gapped else np.arange(5, 5 + n))
         plan = random_plan(rng, [Beam(id=int(i)) for i in ids], grid)
         # some inactive beams keep a stale block, as PlanArrays rows do
-        plan = FrequencyPlan({
+        yield ids, FrequencyPlan({
             i: Assignment(a.f, a.g, a.b, active=False) if a.active and rng.random() < 0.3 else a
             for i, a in plan.assignments.items()
         })
+
+
+def _pairs_from(rng, pool):
+    pairs = np.sort(rng.choice(pool, (int(rng.integers(1, 200)), 2)), axis=1)
+    return pairs[pairs[:, 0] != pairs[:, 1]]
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
+@pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
+@pytest.mark.parametrize("n_p", [1, 2])
+def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
+    """Over pairs of the plan's ids, _flagged_pairs flags exactly the pairs
+    on which _pair_violation reports, in blocks that split the pair list."""
+    monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
+    rng = np.random.default_rng(n_p * 10 + gapped)
+    for ids, plan in _flagged_pair_cases(rng, n_p, gapped):
         plan_ids, state = model._plan_arrays(plan)
-
-        def pairs_from(pool):
-            pairs = np.sort(rng.choice(pool, (int(rng.integers(1, 200)), 2)), axis=1)
-            return pairs[pairs[:, 0] != pairs[:, 1]]
-
-        pairs = pairs_from(ids)
+        pairs = _pairs_from(rng, ids)
         want = [model._pair_violation(kind, i, j, plan, n_p) is not None for i, j in pairs.tolist()]
         assert model._flagged_pairs(kind, pairs, plan_ids, state, n_p).tolist() == want
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
+@pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
+@pytest.mark.parametrize("n_p", [1, 2])
+def test_flagged_pairs_raise_the_pair_loop_key_error(kind, n_p, gapped, monkeypatch):
+    """Over pairs that name at least one id the plan lacks, _flagged_pairs
+    raises the pair loop's KeyError: the first missing id in pair order,
+    in whichever block it falls."""
+    monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
+    rng = np.random.default_rng(n_p * 10 + gapped + 100)
+    for ids, plan in _flagged_pair_cases(rng, n_p, gapped):
+        plan_ids, state = model._plan_arrays(plan)
         # ids of the plan, and some below, between and above them
-        pairs = pairs_from(np.concatenate((ids, [ids[0] - 1, ids[-1] + 1, ids[-1] + 50, -3], np.arange(ids[0], ids[-1]))))
-        try:
-            want = [model._pair_violation(kind, i, j, plan, n_p) is not None for i, j in pairs.tolist()]
-        except KeyError as missing:
-            with pytest.raises(KeyError) as err:
-                model._flagged_pairs(kind, pairs, plan_ids, state, n_p)
-            assert err.value.args == missing.args
-        else:
-            assert model._flagged_pairs(kind, pairs, plan_ids, state, n_p).tolist() == want
+        pool = np.concatenate((ids, [ids[0] - 1, ids[-1] + 1, ids[-1] + 50, -3], np.arange(ids[0], ids[-1])))
+        pairs = _pairs_from(rng, pool)
+        # at least one pair names a missing id
+        outside = np.sort([rng.choice(ids), rng.choice(np.setdiff1d(pool, ids))])
+        pairs = np.insert(pairs, int(rng.integers(len(pairs) + 1)), outside, axis=0)
+        with pytest.raises(KeyError) as missing:
+            for i, j in pairs.tolist():
+                model._pair_violation(kind, i, j, plan, n_p)
+        with pytest.raises(KeyError) as err:
+            model._flagged_pairs(kind, pairs, plan_ids, state, n_p)
+        assert err.value.args == missing.value.args
 
 
 @pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)

@@ -9,6 +9,7 @@ exists). All randomness is seeded through explicit flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 from dataclasses import dataclass
@@ -67,13 +68,13 @@ class RunReport:
             self.bw_warm, self.bw_final, self.bw_increase_pct, self.power_warm_w,
             self.power_final_w, self.uncarried_warm, self.uncarried_final, self.iterations,
         )
-        with open(path, "w") as fh:
-            fh.write("scenario,n_beams,mode,bw_warm,bw_final,bw_increase_pct,"
-                     "power_warm_w,power_final_w,uncarried_warm,uncarried_final,iterations\n")
-            fh.write(",".join(
-                [self.scenario_path, str(self.n_beams), self.mode]
-                + ["" if v is None else repr(v) for v in numbers]
-            ) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["scenario", "n_beams", "mode", "bw_warm", "bw_final", "bw_increase_pct",
+                             "power_warm_w", "power_final_w", "uncarried_warm", "uncarried_final", "iterations"])
+            writer.writerow(
+                [self.scenario_path, self.n_beams, self.mode] + ["" if v is None else repr(v) for v in numbers]
+            )
 
     def summary(self) -> str:
         lines = [

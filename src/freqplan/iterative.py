@@ -39,7 +39,7 @@ from .model import (
     slot_capacity,
     validate_plan,
 )
-from .scenario import Scenario
+from .scenario import Scenario, _spans
 from .solver import solve_option_selection
 
 OPT_TOL = 1e-9
@@ -424,7 +424,7 @@ def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays):
     sample[ks] = sample[ks + n] = np.arange(m)
     lo, hi = plan.indptr[ks], plan.indptr[ks + 1]
     a = np.repeat(np.arange(m), hi - lo)  # per entry of those rows: its row's sample position
-    entry = plan.indices[np.arange(len(a)) + (hi - np.cumsum(hi - lo))[a]]
+    entry = plan.indices[_spans(lo, hi - lo)]
     b = sample[entry]
     kind = np.zeros((m, m), dtype=np.int8)  # 1 intra, 2 inter (written last)
     for code, of_kind in ((1, entry < n), (2, entry >= n)):

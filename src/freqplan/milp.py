@@ -152,6 +152,7 @@ def build_full_model(
     # per beam id, its (+-1, name) terms and, with activation, its (M, a_i)
     # term: each built once and shared by every row that uses it
     terms_of: dict[int, tuple] = {}
+    b1, b2, b3, _, b5 = weights.coefficients()
 
     for beam in scenario.beams:
         row_lo, row_hi = beam.row_range(grid)
@@ -181,7 +182,6 @@ def build_full_model(
         add_constraint(f"reuse_{i}", (plus_g, (neg_n_p, k), plus_m), EQ, 0.0)
         terms_of[i] = (plus_f, (-1.0, f), plus_b, plus_g, (-1.0, g), plus_m, (-1.0, m), gate)
 
-        b1, b2, b3, _, b5 = weights.for_beam(i)
         if b1 != 0:
             objective.append((b1, b))
         if b2 != 0:

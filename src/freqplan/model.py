@@ -11,7 +11,7 @@ import csv
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -253,43 +253,31 @@ class RestrictionSets:
 @dataclass(frozen=True)
 class ObjectiveWeights:
     """Weights of the linear objective; beta2..beta5 act through their
-    absolute values. ``per_beam`` overrides individual weights by beam id."""
+    absolute values."""
 
     beta1: float = 1.0
     beta2: float = 0.0
     beta3: float = 0.0
     beta4: float = 0.0
     beta5: float = 0.0
-    per_beam: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # a NaN weight compares false with every score, so no plan would ever
         # change; an infinite one has no finite objective
-        weights = [(name, getattr(self, name)) for name in ("beta1", "beta2", "beta3", "beta4", "beta5")]
-        weights += [
-            (f"per_beam[{beam_id}].{name}", value)
-            for beam_id, overrides in self.per_beam.items()
-            for name, value in overrides.items()
-        ]
-        for name, value in weights:
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+                raise DomainError(f"{f.name} must be finite, got {value}")
 
-    def for_beam(self, beam_id: int) -> tuple[float, float, float, float, float]:
-        o = self.per_beam.get(beam_id, {})
-        return (
-            o.get("beta1", self.beta1),
-            abs(o.get("beta2", self.beta2)),
-            abs(o.get("beta3", self.beta3)),
-            abs(o.get("beta4", self.beta4)),
-            abs(o.get("beta5", self.beta5)),
-        )
+    def coefficients(self) -> tuple[float, float, float, float, float]:
+        """(beta1, |beta2|, |beta3|, |beta4|, |beta5|)."""
+        return self.beta1, abs(self.beta2), abs(self.beta3), abs(self.beta4), abs(self.beta5)
 
     def score(self, beam_id: int, f, g, b, power):
         """Objective term of beam ``beam_id`` at one active candidate, or at
         numpy arrays of candidates: b1*b - |b2|*g - |b3|*f + |b5| - |b4|*power.
         ``power`` is the candidate's P(f, b), read only when |b4| > 0."""
-        b1, b2, b3, b4, b5 = self.for_beam(beam_id)
+        b1, b2, b3, b4, b5 = self.coefficients()
         score = b1 * b - b2 * g - b3 * f + b5
         if b4 > 0:
             if power is None:
@@ -300,9 +288,7 @@ class ObjectiveWeights:
         return score
 
     def uses_power(self) -> bool:
-        if abs(self.beta4) > 0:
-            return True
-        return any(abs(o.get("beta4", 0.0)) > 0 for o in self.per_beam.values())
+        return abs(self.beta4) > 0
 
 
 @dataclass(frozen=True)

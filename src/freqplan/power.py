@@ -230,7 +230,9 @@ def beam_power(
 @dataclass(frozen=True)
 class PowerTable:
     """Per-beam lookup (f, b) -> power. Under this model the value depends
-    only on b; the (f, b) key is kept for forward compatibility."""
+    only on b; the (f, b) key stays because the benchmark
+    (perfbench/workloads.py) calls ``value(a.f, a.b)`` and changes only in
+    a change of its own."""
 
     beam_id: int
     by_slots_dbw: tuple[float, ...]  # index b-1

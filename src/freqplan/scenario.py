@@ -149,17 +149,15 @@ class GenerationParams:
     """Controls for the synthetic user/beam generator."""
 
     lat_band_deg: tuple[float, float] = (-50.0, 50.0)
-    demand_range_bps: tuple[float, float] = (10e6, 500e6)
-    min_slots: int = 1
-    n_gateways: int = 0
 
     def __post_init__(self):
         lo, hi = self.lat_band_deg
         if not -90.0 <= lo <= hi <= 90.0:
             raise DomainError(f"lat_band_deg must satisfy -90 <= lo <= hi <= 90, got {lo} {hi}")
-        lo, hi = self.demand_range_bps
-        if not 0.0 < lo <= hi < math.inf:
-            raise DomainError(f"demand_range_bps must satisfy 0 < lo <= hi, both finite, got {lo} {hi}")
+
+
+# each generated user's demand is drawn log-uniformly from this range
+_DEMAND_RANGE_BPS = (10e6, 500e6)
 
 
 # elements per block of the clustering's user pairs and of the pair kernels'
@@ -168,10 +166,9 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[k] .. starts[k] + counts[k] - 1 (k >= 1 of them),
-    concatenated."""
+    """The ranges starts[k] .. starts[k] + counts[k] - 1, concatenated."""
     ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    return np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
 
 
 def _earlier_neighbours(sin_lat, cos_lat, p_lon, threshold: float):
@@ -280,11 +277,13 @@ def generate_synthetic(
     min_elevation_deg: float = 10.0,
     link: LinkBudget | None = None,
 ) -> Scenario:
-    """Sample users, cluster them greedily into beams, and build a scenario.
+    """Sample users, cluster them greedily into user beams, and build a
+    scenario.
 
     Deterministic for a fixed seed. Users go to the first existing cluster
     where they stay within 2*half_cone_deg of every member; cluster centroid
-    becomes the beam center and demands add up.
+    becomes the beam center and demands add up. Gateway beams come only from
+    scenario files.
     """
     if n_users < 1:
         raise DomainError(f"n_users must be >= 1, got {n_users}")
@@ -295,31 +294,19 @@ def generate_synthetic(
     lat_lo, lat_hi = params.lat_band_deg
     lats = rng.uniform(lat_lo, lat_hi, size=n_users)
     lons = rng.uniform(0.0, 360.0, size=n_users)
-    lo, hi = params.demand_range_bps
+    lo, hi = _DEMAND_RANGE_BPS
     demands = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_users))
 
     clusters = _cluster_users(lats, lons, half_cone_deg)
     centroids = _cluster_reductions(clusters, lats, lons, demands)
 
-    beams = [
-        Beam(id=idx, kind="user", lat=lat, lon=lon, demand_bps=demand, min_slots=params.min_slots)
+    beams = tuple(
+        Beam(id=idx, lat=lat, lon=lon, demand_bps=demand)
         for idx, (lat, lon, demand) in enumerate(zip(*centroids), start=1)
-    ]
-    for gw in range(params.n_gateways):
-        beams.append(
-            Beam(
-                id=len(clusters) + gw + 1,
-                kind="gateway",
-                lat=float(rng.uniform(lat_lo, lat_hi)),
-                lon=float(rng.uniform(0.0, 360.0)),
-                demand_bps=float(np.exp(rng.uniform(math.log(lo), math.log(hi)))),
-                min_slots=params.min_slots,
-            )
-        )
-
+    )
     return Scenario(
         grid=grid,
-        beams=tuple(beams),
+        beams=beams,
         geometry=geometry,
         horizon_min=horizon_min,
         step_min=step_min,

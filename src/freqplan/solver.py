@@ -18,7 +18,6 @@ Three routes live here:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
@@ -60,7 +59,6 @@ class SolveLimits:
 @dataclass
 class SolveStats:
     nodes: int = 0
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -153,7 +151,6 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
         rows.append(())
         rhs.append(0.0)
 
-    start = time.perf_counter()
     stats = SolveStats()
     best_obj = float("-inf")
     best_values: list[int] | None = None
@@ -271,7 +268,6 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             stack.append(high)
             stack.append(low)
 
-    stats.wall_seconds = time.perf_counter() - start
     if hit_limit:
         frontier_bound = max(
             [frontier_bound] + [node[2] for node in stack] + [best_obj]
@@ -300,7 +296,7 @@ class OracleResult:
 
 def _beam_options(beam, grid, weights, power_table, allow_inactive):
     """All (f, g, b, score) options for one beam, best score first."""
-    b1, b2, b3, b4, b5 = weights.for_beam(beam.id)
+    b1, b2, b3, b4, b5 = weights.coefficients()
     row_lo, row_hi = beam.row_range(grid)
     slot_lo, slot_hi = beam.slot_range(grid)
     options = []

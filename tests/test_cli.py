@@ -217,6 +217,20 @@ class TestOptimize:
         assert "normalized BW:   warm 0.0000 -> final" in out
         assert "BW increase" not in out
 
+    def test_report_quotes_a_scenario_path_with_a_comma(self, tmp_path, scenario_file):
+        """The scenario path is the report's first field: one with a comma
+        used to write a 12-field row under the 11-field header."""
+        scen = tmp_path / "a,b" / "s.json"
+        scen.parent.mkdir()
+        scen.write_bytes(scenario_file.read_bytes())
+        report = tmp_path / "report.csv"
+        assert main(["optimize", str(scen), "--max-iterations", "3",
+                     "--out-plan", str(tmp_path / "plan.csv"), "--report", str(report)]) == 0
+        with open(report, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(header) == len(row) == 11
+        assert row[0] == str(scen)
+
     def test_warm_start_file_replaces_greedy(self, tmp_path, scenario_file, monkeypatch):
         first = tmp_path / "first.csv"
         assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",

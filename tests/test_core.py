@@ -239,11 +239,6 @@ class TestMetrics:
         # active beam: 2*4 - 0.5*3 - 0.25*2 + 3 = 9.0 ; inactive beam: 0
         assert objective_value(plan, w) == pytest.approx(9.0)
 
-    def test_objective_per_beam_override(self):
-        w = ObjectiveWeights(beta1=1.0, per_beam={2: {"beta1": 5.0}})
-        plan = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(1, 2, 2)})
-        assert objective_value(plan, w) == pytest.approx(2 + 10)
-
     def test_objective_requires_power_table_when_beta4(self):
         w = ObjectiveWeights(beta4=1.0)
         plan = FrequencyPlan({1: Assignment(1, 1, 1)})
@@ -374,19 +369,17 @@ class TestPlanCsv:
 class TestWeights:
     def test_absolute_values_for_penalties(self):
         w = ObjectiveWeights(beta1=-1.0, beta2=-2.0, beta3=3.0, beta4=-4.0, beta5=-5.0)
-        assert w.for_beam(1) == (-1.0, 2.0, 3.0, 4.0, 5.0)
+        assert w.coefficients() == (-1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_uses_power(self):
         assert not ObjectiveWeights().uses_power()
         assert ObjectiveWeights(beta4=0.1).uses_power()
-        assert ObjectiveWeights(per_beam={3: {"beta4": 1.0}}).uses_power()
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
             ({"beta1": float("nan")}, "beta1 must be finite, got nan"),
             ({"beta3": float("-inf")}, "beta3 must be finite, got -inf"),
-            ({"per_beam": {7: {"beta2": float("inf")}}}, r"per_beam\[7\]\.beta2 must be finite, got inf"),
         ],
     )
     def test_non_finite_weight_rejected(self, kwargs, message):

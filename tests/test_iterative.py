@@ -625,9 +625,9 @@ class TestCollisionKernel:
 
 @st.composite
 def _iteration_case(draw):
-    """A small scenario with drawn domains, gateways, per-beam weight
-    overrides and restriction pairs stored in either order, a valid start
-    plan and an iteration config."""
+    """A small scenario with drawn domains, gateways, drawn weights and
+    restriction pairs stored in either order, a valid start plan and an
+    iteration config."""
     grid = FrequencyGrid(
         n_bw=draw(st.integers(2, 6)), n_fr=draw(st.integers(1, 3)), n_p=draw(st.integers(1, 2))
     )
@@ -659,12 +659,8 @@ def _iteration_case(draw):
     # built directly; the constructor stores either drawn orientation as (i, j)
     restrictions = RestrictionSets(frozenset(intra), frozenset(inter))
     betas = st.sampled_from([0.0, 0.1, 0.5, -0.25])
-    per_beam = {
-        i: {"beta1": draw(st.sampled_from([1.0, 2.0, 0.5])), "beta2": draw(betas), "beta5": draw(betas)}
-        for i in range(1, n + 1) if draw(st.booleans())
-    }
     weights = ObjectiveWeights(
-        beta1=1.0, beta2=draw(betas), beta3=draw(betas), beta5=draw(betas), per_beam=per_beam,
+        beta1=draw(st.sampled_from([1.0, 2.0, 0.5])), beta2=draw(betas), beta3=draw(betas), beta5=draw(betas),
     )
     s = Scenario(grid=grid, beams=tuple(beams), geometry=GEOM, restrictions=restrictions)
     if draw(st.booleans()):
@@ -686,21 +682,17 @@ def _iteration_case(draw):
 @st.composite
 def _power_case(draw):
     """An _iteration_case on a 50 MHz-slot grid with its power tables and
-    power-aware weights: beta4 > 0, beta5 != 0 and a per-beam override."""
+    power-aware weights: beta4 > 0."""
     s, _, start, config = draw(_iteration_case())
     s = dataclasses.replace(s, grid=dataclasses.replace(s.grid, slot_bandwidth_hz=50e6))
     s = dataclasses.replace(s, beams=tuple(
         dataclasses.replace(b, demand_bps=draw(st.sampled_from([1e6, 1e8, 4e8]))) for b in s.beams
     ))
     tables = power_tables_for(s.beams, s.grid, LinkBudget())
-    override = st.fixed_dictionaries({"beta4": st.sampled_from([0.0, 0.2])}, optional={
-        "beta1": st.sampled_from([0.5, 2.0]), "beta2": st.sampled_from([0.0, 10.0]),
-        "beta5": st.sampled_from([0.0, -1.5]),
-    })
     weights = ObjectiveWeights(
-        beta1=1.0, beta2=draw(st.sampled_from([0.0, 0.01])), beta3=draw(st.sampled_from([0.0, 0.001])),
-        beta4=draw(st.sampled_from([0.01, 0.05])), beta5=draw(st.sampled_from([0.7, -0.3])),
-        per_beam={1: draw(override)} | {i: draw(override) for i in (2, 3) if draw(st.booleans())},
+        beta1=draw(st.sampled_from([1.0, 0.5, 2.0])), beta2=draw(st.sampled_from([0.0, 0.01, 10.0])),
+        beta3=draw(st.sampled_from([0.0, 0.001])), beta4=draw(st.sampled_from([0.01, 0.05, 0.2])),
+        beta5=draw(st.sampled_from([0.7, -0.3, 0.0, -1.5])),
     )
     return s, weights, start, config, tables
 
@@ -751,10 +743,9 @@ class TestIterationProperties:
     @settings(max_examples=80, deadline=None)
     @given(case=_power_case())
     def test_power_aware_steps_report_their_plan_exactly(self, case):
-        """With power tables, beta4 > 0, beta5 != 0 and per-beam overrides,
-        every step's plan validates, the objective never falls, and its
-        record's objective and normalized bandwidth are exactly those of
-        the step's plan."""
+        """With power tables and beta4 > 0, every step's plan validates,
+        the objective never falls, and its record's objective and
+        normalized bandwidth are exactly those of the step's plan."""
         s, weights, start, config, tables = case
         state = iterative.IterationState(
             scenario=s, weights=weights, config=config, arrays=PlanArrays(s, s.restrictions, start),
@@ -856,9 +847,11 @@ class TestPlanArrays:
         its cached score drops to 0.0 and its slots leave the total."""
         s = scenario_with([Beam(id=1), Beam(id=2, allowed_rows=(2, 4)), Beam(id=3)], intra=[(1, 2)])
         start = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(3, 1, 2), 3: Assignment(1, 2, 4)})
+        # b - 10 g + 12: at least 3 on row 1, at most -4 from row 2 on, where
+        # beam 2's rows start; beam 3 keeps a candidate, so only beam 2 can go
         state = iterative.IterationState(
             scenario=s, config=IterationConfig(n_ch=3), arrays=PlanArrays(s, s.restrictions, start),
-            weights=ObjectiveWeights(beta2=0.5, per_beam={2: {"beta2": 10.0}}),
+            weights=ObjectiveWeights(beta2=10.0, beta5=12.0),
         )
         iterative.iterate_once(state, np.random.default_rng(0))
         assert not state.plan[2].active
@@ -867,21 +860,17 @@ class TestPlanArrays:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_records_state_their_plans_exactly_at_scale(self, seed):
-        """98 beams with power tables, beta4 > 0, beta5 != 0 and per-beam
-        overrides: after every iteration the cached state is that of the
-        plan, and the record's objective and normalized bandwidth are
-        exactly objective_value and total_normalized_bandwidth of it."""
+        """98 beams with power tables, beta4 > 0 and beta5 != 0: after
+        every iteration the cached state is that of the plan, and the
+        record's objective and normalized bandwidth are exactly
+        objective_value and total_normalized_bandwidth of it."""
         s = generate_synthetic(
             seed=7, n_users=100, grid=FrequencyGrid(n_bw=40, n_fr=8, n_p=2, slot_bandwidth_hz=50e6),
             geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
         )
         restrictions = derive_restrictions(s)
         tables = power_tables_for(s.beams, s.grid, LinkBudget())
-        ids = sorted(s.beam_ids())
-        weights = ObjectiveWeights(
-            beta1=1.0, beta2=0.01, beta3=0.001, beta4=0.05, beta5=0.7,
-            per_beam={ids[0]: {"beta4": 0.2, "beta5": 0.1}, ids[5]: {"beta1": 0.3, "beta2": 1.0}},
-        )
+        weights = ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001, beta4=0.05, beta5=0.7)
         state = iterative.IterationState(
             scenario=s, weights=weights, power_table=tables, config=IterationConfig(n_ch=25, seed=seed),
             arrays=PlanArrays(s, restrictions, greedy_warm_start(s, restrictions)),

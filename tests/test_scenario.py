@@ -138,19 +138,14 @@ class TestGeneration:
             {"lat_band_deg": (80.0, 100.0)},
             {"lat_band_deg": (-90.5, 0.0)},
             {"lat_band_deg": (math.nan, 0.0)},
-            {"demand_range_bps": (0.0, 1e6)},
-            {"demand_range_bps": (2e6, 1e6)},
-            {"demand_range_bps": (1e6, math.inf)},
-            {"demand_range_bps": (math.nan, 1e6)},
         ],
     )
     def test_generation_params_reject_bad_ranges(self, params):
         """A reversed latitude band used to be a numpy ValueError, one past
-        a pole gave beams at latitude 99; the demand range must be finite
-        and positive for its log-uniform draw."""
+        a pole gave beams at latitude 99."""
         with pytest.raises(DomainError):
             GenerationParams(**params)
-        GenerationParams(lat_band_deg=(-90.0, 90.0), demand_range_bps=(1.0, 1.0))
+        GenerationParams(lat_band_deg=(-90.0, 90.0))
 
 
 class TestRouting:

@@ -131,7 +131,7 @@ def test_every_decision_through_the_scalar_fallback_matches(monkeypatch):
     # a guard band wider than any angle sends every threshold decision and
     # every beam's routing to the scalar recomputation
     monkeypatch.setattr(scenario_mod, "_GUARD_DEG", 1e9)
-    params = GenerationParams(lat_band_deg=(-30.0, 30.0), n_gateways=2)
+    params = GenerationParams(lat_band_deg=(-30.0, 30.0))
     scenario = generate_synthetic(seed=4, n_users=40, grid=GRID, geometry=GEOM, params=params)
     assert scenario.beams == ref_generate_beams(4, 40, params)
     assert_pipeline_matches_reference(scenario)
@@ -142,7 +142,6 @@ def test_every_decision_through_the_scalar_fallback_matches(monkeypatch):
     seed=st.integers(0, 10_000),
     n_users=st.integers(1, 40),
     band=st.sampled_from([5.0, 30.0, 60.0]),
-    n_gateways=st.integers(0, 3),
     n_s=st.sampled_from([1, 2, 7]),
     altitude_km=st.sampled_from([1200.0, 8062.0, 35786.0]),
     step_min=st.sampled_from([0.5, 1.0, 2.5, 7.0]),
@@ -152,10 +151,10 @@ def test_every_decision_through_the_scalar_fallback_matches(monkeypatch):
     min_elevation_deg=st.sampled_from([0.0, 10.0, 30.0]),
 )
 def test_small_scenarios_match_reference(
-    seed, n_users, band, n_gateways, n_s, altitude_km, step_min, n_steps,
+    seed, n_users, band, n_s, altitude_km, step_min, n_steps,
     half_cone_deg, interference_multiplier, min_elevation_deg,
 ):
-    params = GenerationParams(lat_band_deg=(-band, band), n_gateways=n_gateways)
+    params = GenerationParams(lat_band_deg=(-band, band))
     scenario = generate_synthetic(
         seed=seed, n_users=n_users, grid=GRID,
         geometry=ConstellationGeometry(n_s=n_s, altitude_km=altitude_km), params=params,

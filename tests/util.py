@@ -252,7 +252,7 @@ def _ref_blocked(beam_id, cand, grid, plan, restrictions, selected) -> bool:
 
 
 def _ref_score(beam_id, a, weights, power_table) -> float:
-    b1, b2, b3, b4, b5 = weights.for_beam(beam_id)
+    b1, b2, b3, b4, b5 = weights.beta1, abs(weights.beta2), abs(weights.beta3), abs(weights.beta4), abs(weights.beta5)
     score = b1 * a.b - b2 * a.g - b3 * a.f + b5
     if b4 > 0:
         score -= b4 * power_table[beam_id].value(a.f, a.b)
@@ -886,38 +886,26 @@ def ref_cluster_users(lats, lons, half_cone_deg: float) -> list[list[int]]:
 def ref_generate_beams(
     seed: int, n_users: int, params: GenerationParams = GenerationParams(), half_cone_deg: float = 1.0
 ) -> tuple[Beam, ...]:
-    """Reference for generate_synthetic's beams: the same draws, the scalar
-    clustering, centroids and summed demands, then the gateways."""
+    """Reference for generate_synthetic's beams: the same draws (demands
+    log-uniform over 10 to 500 Mbps), the scalar clustering, centroids and
+    summed demands; every beam a user beam of one minimum slot."""
     rng = np.random.default_rng(seed)
     lat_lo, lat_hi = params.lat_band_deg
     lats = rng.uniform(lat_lo, lat_hi, size=n_users)
     lons = rng.uniform(0.0, 360.0, size=n_users)
-    lo, hi = params.demand_range_bps
-    demands = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_users))
+    demands = np.exp(rng.uniform(math.log(10e6), math.log(500e6), size=n_users))
     clusters = ref_cluster_users(lats, lons, half_cone_deg)
-    beams = [
+    return tuple(
         Beam(
             id=idx,
             kind="user",
             lat=float(np.mean(lats[members])),
             lon=float(np.mean(lons[members])),
             demand_bps=float(np.sum(demands[members])),
-            min_slots=params.min_slots,
+            min_slots=1,
         )
         for idx, members in enumerate(clusters, start=1)
-    ]
-    for gw in range(params.n_gateways):
-        beams.append(
-            Beam(
-                id=len(clusters) + gw + 1,
-                kind="gateway",
-                lat=float(rng.uniform(lat_lo, lat_hi)),
-                lon=float(rng.uniform(0.0, 360.0)),
-                demand_bps=float(np.exp(rng.uniform(math.log(lo), math.log(hi)))),
-                min_slots=params.min_slots,
-            )
-        )
-    return tuple(beams)
+    )
 
 
 def ref_route_beams(scenario: Scenario) -> dict[float, dict[int, int]]:

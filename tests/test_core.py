@@ -239,6 +239,13 @@ class TestMetrics:
         # active beam: 2*4 - 0.5*3 - 0.25*2 + 3 = 9.0 ; inactive beam: 0
         assert objective_value(plan, w) == pytest.approx(9.0)
 
+    def test_objective_applies_the_same_weights_to_every_beam(self):
+        w = ObjectiveWeights(beta1=2.0, beta2=0.5, beta3=0.25, beta5=1.0)
+        plan = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(1, 1, 2), 9: Assignment(1, 1, 2)})
+        # each active beam: 2*2 - 0.5*1 - 0.25*1 + 1 = 4.25
+        assert objective_value(plan, w) == pytest.approx(3 * 4.25)
+        assert w.score(2, 1, 1, 2, None) == w.score(9, 1, 1, 2, None) == 4.25
+
     def test_objective_requires_power_table_when_beta4(self):
         w = ObjectiveWeights(beta4=1.0)
         plan = FrequencyPlan({1: Assignment(1, 1, 1)})
@@ -371,6 +378,18 @@ class TestWeights:
         w = ObjectiveWeights(beta1=-1.0, beta2=-2.0, beta3=3.0, beta4=-4.0, beta5=-5.0)
         assert w.coefficients() == (-1.0, 2.0, 3.0, 4.0, 5.0)
 
+    def test_score_of_arrays_equals_each_scalar_score(self):
+        """The optimizer scores candidate arrays at once; each entry must be
+        the bitwise value of the scalar score at that candidate."""
+        w = ObjectiveWeights(beta1=0.7, beta2=-0.01, beta3=0.003, beta4=0.05, beta5=-1.5)
+        f = np.array([1, 2, 5, 9])
+        g = np.array([1, 3, 2, 8])
+        b = np.array([1, 4, 2, 3])
+        power = np.array([0.25, 1.5, 3.0, 0.125])
+        scores = w.score(1, f, g, b, power)
+        for k in range(len(f)):
+            assert scores[k] == w.score(1, int(f[k]), int(g[k]), int(b[k]), float(power[k]))
+
     def test_uses_power(self):
         assert not ObjectiveWeights().uses_power()
         assert ObjectiveWeights(beta4=0.1).uses_power()
@@ -379,7 +398,10 @@ class TestWeights:
         "kwargs, message",
         [
             ({"beta1": float("nan")}, "beta1 must be finite, got nan"),
+            ({"beta2": float("inf")}, "beta2 must be finite, got inf"),
             ({"beta3": float("-inf")}, "beta3 must be finite, got -inf"),
+            ({"beta4": float("nan")}, "beta4 must be finite, got nan"),
+            ({"beta5": float("-inf")}, "beta5 must be finite, got -inf"),
         ],
     )
     def test_non_finite_weight_rejected(self, kwargs, message):

@@ -127,6 +127,15 @@ class TestGeneration:
         assert sum(b.demand_bps for b in s.beams) == pytest.approx(float(demands.sum()))
         assert all(-50 <= b.lat <= 50 for b in s.beams)
 
+    def test_generated_beams_are_users_with_the_default_min_slots(self):
+        """The generator draws user beams only; gateways come from scenario
+        files. Every beam holds at least one user, whose demand is at least
+        the 10 Mb/s floor of the draw."""
+        s = generate_synthetic(seed=5, n_users=80, grid=GRID, geometry=GEOM)
+        assert s.beams
+        assert all(b.kind == "user" and b.min_slots == Beam(id=0).min_slots for b in s.beams)
+        assert all(b.demand_bps >= 10e6 for b in s.beams)
+
     def test_rejects_zero_users(self):
         with pytest.raises(DomainError):
             generate_synthetic(seed=0, n_users=0, grid=GRID, geometry=GEOM)

@@ -117,7 +117,7 @@ def _power_w(plan: FrequencyPlan, tables) -> tuple[float, int]:
     """Total power of the active beams some MODCOD carries, and the count of
     active beams none carries (their power is the big_m sentinel)."""
     active = [(tables[i], a) for i, a in plan.active_items()]
-    carried = [t.watts(a.f, a.b) for t, a in active if t.carries(a.b)]
+    carried = [t.watts(a.b) for t, a in active if t.carries(a.b)]
     return sum(carried), len(active) - len(carried)
 
 

@@ -198,7 +198,8 @@ class RestrictionSets:
         order. The CSR is a counting placement (Gustavson, ACM TOMS 4(3),
         1978) over blocks of _BLOCK_PAIRS pairs, so its temporaries stay
         bounded: pass 1 counts each position's partners in each of the four
-        segments, pass 2 writes each block at its owners' next free slots.
+        segments, pass 2 writes each block at its owners' next free slots. A
+        kind of one block finds its pair positions once, for both passes.
         """
         key = ids.tobytes()
         if self._csr is not None and self._csr[0] == key:
@@ -207,10 +208,14 @@ class RestrictionSets:
         kinds = ((0, self.pairs["intra"]), (n, self.pairs["inter"]))
         # counts[2 * kind + column]: each position's partners as that column
         counts = np.zeros((4, n), dtype=np.int64)
+        kept: list[list[np.ndarray]] = []  # a kind's positions if it is one block
         for k, (_, pairs) in enumerate(kinds):
+            kept.append([])
             for at in _position_blocks(ids, pairs):
                 for c in (0, 1):
                     counts[2 * k + c] += np.bincount(at[:, c], minlength=n)
+                if len(pairs) <= _BLOCK_PAIRS:
+                    kept[k].append(at)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=indptr[1:])
         free = indptr[:-1] + np.cumsum(counts, axis=0) - counts  # each segment's next slot
@@ -218,7 +223,7 @@ class RestrictionSets:
         # owners of 16 bits or fewer take numpy's radix sort
         small = np.min_scalar_type(max(n - 1, 0))
         for k, (offset, pairs) in enumerate(kinds):
-            for at in _position_blocks(ids, pairs):
+            for at in kept[k] or _position_blocks(ids, pairs):
                 for c in (0, 1):
                     owner, partner = at[:, c], at[:, 1 - c] + offset
                     if c:  # (smaller, owner) pairs come sorted by the smaller id

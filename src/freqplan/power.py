@@ -229,8 +229,8 @@ def beam_power(
 
 @dataclass(frozen=True)
 class PowerTable:
-    """Per-beam lookup (f, b) -> power. Under this model the value depends
-    only on b; the (f, b) key stays because the benchmark
+    """Per-beam lookup b -> power. Under this model power depends only on
+    the width b; ``value`` alone keeps an (f, b) key because the benchmark
     (perfbench/workloads.py) calls ``value(a.f, a.b)`` and changes only in
     a change of its own."""
 
@@ -249,7 +249,7 @@ class PowerTable:
         """Power in dBW for an assignment of b slots (f ignored)."""
         return self._at(self.by_slots_dbw, b)
 
-    def watts(self, f: int, b: int) -> float:
+    def watts(self, b: int) -> float:
         return self._at(self.by_slots_w, b)
 
     def carries(self, b: int) -> bool:

@@ -17,7 +17,9 @@ Three routes live here:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
@@ -435,20 +437,27 @@ def solve_option_selection(
     (anytime behavior). 0 is unlimited; a negative budget is a DomainError.
 
     The search is depth-first with forward checking over connected
-    components of the group conflict graph, always branching on the group
-    with the fewest surviving candidates (the lowest id on ties); the node
-    bound sums the best still-compatible score per remaining group, left to
-    right in ascending id order. Each child is counted against the budget
-    and tested (leaf, dead end, bound) in its parent's candidate loop, and
-    only a surviving child is searched, so a node is never entered just to
-    be pruned; the tree and visit order are those of testing on entry.
-    Surviving candidates are int bitsets in score-rank order, so a group's
-    best is its lowest set bit and its width is ``bit_count()``
+    components of the group conflict graph, in the order of their lowest
+    group, always branching on the group with the fewest surviving
+    candidates (the lowest id on ties). Surviving candidates are int
+    bitsets in score-rank order, so a group's width is ``bit_count()``
     (bit-parallel branch-and-bound after San Segundo, Rodriguez-Losada and
-    Jimenez, Computers & OR 38(2), 2011).
+    Jimenez, Computers & OR 38(2), 2011) and its best gain is read from one
+    table per group at the position of the lowest set bit: entry 0 (nothing
+    left) is 0.0 for a group that may select nothing and -inf otherwise,
+    and such a group's negative scores read 0.0. The node bound sums these
+    gains over the remaining groups, left to right in ascending id order,
+    so a mandatory group left without options makes it -inf. Each node
+    saves its unchosen neighbours' masks, gains and widths once, and every
+    child is set from that saved state, so no child depends on the siblings
+    tried before it. Each child is counted against the budget and tested
+    against the bound in its parent's candidate loop, and only a surviving
+    child is searched, so a node is never entered just to be pruned; the
+    tree and visit order are those of testing on entry.
     """
     if node_budget < 0:
         raise DomainError("node_budget must be >= 0")
+    limit = node_budget or math.inf
     n = len(scores)
     score_arr = [np.asarray(s, dtype=float) for s in scores]
     for g, s in enumerate(score_arr):
@@ -460,6 +469,13 @@ def solve_option_selection(
         int(np.count_nonzero(s > 0)) if allow_none[g] else None
         for g, s in enumerate(score_arr)
     ]
+    # gain[g][(m & -m).bit_length()] is the best gain surviving bitset m of g
+    # still reaches
+    neg_inf = float("-inf")
+    gain = [
+        [0.0 if allow else neg_inf] + ([0.0 if x < 0.0 else x for x in s] if allow else s)
+        for s, allow in zip(rank_scores, allow_none)
+    ]
 
     # adj[g][h][r] -> bitset over h's options colliding with option r of g
     adj: list[dict] = [{} for _ in range(n)]
@@ -468,29 +484,11 @@ def solve_option_selection(
 
     mask = [(1 << len(s)) - 1 for s in rank_scores]
     none_width = [1 if allow_none[g] else 0 for g in range(n)]
-    gb = [0.0] * n  # best still-compatible gain per group
-    width = [0] * n  # surviving candidates per group, None included
+    gb = [row[(m & -m).bit_length()] for row, m in zip(gain, mask)]  # best gain per group
+    width = [m.bit_count() + w for m, w in zip(mask, none_width)]  # None included
     pick: list[int | None] = [None] * n
-    infeasible = False
-    neg_inf = float("-inf")
-
-    # connected components of the group conflict graph are independent
-    comp_of = list(range(n))
-
-    def find(x: int) -> int:
-        while comp_of[x] != x:
-            comp_of[x] = comp_of[comp_of[x]]
-            x = comp_of[x]
-        return x
-
-    for g1, g2 in pair_conflict:
-        comp_of[find(g1)] = find(g2)
-    components: dict[int, list[int]] = {}
-    for g in range(n):
-        components.setdefault(find(g), []).append(g)
 
     def solve_component(groups: list[int]) -> None:
-        nonlocal infeasible
         best_total = neg_inf
         best_pick: dict[int, int | None] | None = None
         if initial is not None:
@@ -501,12 +499,6 @@ def solve_option_selection(
         # them in; a group adjacent to the branched one is unchosen iff it is
         # not in `chosen`
         remaining = list(groups)
-        # incrementally maintained per-group data over `remaining`
-        for h in groups:
-            m = mask[h]
-            best = rank_scores[h][(m & -m).bit_length() - 1] if m else neg_inf
-            gb[h] = 0.0 if allow_none[h] and best < 0.0 else best
-            width[h] = m.bit_count() + none_width[h]
         nodes = 1  # the root
 
         def search(total: float, bound: float, g: int) -> None:
@@ -518,82 +510,73 @@ def solve_option_selection(
             rest = bound - total - gb[g]
             at = remaining.index(g)
             del remaining[at]
-            live = [(h, rows) for h, rows in adj[g].items() if h not in chosen]
+            # the unchosen neighbours' state, saved once; each child is set
+            # from it, and it is restored when the loop ends
+            live = [(h, rows, mask[h], gb[h], width[h]) for h, rows in adj[g].items() if h not in chosen]
             scores_g = rank_scores[g]
             m, cut = mask[g], none_rank[g]
             # the still-compatible ranks in non-increasing gain order; None
             # (when allowed) sits at its score-rank position
             while m or cut is not None:
-                if node_budget and nodes > node_budget:
-                    break
                 low = m & -m
                 opt = low.bit_length() - 1
                 if cut is not None and (not m or opt >= cut):
                     opt = cut = None
                 else:
                     m ^= low
-                gain = scores_g[opt] if opt is not None else 0.0
-                if total + gain + rest <= best_total + OPT_TOL:
+                score = scores_g[opt] if opt is not None else 0.0
+                if total + score + rest <= best_total + OPT_TOL:
                     break  # gains only shrink from here on
-                chosen[g] = opt
-                saved = []
-                if opt is not None:
-                    for h, rows in live:
-                        row = rows[opt]
-                        old = mask[h]
-                        if old & row:
-                            saved.append((h, old, gb[h], width[h]))
-                            new = mask[h] = old & ~row
-                            best = rank_scores[h][(new & -new).bit_length() - 1] if new else neg_inf
-                            gb[h] = 0.0 if allow_none[h] and best < 0.0 else best
-                            width[h] = new.bit_count() + none_width[h]
-                    child = total + gain
-                else:
-                    child = total
                 nodes += 1
-                if not (node_budget and nodes > node_budget):
-                    if not remaining:
-                        if child > best_total + OPT_TOL:
-                            best_total = child
-                            best_pick = dict(chosen)
+                if nodes > limit:
+                    break
+                chosen[g] = opt
+                if opt is None:
+                    child = total
+                    for h, _, m_h, gb_h, w_h in live:
+                        mask[h], gb[h], width[h] = m_h, gb_h, w_h
+                else:
+                    child = total + score
+                    for h, rows, m_h, _, _ in live:
+                        new = mask[h] = m_h & ~rows[opt]
+                        gb[h] = gain[h][(new & -new).bit_length()]
+                child_bound = functools.reduce(operator.add, map(gb.__getitem__, remaining), child)
+                if child_bound > best_total + OPT_TOL:
+                    if not remaining:  # a leaf, whose bound is its total
+                        best_total, best_pick = child, dict(chosen)
                     else:
-                        child_bound = child
-                        branch, branch_width = None, math.inf
-                        for h in remaining:
-                            h_best = gb[h]
-                            if h_best == neg_inf:
-                                break  # mandatory group fully pruned: dead end
-                            child_bound += h_best
-                            if width[h] < branch_width:
-                                branch, branch_width = h, width[h]
-                        else:
-                            if child_bound > best_total + OPT_TOL:
-                                search(child, child_bound, branch)
-                for h, m_old, gb_old, w_old in saved:
-                    mask[h], gb[h], width[h] = m_old, gb_old, w_old
-                del chosen[g]
+                        for h, *_ in live:
+                            width[h] = mask[h].bit_count() + none_width[h]
+                        search(child, child_bound, min(remaining, key=width.__getitem__))
+            for h, _, m_h, gb_h, w_h in live:
+                mask[h], gb[h], width[h] = m_h, gb_h, w_h
+            chosen.pop(g, None)
             remaining.insert(at, g)
 
-        # the root, tested as a child is below
-        if all(gb[h] != neg_inf for h in groups):
-            bound = 0.0
-            for h in groups:
-                bound += gb[h]
-            if bound > best_total + OPT_TOL:
-                search(0.0, bound, min(groups, key=width.__getitem__))
+        # the root, tested as a child is above
+        bound = functools.reduce(operator.add, map(gb.__getitem__, groups), 0.0)
+        if bound > best_total + OPT_TOL:
+            search(0.0, bound, min(groups, key=width.__getitem__))
         # the recursive closure refers to itself through its cell; drop it so
         # the component's state goes now, not at the next cyclic collection
         del search
         if best_pick is None:
-            infeasible = True
-            return
+            raise UnsupportedModelError("option selection has no feasible point")
         for g, r in best_pick.items():
             pick[g] = r
 
-    for root in sorted(components, key=lambda r: min(components[r])):
-        solve_component(sorted(components[root]))
-        if infeasible:
-            raise UnsupportedModelError("option selection has no feasible point")
+    # connected components of the group conflict graph are independent
+    seen = [False] * n
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            groups = [root]
+            for g in groups:  # breadth first: groups grows as it is read
+                for h in adj[g]:
+                    if not seen[h]:
+                        seen[h] = True
+                        groups.append(h)
+            solve_component(sorted(groups))
 
     total = sum(rank_scores[g][pick[g]] for g in range(n) if pick[g] is not None)
     return pick, total

@@ -299,7 +299,7 @@ def test_08_power_objective_reduces_total_power(large_case):
         """(beams carried, their total power, active beams at the 1000 dBW
         sentinel, which no MODCOD carries)."""
         active = list(plan.active_items())
-        carried = [tables[i].watts(a.f, a.b) for i, a in active if tables[i].value(a.f, a.b) < 1000.0]
+        carried = [tables[i].watts(a.b) for i, a in active if tables[i].value(a.f, a.b) < 1000.0]
         return len(carried), sum(carried), len(active) - len(carried)
 
     weights = ObjectiveWeights(beta1=1.0, beta4=0.05)

@@ -451,14 +451,17 @@ class TestSubproblem:
         )
         assert milp_sol.objective == pytest.approx(total, abs=1e-9)
 
-    def test_search_matches_reference_at_production_size(self, monkeypatch):
+    @pytest.mark.parametrize("beta4", [0.0, 0.05], ids=["no-power", "power-aware"])
+    def test_search_matches_reference_at_production_size(self, beta4, monkeypatch):
         """The subproblems iterate_once builds on the acceptance large_case
         (25 beams of about 400 candidates, about 80 restricted pairs) give
         the reference search's picks and total at node budgets 1, 50, 100
-        and 2000, the conflict kernels expanded into dense matrices. At 100
-        the third subproblem's result depends on counting the children the
-        parent prunes."""
+        and 2000, the conflict kernels expanded into dense matrices, with
+        and without l_pipeline's power term (beta4 = 0.05 on power_tables_for
+        tables). Without it, at 100 the third subproblem's result depends on
+        counting the children the parent prunes."""
         scenario, restrictions, warm = large_case()
+        tables = power_tables_for(scenario.beams, scenario.grid, LinkBudget()) if beta4 else None
         captured = []
 
         def capture(scores, allow_none, pair_conflict, initial=None, node_budget=0):
@@ -467,8 +470,9 @@ class TestSubproblem:
 
         monkeypatch.setattr(iterative, "solve_option_selection", capture)
         state = iterative.IterationState(
-            scenario=scenario, weights=ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001),
+            scenario=scenario, weights=ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001, beta4=beta4),
             config=IterationConfig(n_ch=25, seed=0), arrays=PlanArrays(scenario, restrictions, warm),
+            power_table=tables,
         )
         rng = np.random.default_rng(0)
         for _ in range(3):

@@ -187,7 +187,7 @@ class TestPowerTables:
         assert table.value(1, 3) == table.value(5, 3)
         direct = beam_power(80e6, 3 * 50e6, LinkBudget(), DEFAULT_MODCODS, 1000.0)
         assert table.value(1, 3) == pytest.approx(direct.dbw)
-        assert table.watts(1, 3) == pytest.approx(direct.watts)
+        assert table.watts(3) == pytest.approx(direct.watts)
 
     @pytest.mark.parametrize("big_m", [1000.0, 612.5])
     @pytest.mark.parametrize("ladder", ["default", "csv"])
@@ -220,7 +220,7 @@ class TestPowerTables:
     def test_width_outside_the_grid_raises(self, b):
         grid = FrequencyGrid(n_bw=8, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
         table = power_tables_for((Beam(id=4, demand_bps=80e6),), grid, LinkBudget(), DEFAULT_MODCODS, 1000.0)[4]
-        for lookup in (lambda: table.value(1, b), lambda: table.watts(1, b), lambda: table.carries(b)):
+        for lookup in (lambda: table.value(1, b), lambda: table.watts(b), lambda: table.carries(b)):
             with pytest.raises(DomainError, match=rf"beam 4: b={b} outside 1\.\.8"):
                 lookup()
 

@@ -711,7 +711,7 @@ def test_power_tables_match_beam_power_in_blocks(monkeypatch):
         table = tables[beam.id]
         for b in range(1, grid.n_bw + 1):
             want = beam_power(beam.demand_bps, b * grid.slot_bandwidth_hz, link, DEFAULT_MODCODS, 1000.0)
-            assert (table.value(1, b), table.watts(1, b), table.carries(b)) == (want.dbw, want.watts, want.feasible)
+            assert (table.value(1, b), table.watts(b), table.carries(b)) == (want.dbw, want.watts, want.feasible)
 
 
 def test_size_grouped_reductions_equal_per_cluster_calls():
@@ -797,6 +797,30 @@ def test_partners_match_the_concatenate_and_sort_reference(block_pairs, case):
         got = restrictions.partners(ids)
     for array, ref in zip(got, want):
         assert array.dtype == ref.dtype and array.tobytes() == ref.tobytes() and not array.flags.writeable
+
+
+@pytest.mark.parametrize("block_pairs, intra, inter, calls", [
+    (None, [(1, 2), (2, 3), (1, 4)], [(1, 2)], 2),
+    (None, [], [(2, 3), (1, 4)], 1),
+    (None, [], [], 0),
+    (2, [(1, 2), (2, 3), (1, 4)], [(1, 2)], 5),
+])
+def test_partners_find_a_one_block_kinds_positions_once(block_pairs, intra, inter, calls, monkeypatch):
+    """A kind that fits in one block has its pair positions found once, in
+    pass 1, and reused in pass 2; a kind of several blocks (here 3 intra
+    pairs in blocks of 2) finds them in both passes. The CSR is the
+    reference's either way."""
+    if block_pairs is not None:
+        monkeypatch.setattr(model, "_BLOCK_PAIRS", block_pairs)
+    seen = []
+    find = model.pair_positions
+    monkeypatch.setattr(model, "pair_positions", lambda ids, pairs: seen.append(len(pairs)) or find(ids, pairs))
+    ids = np.arange(1, 5)
+    restrictions = RestrictionSets(intra, inter)
+    got = restrictions.partners(ids)
+    assert len(seen) == calls
+    for array, ref in zip(got, ref_partners(restrictions, ids)):
+        assert array.tobytes() == ref.tobytes()
 
 
 def _flagged_pair_cases(rng, n_p, gapped):

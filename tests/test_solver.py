@@ -509,3 +509,59 @@ def test_bitset_search_matches_reference(seed, node_budget):
                 solve_dense_selection(scores, allow, conflict, **kwargs)
             continue
         assert solve_dense_selection(scores, allow, conflict, **kwargs) == expected
+
+
+# name: (scores, allow_none, conflict matrices, initial selections, exact
+# (picks, total) or None when infeasible)
+_HANDMADE_SELECTIONS = {
+    # g0 branches first; its first option leaves None-eligible g1 a best of
+    # -0.0, then g2's first option leaves -2.0, which the bound reads as 0.0:
+    # read as -2.0, it would fall below the 7.5 of initial [1, 0, 0]
+    "none-gain-capped-at-zero": (
+        [[5.0, 3.5], [1.0, -0.0, -2.0], [3.0, 2.0]],
+        [False, True, False],
+        {(0, 1): [[1, 0, 0], [0, 0, 0]], (1, 2): [[0, 0], [1, 0], [0, 0]]},
+        [None, [1, 0, 0]],
+        ([0, None, 0], 8.0),
+    ),
+    # g1 branches first (fewest candidates); its first option empties
+    # mandatory g2, which the bound sums after g0
+    "mandatory-group-emptied-behind-another": (
+        [[3.0, 2.0, 1.0], [10.0, 1.0], [4.0, 3.0, 2.0]],
+        [False, False, False],
+        {(0, 1): [[0, 1], [0, 0], [0, 0]], (1, 2): [[1, 1, 1], [0, 0, 0]]},
+        [None, [2, 1, 2]],
+        ([1, 1, 0], 7.0),
+    ),
+    # component {0, 1} is feasible, component {2, 3} is not
+    "second-component-infeasible": (
+        [[2.0, 1.0], [3.0], [1.0], [5.0, 4.0]],
+        [False, True, False, False],
+        {(0, 1): [[1], [0]], (2, 3): [[1, 1]]},
+        [None],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("node_budget", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", list(_HANDMADE_SELECTIONS))
+def test_handmade_search_matches_reference(case, node_budget):
+    """Picks and totals, or the infeasibility error, equal the reference's
+    on the rules random selections reach only by chance: a None-eligible
+    group's gain capped at 0.0, a mandatory group emptied while it is not
+    the first remaining group, and an infeasible second component."""
+    scores, allow, conflict, initials, exact = _HANDMADE_SELECTIONS[case]
+    conflict = {pair: np.array(mat, dtype=bool) for pair, mat in conflict.items()}
+    for initial in initials:
+        kwargs = dict(initial=initial, node_budget=node_budget)
+        try:
+            expected = ref_solve_option_selection(scores, allow, conflict, **kwargs)
+        except UnsupportedModelError:
+            assert exact is None or node_budget > 0
+            with pytest.raises(UnsupportedModelError):
+                solve_dense_selection(scores, allow, conflict, **kwargs)
+            continue
+        if node_budget == 0:
+            assert expected == exact
+        assert solve_dense_selection(scores, allow, conflict, **kwargs) == expected

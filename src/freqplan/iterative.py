@@ -272,7 +272,7 @@ def enumerate_options(
     table = power_table.get(beam.id) if power_table else None
     if table is not None and widths.size and widths[-1] > len(table.by_slots_dbw):
         table.value(1, int(widths[-1]))  # raises the table's range error
-    power = None if table is None else np.array(table.by_slots_dbw)[widths - 1]  # by width
+    power = None if table is None else table.by_slots_dbw[widths - 1]  # by width
 
     original = None
     active, f, g, b = plan.state[k].tolist()

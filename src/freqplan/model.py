@@ -136,34 +136,51 @@ class FrequencyPlan:
                 yield beam_id, a
 
 
+def pair_ids(ids: Iterable[int]) -> np.ndarray:
+    """The beam ``ids`` as an array in the dtype of derived pairs over them:
+    int32 when every id fits in it, which halves the memory of millions of
+    pairs, else int64."""
+    ids = np.asarray(ids, dtype=np.int64)
+    int32 = np.iinfo(np.int32)
+    if len(ids) and not (int32.min <= ids.min() and ids.max() <= int32.max):
+        return ids
+    return ids.astype(np.int32)
+
+
 def canonical_pairs(pairs) -> np.ndarray:
-    """``pairs`` as a sorted ``(n, 2)`` int64 array of distinct (smaller id,
-    larger id) rows; a reflexive pair, or a non-empty ndarray of any other
-    shape than ``(n, 2)``, raises DomainError. An ndarray that is already
-    canonical, as derivation emits, passes one vectorized check; any other
-    input takes one Python pass, cheaper than numpy's fixed costs on the few
-    pairs of a scenario file or a list."""
+    """``pairs`` as a sorted ``(n, 2)`` array of distinct (smaller id, larger
+    id) rows; a reflexive pair, or a non-empty ndarray of any other shape
+    than ``(n, 2)``, raises DomainError. A signed-integer ndarray keeps its
+    dtype (derivation emits that of pair_ids), any other input is int64. An
+    ndarray that is already canonical, as derivation emits, passes one
+    vectorized check; any other input takes one Python pass, cheaper than
+    numpy's fixed costs on the few pairs of a scenario file or a list."""
+    dtype = np.int64
     if isinstance(pairs, np.ndarray):
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise DomainError(f"restriction pairs must be an (n, 2) array, not {pairs.shape}")
+        if np.issubdtype(pairs.dtype, np.signedinteger):
+            dtype = pairs.dtype
         pairs = pairs.reshape(-1, 2)  # a view: the caller's array keeps its flags
         i, j = pairs.T
         if (i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
-            return pairs.astype(np.int64, copy=False)
+            return pairs.astype(dtype, copy=False)
         pairs = pairs.tolist()
     canon = set()
     for i, j in pairs:
         if i == j:
             raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
         canon.add((i, j) if i < j else (j, i))
-    return np.array(sorted(canon), dtype=np.int64).reshape(-1, 2)
+    return np.array(sorted(canon), dtype=dtype).reshape(-1, 2)
 
 
 class RestrictionSets:
     """Unordered intra-group (handover) and inter-group (interference) pairs.
 
     ``pairs[kind]`` holds kind "intra" or "inter" as canonical_pairs: a
-    sorted, read-only ``(n, 2)`` int64 array of (smaller id, larger id) rows.
+    sorted, read-only ``(n, 2)`` array of (smaller id, larger id) rows,
+    int32 as derived over ids that fit in it (8 bytes a pair), int64 from
+    a list or a scenario file.
     ``partners(ids)`` gives the same pairs as a partner CSR over a plan's
     sorted beam ids.
     """
@@ -468,10 +485,12 @@ def _position_blocks(ids: np.ndarray, pairs: np.ndarray):
 
 
 def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndarray, n_p: int) -> np.ndarray:
-    """Mask of the pairs on which _pair_violation may report, found for a
-    block of pairs at once: both beams on the same key with intersecting
-    slot intervals. The first pair id the plan lacks, in pair order, raises
-    the KeyError that _pair_violation would raise (_position_blocks).
+    """Indices, ascending, of the pairs on which _pair_violation may report,
+    found for a block of pairs at once: both beams on the same key with
+    intersecting slot intervals. Only each block's flagged indices are kept,
+    so nothing as long as ``pairs`` is allocated. The first pair id the plan
+    lacks, in pair order, raises the KeyError that _pair_violation would
+    raise (_position_blocks).
 
     A position's key is its row (intra) or polarization (inter) when the
     beam is active, else a negative value of its own. An inactive beam's key
@@ -481,13 +500,13 @@ def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndar
     active, f, g, b = state.T
     key = np.where(active != 0, g if kind == "intra-overlap" else _polarization(g, n_p), -1 - np.arange(len(g)))
     last = f + b - 1
-    flagged = np.empty(len(pairs), dtype=bool)
+    flagged = [np.empty(0, dtype=np.intp)]
     lo = 0
     for at in _position_blocks(ids, pairs):
         i, j = at.T
-        flagged[lo:lo + len(at)] = (key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])
+        flagged.append(np.flatnonzero((key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])) + lo)
         lo += len(at)
-    return flagged
+    return np.concatenate(flagged)
 
 
 def slot_capacity(grid: FrequencyGrid, n_s: int) -> int:

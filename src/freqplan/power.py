@@ -227,23 +227,33 @@ def beam_power(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerTable:
     """Per-beam lookup b -> power. Under this model power depends only on
     the width b; ``value`` alone keeps an (f, b) key because the benchmark
     (perfbench/workloads.py) calls ``value(a.f, a.b)`` and changes only in
-    a change of its own."""
+    a change of its own.
+
+    Each column is held as a read-only 1-D array (float64, float64, bool),
+    a row of power_tables_for's arrays or an array of the sequence given;
+    ``value``, ``watts`` and ``carries`` return Python floats and bools."""
 
     beam_id: int
-    by_slots_dbw: tuple[float, ...]  # index b-1
-    by_slots_w: tuple[float, ...]
-    by_slots_carried: tuple[bool, ...]  # False: no MODCOD, the power is the big_m sentinel
+    by_slots_dbw: np.ndarray  # index b-1
+    by_slots_w: np.ndarray
+    by_slots_carried: np.ndarray  # False: no MODCOD, the power is the big_m sentinel
 
-    def _at(self, column: tuple, b: int):
-        # a width of 0 or below would index the tuple from its end
+    def __post_init__(self):
+        for name, dtype in (("by_slots_dbw", np.float64), ("by_slots_w", np.float64), ("by_slots_carried", bool)):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()  # the caller's array keeps its flags
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def _at(self, column: np.ndarray, b: int):
+        # a width of 0 or below would index the array from its end
         if not 1 <= b <= len(column):
             raise DomainError(f"beam {self.beam_id}: b={b} outside 1..{len(column)}")
-        return column[b - 1]
+        return column[b - 1].item()
 
     def value(self, f: int, b: int) -> float:
         """Power in dBW for an assignment of b slots (f ignored)."""
@@ -257,8 +267,7 @@ class PowerTable:
         return self._at(self.by_slots_carried, b)
 
 
-# beams per block of power_tables_for's (beams, widths) arrays, which keeps
-# them and their nested lists short-lived
+# beams per block of power_tables_for's (beams, widths) temporaries
 _TABLE_BLOCK_BEAMS = 512
 
 
@@ -272,7 +281,9 @@ def power_tables_for(
     """Precompute power tables for every beam: the values beam_power gives
     at each width b * slot_bandwidth_hz.
 
-    For a block of beams at once, gamma_req of every (beam, width) is
+    The tables share three (beams, n_bw) arrays, float64 dBW, float64 W and
+    bool carried; each beam's PowerTable holds its rows. For a block of
+    beams at once, gamma_req of every (beam, width) is
     required_spectral_efficiency's expression in its order of operations,
     and the MODCOD is _modcod_index's: a left searchsorted, then the >= test
     that rejects NaN. Widths that select the same MODCOD need the same
@@ -281,26 +292,24 @@ def power_tables_for(
     uncarried = len(efficiencies)  # the MODCOD column of a width none carries
     path_loss, noise_db = fspl_db(link.distance_m, link.carrier_hz), _noise_db(link)
     bw_hz = np.arange(1, grid.n_bw + 1) * grid.slot_bandwidth_hz
-    tables = {}
+    dbw = np.empty((len(beams), grid.n_bw), dtype=np.float64)
+    watts = np.empty_like(dbw)
+    carried = np.empty(dbw.shape, dtype=bool)
     for lo in range(0, len(beams), _TABLE_BLOCK_BEAMS):
         block = beams[lo : lo + _TABLE_BLOCK_BEAMS]
+        hi = lo + len(block)
         demand = np.array([beam.demand_bps for beam in block], dtype=np.float64)
         gamma = (demand * (1.0 + link.rolloff))[:, None] / bw_hz
         k = np.searchsorted(efficiencies, gamma)
-        carried = np.append(efficiencies, -np.inf)[k] >= gamma
-        k[~carried] = uncarried
-        # the (dbw, watts) of each (beam, MODCOD) the block uses, as Python
-        # floats that every width selecting it shares
+        np.greater_equal(np.append(efficiencies, -np.inf)[k], gamma, out=carried[lo:hi])
+        k[~carried[lo:hi]] = uncarried
+        # the (dbw, watts) of each (beam, MODCOD) the block uses, which every
+        # width selecting it shares
         codes, inverse = np.unique(np.arange(len(block))[:, None] * (uncarried + 1) + k, return_inverse=True)
-        powers = np.empty((len(codes), 2), dtype=object)
-        powers[:] = [
+        powers = np.array([
             (big_m, 10.0 ** (big_m / 10.0)) if c == uncarried
             else _carried_power(table.entries[c], block[r].demand_bps, link, path_loss, noise_db)[1:]
             for r, c in (divmod(code, uncarried + 1) for code in codes.tolist())
-        ]
-        powers = powers[inverse.reshape(k.shape)]
-        for beam, by_dbw, by_w, by_carried in zip(
-            block, powers[..., 0].tolist(), powers[..., 1].tolist(), carried.tolist()
-        ):
-            tables[beam.id] = PowerTable(beam.id, tuple(by_dbw), tuple(by_w), tuple(by_carried))
-    return tables
+        ], dtype=np.float64).reshape(-1, 2)[inverse.reshape(k.shape)]
+        dbw[lo:hi], watts[lo:hi] = powers[..., 0], powers[..., 1]
+    return {beam.id: PowerTable(beam.id, *rows) for beam, *rows in zip(beams, dbw, watts, carried)}

@@ -20,7 +20,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, RoutingError, ScenarioFormatError
-from .model import Beam, FrequencyGrid, RestrictionSets, canonical_pairs, check_positive_finite, range_problem
+from .model import (
+    Beam, FrequencyGrid, RestrictionSets, canonical_pairs, check_positive_finite, pair_ids, range_problem,
+)
 from .power import LinkBudget
 
 EARTH_RADIUS_KM = 6371.0
@@ -396,7 +398,8 @@ def route_beams(scenario: Scenario) -> np.ndarray:
 
 def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     """Pairs of beams sharing a satellite at any routing step, as
-    model.canonical_pairs, from route_beams' (steps, beams) array ``sat``.
+    model.canonical_pairs in the dtype of model.pair_ids, from
+    route_beams' (steps, beams) array ``sat``.
 
     Each beam's one-hot (step, satellite) memberships are packed into 64-bit
     words (7 words for 61 steps and 7 satellites), so a block of beam pairs
@@ -413,7 +416,7 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     # cells, each block's pairs kept as int32 positions until the ids of all
     # are written into one array. With ids ascending by position, as
     # generated, the pairs come out canonical and are not sorted again.
-    keys = np.asarray(scenario.beam_ids(), dtype=np.int64)
+    keys = pair_ids(scenario.beam_ids())
     step = max(1, _BLOCK_ELEMENTS // n)
     blocks = []
     for lo in range(0, n, step):
@@ -427,7 +430,7 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
             shared |= hit
         r, c = np.nonzero(np.triu(shared, 1))
         blocks.append((r.astype(np.int32) + lo, c.astype(np.int32) + lo))
-    pairs = np.empty((sum(len(r) for r, _ in blocks), 2), dtype=np.int64)
+    pairs = np.empty((sum(len(r) for r, _ in blocks), 2), dtype=keys.dtype)
     lo = 0
     while blocks:
         r, c = blocks.pop(0)  # freed once written
@@ -439,15 +442,15 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
 def derive_inter_pairs(scenario: Scenario) -> np.ndarray:
     """Pairs of beams whose footprint centers are closer than
     interference_multiplier * half_cone_deg (strict), as
-    model.canonical_pairs.
+    model.canonical_pairs in the dtype of model.pair_ids.
 
     Only the pairs of beams that _earlier_neighbours finds near each other
     are tested."""
     threshold = scenario.interference_multiplier * scenario.half_cone_deg
     lats, lons = [b.lat for b in scenario.beams], [b.lon for b in scenario.beams]
     trig = _trig(lats, lons)
-    ids = np.asarray(scenario.beam_ids(), dtype=np.int64)
-    blocks = [np.empty((0, 2), dtype=np.int64)]
+    ids = pair_ids(scenario.beam_ids())
+    blocks = [np.empty((0, 2), dtype=ids.dtype)]
     for _, _, us, vs in _earlier_neighbours(*trig, threshold):
         # the earlier beam is the first point, as in the scalar loop
         close = _pair_angles(lats, lons, trig, vs, us, threshold) < threshold

@@ -313,24 +313,27 @@ class TestRestrictionSets:
     def test_array_and_iterable_inputs_give_the_same_canonical_pairs(self, pairs):
         """Reversed and repeated pairs merge into one sorted (smaller,
         larger) row, and a reflexive pair is rejected with the same
-        message."""
+        message. A list gives int64 rows; a signed-integer array keeps its
+        dtype, sorted or not."""
         as_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         reflexive = [i for i, j in pairs if i == j]
         if reflexive:
             message = rf"^restriction pair \({reflexive[0]}, {reflexive[0]}\) is reflexive$"
-            for given_pairs in (pairs, as_array):
+            for given_pairs in (pairs, as_array, as_array.astype(np.int32)):
                 with pytest.raises(DomainError, match=message):
                     RestrictionSets(inter=given_pairs)
             return
         expected = sorted({(min(p), max(p)) for p in pairs})
         from_list = RestrictionSets(intra=pairs, inter=pairs[::-1])
         from_array = RestrictionSets(intra=as_array, inter=as_array[::-1])
-        for r in (from_list, from_array):
+        as_int32 = as_array.astype(np.int32)
+        from_int32 = RestrictionSets(intra=as_int32, inter=as_int32[::-1])
+        for r, dtype in ((from_list, np.int64), (from_array, np.int64), (from_int32, np.int32)):
             for kind in ("intra", "inter"):
                 got = r.pairs[kind]
-                assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+                assert got.dtype == dtype and got.shape == (len(expected), 2)
                 assert got.tolist() == [list(p) for p in expected]
-        assert from_list == from_array
+        assert from_list == from_array == from_int32
         assert (from_list == RestrictionSets(intra=pairs)) == (not expected)
 
 

@@ -462,6 +462,28 @@ class TestSubproblem:
         counting the children the parent prunes."""
         scenario, restrictions, warm = large_case()
         tables = power_tables_for(scenario.beams, scenario.grid, LinkBudget()) if beta4 else None
+        captured = self.capture_subproblems(scenario, restrictions, warm, beta4, tables, monkeypatch)
+        self.assert_search_matches_reference(captured)
+
+    def test_search_matches_reference_with_none_eligible_groups(self, monkeypatch):
+        """The same on a start with every third beam inactive, so that
+        _subproblem offers None to the sampled inactive beams: some groups
+        of the captured subproblems allow None, and the search's None child,
+        its 0.0 gain cap and its 0.0 entry for an emptied group give the
+        reference's picks and totals."""
+        scenario, restrictions, warm = large_case()
+        start = FrequencyPlan({
+            i: Assignment.inactive() if k % 3 == 0 else a for k, (i, a) in enumerate(sorted(warm.assignments.items()))
+        })
+        captured = self.capture_subproblems(scenario, restrictions, start, 0.0, None, monkeypatch)
+        assert any(any(allow_none) for _, allow_none, _, _ in captured)
+        self.assert_search_matches_reference(captured)
+
+    @staticmethod
+    def capture_subproblems(scenario, restrictions, start, beta4, tables, monkeypatch):
+        """The (scores, allow_none, pair_conflict, initial) of the first 3
+        subproblems iterate_once solves from ``start`` with 25 sampled
+        beams."""
         captured = []
 
         def capture(scores, allow_none, pair_conflict, initial=None, node_budget=0):
@@ -471,14 +493,17 @@ class TestSubproblem:
         monkeypatch.setattr(iterative, "solve_option_selection", capture)
         state = iterative.IterationState(
             scenario=scenario, weights=ObjectiveWeights(beta1=1.0, beta2=0.01, beta3=0.001, beta4=beta4),
-            config=IterationConfig(n_ch=25, seed=0), arrays=PlanArrays(scenario, restrictions, warm),
+            config=IterationConfig(n_ch=25, seed=0), arrays=PlanArrays(scenario, restrictions, start),
             power_table=tables,
         )
         rng = np.random.default_rng(0)
         for _ in range(3):
             state = iterative.iterate_once(state, rng)
-
         assert len(captured) == 3
+        return captured
+
+    @staticmethod
+    def assert_search_matches_reference(captured):
         for scores, allow_none, pair_conflict, initial in captured:
             sizes = [len(s) for s in scores]
             assert len(sizes) == 25 and np.mean(sizes) > 350 and len(pair_conflict) > 70

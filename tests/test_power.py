@@ -13,6 +13,7 @@ from freqplan import (
     LinkBudget,
     ModCod,
     ModCodTable,
+    PowerTable,
     beam_power,
     fspl_db,
     load_modcod_csv,
@@ -210,11 +211,40 @@ class TestPowerTables:
                 for b in range(1, grid.n_bw + 1)
             ]
             got = tables[beam.id]
-            assert got.by_slots_dbw == tuple(p.dbw for p in direct)
-            assert got.by_slots_w == tuple(p.watts for p in direct)
-            assert got.by_slots_carried == tuple(p.feasible for p in direct)
-        assert tables[1].by_slots_w == (0.0,) * grid.n_bw and all(tables[1].by_slots_carried)
-        assert tables[2].by_slots_dbw == (big_m,) * grid.n_bw and not any(tables[2].by_slots_carried)
+            assert got.by_slots_dbw.tolist() == [p.dbw for p in direct]
+            assert got.by_slots_w.tolist() == [p.watts for p in direct]
+            assert got.by_slots_carried.tolist() == [p.feasible for p in direct]
+        assert tables[1].by_slots_w.tolist() == [0.0] * grid.n_bw and all(tables[1].by_slots_carried)
+        assert tables[2].by_slots_dbw.tolist() == [big_m] * grid.n_bw and not any(tables[2].by_slots_carried)
+
+    def test_tables_are_read_only_rows_of_three_arrays(self):
+        """power_tables_for's tables hold rows of one float64 dBW, one
+        float64 W and one bool carried array over all the beams; no row can
+        be written."""
+        beams = [Beam(id=i, demand_bps=d) for i, d in ((3, 1e7), (1, 2e8), (8, 1e13))]
+        grid = FrequencyGrid(n_bw=5, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
+        tables = list(power_tables_for(beams, grid, LinkBudget()).values())
+        assert [t.beam_id for t in tables] == [3, 1, 8]
+        for column, dtype in (("by_slots_dbw", np.float64), ("by_slots_w", np.float64), ("by_slots_carried", bool)):
+            rows = [getattr(t, column) for t in tables]
+            assert all(row.dtype == dtype and row.shape == (5,) and not row.flags.writeable for row in rows)
+            assert rows[0].base.shape == (3, 5) and all(row.base is rows[0].base for row in rows)
+            with pytest.raises(ValueError):
+                rows[0][0] = rows[0][1]
+
+    def test_table_from_sequences_returns_python_scalars(self):
+        """A table built from tuples holds them as read-only arrays, leaves a
+        given array writeable, and its lookups return Python float and bool,
+        as the trace and report CSVs print them."""
+        given = np.array([0.5, 0.25])
+        table = PowerTable(2, (1.5, -300.0), given, (True, False))
+        assert table.by_slots_dbw.dtype == np.float64 and table.by_slots_carried.dtype == bool
+        assert not table.by_slots_w.flags.writeable and given.flags.writeable
+        assert [type(table.value(1, b)) for b in (1, 2)] == [float, float]
+        assert [type(table.watts(b)) for b in (1, 2)] == [float, float]
+        assert [type(table.carries(b)) for b in (1, 2)] == [bool, bool]
+        assert (table.value(7, 2), table.watts(1), table.carries(1), table.carries(2)) == (-300.0, 0.5, True, False)
+        assert repr(table.value(1, 1)) == "1.5"
 
     @pytest.mark.parametrize("b", [0, -1, 9])
     def test_width_outside_the_grid_raises(self, b):

@@ -27,7 +27,9 @@ from freqplan import (
     RoutingError,
     Scenario,
     Violation,
+    build_full_model,
     derive_restrictions,
+    emit_lp,
     generate_synthetic,
     greedy_warm_start,
     optimize,
@@ -78,11 +80,13 @@ def routed_or_error(route, scenario):
     return routing_as_dict(scenario, routing)
 
 
-def pair_set(pairs):
-    """A derived pair array as a frozenset of tuples, once it is checked to
-    be canonical: int64 rows (smaller id, larger id), sorted and distinct."""
+def pair_set(pairs, scenario):
+    """A pair array derived over ``scenario`` as a frozenset of tuples, once
+    it is checked to be canonical: rows (smaller id, larger id), sorted and
+    distinct, int32 when every beam id fits in it, else int64."""
     rows = list(map(tuple, pairs.tolist()))
-    assert pairs.dtype == np.int64 and pairs.shape == (len(rows), 2)
+    fits = all(-2**31 <= i < 2**31 for i in scenario.beam_ids())
+    assert pairs.dtype == (np.int32 if fits else np.int64) and pairs.shape == (len(rows), 2)
     assert rows == sorted(set(rows)) and all(i < j for i, j in rows)
     return frozenset(rows)
 
@@ -93,8 +97,8 @@ def assert_pipeline_matches_reference(scenario):
     if isinstance(routing, dict):
         assert list(routing) == list(ref_route_beams(scenario))
         intra = derive_intra_pairs(scenario, route_beams(scenario))
-        assert pair_set(intra) == ref_derive_intra_pairs(scenario, routing)
-    assert pair_set(derive_inter_pairs(scenario)) == ref_derive_inter_pairs(scenario)
+        assert pair_set(intra, scenario) == ref_derive_intra_pairs(scenario, routing)
+    assert pair_set(derive_inter_pairs(scenario), scenario) == ref_derive_inter_pairs(scenario)
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +300,7 @@ def test_inter_pairs_match_reference(lats, lons, half_cone_deg, ids, block_eleme
     s = Scenario(grid=GRID, beams=beams_at(lats, lons, ids), geometry=GEOM, half_cone_deg=half_cone_deg)
     expected = ref_derive_inter_pairs(s)
     assert expected  # the case has pairs to find
-    assert pair_set(derive_inter_pairs(s)) == expected
+    assert pair_set(derive_inter_pairs(s), s) == expected
 
 
 @pytest.mark.parametrize("block_elements", [scenario_mod._BLOCK_ELEMENTS, 8])
@@ -325,7 +329,7 @@ def test_intra_pairs_match_reference(n_s, n_steps, block_elements, monkeypatch):
     expected = ref_derive_intra_pairs(s, {t: dict(zip(s.beam_ids(), row)) for t, row in enumerate(sat.tolist())})
     if n_s == 1:
         assert len(expected) == n * (n - 1) // 2
-    assert pair_set(derive_intra_pairs(s, sat)) == expected
+    assert pair_set(derive_intra_pairs(s, sat), s) == expected
 
 
 @pytest.mark.parametrize("block_elements", [1, 8, 200])
@@ -341,7 +345,7 @@ def test_intra_pairs_in_small_blocks_equal_the_default_blocks(block_elements, mo
     want = derive_intra_pairs(s, sat)
     monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", block_elements)
     got = derive_intra_pairs(s, sat)
-    assert len(want) and got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert len(want) and got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -365,12 +369,16 @@ def test_intra_pairs_in_small_blocks_equal_the_default_blocks(block_elements, mo
 )
 def test_benchmark_scenarios_derive_pinned_pair_arrays(n_users, band, digests):
     """The seed-7 scenarios of the two iterative benchmark workloads derive
-    exactly these pair arrays and partner CSR (SHA-256 of their bytes, the
-    CSR's indptr then indices), not only as many."""
+    exactly these pair arrays, int32 as their ids fit in it, and partner CSR
+    (SHA-256 of the pairs' bytes as int64, the CSR's indptr then indices),
+    not only as many."""
     params = GenerationParams(lat_band_deg=(-band, band))
     scenario = generate_synthetic(seed=7, n_users=n_users, grid=GRID, geometry=GEOM, params=params)
     restrictions = derive_restrictions(scenario)
-    got = {kind: hashlib.sha256(pairs.tobytes()).hexdigest() for kind, pairs in restrictions.pairs.items()}
+    assert all(pairs.dtype == np.int32 for pairs in restrictions.pairs.values())
+    got = {
+        kind: hashlib.sha256(pairs.astype(np.int64).tobytes()).hexdigest() for kind, pairs in restrictions.pairs.items()
+    }
     indptr, indices = restrictions.partners(np.array(sorted(scenario.beam_ids())))
     got["csr"] = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
     assert got == digests
@@ -409,14 +417,14 @@ class TestNearTies:
         for a, b in zip(beams[::2], beams[1::2]):
             sep = central_angle_deg(a.lat, a.lon, b.lat, b.lon)
             s = Scenario(grid=GRID, beams=(a, b), geometry=GEOM, half_cone_deg=sep / 4.0)
-            assert pair_set(derive_inter_pairs(s)) == frozenset()
+            assert pair_set(derive_inter_pairs(s), s) == frozenset()
 
     def test_pair_exactly_at_the_inter_threshold_is_not_restricted(self):
         beams = (Beam(id=1, lat=0.0, lon=0.0), Beam(id=2, lat=0.0, lon=4.0), Beam(id=3, lat=0.0, lon=7.5))
         sep = central_angle_deg(0.0, 0.0, 0.0, 4.0)
         for half_cone, expected in ((sep / 4.0, {(2, 3)}), (math.nextafter(sep, 10.0) / 4.0, {(1, 2), (2, 3)})):
             s = Scenario(grid=GRID, beams=beams, geometry=GEOM, half_cone_deg=half_cone)
-            assert pair_set(derive_inter_pairs(s)) == ref_derive_inter_pairs(s) == frozenset(expected)
+            assert pair_set(derive_inter_pairs(s), s) == ref_derive_inter_pairs(s) == frozenset(expected)
 
     def test_beam_equidistant_from_two_satellites_takes_the_lower_index(self):
         # four satellites at 0, 90, 180, 270 deg at t=0; the beam at 45 deg
@@ -503,16 +511,18 @@ def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
 
 def test_partner_csr_and_intra_pairs_peak_memory_is_bounded():
     """On l_pipeline's 1,312-beam scenario both builds fill their
-    preallocated output a block at a time: the intra pairs peak at no more
-    than 1.75x their bytes of traced allocation (int32 block positions,
-    then the int64 ids), the partner CSR at no more than 2x its own (one
-    block's positions and placement). Concatenating int64 blocks took 2.0x,
+    preallocated output a block at a time: the int32 intra pairs peak at no
+    more than 2.25x their bytes of traced allocation, 18 B a pair (int32
+    block positions, then the int32 ids, 16 B, and the kernel's words),
+    the partner CSR at no more than 2x its own (one block's positions and
+    placement). Int64 pairs were bounded at 1.75x, 28 B a pair;
+    concatenating int64 blocks took 2.0x of those, 32 B a pair, and
     concatenating and sorting all four CSR segments 5.0x."""
     scenario = benchmark_scenario("l_pipeline")
     sat = route_beams(scenario)
     intra, _, peak = traced_memory(lambda: derive_intra_pairs(scenario, sat))
     print(f"derive_intra_pairs: peak {peak} B for {intra.nbytes} B of pairs")
-    assert len(intra) == 242537 and peak <= 1.75 * intra.nbytes
+    assert len(intra) == 242537 and intra.dtype == np.int32 and peak <= 2.25 * intra.nbytes
     restrictions = RestrictionSets(intra, derive_inter_pairs(scenario))
     ids = np.array(sorted(scenario.beam_ids()), dtype=np.int64)
     (indptr, indices), _, peak = traced_memory(lambda: restrictions.partners(ids))
@@ -605,6 +615,50 @@ def test_validate_plan_raises_like_the_pairwise_loop(array_min_pairs, monkeypatc
     unknown = RestrictionSets.of(intra=[(2, 7), (1, 9)])
     assert outcome(validate_plan, plan, grid, unknown, beams) == (KeyError, "9")
     assert outcome(ref_validate_plan, plan, grid, unknown, beams) == (KeyError, "9")
+
+
+@pytest.mark.parametrize("shift, dtype", [
+    (0, np.int32),
+    (2**31 - 99, np.int32),  # the largest id, 98, becomes 2**31 - 1
+    (2**31 - 98, np.int64),  # ... 2**31
+    (-2**31 - 1, np.int32),  # the smallest id, 1, becomes -2**31
+    (-2**31 - 2, np.int64),  # ... -2**31 - 1
+    (2**40, np.int64),
+])
+def test_pairs_are_int32_while_every_id_fits(shift, dtype, monkeypatch):
+    """The acceptance large_case (ids 1..98) with every beam id shifted:
+    its pairs derive as int32 while every id fits in it and as int64 past
+    +-2**31, with the same pairs by value, the same partner CSR bytes, the
+    same validate_plan result through the array filter and pair by pair,
+    and the same LP text but for the ids in its names. Int64 copies of the
+    int32 pairs give the same LP bytes."""
+    base = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
+    assert sorted(base.beam_ids()) == list(range(1, 99))
+    moved = replace(base, beams=tuple(replace(b, id=b.id + shift) for b in base.beams))
+    want, got = derive_restrictions(base), derive_restrictions(moved)
+    for kind, pairs in got.pairs.items():
+        assert want.pairs[kind].dtype == np.int32 and pairs.dtype == dtype
+        assert (pairs.astype(np.int64) - shift).tolist() == want.pairs[kind].tolist()
+
+    def csr(scenario, restrictions):
+        ids = np.array(sorted(scenario.beam_ids()), dtype=np.int64)
+        return b"".join(array.tobytes() for array in restrictions.partners(ids))
+
+    assert csr(moved, got) == csr(base, want)
+    plan = random_plan(np.random.default_rng(3), base.beams, GRID)
+    moved_plan = FrequencyPlan({i + shift: a for i, a in plan.assignments.items()})
+    for array_min_pairs in ARRAY_MIN_PAIRS:
+        monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
+        violations = validate_plan(plan, GRID, want, base.beams)
+        assert {v.kind for v in violations} >= {"intra-overlap", "domain"}
+        assert validate_plan(moved_plan, GRID, got, moved.beams) == [
+            replace(v, beams=tuple(i + shift for i in v.beams)) for v in violations
+        ]
+    text = emit_lp(build_full_model(base, want, ObjectiveWeights()))
+    as_int64 = RestrictionSets(*(pairs.astype(np.int64) for pairs in want.pairs.values()))
+    assert emit_lp(build_full_model(base, as_int64, ObjectiveWeights())) == text
+    moved_text = emit_lp(build_full_model(moved, got, ObjectiveWeights()))
+    assert re.sub(r"(?<=_)-?\d+", lambda m: str(int(m.group()) - shift), moved_text) == text
 
 
 def test_pipeline_builds_one_partner_csr_per_restriction_set(monkeypatch):
@@ -847,15 +901,16 @@ def _pairs_from(rng, pool):
 @pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
 @pytest.mark.parametrize("n_p", [1, 2])
 def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
-    """Over pairs of the plan's ids, _flagged_pairs flags exactly the pairs
-    on which _pair_violation reports, in blocks that split the pair list."""
+    """Over pairs of the plan's ids, _flagged_pairs returns exactly the
+    indices, ascending, of the pairs on which _pair_violation reports, in
+    blocks that split the pair list."""
     monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
     rng = np.random.default_rng(n_p * 10 + gapped)
     for ids, plan in _flagged_pair_cases(rng, n_p, gapped):
         plan_ids, state = model._plan_arrays(plan)
         pairs = _pairs_from(rng, ids)
         want = [model._pair_violation(kind, i, j, plan, n_p) is not None for i, j in pairs.tolist()]
-        assert model._flagged_pairs(kind, pairs, plan_ids, state, n_p).tolist() == want
+        assert model._flagged_pairs(kind, pairs, plan_ids, state, n_p).tolist() == np.flatnonzero(want).tolist()
 
 
 @pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])

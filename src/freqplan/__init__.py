@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .iterative import (
-    BeamOption,
     IterationConfig,
     IterationTrace,
     OptionSet,

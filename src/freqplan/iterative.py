@@ -45,38 +45,22 @@ from .solver import solve_option_selection
 OPT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BeamOption:
-    """A candidate assignment with its objective contribution."""
-
-    f: int
-    g: int
-    b: int
-    score: float
-
-
-class _OptionView(Sequence[BeamOption]):
-    """Read-only sequence of BeamOption built from an OptionSet's arrays on
-    access."""
-
-    def __init__(self, oset: "OptionSet"):
-        self._oset = oset
-
-    def __len__(self) -> int:
-        return len(self._oset.score)
-
-    def __getitem__(self, index):
-        o = self._oset
-        return BeamOption(int(o.f[index]), int(o.g[index]), int(o.b[index]), float(o.score[index]))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class OptionSet:
-    """Ranked candidates for one beam within an iteration.
+    """Ranked candidates for one beam within an iteration, indexed for
+    collision queries.
 
     The candidates are parallel arrays ``f, g, b, score`` in rank order
-    (score descending, then f, g, b); ``options`` reads them as BeamOption.
-    ``original`` is the keep-as-is candidate, kept out of the arrays.
+    (score descending, then f, g, b), with the keep-as-is candidate inserted
+    at its score rank ``initial`` (after every candidate scoring at least as
+    much), or ``initial`` None when the beam has none; so option index equals
+    rank. ``options`` lists the other candidates as (f, g, b, score).
+
+    For each row (intra partners) and each polarization (inter partners),
+    two prefix-OR bitsets over slots are built on first use: the options
+    whose first slot is <= s, and those whose last slot is >= s. The options
+    that collide with a block [first, last] on key k are then
+    ``start_le[k][last] & end_ge[k][first]``.
     """
 
     beam_id: int
@@ -84,15 +68,45 @@ class OptionSet:
     g: np.ndarray
     b: np.ndarray
     score: np.ndarray
-    original: BeamOption | None = None
+    grid: FrequencyGrid
+    initial: int | None = None
+
+    def __post_init__(self):
+        pol = _polarization(self.g, self.grid.n_p)
+        self._key_arrays = (self.g, pol)
+        self.keys = (self.g.tolist(), pol.tolist())  # [by_pol][option]: row or polarization
+        self.first = self.f.tolist()
+        self.last = (self.f + self.b - 1).tolist()
+        self._tables: dict[tuple[bool, int], tuple[list[int], list[int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.first)
 
     @property
-    def options(self) -> Sequence[BeamOption]:
-        return _OptionView(self)
+    def options(self) -> list[tuple[int, int, int, float]]:
+        rows = list(zip(self.f.tolist(), self.g.tolist(), self.b.tolist(), self.score.tolist()))
+        if self.initial is not None:
+            del rows[self.initial]
+        return rows
 
     @property
     def includes_original(self) -> bool:
-        return self.original is not None
+        return self.initial is not None
+
+    def colliding(self, by_pol: bool, key: int, first: int, last: int) -> int:
+        """Bitset of the options whose row (or polarization, with
+        ``by_pol``) is ``key`` and whose slots overlap [first, last]."""
+        table = self._tables.get((by_pol, key))
+        if table is None:
+            starts = [0] * (self.grid.n_bw + 2)
+            ends = [0] * (self.grid.n_bw + 2)
+            for v in np.flatnonzero(self._key_arrays[by_pol] == key).tolist():
+                starts[self.first[v]] |= 1 << v
+                ends[self.last[v]] |= 1 << v
+            start_le = list(accumulate(starts, or_))
+            end_ge = list(accumulate(reversed(ends), or_))[::-1]
+            table = self._tables[(by_pol, key)] = (start_le, end_ge)
+        return table[0][last] & table[1][first]
 
 
 @dataclass(frozen=True)
@@ -257,8 +271,8 @@ def enumerate_options(
     selected.
 
     Keeps the top ``top_per_bandwidth`` candidates per slot count; ties go
-    to lower f, then lower g. The current assignment becomes the keep-as-is
-    candidate when it is active and conflict-free.
+    to lower f, then lower g. The current assignment, when it is active and
+    conflict-free, joins them as the keep-as-is candidate (OptionSet).
 
     Candidates come from each row's runs of free cells (_free_runs): a
     block of b slots from a cell is free iff b <= its run. Listed by
@@ -273,14 +287,6 @@ def enumerate_options(
     if table is not None and widths.size and widths[-1] > len(table.by_slots_dbw):
         table.value(1, int(widths[-1]))  # raises the table's range error
     power = None if table is None else table.by_slots_dbw[widths - 1]  # by width
-
-    original = None
-    active, f, g, b = plan.state[k].tolist()
-    if active:
-        at = (g - row_lo, f - slot_lo)
-        if all(0 <= i < n for i, n in zip(at, run.shape)) and beam.min_slots <= b <= run[at]:
-            own = None if power is None else power[b - beam.min_slots]
-            original = BeamOption(f, g, b, float(weights.score(beam.id, f, g, b, own)))
 
     cap = config.top_per_bandwidth
     live = run.T >= beam.min_slots  # by first slot, then row
@@ -306,52 +312,17 @@ def enumerate_options(
         keep = np.empty(order.size, dtype=bool)
         keep[by_width] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap
         order = order[keep]
-    return OptionSet(
-        beam_id=beam.id,
-        f=f_vals[order],
-        g=g_vals[order],
-        b=b_vals[order],
-        score=scores[order],
-        original=original,
-    )
-
-
-class OptionGroup:
-    """The candidates of one beam, indexed for collision queries.
-
-    For each row (intra partners) and each polarization (inter partners),
-    two prefix-OR bitsets over slots are built on first use: the options
-    whose first slot is <= s, and those whose last slot is >= s. The
-    options of this group that collide with a block [first, last] on key k
-    are then ``start_le[k][last] & end_ge[k][first]``.
-    """
-
-    def __init__(self, f: np.ndarray, g: np.ndarray, b: np.ndarray, grid: FrequencyGrid):
-        self.n_bw = grid.n_bw
-        pol = _polarization(g, grid.n_p)
-        self._key_arrays = (g, pol)
-        self.keys = (g.tolist(), pol.tolist())  # [by_pol][option]: row or polarization
-        self.f = f.tolist()
-        self.last = (f + b - 1).tolist()
-        self._tables: dict[tuple[bool, int], tuple[list[int], list[int]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.f)
-
-    def colliding(self, by_pol: bool, key: int, first: int, last: int) -> int:
-        """Bitset of this group's options whose row (or polarization, with
-        ``by_pol``) is ``key`` and whose slots overlap [first, last]."""
-        table = self._tables.get((by_pol, key))
-        if table is None:
-            starts = [0] * (self.n_bw + 2)
-            ends = [0] * (self.n_bw + 2)
-            for v in np.flatnonzero(self._key_arrays[by_pol] == key).tolist():
-                starts[self.f[v]] |= 1 << v
-                ends[self.last[v]] |= 1 << v
-            start_le = list(accumulate(starts, or_))
-            end_ge = list(accumulate(reversed(ends), or_))[::-1]
-            table = self._tables[(by_pol, key)] = (start_le, end_ge)
-        return table[0][last] & table[1][first]
+    columns = [f_vals[order], g_vals[order], b_vals[order], scores[order]]
+    initial = None
+    active, f, g, b = plan.state[k].tolist()
+    if active:
+        at = (g - row_lo, f - slot_lo)
+        if all(0 <= i < n for i, n in zip(at, run.shape)) and beam.min_slots <= b <= run[at]:
+            own = None if power is None else power[b - beam.min_slots]
+            score = float(weights.score(beam.id, f, g, b, own))
+            initial = int(np.count_nonzero(columns[3] >= score))  # after every tie
+            columns = [np.concatenate((c[:initial], [v], c[initial:])) for c, v in zip(columns, (f, g, b, score))]
+    return OptionSet(beam.id, *columns, grid, initial)
 
 
 class _ConflictRows(dict):
@@ -359,19 +330,19 @@ class _ConflictRows(dict):
     ``rows[u]`` is the bitset of target options colliding with source
     option u."""
 
-    def __init__(self, source: OptionGroup, target: OptionGroup, by_pol: bool):
+    def __init__(self, source: OptionSet, target: OptionSet, by_pol: bool):
         super().__init__()
         self.source, self.target, self.by_pol = source, target, by_pol
 
     def __missing__(self, u: int) -> int:
         src = self.source
         key = src.keys[self.by_pol][u]
-        row = self[u] = self.target.colliding(self.by_pol, key, src.f[u], src.last[u])
+        row = self[u] = self.target.colliding(self.by_pol, key, src.first[u], src.last[u])
         return row
 
 
 class PairConflicts:
-    """Collisions between the option groups of two restricted beams, in the
+    """Collisions between the candidates of two restricted beams, in the
     conflict-object form ``solve_option_selection`` accepts: ``rows[u]``
     are the options of b colliding with option u of a, ``cols[v]`` those of
     a colliding with option v of b.
@@ -380,7 +351,7 @@ class PairConflicts:
     same polarization.
     """
 
-    def __init__(self, a: OptionGroup, b: OptionGroup, by_pol: bool):
+    def __init__(self, a: OptionSet, b: OptionSet, by_pol: bool):
         self.rows = _ConflictRows(a, b, by_pol)
         self.cols = _ConflictRows(b, a, by_pol)
         self.size = len(a) * len(b)  # cells of the equivalent dense matrix
@@ -394,30 +365,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays):
-    """The selection problem over the sampled beams' candidates, which
-    iterate_once solves and build_subproblem writes out: per beam the
-    ``f, g, b, score`` arrays in rank order with the keep-as-is candidate
-    inserted at its score rank (after every option scoring at least as
-    much), so option index equals rank in every group; per beam that rank,
-    or None; and the PairConflicts kernel of each restricted pair (a, b),
-    a < b, of sample positions, from the partner CSR rows at the sampled
-    ids' positions in ``plan.ids``. A row fixes the polarization, so a pair
-    that is both intra and inter collides exactly as an inter pair."""
-    columns: list[tuple[np.ndarray, ...]] = []
-    initial: list[int | None] = []
-    for oset in option_sets:
-        column = (oset.f, oset.g, oset.b, oset.score)
-        o, at = oset.original, None
-        if o is not None:
-            at = int(np.count_nonzero(oset.score >= o.score))
-            column = tuple(
-                np.concatenate((c[:at], [v], c[at:])) for c, v in zip(column, (o.f, o.g, o.b, o.score))
-            )
-        columns.append(column)
-        initial.append(at)
-    groups = [OptionGroup(f, g, b, plan.grid) for f, g, b, _ in columns]
-
+def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> dict[tuple[int, int], PairConflicts]:
+    """The conflicts of the selection problem over the sampled beams'
+    candidates, which iterate_once solves and build_subproblem writes out:
+    the PairConflicts kernel of each restricted pair (a, b), a < b, of sample
+    positions, from the partner CSR rows at the sampled ids' positions in
+    ``plan.ids``. A row fixes the polarization, so a pair that is both intra
+    and inter collides exactly as an inter pair."""
     n, m = len(plan.ids), len(option_sets)
     ks = np.searchsorted(plan.ids, [o.beam_id for o in option_sets])
     sample = np.full(2 * n, -1)  # sample position of each CSR entry's beam: j and n + j
@@ -431,11 +385,10 @@ def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays):
         hit = of_kind & (a < b)
         kind[a[hit], b[hit]] = code
     a, b = np.nonzero(kind)
-    pair_conflict = {
-        (a, b): PairConflicts(groups[a], groups[b], by_pol)
+    return {
+        (a, b): PairConflicts(option_sets[a], option_sets[b], by_pol)
         for a, b, by_pol in zip(a.tolist(), b.tolist(), (kind[a, b] == 2).tolist())
     }
-    return columns, initial, pair_conflict
 
 
 def build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> MilpModel:
@@ -448,13 +401,12 @@ def build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> Milp
     model = MilpModel()
     objective: list[tuple[float, str]] = []
     names: list[list[str]] = []
-    columns, initial, pair_conflict = _subproblem(option_sets, plan)
-    for oset, (f, g, b, score), at in zip(option_sets, columns, initial):
-        i = oset.beam_id
-        beam_names = [f"x_{i}_{fv}_{gv}_{bv}" for fv, gv, bv in zip(f.tolist(), g.tolist(), b.tolist())]
+    for o in option_sets:
+        i, at = o.beam_id, o.initial
+        beam_names = [f"x_{i}_{f}_{g}_{b}" for f, g, b in zip(o.f.tolist(), o.g.tolist(), o.b.tolist())]
         if at is not None:
             beam_names[at] = f"x_orig_{i}"
-        for name, value in zip(beam_names, score.tolist()):
+        for name, value in zip(beam_names, o.score.tolist()):
             model.add_variable(name, 0, 1, BINARY)
             objective.append((value, name))
         if at is None:
@@ -464,7 +416,7 @@ def build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> Milp
             model.add_constraint(f"one_{i}", [(1.0, v) for v in beam_names], EQ, 1.0)
         names.append(beam_names)
 
-    for (a, b), pair in pair_conflict.items():
+    for (a, b), pair in _subproblem(option_sets, plan).items():
         i, j = option_sets[a].beam_id, option_sets[b].beam_id
         for u in range(len(names[a])):
             for v in _bits(pair.rows[u]):
@@ -555,31 +507,29 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         plan.select(picked, False)
 
     # capped selection search: same semantics as solving build_subproblem()
-    # when the node budget is 0 or no component reaches it
-    columns, initial, pair_conflict = _subproblem(option_sets, plan)
-
-    # the keep-as-is selection (x_orig where available) seeds the incumbent,
-    # guaranteeing the applied selection never worsens the plan
+    # when the node budget is 0 or no component reaches it. The keep-as-is
+    # selection (x_orig where available) seeds the incumbent, guaranteeing
+    # the applied selection never worsens the plan
     picks, _ = solve_option_selection(
-        [score for *_, score in columns],
-        [at is None for at in initial],
-        pair_conflict,
-        initial=initial,
+        [o.score for o in option_sets],
+        [o.initial is None for o in option_sets],
+        _subproblem(option_sets, plan),
+        initial=[o.initial for o in option_sets],
         node_budget=state.config.node_budget,
     )
 
     records = state.trace.records
     prev = records[-1].objective if records else objective_value(state.plan, state.weights, state.power_table)
     changed = 0
-    for k, sel, (f, g, b, score) in zip(picked, picks, columns):
-        row = [0, 0, 0, 0] if sel is None else [1, f[sel].item(), g[sel].item(), b[sel].item()]
+    for k, sel, o in zip(picked, picks, option_sets):
+        row = [0, 0, 0, 0] if sel is None else [1, o.f[sel].item(), o.g[sel].item(), o.b[sel].item()]
         old = plan.state[k].tolist()  # an inactive row may keep stale f, g, b
         if old == row:
             continue
         changed += 1
         plan.assign(k, row)
         state.slots += row[3] * row[0] - old[3] * old[0]
-        state.scores[k] = 0.0 if sel is None else score[sel].item()
+        state.scores[k] = 0.0 if sel is None else o.score[sel].item()
 
     state.iteration += 1
     objective = state.objective()

@@ -149,29 +149,37 @@ def pair_ids(ids: Iterable[int]) -> np.ndarray:
 
 def canonical_pairs(pairs) -> np.ndarray:
     """``pairs`` as a sorted ``(n, 2)`` array of distinct (smaller id, larger
-    id) rows; a reflexive pair, or a non-empty ndarray of any other shape
-    than ``(n, 2)``, raises DomainError. A signed-integer ndarray keeps its
-    dtype (derivation emits that of pair_ids), any other input is int64. An
-    ndarray that is already canonical, as derivation emits, passes one
-    vectorized check; any other input takes one Python pass, cheaper than
-    numpy's fixed costs on the few pairs of a scenario file or a list."""
+    id) rows; a reflexive pair, a non-integer id (an integer-valued float is
+    one), or a non-empty ndarray of any other shape than ``(n, 2)``, raises
+    DomainError. A signed-integer ndarray keeps its dtype (derivation emits
+    that of pair_ids), any other input is int64. A signed-integer ndarray
+    that is already canonical, as derivation emits, passes one vectorized
+    check; any other input takes one Python pass, cheaper than numpy's fixed
+    costs on the few pairs of a scenario file or a list."""
     dtype = np.int64
     if isinstance(pairs, np.ndarray):
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise DomainError(f"restriction pairs must be an (n, 2) array, not {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)  # a view: the caller's array keeps its flags
         if np.issubdtype(pairs.dtype, np.signedinteger):
             dtype = pairs.dtype
-        pairs = pairs.reshape(-1, 2)  # a view: the caller's array keeps its flags
-        i, j = pairs.T
-        if (i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
-            return pairs.astype(dtype, copy=False)
+            i, j = pairs.T
+            if (i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
+                return pairs
         pairs = pairs.tolist()
     canon = set()
     for i, j in pairs:
         if i == j:
             raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
         canon.add((i, j) if i < j else (j, i))
-    return np.array(sorted(canon), dtype=dtype).reshape(-1, 2)
+    rows = sorted(canon)
+    out = np.array(rows).reshape(-1, 2)
+    if rows and out.dtype.kind != "i":  # a float id, or one past int64
+        for i, j in rows:
+            if i % 1 or j % 1:  # a fraction, an infinity or NaN; a cast would truncate it
+                raise DomainError(f"restriction pair ({i}, {j}) has a non-integer id")
+        out = np.array(rows, dtype=dtype)
+    return out.astype(dtype, copy=False)
 
 
 class RestrictionSets:

@@ -11,8 +11,8 @@ Three routes live here:
 * ``solve_option_selection`` -- an exact depth-first search over per-beam
   option lists (pick at most one per beam, pairwise conflicts), used by
   the iterative optimizer's subproblems. It takes one input form: each
-  beam's options in score-rank order and one conflict object of int
-  bitsets per restricted pair, as ``iterative._subproblem`` builds them.
+  beam's scores in rank order (an ``iterative.OptionSet``'s ``score``) and
+  one conflict object of int bitsets per restricted pair (``_subproblem``).
 """
 
 from __future__ import annotations
@@ -432,9 +432,10 @@ def solve_option_selection(
 
     ``initial`` seeds the incumbent with a known-feasible selection, given
     as option indices (ranks), which the result is then guaranteed to match
-    or beat. ``node_budget`` > 0 caps the search tree per connected
-    component; a truncated search returns the best selection found so far
-    (anytime behavior). 0 is unlimited; a negative budget is a DomainError.
+    or beat; the iterative optimizer passes its OptionSets' keep-as-is
+    ranks. ``node_budget`` > 0 caps the search tree per connected component;
+    a truncated search returns the best selection found so far (anytime
+    behavior). 0 is unlimited; a negative budget is a DomainError.
 
     The search is depth-first with forward checking over connected
     components of the group conflict graph, in the order of their lowest

@@ -272,6 +272,24 @@ class TestRestrictionSets:
         with pytest.raises(DomainError):
             RestrictionSets(inter=frozenset({(2, 1), (3, 3)}))
 
+    def test_rejects_a_non_integer_id(self):
+        """A fractional or non-finite id is rejected from a list, a canonical
+        array or an unsorted array, naming the first such pair in canonical
+        order, not truncated (2.5 and 2.75 would become the reflexive pair
+        (2, 2)). Integer-valued floats are ids, stored as int64."""
+        bad = [(1, 3), (2.5, 2.75), (5, 0.5)]
+        cases = [
+            (bad, "0.5, 5"), (np.array(bad[:2]), "2.5, 2.75"), (np.array(bad), "0.5, 5.0"),
+            ([(1, 2.5)], "1, 2.5"), (np.array([[1.0, np.inf]]), "1.0, inf"), ([(np.nan, 1)], "1, nan"),
+        ]
+        for given_pairs, first in cases:
+            with pytest.raises(DomainError, match=rf"^restriction pair \({first}\) has a non-integer id$"):
+                RestrictionSets(intra=given_pairs)
+        r = RestrictionSets(intra=[(3.0, 1.0), (1, 2.0)], inter=np.array([[1.0, 2.0]]))
+        assert [(p.dtype, p.tolist()) for p in r.pairs.values()] == [
+            (np.int64, [[1, 2], [1, 3]]), (np.int64, [[1, 2]]),
+        ]
+
     def test_array_pairs_must_be_n_by_2(self):
         """A non-empty ndarray of any other shape is rejected, not read as
         reshaped pairs; an empty one is no pairs; an (n, 2) one is held as a

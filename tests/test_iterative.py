@@ -38,8 +38,7 @@ from freqplan import (
 )
 from freqplan import iterative
 from freqplan.iterative import (
-    BeamOption,
-    OptionGroup,
+    OptionSet,
     PairConflicts,
     PlanArrays,
     _blocked_cells,
@@ -119,6 +118,17 @@ def enumerate_against(beam, grid, plan, restrictions, selected, config, weights,
     return enumerate_options(arrays, int(np.searchsorted(arrays.ids, beam.id)), config, weights, power_table)
 
 
+def keep_as_is(oset):
+    """The (f, g, b, score) row at an OptionSet's keep-as-is rank, or None."""
+    at = oset.initial
+    return None if at is None else (oset.f[at].item(), oset.g[at].item(), oset.b[at].item(), oset.score[at].item())
+
+
+def candidates(rows):
+    """(f, g, b, score) rows as Assignments, for the reference collision rule."""
+    return [Assignment(f, g, b) for f, g, b, _ in rows]
+
+
 def enumerate_selected(arrays, ks, config, weights):
     """enumerate_options at each position of ``ks`` with all of them marked
     as re-optimized, as iterate_once calls it."""
@@ -138,8 +148,7 @@ class TestScoring:
         plan = FrequencyPlan({1: Assignment(3, 2, 2)})
         assert w.score(1, 3, 2, 2, None) == pytest.approx(objective_value(plan, w))
         oset = enumerate_against(s.beams[0], GRID, plan, s.restrictions, {1}, IterationConfig(n_ch=1), w)
-        assert oset.original == BeamOption(3, 2, 2, w.score(1, 3, 2, 2, None))
-        assert type(oset.original.score) is float
+        assert keep_as_is(oset) == (3, 2, 2, w.score(1, 3, 2, 2, None))
 
     def test_powers_are_the_table_values_of_the_widths(self):
         """enumerate_options reads each width's power from the table: every
@@ -152,11 +161,10 @@ class TestScoring:
         config = IterationConfig(n_ch=1, top_per_bandwidth=None)
         plan = FrequencyPlan({1: Assignment(2, 3, 3)})
         oset = enumerate_against(s.beams[0], GRID, plan, s.restrictions, {1}, config, w, {1: table})
-        assert sorted({o.b for o in oset.options}) == [2, 3, 4]
+        assert sorted({b for _, _, b, _ in oset.options}) == [2, 3, 4]
         assert oset.includes_original
-        for o in [*oset.options, oset.original]:
-            assert o.score == w.score(1, o.f, o.g, o.b, table.value(o.f, o.b))
-        assert type(oset.original.score) is float
+        for f, g, b, score in [*oset.options, keep_as_is(oset)]:
+            assert score == w.score(1, f, g, b, table.value(f, b))
         narrow = PowerTable(1, (1.5, 2.25), (1.0,) * 2, (True,) * 2)
         with pytest.raises(DomainError, match=r"beam 1: b=4 outside 1\.\.2"):
             enumerate_against(s.beams[0], GRID, all_inactive(s), s.restrictions, {1}, config, w, {1: narrow})
@@ -204,7 +212,7 @@ class TestEnumerateOptions:
             s.beams[0], GRID, plan, s.restrictions, {1},
             self.CONFIG, ObjectiveWeights(),
         )
-        assert all(o.g != 1 for o in oset.options)
+        assert all(g != 1 for _, g, _, _ in oset.options)
         # the other three rows stay fully available
         assert len(oset.options) == 30
 
@@ -216,7 +224,7 @@ class TestEnumerateOptions:
             self.CONFIG, ObjectiveWeights(),
         )
         # row 1 and row 3 share polarization m=1 with the fixed beam
-        assert all(o.g in (2, 4) for o in oset.options)
+        assert all(g in (2, 4) for _, g, _, _ in oset.options)
 
     def test_partner_being_reoptimized_does_not_block(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
@@ -236,8 +244,8 @@ class TestEnumerateOptions:
         )
         assert len(oset.options) == GRID.n_bw  # one per slot count
         # per slot count the best candidate is f=1, g=1 (lowest penalties)
-        assert all(o.f == 1 and o.g == 1 for o in oset.options)
-        assert sorted(o.b for o in oset.options) == [1, 2, 3, 4]
+        assert all(f == 1 and g == 1 for f, g, _, _ in oset.options)
+        assert sorted(b for _, _, b, _ in oset.options) == [1, 2, 3, 4]
 
     def test_ranking_is_score_descending(self):
         s = scenario_with([Beam(id=1)])
@@ -246,10 +254,10 @@ class TestEnumerateOptions:
             s.beams[0], GRID, all_inactive(s), s.restrictions, {1},
             self.CONFIG, w,
         )
-        scores = [o.score for o in oset.options]
+        scores = [score for *_, score in oset.options]
         assert scores == sorted(scores, reverse=True)
-        for o in oset.options:
-            assert o.score == pytest.approx(w.score(1, o.f, o.g, o.b, None))
+        for f, g, b, score in oset.options:
+            assert score == pytest.approx(w.score(1, f, g, b, None))
 
     def test_keep_as_is_candidate_present_iff_conflict_free(self):
         s = scenario_with([Beam(id=1), Beam(id=2)], intra=[(1, 2)])
@@ -258,7 +266,7 @@ class TestEnumerateOptions:
             s.beams[0], GRID, free, s.restrictions, {1}, self.CONFIG, ObjectiveWeights(),
         )
         assert oset.includes_original
-        assert (oset.original.f, oset.original.g, oset.original.b) == (1, 2, 2)
+        assert keep_as_is(oset)[:3] == (1, 2, 2)
         clash = FrequencyPlan({1: Assignment(1, 1, 2), 2: Assignment(1, 1, 4)})
         oset = enumerate_against(
             s.beams[0], GRID, clash, s.restrictions, {1}, self.CONFIG, ObjectiveWeights(),
@@ -323,13 +331,8 @@ class TestEnumerateOptions:
             expected = ref_enumerate_options(
                 beams[0], grid, plan, restrictions, selected, cap, weights, tables
             )
-            assert [(o.f, o.g, o.b, o.score) for o in got.options] == expected
             keep = ref_keeps_as_is(beams[0], grid, plan, restrictions, selected)
-            a = plan[1]
-            assert got.original == (
-                BeamOption(a.f, a.g, a.b, _ref_score(1, a, weights, tables))
-                if keep else None
-            )
+            self.assert_ranking(got, expected, plan[1] if keep else None, weights, tables)
 
     # cap, beta2, beta3, beta4, min_slots: one reference run each
     WORKLOAD_CASES = {
@@ -376,13 +379,38 @@ class TestEnumerateOptions:
         )
         own_pairs = RestrictionSets.of(intra=intra, inter=inter)
         expected = ref_enumerate_options(beam, grid, plan, own_pairs, selected, cap, weights, tables)
-        assert [(o.f, o.g, o.b, o.score) for o in got.options] == expected
         assert (len(expected) > 0) == (min_slots <= 40)
-        a = plan[1]
-        assert got.original == (
-            BeamOption(a.f, a.g, a.b, _ref_score(1, a, weights, tables))
-            if ref_keeps_as_is(beam, grid, plan, own_pairs, selected) else None
-        )
+        keep = ref_keeps_as_is(beam, grid, plan, own_pairs, selected)
+        self.assert_ranking(got, expected, plan[1] if keep else None, weights, tables)
+
+    @staticmethod
+    def assert_ranking(got, expected, keep, weights, tables):
+        """``got`` holds the reference's ranked candidates, and the
+        reference keep-as-is assignment ``keep`` (or None) with its score at
+        the rank rule's position: after every candidate scoring at least as
+        much."""
+        assert got.options == expected
+        assert len(got.options) + got.includes_original == len(got)
+        if keep is None:
+            assert keep_as_is(got) is None
+        else:
+            score = _ref_score(1, keep, weights, tables)
+            assert keep_as_is(got) == (keep.f, keep.g, keep.b, score)
+            assert got.initial == sum(s >= score for *_, s in expected)
+
+    def test_keep_as_is_follows_its_twin(self):
+        """A keep-as-is assignment that is also a ranked candidate is kept
+        twice, the keep-as-is row after its ranked twin and after every
+        candidate tied with it."""
+        s = scenario_with([Beam(id=1)])
+        w = ObjectiveWeights(beta1=1.0, beta2=0.0, beta3=0.0)  # every width-2 block ties
+        plan = FrequencyPlan({1: Assignment(2, 3, 2)})
+        oset = enumerate_against(s.beams[0], GRID, plan, s.restrictions, {1}, self.CONFIG, w)
+        twin = (2, 3, 2, w.score(1, 2, 3, 2, None))
+        assert oset.options.count(twin) == 1 and keep_as_is(oset) == twin
+        rows = list(zip(oset.f.tolist(), oset.g.tolist(), oset.b.tolist(), oset.score.tolist()))
+        assert rows.index(twin) < oset.initial == sum(score >= twin[3] for *_, score in oset.options)
+        assert len(oset) == len(oset.options) + 1 == 41
 
 
 class TestSubproblem:
@@ -401,11 +429,14 @@ class TestSubproblem:
             s, w, osets, plan = self.build(seed=seed)
             model = build_subproblem(osets, plan)
             rows = {c.name: [v for _, v in c.terms] for c in model.constraints}
-            columns, initial, _ = iterative._subproblem(osets, plan)
-            for oset, (f, g, b, _), at in zip(osets, columns, initial):
-                i = oset.beam_id
+            for oset in osets:
+                i, at, f, g, b = oset.beam_id, oset.initial, oset.f, oset.g, oset.b
                 names = rows[f"act_{i}"][:-1] if at is None else rows[f"one_{i}"]
-                assert (at is None) == (oset.original is None)
+                # the start is valid, so every active sampled beam keeps its
+                # current assignment as a candidate
+                active, *current = plan.state[np.searchsorted(plan.ids, i)].tolist()
+                assert (at is None) == (not active)
+                assert at is None or [f[at], g[at], b[at]] == current
                 assert len(names) == len(f)
                 for r, name in enumerate(names):
                     assert name == (f"x_orig_{i}" if r == at else f"x_{i}_{f[r]}_{g[r]}_{b[r]}")
@@ -414,8 +445,8 @@ class TestSubproblem:
     def test_milp_subproblem_matches_direct_search(self, seed):
         """build_subproblem's optimum is the search's total, both over dense
         reference matrices (keep-as-is last, through the rank-order
-        adapter) and over _subproblem's own columns, keep-as-is ranks and
-        kernels, the input iterate_once passes."""
+        adapter) and over the OptionSets' own scores and keep-as-is ranks
+        with _subproblem's kernels, the input iterate_once passes."""
         s, w, osets, plan = self.build(seed=seed)
         model = build_subproblem(osets, plan)
         milp_sol = solve_exact(model)
@@ -423,9 +454,9 @@ class TestSubproblem:
 
         scores, allow_none, full = [], [], []
         for oset in osets:
-            opts = list(oset.options) + ([oset.original] if oset.includes_original else [])
-            full.append(opts)
-            scores.append([o.score for o in opts])
+            opts = oset.options + ([keep_as_is(oset)] if oset.includes_original else [])
+            full.append(candidates(opts))
+            scores.append([score for *_, score in opts])
             allow_none.append(not oset.includes_original)
         conflict = {}
         intra, inter = pair_sets(s.restrictions)
@@ -445,9 +476,10 @@ class TestSubproblem:
         _, dense_total = solve_dense_selection(scores, allow_none, conflict)
         assert milp_sol.objective == pytest.approx(dense_total, abs=1e-9)
 
-        columns, initial, kernels = iterative._subproblem(osets, plan)
+        kernels = iterative._subproblem(osets, plan)
         _, total = solve_option_selection(
-            [c[3] for c in columns], [at is None for at in initial], kernels, initial=initial,
+            [o.score for o in osets], [o.initial is None for o in osets], kernels,
+            initial=[o.initial for o in osets],
         )
         assert milp_sol.objective == pytest.approx(total, abs=1e-9)
 
@@ -543,8 +575,8 @@ class TestSubproblem:
                     if key in inter or key in intra:
                         expected.append((a, b, key in inter))
             plan = PlanArrays(Scenario(grid=GRID, beams=tuple(Beam(id=i) for i in ids + [100, 101]), geometry=GEOM), r)
-            osets = [iterative.OptionSet(i, empty, empty, empty, empty.astype(float)) for i in ids]
-            _, _, kernels = iterative._subproblem(osets, plan)
+            osets = [OptionSet(i, empty, empty, empty, empty.astype(float), GRID) for i in ids]
+            kernels = iterative._subproblem(osets, plan)
             assert [(a, b, kernel.rows.by_pol) for (a, b), kernel in kernels.items()] == expected
 
 
@@ -587,9 +619,9 @@ class TestHighsOracle:
         status, highs = solve_with_scipy_milp(build_subproblem(osets, plan))
         assert status == 0
 
-        columns, initial, conflicts = iterative._subproblem(osets, plan)
         _, total = solve_option_selection(
-            [c[3] for c in columns], [at is None for at in initial], conflicts, node_budget=0,
+            [o.score for o in osets], [o.initial is None for o in osets], iterative._subproblem(osets, plan),
+            node_budget=0,
         )
         assert total == pytest.approx(highs, abs=1e-6)
 
@@ -638,10 +670,9 @@ class TestCollisionKernel:
             enumerate_against(beam, grid, plan, restrictions, {1, 2}, config, ObjectiveWeights())
             for beam in beams[:2]
         ]
-        groups = [OptionGroup(oset.f, oset.g, oset.b, grid) for oset in osets]
-        opts = [list(oset.options) for oset in osets]
+        opts = [candidates(oset.options) for oset in osets]  # no keep-as-is: both are inactive
         is_intra, is_inter = ((1, 2) in pairs for pairs in pair_sets(restrictions))
-        kernel = PairConflicts(groups[0], groups[1], by_pol=is_inter)
+        kernel = PairConflicts(osets[0], osets[1], by_pol=is_inter)
         assert kernel.size == len(opts[0]) * len(opts[1])
         for u, ou in enumerate(opts[0]):
             expected = [ref_options_collide(ou, ov, is_intra, is_inter, grid.n_p) for ov in opts[1]]

@@ -20,7 +20,7 @@ from freqplan import (
     solve_exact,
 )
 from freqplan.errors import DomainError, UnsupportedModelError
-from freqplan.iterative import OptionGroup, PairConflicts
+from freqplan.iterative import OptionSet, PairConflicts
 from freqplan.solver import solve_option_selection
 
 from util import (
@@ -360,8 +360,8 @@ class TestOptionSelection:
         grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
         scores = [[5.0, 4.0], [3.0, 1.0]]
         groups = [
-            OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid),
-            OptionGroup(np.array([2, 3]), np.array([2, 1]), np.array([2, 2]), grid),
+            OptionSet(1, np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), np.array(scores[0]), grid),
+            OptionSet(2, np.array([2, 3]), np.array([2, 1]), np.array([2, 2]), np.array(scores[1]), grid),
         ]
         kernel = PairConflicts(groups[0], groups[1], by_pol=False)
         mat = np.array([[False, False], [True, False]])
@@ -374,7 +374,7 @@ class TestOptionSelection:
 
     def test_kernel_conflicts_need_rank_order(self):
         grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
-        group = OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid)
+        group = OptionSet(1, np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), np.array([5.0, 4.0]), grid)
         kernel = PairConflicts(group, group, by_pol=False)
         with pytest.raises(ValueError, match="^group 0 is not in rank order$"):
             solve_option_selection([[4.0, 5.0], [3.0, 1.0]], [False, False], {(0, 1): kernel})
@@ -383,7 +383,7 @@ class TestOptionSelection:
         """Every group's scores must be non-increasing, whether or not a
         conflict object names it; ties are in order."""
         grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
-        group = OptionGroup(np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), grid)
+        group = OptionSet(1, np.array([1, 1]), np.array([1, 2]), np.array([2, 2]), np.array([5.0, 4.0]), grid)
         kernel = PairConflicts(group, group, by_pol=False)
         scores = [[5.0, 4.0], [3.0, 2.0], [1.0, 3.0]]
         pairs = {(0, 1): kernel, (0, 2): kernel, (1, 2): kernel}

@@ -136,23 +136,28 @@ class FrequencyPlan:
                 yield beam_id, a
 
 
+def int_dtype(lo: int, hi: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every integer from
+    ``lo`` to ``hi``, the type of set-up index data: pair ids, positions in
+    n sorted ids (0 to n, an insertion point may be n) and partner CSR
+    entries (0 to 2n, an inter partner is n + j)."""
+    return np.dtype(next(t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
+
+
 def pair_ids(ids: Iterable[int]) -> np.ndarray:
-    """The beam ``ids`` as an array in the dtype of derived pairs over them:
-    int32 when every id fits in it, which halves the memory of millions of
-    pairs, else int64."""
+    """The beam ``ids`` as an array in the dtype of derived pairs over them,
+    int_dtype of the ids: millions of pairs over a few thousand generated
+    ids take 4 bytes a pair."""
     ids = np.asarray(ids, dtype=np.int64)
-    int32 = np.iinfo(np.int32)
-    if len(ids) and not (int32.min <= ids.min() and ids.max() <= int32.max):
-        return ids
-    return ids.astype(np.int32)
+    return ids.astype(int_dtype(ids.min(initial=0), ids.max(initial=0)))
 
 
 def canonical_pairs(pairs) -> np.ndarray:
     """``pairs`` as a sorted ``(n, 2)`` array of distinct (smaller id, larger
     id) rows; a reflexive pair, a non-integer id (an integer-valued float is
-    one), or a non-empty ndarray of any other shape than ``(n, 2)``, raises
-    DomainError. A signed-integer ndarray keeps its dtype (derivation emits
-    that of pair_ids), any other input is int64. A signed-integer ndarray
+    one), an id outside int64, or a non-empty ndarray of any other shape
+    than ``(n, 2)``, raises DomainError. A signed-integer ndarray keeps its
+    dtype (derivation emits that of pair_ids), any other input is int64. A signed-integer ndarray
     that is already canonical, as derivation emits, passes one vectorized
     check; any other input takes one Python pass, cheaper than numpy's fixed
     costs on the few pairs of a scenario file or a list."""
@@ -175,9 +180,12 @@ def canonical_pairs(pairs) -> np.ndarray:
     rows = sorted(canon)
     out = np.array(rows).reshape(-1, 2)
     if rows and out.dtype.kind != "i":  # a float id, or one past int64
+        int64 = np.iinfo(np.int64)
         for i, j in rows:
             if i % 1 or j % 1:  # a fraction, an infinity or NaN; a cast would truncate it
                 raise DomainError(f"restriction pair ({i}, {j}) has a non-integer id")
+            if not int64.min <= i < j <= int64.max:  # a cast would raise OverflowError
+                raise DomainError(f"restriction pair ({i}, {j}) has an id outside int64")
         out = np.array(rows, dtype=dtype)
     return out.astype(dtype, copy=False)
 
@@ -186,9 +194,9 @@ class RestrictionSets:
     """Unordered intra-group (handover) and inter-group (interference) pairs.
 
     ``pairs[kind]`` holds kind "intra" or "inter" as canonical_pairs: a
-    sorted, read-only ``(n, 2)`` array of (smaller id, larger id) rows,
-    int32 as derived over ids that fit in it (8 bytes a pair), int64 from
-    a list or a scenario file.
+    sorted, read-only ``(n, 2)`` array of (smaller id, larger id) rows, in
+    pair_ids' dtype as derived (int16 over ids that fit in it, 4 bytes a
+    pair), int64 from a list or a scenario file.
     ``partners(ids)`` gives the same pairs as a partner CSR over a plan's
     sorted beam ids.
     """
@@ -215,8 +223,10 @@ class RestrictionSets:
         """The partners of each position of the sorted, distinct int64
         ``ids`` in read-only CSR form ``(indptr, indices)``: its intra
         partners, as their positions j, then its inter partners, as n + j.
-        The last CSR built is returned again for the same ids, so every plan
-        over them shares one. A pair id outside ``ids`` raises KeyError.
+        ``indptr`` is int64 and ``indices`` int_dtype(0, 2n), so int16 up to
+        16,383 ids. The last CSR built is returned again for the same ids,
+        so every plan over them shares one. A pair id outside ``ids`` raises
+        KeyError.
 
         Within a kind, an owner's partners from its (owner, larger) pairs
         come before those from its (smaller, owner) pairs, each in pair
@@ -244,13 +254,15 @@ class RestrictionSets:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=indptr[1:])
         free = indptr[:-1] + np.cumsum(counts, axis=0) - counts  # each segment's next slot
-        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices = np.empty(indptr[-1], dtype=int_dtype(0, 2 * n))
         # owners of 16 bits or fewer take numpy's radix sort
         small = np.min_scalar_type(max(n - 1, 0))
         for k, (offset, pairs) in enumerate(kinds):
             for at in kept[k] or _position_blocks(ids, pairs):
                 for c in (0, 1):
-                    owner, partner = at[:, c], at[:, 1 - c] + offset
+                    owner = at[:, c]
+                    # in the CSR's type: positions' + n may pass theirs
+                    partner = np.add(at[:, 1 - c], offset, dtype=indices.dtype)
                     if c:  # (smaller, owner) pairs come sorted by the smaller id
                         order = np.argsort(owner.astype(small), kind="stable")
                         owner, partner = owner[order], partner[order]
@@ -458,13 +470,13 @@ def _plan_arrays(plan: FrequencyPlan) -> tuple[np.ndarray, np.ndarray]:
 def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of each pair's two ids in the sorted, distinct ``ids`` (a
     missing one where it would be inserted) and whether each is there, both
-    (n, 2). The positions are int32, half the memory of millions of pairs,
-    found a column at a time into a column-major array. When ``ids`` are
+    (n, 2). The positions are int_dtype(0, len(ids)), int16 up to 32,767
+    ids, found a column at a time into a column-major array. When ``ids`` are
     contiguous, as generated ids are, a position is the id's offset from the
     first, clipped to the insertion points 0 and len(ids); else the sorted
     first column searches fastest alone."""
     n = len(ids)
-    at = np.empty((2, len(pairs)), dtype=np.int32)
+    at = np.empty((2, len(pairs)), dtype=int_dtype(0, n))
     if n and int(ids[-1]) - int(ids[0]) == n - 1:  # Python ints: the span may pass int64
         lo = ids[0]
         for c in range(2):
@@ -476,8 +488,8 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 # Pairs per block of _flagged_pairs and of RestrictionSets.partners: their
-# gathered per-pair temporaries stay below 2 MB, however many pairs there are.
-_BLOCK_PAIRS = 1 << 15
+# gathered per-pair temporaries stay below 1 MB, however many pairs there are.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _position_blocks(ids: np.ndarray, pairs: np.ndarray):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, RoutingError, ScenarioFormatError
 from .model import (
-    Beam, FrequencyGrid, RestrictionSets, canonical_pairs, check_positive_finite, pair_ids, range_problem,
+    Beam, FrequencyGrid, RestrictionSets, canonical_pairs, check_positive_finite, int_dtype, pair_ids, range_problem,
 )
 from .power import LinkBudget
 
@@ -173,6 +173,11 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
 
 
+# points per block of _earlier_neighbours' cell lookup: its (points, 27)
+# int64 temporaries stay below 1 MB
+_NEIGHBOUR_BLOCK = 1 << 12
+
+
 def _earlier_neighbours(sin_lat, cos_lat, p_lon, threshold: float):
     """Yield blocks (lo, hi, us, vs) of the pairs of each point u in lo..hi-1
     and each earlier point v that may lie within ``threshold`` deg of it, in
@@ -195,17 +200,25 @@ def _earlier_neighbours(sin_lat, cos_lat, p_lon, threshold: float):
     span = coords.max(axis=0) + 2
     keys = (coords[:, 0] * span[1] + coords[:, 1]) * span[2] + coords[:, 2]
     occupied, cell = np.unique(keys, return_inverse=True)
-    # a row (u, c) per user u and occupied cell c adjacent to u's or u's own
+    # a row (u, c) per user u and occupied cell c adjacent to u's or u's own,
+    # in u order, looked up for _NEIGHBOUR_BLOCK users at a time
     steps = [(dx * span[1] + dy) * span[2] + dz for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    wanted = keys[:, None] + np.array(steps)
-    at = np.searchsorted(occupied, wanted)
-    u, k = np.nonzero(np.append(occupied, -1)[at] == wanted)
-    c = at[u, k]
+    padded = np.append(occupied, -1)
+    us, cs = [], []
+    for lo in range(0, n, _NEIGHBOUR_BLOCK):
+        wanted = keys[lo:lo + _NEIGHBOUR_BLOCK, None] + np.array(steps)
+        at = np.searchsorted(occupied, wanted)
+        u, k = np.nonzero(padded[at] == wanted)
+        us.append(np.add(u, lo, dtype=np.int32))
+        cs.append(at[u, k].astype(np.int32))
+    u, c = np.concatenate(us), np.concatenate(cs)
+    del us, cs, wanted, at, k
     # with the users by cell, then index, u's earlier users in c are
     # members[first:first + count]
     members = np.argsort(cell, kind="stable")
     first = np.searchsorted(cell[members], c)
-    count = np.searchsorted(cell[members] * n + members, c * n + u) - first
+    # in int64: c * n passes int32 from 46,341 points
+    count = np.searchsorted(cell[members] * n + members, c.astype(np.int64) * n + u) - first
     user_rows = np.searchsorted(u, np.arange(n + 1))
     before = np.append(0, np.cumsum(count))[user_rows]  # pairs before each user
     lo = 0
@@ -398,8 +411,9 @@ def route_beams(scenario: Scenario) -> np.ndarray:
 
 def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     """Pairs of beams sharing a satellite at any routing step, as
-    model.canonical_pairs in the dtype of model.pair_ids, from
-    route_beams' (steps, beams) array ``sat``.
+    model.canonical_pairs in the dtype of model.pair_ids (int16 over
+    generated ids up to 32,767), from route_beams' (steps, beams) array
+    ``sat``.
 
     Each beam's one-hot (step, satellite) memberships are packed into 64-bit
     words (7 words for 61 steps and 7 satellites), so a block of beam pairs
@@ -413,10 +427,12 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
     del member
     # Rows of the upper triangle go in blocks of about _BLOCK_ELEMENTS
-    # cells, each block's pairs kept as int32 positions until the ids of all
-    # are written into one array. With ids ascending by position, as
-    # generated, the pairs come out canonical and are not sorted again.
+    # cells, each block's pairs kept as positions (int_dtype(0, n)) until
+    # the ids of all are written into one array. With ids ascending by
+    # position, as generated, the pairs come out canonical and are not
+    # sorted again.
     keys = pair_ids(scenario.beam_ids())
+    position = int_dtype(0, n)
     step = max(1, _BLOCK_ELEMENTS // n)
     blocks = []
     for lo in range(0, n, step):
@@ -429,7 +445,7 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
             np.not_equal(both, 0, out=hit)
             shared |= hit
         r, c = np.nonzero(np.triu(shared, 1))
-        blocks.append((r.astype(np.int32) + lo, c.astype(np.int32) + lo))
+        blocks.append((np.add(r, lo, dtype=position), np.add(c, lo, dtype=position)))
     pairs = np.empty((sum(len(r) for r, _ in blocks), 2), dtype=keys.dtype)
     lo = 0
     while blocks:
@@ -516,6 +532,17 @@ def _pair(value) -> tuple[int, int]:
     return _integer(value[0]), _integer(value[1])
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _restriction_pair(value) -> tuple[int, int]:
+    pair = _pair(value)
+    for i in pair:
+        if not _INT64.min <= i <= _INT64.max:  # model.canonical_pairs stores int64
+            raise ValueError(f"{i} is outside int64")
+    return pair
+
+
 # the cast of each declared field type (annotations are strings here)
 _CASTS = {
     "int": _integer,
@@ -588,7 +615,7 @@ def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
     for kind in ("intra", "inter"):
         path = f"restrictions.{kind}"
         listed = _list(doc.get(kind, []), path)
-        pairs[kind] = [_cast(_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
+        pairs[kind] = [_cast(_restriction_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
     try:
         restrictions = RestrictionSets(**pairs)
         restrictions.check_ids(b.id for b in beams)

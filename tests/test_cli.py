@@ -442,6 +442,10 @@ class TestMalformedScenario:
                          id="nan-altitude"),
             pytest.param(lambda d: d["sim"].update(horizon_min=float("inf")), "sim.horizon_min",
                          id="infinite-horizon"),
+            pytest.param(lambda d: d.update(restrictions={"intra": [[1, 2**63]]}), "restrictions.intra[0]",
+                         id="id-past-int64"),
+            pytest.param(lambda d: d.update(restrictions={"inter": [[1, 2], [-2**63 - 1, 2]]}),
+                         "restrictions.inter[1]", id="id-below-int64"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, mutate, field):

@@ -290,6 +290,21 @@ class TestRestrictionSets:
             (np.int64, [[1, 2], [1, 3]]), (np.int64, [[1, 2]]),
         ]
 
+    def test_rejects_an_id_outside_int64(self):
+        """An integer id past either end of int64, from a list or an
+        unsigned array, is a DomainError naming the pair, not numpy's
+        OverflowError; the ends themselves are ids."""
+        top, bottom = 2**63 - 1, -2**63
+        for given_pairs, first in (
+            ([(1, 2**63)], f"1, {2**63}"), ([(2**70, 1), (1, 2)], f"1, {2**70}"),
+            ([(bottom - 1, 1)], f"{bottom - 1}, 1"), ([(1, 1e30)], r"1, 1e\+30"),
+            (np.array([[1, 2**63]], dtype=np.uint64), f"1, {2**63}"),
+        ):
+            for kind in ("intra", "inter"):
+                with pytest.raises(DomainError, match=rf"^restriction pair \({first}\) has an id outside int64$"):
+                    RestrictionSets(**{kind: given_pairs})
+        assert RestrictionSets(intra=[(top, bottom)]).pairs["intra"].tolist() == [[bottom, top]]
+
     def test_array_pairs_must_be_n_by_2(self):
         """A non-empty ndarray of any other shape is rejected, not read as
         reshaped pairs; an empty one is no pairs; an (n, 2) one is held as a

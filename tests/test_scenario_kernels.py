@@ -51,6 +51,7 @@ from freqplan.scenario import (
 )
 
 from util import (
+    narrowest_int,
     ref_cluster_users,
     ref_derive_inter_pairs,
     ref_derive_intra_pairs,
@@ -83,10 +84,11 @@ def routed_or_error(route, scenario):
 def pair_set(pairs, scenario):
     """A pair array derived over ``scenario`` as a frozenset of tuples, once
     it is checked to be canonical: rows (smaller id, larger id), sorted and
-    distinct, int32 when every beam id fits in it, else int64."""
+    distinct, in the narrowest of int16, int32 and int64 that holds every
+    beam id."""
     rows = list(map(tuple, pairs.tolist()))
-    fits = all(-2**31 <= i < 2**31 for i in scenario.beam_ids())
-    assert pairs.dtype == (np.int32 if fits else np.int64) and pairs.shape == (len(rows), 2)
+    ids = scenario.beam_ids()
+    assert pairs.dtype == narrowest_int(min(ids), max(ids)) and pairs.shape == (len(rows), 2)
     assert rows == sorted(set(rows)) and all(i < j for i, j in rows)
     return frozenset(rows)
 
@@ -202,6 +204,23 @@ def test_clustering_in_many_blocks_matches_reference(monkeypatch):
     monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", 8)
     lats, lons = _users(9, 400, (-5.0, 5.0), (0.0, 40.0))
     assert _cluster_users(lats, lons, 1.0) == ref_cluster_users(lats, lons, 1.0)
+
+
+@pytest.mark.parametrize("neighbour_block", [1, 7, 64])
+def test_neighbour_lookup_in_blocks_yields_the_same_pairs(neighbour_block, monkeypatch):
+    """The cell lookup of _earlier_neighbours goes a block of points at a
+    time; any block size yields the same blocks of pairs, in the same
+    order, as one block of all points."""
+    lats, lons = _users(10, 500, (-4.0, 4.0), (0.0, 60.0))
+    trig = scenario_mod._trig(lats, lons)
+
+    def blocks():
+        return [(lo, hi, us.tolist(), vs.tolist()) for lo, hi, us, vs in scenario_mod._earlier_neighbours(*trig, 2.0)]
+
+    monkeypatch.setattr(scenario_mod, "_NEIGHBOUR_BLOCK", len(lats))
+    want = blocks()
+    monkeypatch.setattr(scenario_mod, "_NEIGHBOUR_BLOCK", neighbour_block)
+    assert blocks() == want and sum(len(us) for _, _, us, _ in want) > len(lats)
 
 
 def horizon_angle_deg(altitude_km, min_elevation_deg):
@@ -345,7 +364,7 @@ def test_intra_pairs_in_small_blocks_equal_the_default_blocks(block_elements, mo
     want = derive_intra_pairs(s, sat)
     monkeypatch.setattr(scenario_mod, "_BLOCK_ELEMENTS", block_elements)
     got = derive_intra_pairs(s, sat)
-    assert len(want) and got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
+    assert len(want) and got.dtype == want.dtype == np.int16 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -369,18 +388,19 @@ def test_intra_pairs_in_small_blocks_equal_the_default_blocks(block_elements, mo
 )
 def test_benchmark_scenarios_derive_pinned_pair_arrays(n_users, band, digests):
     """The seed-7 scenarios of the two iterative benchmark workloads derive
-    exactly these pair arrays, int32 as their ids fit in it, and partner CSR
-    (SHA-256 of the pairs' bytes as int64, the CSR's indptr then indices),
-    not only as many."""
+    exactly these pair arrays, int16 as their ids fit in it, and partner CSR
+    (SHA-256 of the pairs' bytes as int64, the CSR's indptr then its int16
+    indices' bytes as int32), not only as many."""
     params = GenerationParams(lat_band_deg=(-band, band))
     scenario = generate_synthetic(seed=7, n_users=n_users, grid=GRID, geometry=GEOM, params=params)
     restrictions = derive_restrictions(scenario)
-    assert all(pairs.dtype == np.int32 for pairs in restrictions.pairs.values())
+    assert all(pairs.dtype == np.int16 for pairs in restrictions.pairs.values())
     got = {
         kind: hashlib.sha256(pairs.astype(np.int64).tobytes()).hexdigest() for kind, pairs in restrictions.pairs.items()
     }
     indptr, indices = restrictions.partners(np.array(sorted(scenario.beam_ids())))
-    got["csr"] = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
+    assert indptr.dtype == np.int64 and indices.dtype == np.int16
+    got["csr"] = hashlib.sha256(indptr.tobytes() + indices.astype(np.int32).tobytes()).hexdigest()
     assert got == digests
 
 
@@ -511,18 +531,19 @@ def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
 
 def test_partner_csr_and_intra_pairs_peak_memory_is_bounded():
     """On l_pipeline's 1,312-beam scenario both builds fill their
-    preallocated output a block at a time: the int32 intra pairs peak at no
-    more than 2.25x their bytes of traced allocation, 18 B a pair (int32
-    block positions, then the int32 ids, 16 B, and the kernel's words),
+    preallocated output a block at a time: the int16 intra pairs peak at no
+    more than 2.25x their bytes of traced allocation, 9 B a pair (int16
+    block positions, then the int16 ids, 8 B, and the kernel's words),
     the partner CSR at no more than 2x its own (one block's positions and
-    placement). Int64 pairs were bounded at 1.75x, 28 B a pair;
-    concatenating int64 blocks took 2.0x of those, 32 B a pair, and
-    concatenating and sorting all four CSR segments 5.0x."""
+    placement). Int32 pairs and CSR entries were bounded at the same
+    ratios, and int64 pairs at 1.75x, 28 B a pair; concatenating int64
+    blocks took 2.0x of those, 32 B a pair, and concatenating and sorting
+    all four CSR segments 5.0x."""
     scenario = benchmark_scenario("l_pipeline")
     sat = route_beams(scenario)
     intra, _, peak = traced_memory(lambda: derive_intra_pairs(scenario, sat))
     print(f"derive_intra_pairs: peak {peak} B for {intra.nbytes} B of pairs")
-    assert len(intra) == 242537 and intra.dtype == np.int32 and peak <= 2.25 * intra.nbytes
+    assert len(intra) == 242537 and intra.dtype == np.int16 and peak <= 2.25 * intra.nbytes
     restrictions = RestrictionSets(intra, derive_inter_pairs(scenario))
     ids = np.array(sorted(scenario.beam_ids()), dtype=np.int64)
     (indptr, indices), _, peak = traced_memory(lambda: restrictions.partners(ids))
@@ -618,26 +639,30 @@ def test_validate_plan_raises_like_the_pairwise_loop(array_min_pairs, monkeypatc
 
 
 @pytest.mark.parametrize("shift, dtype", [
-    (0, np.int32),
+    (0, np.int16),
+    (2**15 - 99, np.int16),  # the largest id, 98, becomes 2**15 - 1
+    (2**15 - 98, np.int32),  # ... 2**15
+    (-2**15 - 1, np.int16),  # the smallest id, 1, becomes -2**15
+    (-2**15 - 2, np.int32),  # ... -2**15 - 1
     (2**31 - 99, np.int32),  # the largest id, 98, becomes 2**31 - 1
     (2**31 - 98, np.int64),  # ... 2**31
     (-2**31 - 1, np.int32),  # the smallest id, 1, becomes -2**31
     (-2**31 - 2, np.int64),  # ... -2**31 - 1
     (2**40, np.int64),
 ])
-def test_pairs_are_int32_while_every_id_fits(shift, dtype, monkeypatch):
+def test_pairs_take_the_narrowest_type_that_holds_every_id(shift, dtype, monkeypatch):
     """The acceptance large_case (ids 1..98) with every beam id shifted:
-    its pairs derive as int32 while every id fits in it and as int64 past
-    +-2**31, with the same pairs by value, the same partner CSR bytes, the
-    same validate_plan result through the array filter and pair by pair,
-    and the same LP text but for the ids in its names. Int64 copies of the
-    int32 pairs give the same LP bytes."""
+    its pairs derive as int16 while every id fits in it, as int32 past
+    +-2**15 and as int64 past +-2**31, with the same pairs by value, the
+    same partner CSR bytes, the same validate_plan result through the array
+    filter and pair by pair, and the same LP text but for the ids in its
+    names. Int64 copies of the int16 pairs give the same LP bytes."""
     base = generate_synthetic(seed=7, n_users=100, grid=GRID, geometry=GEOM)
     assert sorted(base.beam_ids()) == list(range(1, 99))
     moved = replace(base, beams=tuple(replace(b, id=b.id + shift) for b in base.beams))
     want, got = derive_restrictions(base), derive_restrictions(moved)
     for kind, pairs in got.pairs.items():
-        assert want.pairs[kind].dtype == np.int32 and pairs.dtype == dtype
+        assert want.pairs[kind].dtype == np.int16 and pairs.dtype == dtype
         assert (pairs.astype(np.int64) - shift).tolist() == want.pairs[kind].tolist()
 
     def csr(scenario, restrictions):
@@ -659,6 +684,37 @@ def test_pairs_are_int32_while_every_id_fits(shift, dtype, monkeypatch):
     assert emit_lp(build_full_model(base, as_int64, ObjectiveWeights())) == text
     moved_text = emit_lp(build_full_model(moved, got, ObjectiveWeights()))
     assert re.sub(r"(?<=_)-?\d+", lambda m: str(int(m.group()) - shift), moved_text) == text
+
+
+@pytest.mark.parametrize("n, dtype", [(16383, np.int16), (16384, np.int32)])
+def test_partner_csr_indices_hold_twice_the_id_count(n, dtype):
+    """CSR entries run up to 2n - 1 (an inter partner is n + j), so they are
+    int16 up to 16,383 ids and int32 from 16,384; positions of the same ids
+    are int16 either way."""
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    pairs = np.array([[1, n]])
+    restrictions = RestrictionSets(intra=pairs, inter=pairs)
+    indptr, indices = restrictions.partners(ids)
+    assert indptr.dtype == np.int64 and indices.dtype == dtype
+    assert indices.tolist() == [n - 1, 2 * n - 1, 0, n]
+    assert model.pair_positions(ids, pairs)[0].dtype == np.int16
+
+
+def test_partners_over_20000_ids_do_not_wrap():
+    """Over 20,000 ids the positions are int16 but n + j passes it: the
+    partners of an inter pair between the last two ids equal an int64
+    reference by value."""
+    n = 20000
+    ids = np.arange(n, dtype=np.int64) * 3 + 7  # gapped: searched, not offset
+    intra = np.array([[ids[0], ids[-1]], [ids[5], ids[-2]]])
+    inter = np.array([[ids[-2], ids[-1]]])
+    indptr, indices = RestrictionSets(intra, inter).partners(ids)
+    owner = np.array([0, 5, n - 1, n - 2, n - 2, n - 1])
+    partner = np.array([n - 1, n - 2, 0, 5, 2 * n - 1, 2 * n - 2], dtype=np.int64)
+    order = np.argsort(owner, kind="stable")
+    assert indices.dtype == np.int32 and model.pair_positions(ids, intra)[0].dtype == np.int16
+    assert indices.astype(np.int64).tolist() == partner[order].tolist()
+    assert indptr.tolist() == np.append(0, np.cumsum(np.bincount(owner, minlength=n))).tolist()
 
 
 def test_pipeline_builds_one_partner_csr_per_restriction_set(monkeypatch):
@@ -802,7 +858,7 @@ def test_pair_positions_match_searchsorted(first, count, gaps, gapped, pair_ids)
     pairs = np.array(pair_ids[: len(pair_ids) // 2 * 2], dtype=np.int64).reshape(-1, 2)
     at, found = model.pair_positions(ids, pairs)
     want = np.searchsorted(ids, pairs)
-    assert at.dtype == np.int32 and at.shape == found.shape == pairs.shape
+    assert at.dtype == narrowest_int(0, len(ids)) == np.int16 and at.shape == found.shape == pairs.shape
     assert (at == want).all()
     assert (found == np.isin(pairs, ids)).all()
 

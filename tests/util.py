@@ -356,22 +356,35 @@ def ref_sanitize_warm_start(plan: FrequencyPlan, scenario: Scenario, restriction
         assignments[max(violations[0].beams)] = Assignment.inactive()
 
 
+def narrowest_int(lo: int, hi: int) -> type:
+    """The first of int16, int32 and int64 that holds every integer from
+    ``lo`` to ``hi``: the dtype of derived pairs over ids in lo..hi, of
+    positions in hi sorted ids (an insertion point may be hi) and of partner
+    CSR entries over hi / 2 ids."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if -2 ** (8 * np.dtype(dtype).itemsize - 1) <= lo and hi < 2 ** (8 * np.dtype(dtype).itemsize - 1):
+            return dtype
+    raise OverflowError(f"{lo}..{hi} does not fit int64")
+
+
 def ref_partners(restrictions: RestrictionSets, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference RestrictionSets.partners: the CSR ``(indptr, indices)``
     over the sorted ``ids`` as one concatenation of the four (owner,
     partner) segments, intra (i, j), intra (j, i), inter (i, j) and inter
-    (j, i), inter partners offset by n, stably sorted by owner. The first
-    pair id outside ``ids``, intra then inter, raises KeyError."""
+    (j, i), inter partners offset by n, stably sorted by owner, as
+    narrowest_int(0, 2n). The first pair id outside ``ids``, intra then
+    inter, raises KeyError."""
     n, owners, partners = len(ids), [], []
+    entry = narrowest_int(0, 2 * n)
     for offset, kind in ((0, "intra"), (n, "inter")):
         pairs = restrictions.pairs[kind]
-        at = np.searchsorted(ids, pairs).astype(np.int32)
+        at = np.searchsorted(ids, pairs).astype(narrowest_int(0, n))
         found = (at < n) & (np.append(ids, 0)[at] == pairs)
         if not found.all():
             raise KeyError(int(pairs[~found][0]))
         owners += [at[:, 0], at[:, 1]]
-        partners += [at[:, 1] + offset, at[:, 0] + offset]
-    owner, partner = np.concatenate(owners), np.concatenate(partners)
+        partners += [at[:, 1].astype(np.int64) + offset, at[:, 0].astype(np.int64) + offset]
+    owner, partner = np.concatenate(owners), np.concatenate(partners).astype(entry)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
     return indptr, partner[np.argsort(owner, kind="stable")]

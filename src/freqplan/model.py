@@ -157,20 +157,19 @@ def canonical_pairs(pairs) -> np.ndarray:
     id) rows; a reflexive pair, a non-integer id (an integer-valued float is
     one), an id outside int64, or a non-empty ndarray of any other shape
     than ``(n, 2)``, raises DomainError. A signed-integer ndarray keeps its
-    dtype (derivation emits that of pair_ids), any other input is int64. A signed-integer ndarray
-    that is already canonical, as derivation emits, passes one vectorized
-    check; any other input takes one Python pass, cheaper than numpy's fixed
-    costs on the few pairs of a scenario file or a list."""
+    dtype (derivation emits that of pair_ids), any other input is int64. A
+    signed-integer ndarray that is already canonical, as derivation emits,
+    passes one vectorized check, _BLOCK_PAIRS rows at a time; one that is
+    not is canonicalized in numpy (_canonicalized). Any other input takes
+    one Python pass, cheaper than numpy's fixed costs on the few pairs of a
+    scenario file or a list."""
     dtype = np.int64
     if isinstance(pairs, np.ndarray):
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise DomainError(f"restriction pairs must be an (n, 2) array, not {pairs.shape}")
         pairs = pairs.reshape(-1, 2)  # a view: the caller's array keeps its flags
         if np.issubdtype(pairs.dtype, np.signedinteger):
-            dtype = pairs.dtype
-            i, j = pairs.T
-            if (i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
-                return pairs
+            return pairs if _is_canonical(pairs) else _canonicalized(pairs)
         pairs = pairs.tolist()
     canon = set()
     for i, j in pairs:
@@ -188,6 +187,36 @@ def canonical_pairs(pairs) -> np.ndarray:
                 raise DomainError(f"restriction pair ({i}, {j}) has an id outside int64")
         out = np.array(rows, dtype=dtype)
     return out.astype(dtype, copy=False)
+
+
+def _is_canonical(pairs: np.ndarray) -> bool:
+    """Whether the (n, 2) integer ``pairs`` are rows (smaller id, larger id)
+    in strictly ascending order. Each block of _BLOCK_PAIRS rows is checked
+    with the next block's first row, so the order across a block edge is
+    checked too, and the temporaries stay one block's."""
+    for lo in range(0, len(pairs), _BLOCK_PAIRS):
+        i, j = pairs[lo:lo + _BLOCK_PAIRS + 1].T
+        if not ((i < j).all() and ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all()):
+            return False
+    return True
+
+
+def _canonicalized(pairs: np.ndarray) -> np.ndarray:
+    """canonical_pairs of the (n, 2) signed-integer ``pairs`` in their dtype,
+    as its Python pass gives them: each row ordered, the first reflexive row
+    in input order raising its DomainError, the rows sorted and repeats
+    dropped."""
+    i, j = pairs.T
+    reflexive = i == j
+    if reflexive.any():
+        i = i[reflexive.argmax()].item()
+        raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
+    first, second = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((second, first))
+    first, second = first[order], second[order]
+    new = np.ones(len(first), dtype=bool)
+    new[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
+    return np.column_stack((first[new], second[new]))
 
 
 class RestrictionSets:
@@ -487,8 +516,9 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     return at.T, (at.T < n) & (np.append(ids, 0)[at.T] == pairs)
 
 
-# Pairs per block of _flagged_pairs and of RestrictionSets.partners: their
-# gathered per-pair temporaries stay below 1 MB, however many pairs there are.
+# Pairs per block of _flagged_pairs, RestrictionSets.partners and
+# _is_canonical: their gathered per-pair temporaries stay below 1 MB,
+# however many pairs there are.
 _BLOCK_PAIRS = 1 << 14
 
 

@@ -227,44 +227,67 @@ def beam_power(
     )
 
 
-@dataclass(frozen=True, eq=False)
 class PowerTable:
     """Per-beam lookup b -> power. Under this model power depends only on
     the width b; ``value`` alone keeps an (f, b) key because the benchmark
     (perfbench/workloads.py) calls ``value(a.f, a.b)`` and changes only in
     a change of its own.
 
-    Each column is held as a read-only 1-D array (float64, float64, bool),
-    a row of power_tables_for's arrays or an array of the sequence given;
-    ``value``, ``watts`` and ``carries`` return Python floats and bools."""
+    A table holds its beam id, three read-only ``(beams, n_bw)`` arrays
+    (float64 dBW, float64 W, bool carried) and its row in them: the arrays
+    power_tables_for's tables share, or one-row arrays of the sequences
+    given to the constructor (a given array stays writeable). The
+    ``by_slots_*`` columns are that row's views, made on access; ``value``,
+    ``watts`` and ``carries`` return Python floats and bools. Tables
+    compare by identity."""
 
-    beam_id: int
-    by_slots_dbw: np.ndarray  # index b-1
-    by_slots_w: np.ndarray
-    by_slots_carried: np.ndarray  # False: no MODCOD, the power is the big_m sentinel
+    __slots__ = ("beam_id", "_arrays", "_row")
 
-    def __post_init__(self):
-        for name, dtype in (("by_slots_dbw", np.float64), ("by_slots_w", np.float64), ("by_slots_carried", bool)):
-            column = np.asarray(getattr(self, name), dtype=dtype).view()  # the caller's array keeps its flags
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+    def __init__(self, beam_id: int, by_slots_dbw: Sequence[float], by_slots_w: Sequence[float],
+                 by_slots_carried: Sequence[bool]):
+        arrays = []
+        for column, dtype in ((by_slots_dbw, np.float64), (by_slots_w, np.float64), (by_slots_carried, bool)):
+            array = np.asarray(column, dtype=dtype)[None]  # a view: the caller's array keeps its flags
+            array.flags.writeable = False
+            arrays.append(array)
+        self.beam_id, self._arrays, self._row = beam_id, tuple(arrays), 0
 
-    def _at(self, column: np.ndarray, b: int):
-        # a width of 0 or below would index the array from its end
-        if not 1 <= b <= len(column):
-            raise DomainError(f"beam {self.beam_id}: b={b} outside 1..{len(column)}")
-        return column[b - 1].item()
+    @classmethod
+    def _of_row(cls, beam_id: int, arrays: tuple[np.ndarray, np.ndarray, np.ndarray], row: int) -> "PowerTable":
+        """The table of row ``row`` of power_tables_for's read-only arrays."""
+        table = cls.__new__(cls)
+        table.beam_id, table._arrays, table._row = beam_id, arrays, row
+        return table
+
+    @property
+    def by_slots_dbw(self) -> np.ndarray:  # index b-1
+        return self._arrays[0][self._row]
+
+    @property
+    def by_slots_w(self) -> np.ndarray:
+        return self._arrays[1][self._row]
+
+    @property
+    def by_slots_carried(self) -> np.ndarray:  # False: no MODCOD, the power is the big_m sentinel
+        return self._arrays[2][self._row]
+
+    def _at(self, column: int, b: int):
+        array = self._arrays[column]
+        # a width of 0 or below would index the row from its end
+        if not 1 <= b <= array.shape[1]:
+            raise DomainError(f"beam {self.beam_id}: b={b} outside 1..{array.shape[1]}")
+        return array[self._row, b - 1].item()
 
     def value(self, f: int, b: int) -> float:
         """Power in dBW for an assignment of b slots (f ignored)."""
-        return self._at(self.by_slots_dbw, b)
+        return self._at(0, b)
 
     def watts(self, b: int) -> float:
-        return self._at(self.by_slots_w, b)
+        return self._at(1, b)
 
     def carries(self, b: int) -> bool:
         """Whether some MODCOD carries the beam's demand in b slots."""
-        return self._at(self.by_slots_carried, b)
+        return self._at(2, b)
 
 
 # beams per block of power_tables_for's (beams, widths) temporaries
@@ -281,8 +304,9 @@ def power_tables_for(
     """Precompute power tables for every beam: the values beam_power gives
     at each width b * slot_bandwidth_hz.
 
-    The tables share three (beams, n_bw) arrays, float64 dBW, float64 W and
-    bool carried; each beam's PowerTable holds its rows. For a block of
+    The tables share three read-only (beams, n_bw) arrays, float64 dBW,
+    float64 W and bool carried; each beam's PowerTable holds them and its
+    row, and makes no array of its own. For a block of
     beams at once, gamma_req of every (beam, width) is
     required_spectral_efficiency's expression in its order of operations,
     and the MODCOD is _modcod_index's: a left searchsorted, then the >= test
@@ -312,4 +336,7 @@ def power_tables_for(
             for r, c in (divmod(code, uncarried + 1) for code in codes.tolist())
         ], dtype=np.float64).reshape(-1, 2)[inverse.reshape(k.shape)]
         dbw[lo:hi], watts[lo:hi] = powers[..., 0], powers[..., 1]
-    return {beam.id: PowerTable(beam.id, *rows) for beam, *rows in zip(beams, dbw, watts, carried)}
+    arrays = (dbw, watts, carried)
+    for array in arrays:
+        array.flags.writeable = False
+    return {beam.id: PowerTable._of_row(beam.id, arrays, row) for row, beam in enumerate(beams)}

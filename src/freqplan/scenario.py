@@ -360,7 +360,7 @@ def route_beams(scenario: Scenario) -> np.ndarray:
     """The nearest satellite (0-based) above the minimum elevation of each
     beam at each time step, ties to the lower index: ``sat[t, i]`` for the
     t-th of routing_steps and the i-th of ``scenario.beams``, a (steps,
-    beams) int64 array.
+    beams) array of int_dtype(-1, n_s - 1): int16 up to 32,767 satellites.
 
     Raises RoutingError when a beam has no satellite above the minimum
     elevation at some step (the first step, then the first beam in
@@ -381,7 +381,7 @@ def route_beams(scenario: Scenario) -> np.ndarray:
     horizon = math.degrees(math.acos(ratio * math.cos(elev)) - elev)
     sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
     steps = routing_steps(scenario)
-    sat = np.empty((len(steps), n), dtype=np.int64)
+    sat = np.empty((len(steps), n), dtype=int_dtype(-1, n_s - 1))
     per_block = max(1, _BLOCK_ELEMENTS // (n * n_s))
     for lo in range(0, len(steps), per_block):
         times = steps[lo : lo + per_block]
@@ -427,12 +427,12 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
     words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
     del member
     # Rows of the upper triangle go in blocks of about _BLOCK_ELEMENTS
-    # cells, each block's pairs kept as positions (int_dtype(0, n)) until
-    # the ids of all are written into one array. With ids ascending by
-    # position, as generated, the pairs come out canonical and are not
-    # sorted again.
+    # cells. Pass 1 keeps each block's pair count and its upper triangle
+    # packed 8 cells a byte (n**2 / 16 bytes in all); pass 2 unpacks each
+    # block into the preallocated output, row-major, blocks ascending. With
+    # ids ascending by position, as generated, the pairs come out canonical
+    # and are not sorted again.
     keys = pair_ids(scenario.beam_ids())
-    position = int_dtype(0, n)
     step = max(1, _BLOCK_ELEMENTS // n)
     blocks = []
     for lo in range(0, n, step):
@@ -444,14 +444,15 @@ def derive_intra_pairs(scenario: Scenario, sat: np.ndarray) -> np.ndarray:
             np.bitwise_and(word[lo:hi, None], word[None, lo:], out=both)
             np.not_equal(both, 0, out=hit)
             shared |= hit
-        r, c = np.nonzero(np.triu(shared, 1))
-        blocks.append((np.add(r, lo, dtype=position), np.add(c, lo, dtype=position)))
-    pairs = np.empty((sum(len(r) for r, _ in blocks), 2), dtype=keys.dtype)
-    lo = 0
+        upper = np.triu(shared, 1)
+        blocks.append((lo, shared.shape, np.count_nonzero(upper), np.packbits(upper)))
+    pairs = np.empty((sum(count for *_, count, _ in blocks), 2), dtype=keys.dtype)
+    at = 0
     while blocks:
-        r, c = blocks.pop(0)  # freed once written
-        pairs[lo:lo + len(r), 0], pairs[lo:lo + len(r), 1] = keys[r], keys[c]
-        lo += len(r)
+        lo, shape, count, packed = blocks.pop(0)  # freed once written
+        r, c = np.nonzero(np.unpackbits(packed, count=shape[0] * shape[1]).reshape(shape))
+        pairs[at:at + count, 0], pairs[at:at + count, 1] = keys[lo:][r], keys[lo:][c]
+        at += count
     return canonical_pairs(pairs)
 
 
@@ -482,7 +483,7 @@ def derive_restrictions(scenario: Scenario) -> RestrictionSets:
     """
     if scenario.restrictions is not None:
         return scenario.restrictions
-    # the routing array (216 KB at 443 beams) is freed before the inter
+    # the routing array (54 KB at 443 beams) is freed before the inter
     # kernel's blocks are made
     return RestrictionSets(
         intra=derive_intra_pairs(scenario, route_beams(scenario)),

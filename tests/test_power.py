@@ -1,6 +1,7 @@
 """Link-budget power model tests against an independent dB-chain oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,37 @@ class TestPowerTables:
         assert [type(table.carries(b)) for b in (1, 2)] == [bool, bool]
         assert (table.value(7, 2), table.watts(1), table.carries(1), table.carries(2)) == (-300.0, 0.5, True, False)
         assert repr(table.value(1, 1)) == "1.5"
+
+    def test_table_from_sequences_reads_as_one_beams_columns(self):
+        """A table from sequences holds one-row arrays: its columns are 1-D,
+        equal to what was given, and a width past their length raises."""
+        table = PowerTable(5, [1.0, 2.5, 4.0], np.array([1.25, 1.5, 2.0]), [True, True, False])
+        columns = [table.by_slots_dbw, table.by_slots_w, table.by_slots_carried]
+        assert [column.shape for column in columns] == [(3,)] * 3
+        assert [column.tolist() for column in columns] == [[1.0, 2.5, 4.0], [1.25, 1.5, 2.0], [True, True, False]]
+        assert (table.beam_id, table.value(2, 3), table.watts(3), table.carries(3)) == (5, 4.0, 2.0, False)
+        for lookup in (lambda: table.value(1, 4), lambda: table.watts(0), lambda: table.carries(4)):
+            with pytest.raises(DomainError, match=r"^beam 5: b=-?\d outside 1\.\.3$"):
+                lookup()
+
+    def test_tables_keep_no_per_beam_arrays(self):
+        """Beyond their three shared arrays (17 B a beam and width), the
+        tables of 1,312 beams keep at most 256 B of traced allocation a
+        beam: the table, its row number and its dict entry. Three read-only
+        row views and a dataclass with a __dict__ per beam kept about 580 B."""
+        grid = FrequencyGrid(n_bw=40, n_fr=1, n_p=1, slot_bandwidth_hz=50e6)
+        demands = np.exp(np.random.default_rng(5).uniform(math.log(1e7), math.log(2e9), 1312))
+        beams = [Beam(id=i, demand_bps=d) for i, d in enumerate(demands.tolist(), start=1)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tables = power_tables_for(beams, grid, LinkBudget())
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        per_beam = (kept - 17 * grid.n_bw * len(beams)) / len(beams)
+        print(f"power_tables_for: {per_beam:.0f} B a beam beyond the arrays")
+        assert len(tables) == len(beams) and per_beam <= 256
 
     @pytest.mark.parametrize("b", [0, -1, 9])
     def test_width_outside_the_grid_raises(self, b):

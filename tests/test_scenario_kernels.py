@@ -69,14 +69,15 @@ GEOM = ConstellationGeometry(n_s=7, altitude_km=8062.0)
 def routed_or_error(route, scenario):
     """The routing as {step: {beam id: satellite}}, or the (beam, t) of the
     RoutingError it raises. route_beams' array is checked to be (steps,
-    beams) int64 first."""
+    beams) first, in the narrowest of int16, int32 and int64 that holds -1
+    and every satellite index."""
     try:
         routing = route(scenario)
     except RoutingError as err:
         return (err.beam_id, err.step_min)
     if isinstance(routing, dict):
         return routing
-    assert routing.dtype == np.int64
+    assert routing.dtype == narrowest_int(-1, scenario.geometry.n_s - 1)
     assert routing.shape == (len(routing_steps(scenario)), len(scenario.beams))
     return routing_as_dict(scenario, routing)
 
@@ -367,6 +368,16 @@ def test_intra_pairs_in_small_blocks_equal_the_default_blocks(block_elements, mo
     assert len(want) and got.dtype == want.dtype == np.int16 and np.array_equal(got, want)
 
 
+def test_intra_pairs_over_int16_and_int64_routing_are_equal(m_scenario):
+    """route_beams' int16 array and the same array cast to int64 give the
+    same pair array, dtype and bytes."""
+    sat = route_beams(m_scenario)
+    assert sat.dtype == np.int16
+    want = derive_intra_pairs(m_scenario, sat)
+    got = derive_intra_pairs(m_scenario, sat.astype(np.int64))
+    assert len(want) == 27686 and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "n_users, band, digests",
     [
@@ -532,24 +543,68 @@ def test_derive_restrictions_peak_memory_is_bounded(m_scenario):
 def test_partner_csr_and_intra_pairs_peak_memory_is_bounded():
     """On l_pipeline's 1,312-beam scenario both builds fill their
     preallocated output a block at a time: the int16 intra pairs peak at no
-    more than 2.25x their bytes of traced allocation, 9 B a pair (int16
-    block positions, then the int16 ids, 8 B, and the kernel's words),
-    the partner CSR at no more than 2x its own (one block's positions and
-    placement). Int32 pairs and CSR entries were bounded at the same
-    ratios, and int64 pairs at 1.75x, 28 B a pair; concatenating int64
+    more than 1.6x their bytes of traced allocation, 6.4 B a pair (the
+    kernel's words and each block's upper triangle packed 8 cells a byte,
+    then one unpacked block beside the output), the partner CSR at no more
+    than 2x its own (one block's positions and placement). Keeping every
+    block's int16 positions until the ids were written took 2.2x; int64
+    pairs were bounded at 1.75x, 28 B a pair, and concatenating int64
     blocks took 2.0x of those, 32 B a pair, and concatenating and sorting
     all four CSR segments 5.0x."""
     scenario = benchmark_scenario("l_pipeline")
     sat = route_beams(scenario)
     intra, _, peak = traced_memory(lambda: derive_intra_pairs(scenario, sat))
     print(f"derive_intra_pairs: peak {peak} B for {intra.nbytes} B of pairs")
-    assert len(intra) == 242537 and intra.dtype == np.int16 and peak <= 2.25 * intra.nbytes
+    assert len(intra) == 242537 and intra.dtype == np.int16 and peak <= 1.6 * intra.nbytes
     restrictions = RestrictionSets(intra, derive_inter_pairs(scenario))
     ids = np.array(sorted(scenario.beam_ids()), dtype=np.int64)
     (indptr, indices), _, peak = traced_memory(lambda: restrictions.partners(ids))
     print(f"partners: peak {peak} B for {indptr.nbytes + indices.nbytes} B of CSR")
     assert len(indices) == 2 * (242537 + 1697) and peak <= 2 * (indptr.nbytes + indices.nbytes)
 
+
+def test_non_canonical_arrays_are_canonicalized_as_lists_are():
+    """l_pipeline's intra pairs, a tenth of them repeated, shuffled and a
+    third of the rows flipped: canonical_pairs gives the list path's pairs
+    by value, in the array's int16, from a copy; with two reflexive rows,
+    both raise the list path's message for the first in input order."""
+    scenario = benchmark_scenario("l_pipeline")
+    want = derive_intra_pairs(scenario, route_beams(scenario))
+    rng = np.random.default_rng(34)
+    mixed = np.concatenate((want, want[rng.choice(len(want), len(want) // 10)]))
+    mixed = mixed[rng.permutation(len(mixed))]
+    flip = rng.random(len(mixed)) < 1 / 3
+    mixed[flip] = mixed[flip, ::-1]
+    got = model.canonical_pairs(mixed)
+    assert got.dtype == np.int16 and not np.shares_memory(got, mixed)
+    assert got.tolist() == model.canonical_pairs(mixed.tolist()).tolist() == want.tolist()
+    mixed[200], mixed[9000] = mixed[200, 0], mixed[9000, 1]  # two reflexive rows
+    first = mixed[200, 0].item()
+    assert first != mixed[9000, 0]
+    messages = []
+    for given_pairs in (mixed, mixed.tolist()):
+        with pytest.raises(DomainError, match=r"^restriction pair \((\d+), \1\) is reflexive$") as err:
+            model.canonical_pairs(given_pairs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == f"restriction pair ({first}, {first}) is reflexive"
+
+
+@pytest.mark.parametrize("block_pairs", [None, 7])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_canonical_check_sees_a_row_out_of_order_at_a_block_edge(edge, block_pairs, monkeypatch):
+    """Rows (k, k + 1) with row _BLOCK_PAIRS + edge replaced by the first:
+    that row is out of order only against the row before it, which for
+    edge 0 ends the block before. The check does not pass the array, which
+    comes back as the list path's pairs, in its int32."""
+    if block_pairs is not None:
+        monkeypatch.setattr(model, "_BLOCK_PAIRS", block_pairs)
+    n = 2 * model._BLOCK_PAIRS + 3
+    pairs = np.column_stack((np.arange(n), np.arange(1, n + 1))).astype(np.int32)
+    assert np.shares_memory(model.canonical_pairs(pairs), pairs)  # canonical: passed as it is
+    pairs[model._BLOCK_PAIRS + edge] = pairs[0]
+    got = model.canonical_pairs(pairs)
+    assert got.dtype == np.int32 and not np.shares_memory(got, pairs)
+    assert got.tolist() == model.canonical_pairs(pairs.tolist()).tolist() and len(got) == n - 1
 
 def random_plan(rng, beams, grid):
     """Assignments mostly in the grid, some inactive and some out of domain

@@ -359,8 +359,9 @@ def ref_sanitize_warm_start(plan: FrequencyPlan, scenario: Scenario, restriction
 def narrowest_int(lo: int, hi: int) -> type:
     """The first of int16, int32 and int64 that holds every integer from
     ``lo`` to ``hi``: the dtype of derived pairs over ids in lo..hi, of
-    positions in hi sorted ids (an insertion point may be hi) and of partner
-    CSR entries over hi / 2 ids."""
+    positions in hi sorted ids (an insertion point may be hi), of partner
+    CSR entries over hi / 2 ids and of routed satellite indices (-1 to
+    n_s - 1)."""
     for dtype in (np.int16, np.int32, np.int64):
         if -2 ** (8 * np.dtype(dtype).itemsize - 1) <= lo and hi < 2 ** (8 * np.dtype(dtype).itemsize - 1):
             return dtype

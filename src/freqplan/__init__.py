@@ -23,7 +23,6 @@ from .iterative import (
     IterationTrace,
     OptionSet,
     TraceRecord,
-    build_subproblem,
     enumerate_options,
     export_trace,
     greedy_warm_start,

@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .milp import BINARY, EQ, LE, MilpModel
 from .model import (
     Assignment,
     FrequencyGrid,
@@ -357,21 +356,13 @@ class PairConflicts:
         self.size = len(a) * len(b)  # cells of the equivalent dense matrix
 
 
-def _bits(mask: int):
-    """Set bit positions of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> dict[tuple[int, int], PairConflicts]:
     """The conflicts of the selection problem over the sampled beams'
-    candidates, which iterate_once solves and build_subproblem writes out:
-    the PairConflicts kernel of each restricted pair (a, b), a < b, of sample
-    positions, from the partner CSR rows at the sampled ids' positions in
-    ``plan.ids``. A row fixes the polarization, so a pair that is both intra
-    and inter collides exactly as an inter pair."""
+    candidates, which iterate_once solves: the PairConflicts kernel of each
+    restricted pair (a, b), a < b, of sample positions, from the partner CSR
+    rows at the sampled ids' positions in ``plan.ids``. A row fixes the
+    polarization, so a pair that is both intra and inter collides exactly
+    as an inter pair."""
     n, m = len(plan.ids), len(option_sets)
     ks = np.searchsorted(plan.ids, [o.beam_id for o in option_sets])
     sample = np.full(2 * n, -1)  # sample position of each CSR entry's beam: j and n + j
@@ -389,40 +380,6 @@ def _subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> dict[tupl
         (a, b): PairConflicts(option_sets[a], option_sets[b], by_pol)
         for a, b, by_pol in zip(a.tolist(), b.tolist(), (kind[a, b] == 2).tolist())
     }
-
-
-def build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> MilpModel:
-    """Binary selection model over the candidates of beams of ``plan``
-    (_subproblem): one variable per candidate in rank order,
-    exactly-one per previously-active beam (keep-as-is ``x_orig`` included
-    at its rank), linked activation for previously-inactive beams, and a
-    pairwise constraint per colliding candidate pair across restricted
-    beams. Option indices in ``conf_*`` names are the search's ranks."""
-    model = MilpModel()
-    objective: list[tuple[float, str]] = []
-    names: list[list[str]] = []
-    for o in option_sets:
-        i, at = o.beam_id, o.initial
-        beam_names = [f"x_{i}_{f}_{g}_{b}" for f, g, b in zip(o.f.tolist(), o.g.tolist(), o.b.tolist())]
-        if at is not None:
-            beam_names[at] = f"x_orig_{i}"
-        for name, value in zip(beam_names, o.score.tolist()):
-            model.add_variable(name, 0, 1, BINARY)
-            objective.append((value, name))
-        if at is None:
-            model.add_variable(f"a_{i}", 0, 1, BINARY)
-            model.add_constraint(f"act_{i}", [(1.0, v) for v in beam_names] + [(-1.0, f"a_{i}")], EQ, 0.0)
-        else:
-            model.add_constraint(f"one_{i}", [(1.0, v) for v in beam_names], EQ, 1.0)
-        names.append(beam_names)
-
-    for (a, b), pair in _subproblem(option_sets, plan).items():
-        i, j = option_sets[a].beam_id, option_sets[b].beam_id
-        for u in range(len(names[a])):
-            for v in _bits(pair.rows[u]):
-                model.add_constraint(f"conf_{i}_{j}_{u}_{v}", [(1.0, names[a][u]), (1.0, names[b][v])], LE, 1.0)
-    model.set_objective(objective)
-    return model
 
 
 class IterationState:
@@ -506,10 +463,9 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     finally:
         plan.select(picked, False)
 
-    # capped selection search: same semantics as solving build_subproblem()
-    # when the node budget is 0 or no component reaches it. The keep-as-is
-    # selection (x_orig where available) seeds the incumbent, guaranteeing
-    # the applied selection never worsens the plan
+    # capped selection search: exact when the node budget is 0 or no
+    # component reaches it. The keep-as-is selection seeds the incumbent,
+    # guaranteeing the applied selection never worsens the plan
     picks, _ = solve_option_selection(
         [o.score for o in option_sets],
         [o.initial is None for o in option_sets],

@@ -262,8 +262,7 @@ class RestrictionSets:
         order. The CSR is a counting placement (Gustavson, ACM TOMS 4(3),
         1978) over blocks of _BLOCK_PAIRS pairs, so its temporaries stay
         bounded: pass 1 counts each position's partners in each of the four
-        segments, pass 2 writes each block at its owners' next free slots. A
-        kind of one block finds its pair positions once, for both passes.
+        segments, pass 2 writes each block at its owners' next free slots.
         """
         key = ids.tobytes()
         if self._csr is not None and self._csr[0] == key:
@@ -272,14 +271,10 @@ class RestrictionSets:
         kinds = ((0, self.pairs["intra"]), (n, self.pairs["inter"]))
         # counts[2 * kind + column]: each position's partners as that column
         counts = np.zeros((4, n), dtype=np.int64)
-        kept: list[list[np.ndarray]] = []  # a kind's positions if it is one block
         for k, (_, pairs) in enumerate(kinds):
-            kept.append([])
             for at in _position_blocks(ids, pairs):
                 for c in (0, 1):
                     counts[2 * k + c] += np.bincount(at[:, c], minlength=n)
-                if len(pairs) <= _BLOCK_PAIRS:
-                    kept[k].append(at)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=indptr[1:])
         free = indptr[:-1] + np.cumsum(counts, axis=0) - counts  # each segment's next slot
@@ -287,7 +282,7 @@ class RestrictionSets:
         # owners of 16 bits or fewer take numpy's radix sort
         small = np.min_scalar_type(max(n - 1, 0))
         for k, (offset, pairs) in enumerate(kinds):
-            for at in kept[k] or _position_blocks(ids, pairs):
+            for at in _position_blocks(ids, pairs):
                 for c in (0, 1):
                     owner = at[:, c]
                     # in the CSR's type: positions' + n may pass theirs
@@ -309,13 +304,15 @@ class RestrictionSets:
     def check_ids(self, beam_ids: Iterable[int]) -> None:
         """Raise DomainError on the first pair, intra then inter, that names
         an id outside ``beam_ids``. A kind of _ARRAY_MIN_PAIRS pairs or more
-        is tested at once against the sorted ids (pair_positions); a smaller
-        one pair by pair."""
+        is tested against the sorted ids (pair_positions) a block of
+        _BLOCK_PAIRS pairs at a time, up to the first block with an unknown
+        id, which is then searched pair by pair, as a smaller kind is."""
         known = set(beam_ids)
         for kind, pairs in self.pairs.items():
             if len(pairs) >= _ARRAY_MIN_PAIRS:
-                found = pair_positions(np.sort(np.fromiter(known, dtype=np.int64, count=len(known))), pairs)[1]
-                pairs = pairs[np.flatnonzero(~(found[:, 0] & found[:, 1]))[:1]]  # the first unknown, if any
+                ids = np.sort(np.fromiter(known, dtype=np.int64, count=len(known)))
+                blocks = (pairs[lo:lo + _BLOCK_PAIRS] for lo in range(0, len(pairs), _BLOCK_PAIRS))
+                pairs = next((block for block in blocks if not pair_positions(ids, block)[1].all()), pairs[:0])
             for i, j in pairs.tolist():
                 if i not in known or j not in known:
                     raise DomainError(f"{kind} pair ({i}, {j}) references unknown beam")
@@ -516,9 +513,9 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     return at.T, (at.T < n) & (np.append(ids, 0)[at.T] == pairs)
 
 
-# Pairs per block of _flagged_pairs, RestrictionSets.partners and
-# _is_canonical: their gathered per-pair temporaries stay below 1 MB,
-# however many pairs there are.
+# Pairs per block of _flagged_pairs, _is_canonical, RestrictionSets.partners
+# and RestrictionSets.check_ids: their gathered per-pair temporaries stay
+# below 1 MB, however many pairs there are.
 _BLOCK_PAIRS = 1 << 14
 
 

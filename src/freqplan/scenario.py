@@ -288,9 +288,6 @@ def generate_synthetic(
     horizon_min: float = 60.0,
     step_min: float = 1.0,
     half_cone_deg: float = 1.0,
-    interference_multiplier: float = 4.0,
-    min_elevation_deg: float = 10.0,
-    link: LinkBudget | None = None,
 ) -> Scenario:
     """Sample users, cluster them greedily into user beams, and build a
     scenario.
@@ -326,9 +323,6 @@ def generate_synthetic(
         horizon_min=horizon_min,
         step_min=step_min,
         half_cone_deg=half_cone_deg,
-        interference_multiplier=interference_multiplier,
-        min_elevation_deg=min_elevation_deg,
-        link=link,
     )
 
 
@@ -472,8 +466,7 @@ def derive_inter_pairs(scenario: Scenario) -> np.ndarray:
         # the earlier beam is the first point, as in the scalar loop
         close = _pair_angles(lats, lons, trig, vs, us, threshold) < threshold
         blocks.append(np.column_stack((ids[vs[close]], ids[us[close]])))
-    pairs = np.sort(np.concatenate(blocks), axis=1)
-    return canonical_pairs(pairs[np.lexsort(pairs.T[::-1])])
+    return canonical_pairs(np.concatenate(blocks))
 
 
 def derive_restrictions(scenario: Scenario) -> RestrictionSets:

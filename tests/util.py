@@ -4,9 +4,11 @@ Everything here is deliberately written without reusing package internals
 beyond the public data types, so oracle comparisons stay independent. The
 exceptions are the reference warm-start repair, which re-runs the public
 ``validate_plan`` exactly as the loop it preserves did, the adapter that
-feeds dense conflict matrices to the package's option-selection search, and
-the scalar scenario pipeline and validator at the end, which keep the scalar
-geometry functions and reuse helpers that define the array code's results.
+feeds dense conflict matrices to the package's option-selection search, the
+MILP twin of the optimizer's subproblem, which reads its conflict kernels so
+option indices stay the search's ranks, and the scalar scenario pipeline and
+validator at the end, which keep the scalar geometry functions and reuse
+helpers that define the array code's results.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from freqplan import (
     validate_plan,
 )
 from freqplan.errors import PlanStructureError, RoutingError, UnsupportedModelError
+from freqplan.iterative import OptionSet, PlanArrays, _subproblem
+from freqplan.milp import BINARY, EQ, LE, MilpModel
 from freqplan.scenario import central_angle_deg, elevation_deg, routing_steps
 from freqplan.solver import SolveStats, solve_option_selection
 
@@ -421,6 +425,49 @@ def ref_greedy_warm_start(scenario: Scenario, restrictions) -> FrequencyPlan:
                 assignments[beam.id] = cand
                 break
     return FrequencyPlan(assignments)
+
+
+def _bits(mask: int):
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def ref_build_subproblem(option_sets: Sequence[OptionSet], plan: PlanArrays) -> MilpModel:
+    """The MILP twin of the selection problem iterate_once searches over the
+    candidates of beams of ``plan`` (iterative._subproblem): one binary
+    variable per candidate in rank order, exactly-one per previously-active
+    beam (keep-as-is ``x_orig`` included at its rank), linked activation for
+    previously-inactive beams, and a pairwise constraint per colliding
+    candidate pair across restricted beams. Option indices in ``conf_*``
+    names are the search's ranks."""
+    model = MilpModel()
+    objective: list[tuple[float, str]] = []
+    names: list[list[str]] = []
+    for o in option_sets:
+        i, at = o.beam_id, o.initial
+        beam_names = [f"x_{i}_{f}_{g}_{b}" for f, g, b in zip(o.f.tolist(), o.g.tolist(), o.b.tolist())]
+        if at is not None:
+            beam_names[at] = f"x_orig_{i}"
+        for name, value in zip(beam_names, o.score.tolist()):
+            model.add_variable(name, 0, 1, BINARY)
+            objective.append((value, name))
+        if at is None:
+            model.add_variable(f"a_{i}", 0, 1, BINARY)
+            model.add_constraint(f"act_{i}", [(1.0, v) for v in beam_names] + [(-1.0, f"a_{i}")], EQ, 0.0)
+        else:
+            model.add_constraint(f"one_{i}", [(1.0, v) for v in beam_names], EQ, 1.0)
+        names.append(beam_names)
+
+    for (a, b), pair in _subproblem(option_sets, plan).items():
+        i, j = option_sets[a].beam_id, option_sets[b].beam_id
+        for u in range(len(names[a])):
+            for v in _bits(pair.rows[u]):
+                model.add_constraint(f"conf_{i}_{j}_{u}_{v}", [(1.0, names[a][u]), (1.0, names[b][v])], LE, 1.0)
+    model.set_objective(objective)
+    return model
 
 
 def solve_with_scipy_milp(model):

@@ -69,7 +69,6 @@ from .scenario import (
     load_scenario,
     route_beams,
     save_scenario,
-    with_restrictions,
 )
 from .solver import (
     OracleResult,

@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import iterative, milp, power, render, scenario as scen, solver
@@ -195,7 +195,7 @@ def cmd_generate(args) -> int:
         half_cone_deg=args.half_cone_deg,
     )
     if args.with_restrictions:
-        scenario = scen.with_restrictions(scenario)
+        scenario = replace(scenario, restrictions=scen.derive_restrictions(scenario))
     scen.save_scenario(scenario, args.out)
     print(f"wrote {args.out} ({len(scenario.beams)} beams)")
     return EXIT_OK
@@ -205,9 +205,8 @@ def cmd_optimize(args) -> int:
     started = time.perf_counter()
     if args.mode == "full" and args.out_trace is not None:
         raise UsageError("--out-trace needs --mode iterative: full mode runs no iterations")
-    # derived once here, so extract_plan reads the embedded sets
-    scenario = scen.with_restrictions(scen.load_scenario(args.scenario))
-    restrictions = scenario.restrictions
+    scenario = scen.load_scenario(args.scenario)
+    restrictions = scen.derive_restrictions(scenario)
     weights = _weights_from_args(args)
 
     tables = None
@@ -217,24 +216,11 @@ def cmd_optimize(args) -> int:
 
     # The file may omit beams but not name one the scenario lacks.
     warm_file = None if args.warm_start is None else load_plan_csv(args.warm_start)
-    if args.mode == "full":
-        # The report's warm figures are those of the start the iterative
-        # mode would begin from: no width outside the grid reaches a power
-        # table.
-        warm = (
-            iterative.greedy_warm_start(scenario, restrictions)
-            if warm_file is None
-            else iterative.sanitize_warm_start(warm_file, scenario, restrictions)
-        )
-        model = milp.build_full_model(scenario, restrictions, weights)
-        solution = solver.solve_exact(model)
-        if solution.status not in ("optimal", "feasible"):
-            print(f"solver status: {solution.status}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        plan = milp.extract_plan(model, solution, scenario)
-        iterations = 0
-    else:
-        config = iterative.IterationConfig(
+    config = (
+        # full mode reads only the start, for the report's warm figures
+        iterative.IterationConfig(max_iterations=0)
+        if args.mode == "full"
+        else iterative.IterationConfig(
             n_ch=args.n_ch,
             top_per_bandwidth=args.top_per_bw,
             convergence_window=args.window,
@@ -242,32 +228,38 @@ def cmd_optimize(args) -> int:
             max_iterations=args.max_iterations,
             node_budget=args.node_budget,
         )
-        # optimize repairs the file's start once, or builds the greedy one
-        plan, trace = iterative.optimize(
-            scenario, restrictions, weights,
-            warm_start=warm_file, config=config, power_table=tables,
-        )
-        warm = trace.start
-        iterations = len(trace.records)
+    )
+    # optimize repairs the file's start once, or builds the greedy one
+    plan, trace = iterative.optimize(
+        scenario, restrictions, weights,
+        warm_start=warm_file, config=config, power_table=tables,
+    )
+    if args.mode == "full":
+        model = milp.build_full_model(scenario, restrictions, weights)
+        solution = solver.solve_exact(model)
+        if solution.status not in ("optimal", "feasible"):
+            print(f"solver status: {solution.status}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        plan = milp.extract_plan(model, solution, replace(scenario, restrictions=restrictions))
 
     save_plan_csv(plan, args.out_plan)
     if args.out_trace is not None:
         iterative.export_trace(trace, args.out_trace)
 
     n_s = scenario.geometry.n_s
-    power_warm_w, uncarried_warm = _power_w(warm, tables) if tables else (None, None)
+    power_warm_w, uncarried_warm = _power_w(trace.start, tables) if tables else (None, None)
     power_final_w, uncarried_final = _power_w(plan, tables) if tables else (None, None)
     report = RunReport(
         scenario_path=str(args.scenario),
         n_beams=len(scenario.beams),
         mode=args.mode,
-        bw_warm=total_normalized_bandwidth(warm, scenario.grid, n_s),
+        bw_warm=total_normalized_bandwidth(trace.start, scenario.grid, n_s),
         bw_final=total_normalized_bandwidth(plan, scenario.grid, n_s),
         power_warm_w=power_warm_w,
         power_final_w=power_final_w,
         uncarried_warm=uncarried_warm,
         uncarried_final=uncarried_final,
-        iterations=iterations,
+        iterations=len(trace.records),
         wall_seconds=time.perf_counter() - started,
     )
     if args.report is not None:

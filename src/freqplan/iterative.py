@@ -31,6 +31,7 @@ from .model import (
     FrequencyPlan,
     ObjectiveWeights,
     RestrictionSets,
+    _plan_arrays,
     _polarization,
     beam_scores,
     check_plan_beams,
@@ -193,8 +194,7 @@ class PlanArrays:
         self.state = np.zeros((n, 4), dtype=np.int64)
         if plan is not None:
             check_plan_beams(plan, scenario.beams)
-            rows = map(plan.assignments.__getitem__, self.ids.tolist())
-            self.state[:] = [(a.active, a.f, a.g, a.b) for a in rows]
+            self.state[:] = _plan_arrays(plan)[1]  # in id order, as self.ids
         self.indptr, self.indices = restrictions.partners(self.ids)
         self.selected = np.zeros(n, dtype=bool)
         self.first = np.zeros((2, n), dtype=np.int64)
@@ -475,7 +475,7 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     )
 
     records = state.trace.records
-    prev = records[-1].objective if records else objective_value(state.plan, state.weights, state.power_table)
+    prev = records[-1].objective if records else objective_value(state.trace.start, state.weights, state.power_table)
     changed = 0
     for k, sel, o in zip(picked, picks, option_sets):
         row = [0, 0, 0, 0] if sel is None else [1, o.f[sel].item(), o.g[sel].item(), o.b[sel].item()]

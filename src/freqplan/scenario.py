@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -482,13 +482,6 @@ def derive_restrictions(scenario: Scenario) -> RestrictionSets:
         intra=derive_intra_pairs(scenario, route_beams(scenario)),
         inter=derive_inter_pairs(scenario),
     )
-
-
-def with_restrictions(scenario: Scenario) -> Scenario:
-    """Scenario with restriction sets materialized."""
-    if scenario.restrictions is not None:
-        return scenario
-    return replace(scenario, restrictions=derive_restrictions(scenario))
 
 
 # --- JSON serialization ---------------------------------------------------

@@ -19,6 +19,7 @@ from freqplan import (
     load_plan_csv,
     save_plan_csv,
     save_scenario,
+    total_normalized_bandwidth,
 )
 from freqplan.cli import main
 from freqplan.scenario import scenario_from_dict, scenario_to_dict
@@ -191,6 +192,37 @@ class TestOptimize:
         assert capsys.readouterr().err == "error: plan names unknown beams [999]\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_full_mode_report_warm_figures_are_the_start(self, tmp_path):
+        """The full-mode report's warm figures are those of the start the
+        iterative mode begins from: the greedy one, or the repaired
+        --warm-start file. Full mode takes no beta4, so the power figures
+        are empty."""
+        scenario = Scenario(
+            grid=FrequencyGrid(n_bw=3, n_fr=1, n_p=2),
+            beams=(Beam(id=1), Beam(id=2), Beam(id=3)),
+            geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+            restrictions=RestrictionSets.of(intra=[(1, 2)]),
+        )
+        scen = tmp_path / "s.json"
+        save_scenario(scenario, scen)
+        warm = tmp_path / "warm.csv"  # beams 1 and 2 collide: the repair drops 2
+        save_plan_csv(FrequencyPlan({i: Assignment(1, 1, 2) for i in (1, 2, 3)}), warm)
+        starts = [
+            ([], iterative.greedy_warm_start(scenario, scenario.restrictions)),
+            (["--warm-start", str(warm)],
+             iterative.sanitize_warm_start(load_plan_csv(warm), scenario, scenario.restrictions)),
+        ]
+        figures = []
+        for flags, start in starts:
+            report = tmp_path / "report.csv"
+            assert main(["optimize", str(scen), "--mode", "full", *flags,
+                         "--out-plan", str(tmp_path / "plan.csv"), "--report", str(report)]) == 0
+            row = next(csv.DictReader(report.read_text().splitlines()))
+            figures.append([row["bw_warm"], row["power_warm_w"], row["uncarried_warm"]])
+            bw = total_normalized_bandwidth(start, scenario.grid, scenario.geometry.n_s)
+            assert figures[-1] == [repr(bw), "", ""]
+        assert figures[0] != figures[1]
+
     def test_full_mode_without_feasible_point_exits_3(self, tmp_path, capsys):
         scen = three_beams_on_one_cell(tmp_path / "crowded.json")
         plan = tmp_path / "plan.csv"
@@ -262,6 +294,18 @@ class TestOptimize:
                      "--beta4", "0.05", "--warm-start", str(first),
                      "--out-plan", str(tmp_path / "plan.csv")]) == 0
         assert len(calls) == 1
+
+    def test_iterative_run_checks_no_derived_pairs(self, tmp_path, scenario_file, monkeypatch):
+        """Restriction sets the run derives itself from the scenario's beams
+        name only those beams, so no RestrictionSets.check_ids runs over
+        them."""
+        calls = []
+        real = RestrictionSets.check_ids
+        monkeypatch.setattr(RestrictionSets, "check_ids", lambda *a: calls.append(1) or real(*a))
+        assert '"restrictions"' not in scenario_file.read_text()
+        assert main(["optimize", str(scenario_file), "--n-ch", "4", "--window", "3",
+                     "--out-plan", str(tmp_path / "plan.csv")]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("width", [0, 6], ids=["width-0", "past-the-grid"])
     def test_warm_start_width_outside_the_grid_is_repaired(self, tmp_path, scenario_file, width):

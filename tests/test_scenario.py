@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from freqplan import (
     load_scenario,
     route_beams,
     save_scenario,
-    with_restrictions,
 )
 from freqplan.scenario import (
     EARTH_RADIUS_KM,
@@ -220,18 +220,6 @@ class TestRestrictionDerivation:
         s = tiny_scenario([Beam(id=1), Beam(id=2)], restrictions=r)
         assert derive_restrictions(s) is r
 
-    def test_with_restrictions_materializes_once(self):
-        geom = ConstellationGeometry(n_s=1, altitude_km=8062.0)
-        s = tiny_scenario(
-            [Beam(id=1, lat=0.0, lon=0.0), Beam(id=2, lat=0.0, lon=1.0)],
-            geometry=geom,
-            horizon_min=1,
-            step_min=1,
-        )
-        s2 = with_restrictions(s)
-        assert s2.restrictions is not None
-        assert with_restrictions(s2) is s2
-
 
 class TestSerialization:
     def test_dict_round_trip(self):
@@ -240,7 +228,7 @@ class TestSerialization:
             seed=5, n_users=20, grid=GRID, geometry=GEOM,
             params=GenerationParams(lat_band_deg=(-30.0, 30.0)),
         )
-        s = with_restrictions(s)
+        s = replace(s, restrictions=derive_restrictions(s))
         doc = scenario_to_dict(s)
         back = scenario_from_dict(json.loads(json.dumps(doc)))
         assert scenario_to_dict(back) == doc

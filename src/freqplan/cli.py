@@ -154,7 +154,8 @@ def build_parser() -> _Parser:
     o.add_argument("--window", type=int, default=50)
     o.add_argument("--max-iterations", type=int, default=100000)
     o.add_argument("--node-budget", type=int, default=2000,
-                   help="search cap per subproblem component; 0 = exact")
+                   help="search node cap, per subproblem component in iterative mode "
+                        "and for the whole search in full mode; 0 = exact")
     o.add_argument("--out-plan", type=Path, required=True)
     o.add_argument("--out-trace", type=Path, default=None)
     o.add_argument("--report", type=Path, default=None)
@@ -236,9 +237,10 @@ def cmd_optimize(args) -> int:
     )
     if args.mode == "full":
         model = milp.build_full_model(scenario, restrictions, weights)
-        solution = solver.solve_exact(model)
-        if solution.status not in ("optimal", "feasible"):
+        solution = solver.solve_exact(model, solver.SolveLimits(max_nodes=args.node_budget))
+        if solution.status != solver.OPTIMAL:  # the budget stopped it, or no plan fits
             print(f"solver status: {solution.status}", file=sys.stderr)
+        if solution.status not in (solver.OPTIMAL, solver.FEASIBLE):
             return EXIT_INFEASIBLE
         plan = milp.extract_plan(model, solution, replace(scenario, restrictions=restrictions))
 

@@ -386,7 +386,7 @@ class IterationState:
     """One optimizer run's state. The plan lives only in ``arrays`` (its
     PlanArrays), which ``trace.start`` copies; iterate_once keeps ``scores``
     (each beam's ObjectiveWeights.score, 0.0 when inactive, by position in
-    the arrays) and ``slots`` (the active slot total) in step with it."""
+    the arrays) in step with it."""
 
     def __init__(
         self,
@@ -402,7 +402,6 @@ class IterationState:
         self.iteration = self.stall = 0
         self.capacity = slot_capacity(scenario.grid, scenario.geometry.n_s)
         self.scores = beam_scores(self.trace.start, weights, power_table)
-        self.slots = int(arrays.state[:, 3] @ arrays.state[:, 0])
 
     @property
     def plan(self) -> FrequencyPlan:
@@ -484,7 +483,6 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
             continue
         changed += 1
         plan.assign(k, row)
-        state.slots += row[3] * row[0] - old[3] * old[0]
         state.scores[k] = 0.0 if sel is None else o.score[sel].item()
 
     state.iteration += 1
@@ -494,7 +492,7 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         TraceRecord(
             iteration=state.iteration,
             objective=objective,
-            normalized_bw=state.slots / state.capacity,  # total_normalized_bandwidth
+            normalized_bw=int(plan.state[:, 3] @ plan.state[:, 0]) / state.capacity,  # total_normalized_bandwidth
             beams_changed=changed,
             wall_ms=(time.perf_counter() - started) * 1000.0,
         )

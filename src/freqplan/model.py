@@ -162,7 +162,7 @@ def canonical_pairs(pairs) -> np.ndarray:
     passes one vectorized check, _BLOCK_PAIRS rows at a time; one that is
     not is canonicalized in numpy (_canonicalized). Any other input takes
     one Python pass, cheaper than numpy's fixed costs on the few pairs of a
-    scenario file or a list."""
+    list (a scenario file hands over its pairs as one int64 array)."""
     dtype = np.int64
     if isinstance(pairs, np.ndarray):
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):

@@ -602,7 +602,8 @@ def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
     for kind in ("intra", "inter"):
         path = f"restrictions.{kind}"
         listed = _list(doc.get(kind, []), path)
-        pairs[kind] = [_cast(_restriction_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
+        checked = [_cast(_restriction_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
+        pairs[kind] = np.array(checked, dtype=np.int64).reshape(-1, 2)  # canonical_pairs' numpy path
     try:
         restrictions = RestrictionSets(**pairs)
         restrictions.check_ids(b.id for b in beams)

@@ -120,21 +120,20 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     rhs: list[float] = []
     lb_rows: list[list[int]] = [[] for _ in range(n)]
     ub_rows: list[list[int]] = [[] for _ in range(n)]
+
+    def add_row(row: tuple[tuple[float, int], ...], limit: float) -> int:
+        r = len(rows)
+        for c, v in row:
+            (lb_rows if c > 0 else ub_rows)[v].append(r)
+        rows.append(row)
+        rhs.append(limit)
+        return r
+
     for _, terms, sense, limit in model.constraints:
         if sense != GE:  # LE, or the first row of EQ
-            row = tuple([(c, index[v]) for c, v in terms if c != 0.0])
-            r = len(rows)
-            for c, v in row:
-                (lb_rows if c > 0 else ub_rows)[v].append(r)
-            rows.append(row)
-            rhs.append(limit)
+            add_row(tuple([(c, index[v]) for c, v in terms if c != 0.0]), limit)
         if sense != LE:  # GE, or the second row of EQ: negated
-            row = tuple([(-c, index[v]) for c, v in terms if c != 0.0])
-            r = len(rows)
-            for c, v in row:
-                (lb_rows if c > 0 else ub_rows)[v].append(r)
-            rows.append(row)
-            rhs.append(-limit)
+            add_row(tuple([(-c, index[v]) for c, v in terms if c != 0.0]), -limit)
     obj = [0.0] * n
     for c, name in model.objective:
         obj[index[name]] += c
@@ -147,17 +146,12 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
     cut = None
     cut_terms = tuple((-c, v) for c, v in obj_terms)
     if obj_terms:
-        cut = len(rows)
-        for c, v in cut_terms:
-            (lb_rows if c > 0 else ub_rows)[v].append(cut)
-        rows.append(())
-        rhs.append(0.0)
+        cut = add_row(cut_terms, 0.0)
+        rows[cut] = ()
 
     stats = SolveStats()
     best_obj = float("-inf")
     best_values: list[int] | None = None
-    frontier_bound = float("-inf")
-    hit_limit = False
     queue: list[int] = []
     queued = [False] * len(rows)
 
@@ -220,11 +214,9 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
 
     while stack:
         if limits.max_nodes and stats.nodes >= limits.max_nodes:
-            hit_limit = True
             break
         lb, ub, parent_bound, woken, seen_obj = stack.pop()
         if parent_bound <= best_obj and best_values is not None:
-            frontier_bound = max(frontier_bound, parent_bound)
             continue
         stats.nodes += 1
         if woken is None:
@@ -234,9 +226,8 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             queued[:] = [True] * len(rows)
         else:
             wake(woken)
-            if cut is not None and best_obj != seen_obj and not queued[cut]:
-                queued[cut] = True
-                heappush(queue, cut)
+            if cut is not None and best_obj != seen_obj:
+                wake([cut])
         if not propagate(lb, ub):
             for r in queue:
                 queued[r] = False
@@ -244,7 +235,6 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             continue
         bound = obj_upper(lb, ub)
         if best_values is not None and bound <= best_obj:
-            frontier_bound = max(frontier_bound, bound)
             continue
         branch_var = next((v for v in range(n) if lb[v] < ub[v]), None)
         if branch_var is None:
@@ -270,18 +260,14 @@ def solve_exact(model: MilpModel, limits: SolveLimits = SolveLimits()) -> Soluti
             stack.append(high)
             stack.append(low)
 
-    if hit_limit:
-        frontier_bound = max(
-            [frontier_bound] + [node[2] for node in stack] + [best_obj]
-        )
-        if best_values is None:
-            return Solution(LIMIT_REACHED, {}, float("-inf"), frontier_bound, stats)
-        values = dict(zip(index, map(float, best_values)))  # index: the names in order
-        return Solution(FEASIBLE, values, best_obj, frontier_bound, stats)
+    # a pruned node's bound never exceeds the incumbent, so the best of the
+    # incumbent and the open nodes' parent bounds bounds every plan; the
+    # search stopped at the node limit iff nodes are left open
+    bound = max([node[2] for node in stack] + [best_obj])
     if best_values is None:
-        return Solution(INFEASIBLE, {}, float("-inf"), float("-inf"), stats)
-    values = dict(zip(index, map(float, best_values)))
-    return Solution(OPTIMAL, values, best_obj, best_obj, stats)
+        return Solution(LIMIT_REACHED if stack else INFEASIBLE, {}, best_obj, bound, stats)
+    values = dict(zip(index, map(float, best_values)))  # index: the names in order
+    return Solution(FEASIBLE if stack else OPTIMAL, values, best_obj, bound, stats)
 
 
 # --- brute-force oracle ---------------------------------------------------

@@ -19,6 +19,7 @@ from freqplan import (
     load_plan_csv,
     save_plan_csv,
     save_scenario,
+    solver,
     total_normalized_bandwidth,
 )
 from freqplan.cli import main
@@ -231,6 +232,43 @@ class TestOptimize:
         assert rc == 3
         assert capsys.readouterr().err == "solver status: infeasible\n"
         assert not plan.exists()
+
+    @pytest.mark.parametrize("budget", [0, 7, 2000])
+    def test_full_mode_passes_node_budget_to_solve_exact(self, tmp_path, small_scenario_file,
+                                                         monkeypatch, budget):
+        seen, solve_exact = [], solver.solve_exact
+
+        def spy(model, limits=solver.SolveLimits()):
+            seen.append(limits)
+            return solve_exact(model, limits)
+
+        monkeypatch.setattr(solver, "solve_exact", spy)
+        flags = [] if budget == 2000 else ["--node-budget", str(budget)]  # 2000 is the default
+        main(["optimize", str(small_scenario_file), "--mode", "full", *flags,
+              "--out-plan", str(tmp_path / "plan.csv")])
+        assert seen == [solver.SolveLimits(max_nodes=budget)]
+
+    def test_full_mode_stopped_without_plan_exits_3(self, tmp_path, capsys):
+        """The default budget of 2,000 nodes stops the exact search of a
+        30-beam file before it finds a plan."""
+        scen, plan = tmp_path / "b.json", tmp_path / "plan.csv"
+        assert main(["generate", "--seed", "7", "--users", "30", "--n-bw", "6", "--n-fr", "2",
+                     "--out", str(scen)]) == 0
+        capsys.readouterr()
+        assert main(["optimize", str(scen), "--mode", "full", "--out-plan", str(plan)]) == 3
+        assert capsys.readouterr().err == "solver status: limit-reached\n"
+        assert not plan.exists()
+
+    def test_full_mode_stopped_with_plan_writes_it(self, tmp_path, small_scenario_file, capsys):
+        """12 nodes reach a first plan of the 3-beam file but not the proof
+        of its optimality (the exact search needs more): the run writes the
+        plan, notes on stderr that it is only feasible, and exits 0."""
+        plan = tmp_path / "plan.csv"
+        capsys.readouterr()
+        assert main(["optimize", str(small_scenario_file), "--mode", "full", "--node-budget", "12",
+                     "--out-plan", str(plan)]) == 0
+        assert capsys.readouterr().err == "solver status: feasible\n"
+        assert main(["validate", str(plan), str(small_scenario_file)]) == 0
 
     def test_report_without_warm_bandwidth_has_no_increase(self, tmp_path, capsys):
         """An all-inactive warm start has normalized bandwidth 0, so there is

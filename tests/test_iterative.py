@@ -758,7 +758,7 @@ def _power_case(draw):
 
 
 def assert_state_matches_plan(state):
-    """The arrays, cached scores and slot total of ``state`` are those of a
+    """The arrays and cached scores of ``state`` are those of a
     state read afresh from its plan, and the last record states its
     objective and normalized bandwidth exactly."""
     s, plan = state.scenario, state.plan
@@ -770,7 +770,6 @@ def assert_state_matches_plan(state):
     assert arrays.first.tolist() == fresh.first.tolist()
     assert arrays.span.tolist() == fresh.span.tolist()
     assert state.scores == beam_scores(plan, state.weights, state.power_table)
-    assert state.slots == sum(a.b for _, a in plan.active_items())
     if state.trace.records:
         record = state.trace.records[-1]
         assert record.objective == objective_value(plan, state.weights, state.power_table)

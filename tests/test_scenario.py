@@ -282,6 +282,32 @@ class TestSerialization:
         doc["beams"][0].update(allowed_rows=[], allowed_slots=[])
         assert scenario_from_dict(doc) == load_scenario(path)
 
+    def test_file_pairs_load_as_the_constructor_builds_them(self, tmp_path):
+        """Reversed, repeated and unsorted pairs in a file load to the same
+        canonical int64 arrays that RestrictionSets builds from the lists."""
+        intra = [[7, 4], [1, 4], [4, 7], [7, 1], [1, 4]]
+        inter = [[7, 4], [4, 1], [7, 4]]
+        s = tiny_scenario([Beam(id=1), Beam(id=4), Beam(id=7)])
+        doc = scenario_to_dict(s)
+        doc["restrictions"] = {"intra": intra, "inter": inter}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_scenario(path).restrictions
+        built = RestrictionSets(map(tuple, intra), map(tuple, inter))
+        for kind, pairs in loaded.pairs.items():
+            assert pairs.dtype == built.pairs[kind].dtype == np.int64
+            assert pairs.tolist() == built.pairs[kind].tolist()
+        assert loaded.pairs["intra"].tolist() == [[1, 4], [1, 7], [4, 7]]
+        assert loaded.pairs["inter"].tolist() == [[1, 4], [4, 7]]
+
+    def test_reflexive_file_pair_is_reported_at_restrictions(self):
+        doc = scenario_to_dict(tiny_scenario([Beam(id=1), Beam(id=4)]))
+        doc["restrictions"] = {"intra": [[4, 1], [4, 4], [1, 1]]}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == "restrictions"
+        assert str(err.value) == "restrictions: restriction pair (4, 4) is reflexive"
+
     @pytest.mark.parametrize(
         "mutate, field",
         [

@@ -12,11 +12,12 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from . import iterative, milp, power, render, scenario as scen, solver
 from .errors import FreqplanError, RoutingError
+from .iterative import IterationConfig
 from .model import (
     FrequencyGrid,
     FrequencyPlan,
@@ -45,40 +46,29 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunReport:
-    scenario_path: str
+    """One optimize run: one field per report column, in column order."""
+
+    scenario: str
     n_beams: int
     mode: str
     bw_warm: float
     bw_final: float
+    bw_increase_pct: float | None  # None when the start has no bandwidth
     power_warm_w: float | None  # carried beams only
     power_final_w: float | None
     uncarried_warm: int | None  # active beams no MODCOD carries
     uncarried_final: int | None
     iterations: int
-    wall_seconds: float
-
-    @property
-    def bw_increase_pct(self) -> float | None:
-        if self.bw_warm > 0:
-            return (self.bw_final - self.bw_warm) / self.bw_warm * 100.0
-        return None
 
     def write_csv(self, path) -> None:
-        numbers = (
-            self.bw_warm, self.bw_final, self.bw_increase_pct, self.power_warm_w,
-            self.power_final_w, self.uncarried_warm, self.uncarried_final, self.iterations,
-        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["scenario", "n_beams", "mode", "bw_warm", "bw_final", "bw_increase_pct",
-                             "power_warm_w", "power_final_w", "uncarried_warm", "uncarried_final", "iterations"])
-            writer.writerow(
-                [self.scenario_path, self.n_beams, self.mode] + ["" if v is None else repr(v) for v in numbers]
-            )
+            writer = csv.writer(fh, lineterminator="\n")  # None is written as an empty field
+            writer.writerow([f.name for f in fields(self)])
+            writer.writerow(astuple(self))
 
-    def summary(self) -> str:
+    def summary(self, wall_seconds: float) -> str:
         lines = [
-            f"scenario:        {self.scenario_path} ({self.n_beams} beams)",
+            f"scenario:        {self.scenario} ({self.n_beams} beams)",
             f"mode:            {self.mode}",
             f"normalized BW:   warm {self.bw_warm:.4f} -> final {self.bw_final:.4f}",
         ]
@@ -91,26 +81,20 @@ class RunReport:
                 f"uncarried beams: warm {self.uncarried_warm} -> final {self.uncarried_final}",
             ]
         lines.append(f"iterations:      {self.iterations}")
-        lines.append(f"wall time:       {self.wall_seconds:.2f} s")
+        lines.append(f"wall time:       {wall_seconds:.2f} s")
         return "\n".join(lines) + "\n"
 
 
-def _weights_from_args(args) -> ObjectiveWeights:
-    return ObjectiveWeights(
-        beta1=args.beta1,
-        beta2=args.beta2,
-        beta3=args.beta3,
-        beta4=args.beta4,
-        beta5=args.beta5,
-    )
+def _fill(cls, args):
+    """``cls`` with each field read from the parsed flag of its name; a
+    ``nargs`` flag's list is passed as a tuple."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls)}
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()})
 
 
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta1", type=float, default=1.0)
-    p.add_argument("--beta2", type=float, default=0.0)
-    p.add_argument("--beta3", type=float, default=0.0)
-    p.add_argument("--beta4", type=float, default=0.0)
-    p.add_argument("--beta5", type=float, default=0.0)
+    for f in fields(ObjectiveWeights):
+        p.add_argument(f"--{f.name}", type=float, default=f.default)
 
 
 def _power_w(plan: FrequencyPlan, tables) -> tuple[float, int]:
@@ -134,11 +118,12 @@ def build_parser() -> _Parser:
     g.add_argument("--slot-bandwidth-hz", type=float, default=50e6)
     g.add_argument("--n-s", type=int, default=7)
     g.add_argument("--altitude-km", type=float, default=8062.0)
-    g.add_argument("--half-cone-deg", type=float, default=1.0)
-    g.add_argument("--lat-band", type=float, nargs=2, default=(-50.0, 50.0),
+    g.add_argument("--half-cone-deg", type=float, default=scen.Scenario.half_cone_deg)
+    g.add_argument("--lat-band", dest="lat_band_deg", type=float, nargs=2,
+                   default=scen.GenerationParams.lat_band_deg,
                    metavar=("LO", "HI"), help="user latitude band in degrees")
-    g.add_argument("--horizon-min", type=float, default=60.0)
-    g.add_argument("--step-min", type=float, default=1.0)
+    g.add_argument("--horizon-min", type=float, default=scen.Scenario.horizon_min)
+    g.add_argument("--step-min", type=float, default=scen.Scenario.step_min)
     g.add_argument("--with-restrictions", action="store_true",
                    help="derive and embed R_A/R_E in the file")
     g.add_argument("--out", type=Path, required=True)
@@ -148,12 +133,14 @@ def build_parser() -> _Parser:
     o.add_argument("--mode", choices=["full", "iterative"], default="iterative")
     o.add_argument("--warm-start", type=Path, default=None)
     _add_weight_flags(o)
-    o.add_argument("--n-ch", type=int, default=25)
-    o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--top-per-bw", type=int, default=10)
-    o.add_argument("--window", type=int, default=50)
-    o.add_argument("--max-iterations", type=int, default=100000)
-    o.add_argument("--node-budget", type=int, default=2000,
+    o.add_argument("--n-ch", type=int, default=IterationConfig.n_ch)
+    o.add_argument("--seed", type=int, default=IterationConfig.seed)
+    o.add_argument("--top-per-bw", dest="top_per_bandwidth", type=int,
+                   default=IterationConfig.top_per_bandwidth, metavar="TOP_PER_BW")
+    o.add_argument("--window", dest="convergence_window", type=int,
+                   default=IterationConfig.convergence_window, metavar="WINDOW")
+    o.add_argument("--max-iterations", type=int, default=IterationConfig.max_iterations)
+    o.add_argument("--node-budget", type=int, default=IterationConfig.node_budget,
                    help="search node cap, per subproblem component in iterative mode "
                         "and for the whole search in full mode; 0 = exact")
     o.add_argument("--out-plan", type=Path, required=True)
@@ -180,17 +167,12 @@ def build_parser() -> _Parser:
 def cmd_generate(args) -> int:
     if args.users < 1:
         raise UsageError("--users must be >= 1")
-    grid = FrequencyGrid(
-        n_bw=args.n_bw, n_fr=args.n_fr, n_p=args.n_p,
-        slot_bandwidth_hz=args.slot_bandwidth_hz,
-    )
-    geometry = scen.ConstellationGeometry(n_s=args.n_s, altitude_km=args.altitude_km)
     scenario = scen.generate_synthetic(
         seed=args.seed,
         n_users=args.users,
-        grid=grid,
-        geometry=geometry,
-        params=scen.GenerationParams(lat_band_deg=tuple(args.lat_band)),
+        grid=_fill(FrequencyGrid, args),
+        geometry=_fill(scen.ConstellationGeometry, args),
+        params=_fill(scen.GenerationParams, args),
         horizon_min=args.horizon_min,
         step_min=args.step_min,
         half_cone_deg=args.half_cone_deg,
@@ -208,7 +190,7 @@ def cmd_optimize(args) -> int:
         raise UsageError("--out-trace needs --mode iterative: full mode runs no iterations")
     scenario = scen.load_scenario(args.scenario)
     restrictions = scen.derive_restrictions(scenario)
-    weights = _weights_from_args(args)
+    weights = _fill(ObjectiveWeights, args)
 
     tables = None
     if weights.uses_power():
@@ -217,18 +199,8 @@ def cmd_optimize(args) -> int:
 
     # The file may omit beams but not name one the scenario lacks.
     warm_file = None if args.warm_start is None else load_plan_csv(args.warm_start)
-    config = (
-        # full mode reads only the start, for the report's warm figures
-        iterative.IterationConfig(max_iterations=0)
-        if args.mode == "full"
-        else iterative.IterationConfig(
-            n_ch=args.n_ch,
-            top_per_bandwidth=args.top_per_bw,
-            convergence_window=args.window,
-            seed=args.seed,
-            max_iterations=args.max_iterations,
-            node_budget=args.node_budget,
-        )
+    config = (  # full mode reads only the start, for the report's warm figures
+        IterationConfig(max_iterations=0) if args.mode == "full" else _fill(IterationConfig, args)
     )
     # optimize repairs the file's start once, or builds the greedy one
     plan, trace = iterative.optimize(
@@ -249,24 +221,26 @@ def cmd_optimize(args) -> int:
         iterative.export_trace(trace, args.out_trace)
 
     n_s = scenario.geometry.n_s
+    bw_warm = total_normalized_bandwidth(trace.start, scenario.grid, n_s)
+    bw_final = total_normalized_bandwidth(plan, scenario.grid, n_s)
     power_warm_w, uncarried_warm = _power_w(trace.start, tables) if tables else (None, None)
     power_final_w, uncarried_final = _power_w(plan, tables) if tables else (None, None)
     report = RunReport(
-        scenario_path=str(args.scenario),
+        scenario=str(args.scenario),
         n_beams=len(scenario.beams),
         mode=args.mode,
-        bw_warm=total_normalized_bandwidth(trace.start, scenario.grid, n_s),
-        bw_final=total_normalized_bandwidth(plan, scenario.grid, n_s),
+        bw_warm=bw_warm,
+        bw_final=bw_final,
+        bw_increase_pct=(bw_final - bw_warm) / bw_warm * 100.0 if bw_warm > 0 else None,
         power_warm_w=power_warm_w,
         power_final_w=power_final_w,
         uncarried_warm=uncarried_warm,
         uncarried_final=uncarried_final,
         iterations=len(trace.records),
-        wall_seconds=time.perf_counter() - started,
     )
     if args.report is not None:
         report.write_csv(args.report)
-    print(report.summary(), end="")
+    print(report.summary(time.perf_counter() - started), end="")
     return EXIT_OK
 
 
@@ -287,7 +261,7 @@ def cmd_validate(args) -> int:
 def cmd_emit_lp(args) -> int:
     scenario = scen.load_scenario(args.scenario)
     restrictions = scen.derive_restrictions(scenario)
-    weights = _weights_from_args(args)
+    weights = _fill(ObjectiveWeights, args)
     model = milp.build_full_model(scenario, restrictions, weights, activation=args.activation)
     text = milp.emit_lp(model)
     with open(args.out, "w") as fh:

@@ -396,10 +396,10 @@ class IterationState:
         arrays: PlanArrays,
         power_table: Mapping[int, object] | None = None,
     ):
-        self.scenario, self.weights, self.config, self.power_table = scenario, weights, config, power_table
+        self.weights, self.config, self.power_table = weights, config, power_table
         self.arrays = arrays
         self.trace = IterationTrace(start=arrays.plan())
-        self.iteration = self.stall = 0
+        self.stall = 0
         self.capacity = slot_capacity(scenario.grid, scenario.geometry.n_s)
         self.scores = beam_scores(self.trace.start, weights, power_table)
 
@@ -485,12 +485,11 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
         plan.assign(k, row)
         state.scores[k] = 0.0 if sel is None else o.score[sel].item()
 
-    state.iteration += 1
     objective = state.objective()
     state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
-    state.trace.records.append(
+    records.append(
         TraceRecord(
-            iteration=state.iteration,
+            iteration=len(records) + 1,
             objective=objective,
             normalized_bw=int(plan.state[:, 3] @ plan.state[:, 0]) / state.capacity,  # total_normalized_bandwidth
             beams_changed=changed,
@@ -543,7 +542,7 @@ def optimize(
     )
     state = IterationState(scenario, weights, config, arrays, power_table)
     rng = np.random.default_rng(config.seed)
-    while state.iteration < config.max_iterations:
+    while len(state.trace.records) < config.max_iterations:
         state = iterate_once(state, rng)
         if state.stall >= config.convergence_window:
             break

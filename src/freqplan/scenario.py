@@ -285,9 +285,9 @@ def generate_synthetic(
     geometry: ConstellationGeometry,
     params: GenerationParams = GenerationParams(),
     *,
-    horizon_min: float = 60.0,
-    step_min: float = 1.0,
-    half_cone_deg: float = 1.0,
+    horizon_min: float = Scenario.horizon_min,
+    step_min: float = Scenario.step_min,
+    half_cone_deg: float = Scenario.half_cone_deg,
 ) -> Scenario:
     """Sample users, cluster them greedily into user beams, and build a
     scenario.

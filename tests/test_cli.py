@@ -3,6 +3,7 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -12,13 +13,18 @@ from freqplan import (
     ConstellationGeometry,
     FrequencyGrid,
     FrequencyPlan,
+    GenerationParams,
+    IterationConfig,
+    ObjectiveWeights,
     RestrictionSets,
     Scenario,
     ScenarioFormatError,
     iterative,
     load_plan_csv,
+    milp,
     save_plan_csv,
     save_scenario,
+    scenario as scen,
     solver,
     total_normalized_bandwidth,
 )
@@ -639,6 +645,71 @@ class TestDeterminism:
             assert rc == 0
             outs.append((plan.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestFlagDefaults:
+    """Each flag that sets a library field defaults to that field's
+    dataclass default and reaches the field it names."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        """Record the positional and keyword arguments of each call to
+        ``module.name``, then make the call."""
+        calls, real = [], getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+        return calls
+
+    def test_optimize_defaults_are_the_library_defaults(self, tmp_path, scenario_file, monkeypatch):
+        calls = self.spy(monkeypatch, iterative, "optimize")
+        assert main(["optimize", str(scenario_file), "--out-plan", str(tmp_path / "p.csv")]) == 0
+        [(args, kwargs)] = calls
+        assert args[2] == ObjectiveWeights()
+        assert kwargs["config"] == IterationConfig()
+
+    def test_emit_lp_default_weights_are_the_library_defaults(self, tmp_path, scenario_file, monkeypatch):
+        calls = self.spy(monkeypatch, milp, "build_full_model")
+        assert main(["emit-lp", str(scenario_file), "--out", str(tmp_path / "m.lp")]) == 0
+        [(args, _)] = calls
+        assert args[2] == ObjectiveWeights()
+
+    def test_generate_defaults_are_the_library_defaults(self, tmp_path, monkeypatch):
+        calls = self.spy(monkeypatch, scen, "generate_synthetic")
+        out = tmp_path / "s.json"
+        assert main(["generate", "--seed", "1", "--users", "5", "--out", str(out)]) == 0
+        [(_, kwargs)] = calls
+        assert kwargs["params"] == GenerationParams()
+        written = scen.load_scenario(out)
+        for name in ("horizon_min", "step_min", "half_cone_deg"):
+            assert getattr(written, name) == getattr(Scenario, name)
+
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [("--n-ch", "n_ch", 3), ("--seed", "seed", 5), ("--top-per-bw", "top_per_bandwidth", 4),
+         ("--window", "convergence_window", 2), ("--max-iterations", "max_iterations", 7),
+         ("--node-budget", "node_budget", 11)],
+    )
+    def test_optimizer_flag_reaches_its_field(self, tmp_path, scenario_file, monkeypatch, flag, field, value):
+        calls = self.spy(monkeypatch, iterative, "optimize")
+        assert main(["optimize", str(scenario_file), flag, str(value),
+                     "--out-plan", str(tmp_path / "p.csv")]) == 0
+        [(_, kwargs)] = calls
+        assert kwargs["config"] == replace(IterationConfig(), **{field: value})
+
+    def test_report_header_is_pinned(self, tmp_path, scenario_file):
+        """Renaming a report field renames its column, so the header is
+        stated here in full."""
+        report = tmp_path / "report.csv"
+        assert main(["optimize", str(scenario_file), "--max-iterations", "2",
+                     "--out-plan", str(tmp_path / "p.csv"), "--report", str(report)]) == 0
+        assert report.read_text().splitlines()[0] == (
+            "scenario,n_beams,mode,bw_warm,bw_final,bw_increase_pct,"
+            "power_warm_w,power_final_w,uncarried_warm,uncarried_final,iterations"
+        )
 
 
 class TestUsage:

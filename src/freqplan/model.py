@@ -254,8 +254,8 @@ class RestrictionSets:
         partners, as their positions j, then its inter partners, as n + j.
         ``indptr`` is int64 and ``indices`` int_dtype(0, 2n), so int16 up to
         16,383 ids. The last CSR built is returned again for the same ids,
-        so every plan over them shares one. A pair id outside ``ids`` raises
-        KeyError.
+        so every plan over them shares one. A pair naming an id outside
+        ``ids`` raises check_ids' DomainError (_position_blocks).
 
         Within a kind, an owner's partners from its (owner, larger) pairs
         come before those from its (smaller, owner) pairs, each in pair
@@ -268,11 +268,10 @@ class RestrictionSets:
         if self._csr is not None and self._csr[0] == key:
             return self._csr[1]
         n = len(ids)
-        kinds = ((0, self.pairs["intra"]), (n, self.pairs["inter"]))
         # counts[2 * kind + column]: each position's partners as that column
         counts = np.zeros((4, n), dtype=np.int64)
-        for k, (_, pairs) in enumerate(kinds):
-            for at in _position_blocks(ids, pairs):
+        for k, (kind, pairs) in enumerate(self.pairs.items()):
+            for at in _position_blocks(kind, ids, pairs):
                 for c in (0, 1):
                     counts[2 * k + c] += np.bincount(at[:, c], minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -281,12 +280,12 @@ class RestrictionSets:
         indices = np.empty(indptr[-1], dtype=int_dtype(0, 2 * n))
         # owners of 16 bits or fewer take numpy's radix sort
         small = np.min_scalar_type(max(n - 1, 0))
-        for k, (offset, pairs) in enumerate(kinds):
-            for at in _position_blocks(ids, pairs):
+        for k, (kind, pairs) in enumerate(self.pairs.items()):
+            for at in _position_blocks(kind, ids, pairs):
                 for c in (0, 1):
                     owner = at[:, c]
                     # in the CSR's type: positions' + n may pass theirs
-                    partner = np.add(at[:, 1 - c], offset, dtype=indices.dtype)
+                    partner = np.add(at[:, 1 - c], k * n, dtype=indices.dtype)
                     if c:  # (smaller, owner) pairs come sorted by the smaller id
                         order = np.argsort(owner.astype(small), kind="stable")
                         owner, partner = owner[order], partner[order]
@@ -303,19 +302,17 @@ class RestrictionSets:
 
     def check_ids(self, beam_ids: Iterable[int]) -> None:
         """Raise DomainError on the first pair, intra then inter, that names
-        an id outside ``beam_ids``. A kind of _ARRAY_MIN_PAIRS pairs or more
-        is tested against the sorted ids (pair_positions) a block of
-        _BLOCK_PAIRS pairs at a time, up to the first block with an unknown
-        id, which is then searched pair by pair, as a smaller kind is."""
+        an id outside ``beam_ids`` (_position_blocks). A kind of fewer than
+        _ARRAY_MIN_PAIRS pairs whose ids are all known skips the sorted ids."""
         known = set(beam_ids)
+        ids = None
         for kind, pairs in self.pairs.items():
-            if len(pairs) >= _ARRAY_MIN_PAIRS:
+            if len(pairs) < _ARRAY_MIN_PAIRS and known.issuperset(pairs.ravel().tolist()):
+                continue
+            if ids is None:
                 ids = np.sort(np.fromiter(known, dtype=np.int64, count=len(known)))
-                blocks = (pairs[lo:lo + _BLOCK_PAIRS] for lo in range(0, len(pairs), _BLOCK_PAIRS))
-                pairs = next((block for block in blocks if not pair_positions(ids, block)[1].all()), pairs[:0])
-            for i, j in pairs.tolist():
-                if i not in known or j not in known:
-                    raise DomainError(f"{kind} pair ({i}, {j}) references unknown beam")
+            for _ in _position_blocks(kind, ids, pairs):
+                pass
 
 
 @dataclass(frozen=True)
@@ -376,9 +373,7 @@ def decompose_reuse(g: int, n_p: int) -> tuple[int, int]:
     """Split row index g into (reuse k, polarization m) with g = n_p*k - m."""
     if g < 1:
         raise DomainError(f"row index must be >= 1, got {g}")
-    k = -(-g // n_p)  # ceil(g / n_p)
-    m = n_p * k - g
-    return k, m
+    return -(-g // n_p), _polarization(g, n_p)  # k = ceil(g / n_p)
 
 
 def _polarization(g, n_p: int):
@@ -471,8 +466,10 @@ _ARRAY_MIN_PAIRS = 256
 def _pair_violation(kind: str, i: int, j: int, plan: FrequencyPlan, n_p: int) -> Violation | None:
     """The violation of restriction pair (i, j), if any: both beams active
     on the same row (intra) or polarization (inter) with intersecting slot
-    intervals."""
-    ai, aj = plan[i], plan[j]
+    intervals; check_ids' DomainError when the plan lacks i or j."""
+    ai, aj = plan.assignments.get(i), plan.assignments.get(j)
+    if ai is None or aj is None:
+        raise DomainError(_UNKNOWN_PAIR.format(kind.removesuffix("-overlap"), i, j))
     if not (ai.active and aj.active):
         return None
     if kind == "intra-overlap":
@@ -517,17 +514,19 @@ def pair_positions(ids: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
 # and RestrictionSets.check_ids: their gathered per-pair temporaries stay
 # below 1 MB, however many pairs there are.
 _BLOCK_PAIRS = 1 << 14
+# The error message of every path for a pair (i, j) of a kind naming an unknown beam id
+_UNKNOWN_PAIR = "{} pair ({}, {}) references unknown beam"
 
 
-def _position_blocks(ids: np.ndarray, pairs: np.ndarray):
-    """Yield the pair_positions of each block of _BLOCK_PAIRS ``pairs`` in
-    ``ids``, in pair order; the first pair id outside ``ids`` raises
-    KeyError."""
+def _position_blocks(kind: str, ids: np.ndarray, pairs: np.ndarray):
+    """Yield the pair_positions of each block of _BLOCK_PAIRS ``pairs`` of
+    ``kind`` in the sorted ``ids``, in pair order. The first pair naming an
+    id outside ``ids`` raises check_ids' DomainError."""
     for lo in range(0, len(pairs), _BLOCK_PAIRS):
         block = pairs[lo:lo + _BLOCK_PAIRS]
         at, found = pair_positions(ids, block)
         if not found.all():
-            raise KeyError(int(block[~found][0]))
+            raise DomainError(_UNKNOWN_PAIR.format(kind, *block[found.all(axis=1).argmin()].tolist()))
         yield at
 
 
@@ -535,9 +534,9 @@ def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndar
     """Indices, ascending, of the pairs on which _pair_violation may report,
     found for a block of pairs at once: both beams on the same key with
     intersecting slot intervals. Only each block's flagged indices are kept,
-    so nothing as long as ``pairs`` is allocated. The first pair id the plan
-    lacks, in pair order, raises the KeyError that _pair_violation would
-    raise (_position_blocks).
+    so nothing as long as ``pairs`` is allocated. The first pair, in pair
+    order, that names an id the plan lacks raises the DomainError that
+    _pair_violation would raise (_position_blocks).
 
     A position's key is its row (intra) or polarization (inter) when the
     beam is active, else a negative value of its own. An inactive beam's key
@@ -549,7 +548,7 @@ def _flagged_pairs(kind: str, pairs: np.ndarray, ids: np.ndarray, state: np.ndar
     last = f + b - 1
     flagged = [np.empty(0, dtype=np.intp)]
     lo = 0
-    for at in _position_blocks(ids, pairs):
+    for at in _position_blocks(kind.removesuffix("-overlap"), ids, pairs):
         i, j = at.T
         flagged.append(np.flatnonzero((key[i] == key[j]) & (f[i] <= last[j]) & (f[j] <= last[i])) + lo)
         lo += len(at)

@@ -319,6 +319,7 @@ def brute_force_best_plan(
     InstanceTooLargeError beyond 1e8. Independent of the model IR and the
     branch-and-bound path.
     """
+    restrictions.check_ids(scenario.beam_ids())
     grid = scenario.grid
     beams = sorted(scenario.beams, key=lambda b: b.id)
     per_beam = grid.n_fr * grid.n_p * grid.n_bw * grid.n_bw

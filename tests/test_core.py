@@ -321,8 +321,8 @@ class TestRestrictionSets:
     def test_partners_csr_is_built_once_per_ids(self):
         """partners() lists each position's intra partners j, then its inter
         partners n + j, read-only; the same ids get the same arrays back,
-        other ids a new CSR, and an id the pairs name but ``ids`` lack a
-        KeyError. No other attribute can be set."""
+        other ids a new CSR, and an id the pairs name but ``ids`` lack
+        check_ids' DomainError. No other attribute can be set."""
         r = RestrictionSets.of(intra=[(1, 3)], inter=[(1, 2), (1, 3)])
         ids = np.array([1, 2, 3], dtype=np.int64)
         indptr, indices = r.partners(ids)
@@ -331,7 +331,7 @@ class TestRestrictionSets:
         assert r.partners(ids.copy())[1] is indices
         wider = r.partners(np.array([1, 2, 3, 4], dtype=np.int64))
         assert wider[0].tolist() == [0, 3, 4, 6, 6] and wider[1] is not indices
-        with pytest.raises(KeyError, match="3"):
+        with pytest.raises(DomainError, match=re.escape("intra pair (1, 3) references unknown beam")):
             r.partners(np.array([1, 2], dtype=np.int64))
         with pytest.raises(AttributeError):
             r.partner_csr = None

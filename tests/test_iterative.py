@@ -874,9 +874,9 @@ class TestPlanArrays:
                         assert not expected.any()
                     arrays.select([i - 1 for i in selected], False)
 
-    def test_partner_ids_outside_the_plan_raise_key_error(self):
+    def test_partner_ids_outside_the_plan_raise_domain_error(self):
         restrictions = RestrictionSets.of(intra=[(1, 2), (2, 9)])
-        with pytest.raises(KeyError, match="9"):
+        with pytest.raises(DomainError, match=r"intra pair \(2, 9\) references unknown beam"):
             PlanArrays(Scenario(grid=GRID, beams=(Beam(id=1), Beam(id=2)), geometry=GEOM), restrictions)
 
     def test_plan_must_name_exactly_the_scenario_beams(self):

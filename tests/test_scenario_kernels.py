@@ -27,6 +27,7 @@ from freqplan import (
     RoutingError,
     Scenario,
     Violation,
+    brute_force_best_plan,
     build_full_model,
     derive_restrictions,
     emit_lp,
@@ -631,7 +632,7 @@ def random_plan(rng, beams, grid):
 def outcome(validate, *args):
     try:
         return validate(*args)
-    except (KeyError, DomainError) as exc:
+    except DomainError as exc:
         return (type(exc), str(exc))
 
 
@@ -690,8 +691,9 @@ def test_validate_plan_raises_like_the_pairwise_loop(array_min_pairs, monkeypatc
         assert got == [Violation("domain", (1,), "g=0 outside rows [1,2]")] + overlap
     # a pair naming a beam the plan lacks fails on the first such pair
     unknown = RestrictionSets.of(intra=[(2, 7), (1, 9)])
-    assert outcome(validate_plan, plan, grid, unknown, beams) == (KeyError, "9")
-    assert outcome(ref_validate_plan, plan, grid, unknown, beams) == (KeyError, "9")
+    error = (DomainError, "intra pair (1, 9) references unknown beam")
+    assert outcome(validate_plan, plan, grid, unknown, beams) == error
+    assert outcome(ref_validate_plan, plan, grid, unknown, beams) == error
 
 
 @pytest.mark.parametrize("shift, dtype", [
@@ -948,15 +950,15 @@ def partner_cases(draw):
 def test_partners_match_the_concatenate_and_sort_reference(block_pairs, case):
     """The two-pass block fill gives the reference's CSR, the same dtypes
     and bytes, read-only, for any block size; an id outside ``ids`` raises
-    the reference's KeyError (the first such id, intra before inter)."""
+    the reference's DomainError (the first such pair, intra before inter)."""
     ids, intra, inter = case
     restrictions = RestrictionSets(intra, inter)  # no CSR kept from another block size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_BLOCK_PAIRS", block_pairs)
         try:
             want = ref_partners(restrictions, ids)
-        except KeyError as missing:
-            with pytest.raises(KeyError) as err:
+        except DomainError as missing:
+            with pytest.raises(DomainError) as err:
                 restrictions.partners(ids)
             assert err.value.args == missing.args
             return
@@ -1022,9 +1024,9 @@ def test_flagged_pairs_match_the_pair_loop(kind, n_p, gapped, monkeypatch):
 @pytest.mark.parametrize("gapped", [False, True], ids=["contiguous-ids", "gapped-ids"])
 @pytest.mark.parametrize("kind", ["intra-overlap", "inter-overlap"])
 @pytest.mark.parametrize("n_p", [1, 2])
-def test_flagged_pairs_raise_the_pair_loop_key_error(kind, n_p, gapped, monkeypatch):
+def test_flagged_pairs_raise_the_pair_loops_error(kind, n_p, gapped, monkeypatch):
     """Over pairs that name at least one id the plan lacks, _flagged_pairs
-    raises the pair loop's KeyError: the first missing id in pair order,
+    raises the pair loop's DomainError: the first such pair in pair order,
     in whichever block it falls."""
     monkeypatch.setattr(model, "_BLOCK_PAIRS", 37)
     rng = np.random.default_rng(n_p * 10 + gapped + 100)
@@ -1036,10 +1038,10 @@ def test_flagged_pairs_raise_the_pair_loop_key_error(kind, n_p, gapped, monkeypa
         # at least one pair names a missing id
         outside = np.sort([rng.choice(ids), rng.choice(np.setdiff1d(pool, ids))])
         pairs = np.insert(pairs, int(rng.integers(len(pairs) + 1)), outside, axis=0)
-        with pytest.raises(KeyError) as missing:
+        with pytest.raises(DomainError) as missing:
             for i, j in pairs.tolist():
                 model._pair_violation(kind, i, j, plan, n_p)
-        with pytest.raises(KeyError) as err:
+        with pytest.raises(DomainError) as err:
             model._flagged_pairs(kind, pairs, plan_ids, state, n_p)
         assert err.value.args == missing.value.args
 
@@ -1091,6 +1093,43 @@ def test_check_ids_in_pair_blocks_names_the_pair_loops_pair(where, kind, gapped,
     with pytest.raises(DomainError) as err:
         restrictions.check_ids(ids.tolist())
     assert str(err.value) == f"{kind} pair ({i}, {j}) references unknown beam"
+
+
+@pytest.mark.parametrize("intra, inter, message", [
+    ([(1, 999)], [], "intra pair (1, 999) references unknown beam"),
+    ([(1, 2), (2, 998)], [(1, 999)], "intra pair (2, 998) references unknown beam"),
+    ([(1, 2)], [(2, 3), (3, 999)], "inter pair (3, 999) references unknown beam"),
+])
+def test_every_entry_point_names_the_first_unknown_pair(intra, inter, message, monkeypatch):
+    """A restriction pair naming a beam that a 3-beam scenario lacks is one
+    DomainError on every path that reads the pairs: the first such pair,
+    intra before inter, whether check_ids and validate_plan look it up
+    blockwise (_ARRAY_MIN_PAIRS 0) or pair by pair (the default)."""
+    grid = FrequencyGrid(n_bw=4, n_fr=1, n_p=2)
+    beams = (Beam(id=1), Beam(id=2), Beam(id=3))
+    scenario = Scenario(grid=grid, beams=beams, geometry=GEOM)
+    restrictions = RestrictionSets(intra, inter)
+    plan = FrequencyPlan({b.id: Assignment(1, 1, 1) for b in beams})
+    weights = ObjectiveWeights()
+    config = IterationConfig(max_iterations=1)
+    calls = [
+        lambda: Scenario(grid=grid, beams=beams, geometry=GEOM, restrictions=restrictions),
+        lambda: restrictions.check_ids(scenario.beam_ids()),
+        lambda: restrictions.partners(np.array([1, 2, 3], dtype=np.int64)),
+        lambda: iterative.PlanArrays(scenario, restrictions),
+        lambda: greedy_warm_start(scenario, restrictions),
+        lambda: optimize(scenario, restrictions, weights, config=config),
+        lambda: optimize(scenario, restrictions, weights, warm_start=plan, config=config),
+        lambda: build_full_model(scenario, restrictions, weights),
+        lambda: brute_force_best_plan(scenario, restrictions, weights),
+        lambda: validate_plan(plan, grid, restrictions, beams),
+    ]
+    for array_min_pairs in ARRAY_MIN_PAIRS:
+        monkeypatch.setattr(model, "_ARRAY_MIN_PAIRS", array_min_pairs)
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def test_check_ids_peak_memory_is_bounded():

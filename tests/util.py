@@ -34,7 +34,7 @@ from freqplan import (
     overlaps,
     validate_plan,
 )
-from freqplan.errors import PlanStructureError, RoutingError, UnsupportedModelError
+from freqplan.errors import DomainError, PlanStructureError, RoutingError, UnsupportedModelError
 from freqplan.iterative import OptionSet, PlanArrays, _subproblem
 from freqplan.milp import BINARY, EQ, LE, MilpModel
 from freqplan.scenario import central_angle_deg, elevation_deg, routing_steps
@@ -372,13 +372,19 @@ def narrowest_int(lo: int, hi: int) -> type:
     raise OverflowError(f"{lo}..{hi} does not fit int64")
 
 
+def unknown_pair_error(kind: str, i: int, j: int) -> DomainError:
+    """The error every restriction path raises for pair (i, j) of ``kind``
+    when the scenario, or the plan, lacks one of its ids."""
+    return DomainError(f"{kind} pair ({i}, {j}) references unknown beam")
+
+
 def ref_partners(restrictions: RestrictionSets, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference RestrictionSets.partners: the CSR ``(indptr, indices)``
     over the sorted ``ids`` as one concatenation of the four (owner,
     partner) segments, intra (i, j), intra (j, i), inter (i, j) and inter
     (j, i), inter partners offset by n, stably sorted by owner, as
-    narrowest_int(0, 2n). The first pair id outside ``ids``, intra then
-    inter, raises KeyError."""
+    narrowest_int(0, 2n). The first pair naming an id outside ``ids``,
+    intra then inter, raises unknown_pair_error."""
     n, owners, partners = len(ids), [], []
     entry = narrowest_int(0, 2 * n)
     for offset, kind in ((0, "intra"), (n, "inter")):
@@ -386,7 +392,7 @@ def ref_partners(restrictions: RestrictionSets, ids: np.ndarray) -> tuple[np.nda
         at = np.searchsorted(ids, pairs).astype(narrowest_int(0, n))
         found = (at < n) & (np.append(ids, 0)[at] == pairs)
         if not found.all():
-            raise KeyError(int(pairs[~found][0]))
+            raise unknown_pair_error(kind, *pairs[~found.all(axis=1)][0].tolist())
         owners += [at[:, 0], at[:, 1]]
         partners += [at[:, 1].astype(np.int64) + offset, at[:, 0].astype(np.int64) + offset]
     owner, partner = np.concatenate(owners), np.concatenate(partners).astype(entry)
@@ -1037,7 +1043,8 @@ def ref_validate_plan(
     beams: Sequence[Beam],
 ) -> list[Violation]:
     """Reference validator: the per-beam checks, then every intra and inter
-    pair in sorted order, one at a time."""
+    pair in sorted order, one at a time. The first pair naming an id the
+    plan lacks raises unknown_pair_error."""
     by_id = {b.id: b for b in beams}
     missing = [b for b in by_id if b not in plan.assignments]
     if missing:
@@ -1076,7 +1083,9 @@ def ref_validate_plan(
                 )
             )
 
-    def _both_active(i: int, j: int) -> tuple[Assignment, Assignment] | None:
+    def _both_active(kind: str, i: int, j: int) -> tuple[Assignment, Assignment] | None:
+        if i not in plan.assignments or j not in plan.assignments:
+            raise unknown_pair_error(kind, i, j)
         ai, aj = plan[i], plan[j]
         if ai.active and aj.active:
             return ai, aj
@@ -1084,13 +1093,13 @@ def ref_validate_plan(
 
     intra, inter = pair_sets(restrictions)
     for i, j in sorted(intra):
-        pair = _both_active(i, j)
+        pair = _both_active("intra", i, j)
         if pair and pair[0].g == pair[1].g and overlaps(*pair):
             violations.append(
                 Violation("intra-overlap", (i, j), f"row {pair[0].g} shared slots")
             )
     for i, j in sorted(inter):
-        pair = _both_active(i, j)
+        pair = _both_active("inter", i, j)
         if pair is None:
             continue
         # the polarization rule holds for any row, also one below 1

@@ -118,12 +118,12 @@ def build_parser() -> _Parser:
     g.add_argument("--slot-bandwidth-hz", type=float, default=50e6)
     g.add_argument("--n-s", type=int, default=7)
     g.add_argument("--altitude-km", type=float, default=8062.0)
-    g.add_argument("--half-cone-deg", type=float, default=scen.Scenario.half_cone_deg)
+    g.add_argument("--half-cone-deg", type=float, default=scen.SCENARIO_DEFAULTS["half_cone_deg"])
     g.add_argument("--lat-band", dest="lat_band_deg", type=float, nargs=2,
                    default=scen.GenerationParams.lat_band_deg,
                    metavar=("LO", "HI"), help="user latitude band in degrees")
-    g.add_argument("--horizon-min", type=float, default=scen.Scenario.horizon_min)
-    g.add_argument("--step-min", type=float, default=scen.Scenario.step_min)
+    g.add_argument("--horizon-min", type=float, default=scen.SCENARIO_DEFAULTS["horizon_min"])
+    g.add_argument("--step-min", type=float, default=scen.SCENARIO_DEFAULTS["step_min"])
     g.add_argument("--with-restrictions", action="store_true",
                    help="derive and embed R_A/R_E in the file")
     g.add_argument("--out", type=Path, required=True)

@@ -136,7 +136,7 @@ class IterationConfig:
             raise DomainError("max_iterations must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     iteration: int
     objective: float

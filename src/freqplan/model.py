@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, PlanStructureError, UnsupportedConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequencyGrid:
     """Dimensions of the assignment grid: n_fr*n_p rows by n_bw slot columns."""
 
@@ -42,7 +42,7 @@ class FrequencyGrid:
         return self.n_fr * self.n_p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beam:
     """One beam (user group or gateway) with its demand and variable domains.
 
@@ -99,7 +99,7 @@ def range_problem(span: tuple[int, int], n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """Per-beam decision triple (f, g, b) plus an activation flag.
 
@@ -120,7 +120,7 @@ class Assignment:
         return self.f + self.b - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequencyPlan:
     """A total map beam id -> Assignment."""
 
@@ -162,8 +162,8 @@ def canonical_pairs(pairs) -> np.ndarray:
     passes one vectorized check, _BLOCK_PAIRS rows at a time; one that is
     not is canonicalized in numpy (_canonicalized). Any other input takes
     one Python pass, cheaper than numpy's fixed costs on the few pairs of a
-    list (a scenario file hands over its pairs as one int64 array)."""
-    dtype = np.int64
+    list (a scenario file hands over its pairs as one int64 array), into
+    one int64 array that owns its data: no view keeps a temporary alive."""
     if isinstance(pairs, np.ndarray):
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise DomainError(f"restriction pairs must be an (n, 2) array, not {pairs.shape}")
@@ -177,16 +177,16 @@ def canonical_pairs(pairs) -> np.ndarray:
             raise DomainError(f"restriction pair ({i}, {i}) is reflexive")
         canon.add((i, j) if i < j else (j, i))
     rows = sorted(canon)
-    out = np.array(rows).reshape(-1, 2)
-    if rows and out.dtype.kind != "i":  # a float id, or one past int64
+    out = np.array(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    if out.dtype.kind != "i":  # a float id, or one past int64
         int64 = np.iinfo(np.int64)
         for i, j in rows:
             if i % 1 or j % 1:  # a fraction, an infinity or NaN; a cast would truncate it
                 raise DomainError(f"restriction pair ({i}, {j}) has a non-integer id")
             if not int64.min <= i < j <= int64.max:  # a cast would raise OverflowError
                 raise DomainError(f"restriction pair ({i}, {j}) has an id outside int64")
-        out = np.array(rows, dtype=dtype)
-    return out.astype(dtype, copy=False)
+        out = np.array(rows, dtype=np.int64)
+    return out.astype(np.int64, copy=False)
 
 
 def _is_canonical(pairs: np.ndarray) -> bool:
@@ -315,7 +315,7 @@ class RestrictionSets:
                 pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectiveWeights:
     """Weights of the linear objective; beta2..beta5 act through their
     absolute values."""
@@ -356,7 +356,7 @@ class ObjectiveWeights:
         return abs(self.beta4) > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One constraint violation found by validate_plan."""
 

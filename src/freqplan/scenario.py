@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -29,7 +29,7 @@ EARTH_RADIUS_KM = 6371.0
 MU_EARTH_KM3_S2 = 398600.4418
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstellationGeometry:
     """Single-plane circular equatorial constellation."""
 
@@ -56,7 +56,7 @@ class ConstellationGeometry:
         return lon % 360.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A complete problem instance: grid, beams, geometry and sim parameters."""
 
@@ -92,6 +92,11 @@ class Scenario:
 
     def beam_ids(self) -> list[int]:
         return [b.id for b in self.beams]
+
+
+# Scenario's field defaults, read by generate_synthetic's keywords and the
+# CLI's flags: a slotted class keeps none as a class attribute.
+SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
 
 
 def central_angle_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -285,9 +290,9 @@ def generate_synthetic(
     geometry: ConstellationGeometry,
     params: GenerationParams = GenerationParams(),
     *,
-    horizon_min: float = Scenario.horizon_min,
-    step_min: float = Scenario.step_min,
-    half_cone_deg: float = Scenario.half_cone_deg,
+    horizon_min: float = SCENARIO_DEFAULTS["horizon_min"],
+    step_min: float = SCENARIO_DEFAULTS["step_min"],
+    half_cone_deg: float = SCENARIO_DEFAULTS["half_cone_deg"],
 ) -> Scenario:
     """Sample users, cluster them greedily into user beams, and build a
     scenario.
@@ -596,7 +601,9 @@ def _beams(doc, grid: FrequencyGrid) -> tuple[Beam, ...]:
     return tuple(beams)
 
 
-def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
+def _with_restrictions(doc, scenario: Scenario) -> Scenario:
+    """``scenario`` with the pairs at ``restrictions``, whose ids its
+    constructor checks; a DomainError is reported at ``restrictions``."""
     doc = _object(doc, "restrictions")
     pairs = {}
     for kind in ("intra", "inter"):
@@ -605,11 +612,9 @@ def _restrictions(doc, beams: Sequence[Beam]) -> RestrictionSets:
         checked = [_cast(_restriction_pair, p, f"{path}[{k}]") for k, p in enumerate(listed)]
         pairs[kind] = np.array(checked, dtype=np.int64).reshape(-1, 2)  # canonical_pairs' numpy path
     try:
-        restrictions = RestrictionSets(**pairs)
-        restrictions.check_ids(b.id for b in beams)
+        return replace(scenario, restrictions=RestrictionSets(**pairs))
     except DomainError as exc:
         raise ScenarioFormatError("restrictions", str(exc)) from exc
-    return restrictions
 
 
 def _values(obj, skip=()) -> dict:
@@ -644,15 +649,14 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
             raise ScenarioFormatError(f.name, "missing field")
     grid = _section(FrequencyGrid, doc["grid"], "grid")
     geometry = _section(ConstellationGeometry, doc["geometry"], "geometry")
-    beams = _beams(doc["beams"], grid)
-    return _section(
+    scenario = _section(
         Scenario, doc.get("sim", {}), "sim",
         grid=grid,
-        beams=beams,
+        beams=_beams(doc["beams"], grid),
         geometry=geometry,
-        restrictions=_restrictions(doc["restrictions"], beams) if "restrictions" in doc else None,
         link=_section(LinkBudget, doc["link"], "link") if "link" in doc else None,
     )
+    return _with_restrictions(doc["restrictions"], scenario) if "restrictions" in doc else scenario
 
 
 def save_scenario(scenario: Scenario, path) -> None:

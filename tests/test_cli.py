@@ -3,7 +3,7 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -126,6 +126,18 @@ class TestGenerate:
                    "--out", str(path)])
         assert rc == 0
         assert '"restrictions"' in path.read_text()
+
+    def test_loading_restrictions_checks_their_ids_once(self, tmp_path, monkeypatch):
+        """load_scenario checks a file's restriction ids in the Scenario it
+        builds, and nowhere else."""
+        path = tmp_path / "s.json"
+        assert main(["generate", "--seed", "2", "--users", "6", "--horizon-min", "5",
+                     "--with-restrictions", "--out", str(path)]) == 0
+        calls = []
+        real = RestrictionSets.check_ids
+        monkeypatch.setattr(RestrictionSets, "check_ids", lambda *a: calls.append(1) or real(*a))
+        assert scen.load_scenario(path).restrictions.pairs["intra"].size
+        assert len(calls) == 1
 
 
 class TestOptimize:
@@ -684,8 +696,9 @@ class TestFlagDefaults:
         [(_, kwargs)] = calls
         assert kwargs["params"] == GenerationParams()
         written = scen.load_scenario(out)
+        defaults = {f.name: f.default for f in fields(Scenario)}  # a slotted class keeps no defaults
         for name in ("horizon_min", "step_min", "half_cone_deg"):
-            assert getattr(written, name) == getattr(Scenario, name)
+            assert getattr(written, name) == defaults[name]
 
     @pytest.mark.parametrize(
         "flag, field, value",

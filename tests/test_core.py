@@ -1,7 +1,9 @@
 """Domain-type and validator tests."""
 
 import math
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +12,16 @@ from hypothesis import given, settings, strategies as st
 from freqplan import (
     Assignment,
     Beam,
+    ConstellationGeometry,
     DomainError,
     FrequencyGrid,
     FrequencyPlan,
     ObjectiveWeights,
     PlanStructureError,
     RestrictionSets,
+    Scenario,
+    TraceRecord,
+    Violation,
     decompose_reuse,
     load_plan_csv,
     objective_value,
@@ -26,6 +32,34 @@ from freqplan import (
 )
 
 GRID = FrequencyGrid(n_bw=4, n_fr=2, n_p=2)
+
+
+RECORDS = [
+    GRID,
+    Beam(id=1, allowed_rows=(1, 2)),
+    Assignment(1, 2, 3),
+    FrequencyPlan({1: Assignment(1, 2, 3), 2: Assignment.inactive()}),
+    ObjectiveWeights(beta2=0.1),
+    Violation("domain", (1,), "g=9"),
+    ConstellationGeometry(n_s=7, altitude_km=8062.0),
+    Scenario(
+        grid=GRID,
+        beams=(Beam(id=1), Beam(id=2)),
+        geometry=ConstellationGeometry(n_s=7, altitude_km=8062.0),
+        restrictions=RestrictionSets.of(intra=[(1, 2)]),
+    ),
+    TraceRecord(iteration=1, objective=2.5, normalized_bw=0.5, beams_changed=3, wall_ms=4.0),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_value_records_are_slotted(record):
+    """The value records keep their fields in slots, with no per-instance
+    __dict__, and still copy, compare and pickle as dataclasses."""
+    assert "__slots__" in vars(type(record))
+    assert not hasattr(record, "__dict__")
+    assert replace(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestGrid:
@@ -317,6 +351,19 @@ class TestRestrictionSets:
         r = RestrictionSets(inter=given_pairs)
         assert np.shares_memory(r.pairs["inter"], given_pairs)
         assert given_pairs.flags.writeable and not r.pairs["inter"].flags.writeable
+
+    @pytest.mark.parametrize("intra, inter", [
+        ([(2, 1), (1, 3), (1, 2)], []),  # the empty kind: density 0 in perfbench/instances.py
+        ([], [(4, 3)]),
+    ])
+    def test_pairs_from_lists_are_one_owned_array_per_kind(self, intra, inter):
+        """A kind built from a list is one read-only (n, 2) int64 array that
+        owns its data, not a view that keeps the array it reshaped."""
+        r = RestrictionSets.of(intra=intra, inter=inter)
+        for kind, listed in (("intra", intra), ("inter", inter)):
+            pairs = r.pairs[kind]
+            assert pairs.base is None and not pairs.flags.writeable
+            assert pairs.dtype == np.int64 and pairs.shape == (len(set(map(frozenset, listed))), 2)
 
     def test_partners_csr_is_built_once_per_ids(self):
         """partners() lists each position's intra partners j, then its inter

@@ -227,22 +227,30 @@ class PlanArrays:
         self._refresh(ks)
 
 
-def _blocked_cells(plan: PlanArrays, k: int) -> np.ndarray:
-    """blocked[g - 1, s]: whether slot s of row g is blocked; shape
-    (n_rows, n_bw + 1), column 0 never blocked.
+def _blocked_cells(plan: PlanArrays, ks: Sequence[int]) -> np.ndarray:
+    """blocked[t, g - 1, s]: whether slot s of row g is blocked for the beam
+    at position ks[t]; shape (len(ks), n_rows, n_bw + 1), column 0 never
+    blocked.
 
     A cell is blocked for plan.ids[k] when an active partner that is not
     selected occupies its slot on the same row (intra) or on a row of the
-    same polarization (inter). The partners are gathered with one fancy
-    index and marked by a difference-array scatter.
+    same polarization (inter). The partners of every k are gathered with
+    one take and marked by one difference-array scatter, the keys of ks[t]
+    at offset t * size.
     """
     n_rows, cells = plan.grid.n_rows, plan.grid.n_bw + 2
-    j = plan.indices[plan.indptr[k] : plan.indptr[k + 1]]
-    first = plan.first.ravel()[j]
     size = (n_rows + plan.grid.n_p) * cells
-    diff = np.bincount(first, minlength=size) - np.bincount(first + plan.span.ravel()[j], minlength=size)
-    covered = diff.reshape(-1, cells)[:, :-1].cumsum(axis=1)  # per key; cell 0 is always 0
-    return (covered[:n_rows] | covered[plan.row_pol]) > 0
+    parts = [plan.indices[plan.indptr[k] : plan.indptr[k + 1]] for k in ks]
+    j = np.concatenate(parts, dtype=np.intp)
+    first = plan.first.take(j)
+    if len(parts) > 1:
+        first += np.repeat(np.arange(0, len(parts) * size, size), [len(p) for p in parts])
+    diff = np.bincount(first, minlength=len(parts) * size)
+    diff -= np.bincount(first + plan.span.take(j), minlength=len(parts) * size)
+    # every partner's cells lie within one key, so each key's differences
+    # sum to 0 and one running sum is every key's own
+    covered = np.add.accumulate(diff, out=diff).reshape(len(parts), -1, cells)[..., :-1] > 0  # cell 0 is never covered
+    return covered[:, :n_rows] | covered[:, plan.row_pol]
 
 
 def _free_runs(blocked: np.ndarray, rows: tuple[int, int], slots: tuple[int, int]) -> np.ndarray:
@@ -281,7 +289,7 @@ def enumerate_options(
     grid, beam = plan.grid, plan.beams[k]
     (row_lo, row_hi), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
     widths = np.arange(beam.min_slots, slot_hi - slot_lo + 2)
-    run = _free_runs(_blocked_cells(plan, k), *ranges)
+    run = _free_runs(_blocked_cells(plan, [k])[0], *ranges)
     table = power_table.get(beam.id) if power_table else None
     if table is not None and widths.size and widths[-1] > len(table.by_slots_dbw):
         table.value(1, int(widths[-1]))  # raises the table's range error
@@ -499,18 +507,78 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
     return state
 
 
+# int64 cells per block of _first_fit's difference array (beams x keys x
+# (n_bw + 2)), so each of a block's temporaries stays within 64 KiB: 10
+# beams on a 40x8x2 grid
+_FIT_BLOCK_CELLS = 1 << 13
+
+
 def _first_fit(scenario: Scenario, restrictions: RestrictionSets) -> PlanArrays:
-    """greedy_warm_start's plan, as the PlanArrays it is placed in."""
+    """greedy_warm_start's plan, as the PlanArrays it is placed in.
+
+    The beams go in blocks of the demand order. One _blocked_cells call
+    gives each beam of a block its grid of the cells that beams placed in
+    earlier blocks block, packed into a Python int: a field of ``width``
+    bits per row, bit s of field g - 1 for slot s. A beam's free cells are
+    its allowed ones outside that grid and outside the slots of its
+    partners placed earlier in the same block; the lowest bit that starts
+    ``min_slots`` free bits is its lowest (g, f). Column 0, never allowed,
+    keeps a run from reaching into the next row.
+    """
     plan = PlanArrays(scenario, restrictions)
-    grid, beams = plan.grid, plan.beams
+    grid, beams, n = plan.grid, plan.beams, len(plan.beams)
+    n_rows, n_p = grid.n_rows, grid.n_p
+    per_block = max(1, _FIT_BLOCK_CELLS // ((n_rows + n_p) * (grid.n_bw + 2)))
+    width = 8 * -(-(grid.n_bw + 1) // 8)  # np.packbits pads each row to whole bytes
+    row_bits = [1 << width * r for r in range(n_rows)]
+    pol_bits = [0] * n_p  # the bit of slot 0 of every row of a polarization
+    for r, pol in enumerate(_polarization(np.arange(1, n_rows + 1), n_p).tolist()):
+        pol_bits[pol] |= row_bits[r]
+
+    @functools.cache
+    def allowed(rows: tuple[int, int], slots: tuple[int, int]) -> int:
+        (row_lo, row_hi), (slot_lo, slot_hi) = rows, slots
+        return sum(row_bits[row_lo - 1 : row_hi]) * (((1 << slot_hi - slot_lo + 1) - 1) << slot_lo)
+
     # positions ascend with the ids, so ties in demand go to the lower id
-    for k in sorted(range(len(beams)), key=lambda k: (-beams[k].demand_bps, k)):
-        beam = beams[k]
-        (row_lo, _), (slot_lo, slot_hi) = ranges = beam.row_range(grid), beam.slot_range(grid)
-        free = _free_runs(_blocked_cells(plan, k), *ranges) >= beam.min_slots
-        if free.any():
-            g, f = divmod(int(free.argmax()), slot_hi - slot_lo + 1)  # row-major: lowest g, then f
-            plan.assign(k, (1, slot_lo + f, row_lo + g, beam.min_slots))
+    order = np.argsort([-b.demand_bps for b in beams], kind="stable")
+    # place[k], place[n + k]: position k's place t in the current block as
+    # an intra partner (t) and as an inter one (per_block + t), else -1
+    place = np.full(2 * n, -1, dtype=np.int32)
+    for lo in range(0, n, per_block):
+        ks = order[lo : lo + per_block]
+        packed = np.packbits(_blocked_cells(plan, ks), axis=2, bitorder="little").tobytes()
+        size = len(packed) // len(ks)
+        place[ks], place[ks + n] = np.arange(len(ks)), np.arange(per_block, per_block + len(ks))
+        parts = [plan.indices[plan.indptr[k] : plan.indptr[k + 1]] for k in ks]
+        at = place.take(np.concatenate(parts))
+        near = np.flatnonzero(at >= 0)
+        owners = np.searchsorted(np.cumsum([len(p) for p in parts]), near, side="right")
+        partners = [[] for _ in ks]  # each beam's partners in the block, as their place
+        for t, u in zip(owners.tolist(), at[near].tolist()):
+            partners[t].append(u)
+        place[ks] = place[ks + n] = -1
+        masks = [(0, 0)] * len(ks)  # (intra, inter) cells of each placed beam of the block
+        rows, placed = [], []
+        for t, k in enumerate(ks.tolist()):
+            beam = beams[k]
+            blocked = int.from_bytes(packed[t * size : (t + 1) * size], "little")
+            for u in partners[t]:
+                blocked |= masks[u % per_block][u >= per_block]
+            runs = allowed(beam.row_range(grid), beam.slot_range(grid)) & ~blocked
+            have, need = 1, beam.min_slots
+            while have < need and runs:  # runs: the bits that start `have` free bits
+                step = min(have, need - have)
+                runs &= runs >> step
+                have += step
+            if runs:
+                g, f = divmod((runs & -runs).bit_length() - 1, width)
+                slots = ((1 << need) - 1) << f
+                masks[t] = (slots * row_bits[g], slots * pol_bits[_polarization(g + 1, n_p)])
+                rows.append((1, f, g + 1, need))
+                placed.append(k)
+        plan.state[placed] = np.reshape(rows, (len(placed), 4))
+        plan._refresh(placed)
     return plan
 
 

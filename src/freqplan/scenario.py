@@ -368,9 +368,16 @@ def route_beams(scenario: Scenario) -> np.ndarray:
     e the minimum elevation), where elevation_deg reaches e. Elevation falls
     at least 1 deg per degree of central angle above the horizon and at least
     half a degree anywhere, so this test agrees with elevation_deg's outside
-    _GUARD_DEG of psi_max. A beam with an angle inside that band, or with its
-    best two angles within it of each other, is routed with the scalar rule.
-    Steps go in blocks of about _BLOCK_ELEMENTS beam-satellite angles.
+    _GUARD_DEG of psi_max.
+
+    Per (step, beam) only the satellite nearest in longitude and its two
+    neighbours are evaluated (all satellites when n_s <= 3): on the
+    equatorial constellation the central angle grows with the longitude
+    gap, so that satellite is the nearest and the next nearest is one of
+    its neighbours. A beam with an evaluated angle within _GUARD_DEG of
+    psi_max, or with a neighbour's angle within it of the nearest's (or
+    below it), is routed with the scalar rule. Steps go in blocks of about
+    _BLOCK_ELEMENTS beam-satellite pairs of the whole constellation.
     """
     geom = scenario.geometry
     beams = scenario.beams
@@ -378,29 +385,27 @@ def route_beams(scenario: Scenario) -> np.ndarray:
     elev = math.radians(scenario.min_elevation_deg)
     ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + geom.altitude_km)
     horizon = math.degrees(math.acos(ratio * math.cos(elev)) - elev)
-    sin_b, cos_b, lon_b = _trig([b.lat for b in beams], [b.lon for b in beams])
+    lon_deg = np.array([b.lon for b in beams])
+    sin_b, cos_b, lon_b = _trig([b.lat for b in beams], lon_deg)
     steps = routing_steps(scenario)
     sat = np.empty((len(steps), n), dtype=int_dtype(-1, n_s - 1))
+    neighbours = np.array((-1, 1)[: n_s - 1], dtype=np.intp)[:, None, None]  # each other satellite once
     per_block = max(1, _BLOCK_ELEMENTS // (n * n_s))
     for lo in range(0, len(steps), per_block):
         times = steps[lo : lo + per_block]
-        sat_lons = [[geom.subsatellite_lon(s, t) for s in range(n_s)] for t in times]
-        # ang[t, i, s]: central angle of the i-th beam to satellite s at step lo + t
-        ang = _central_angles(
-            sin_b[:, None], cos_b[:, None], lon_b[:, None], *_trig(0.0, np.array(sat_lons)[:, None, :])
-        )
-        unsure = (np.abs(ang - horizon) <= _GUARD_DEG).any(axis=2)
-        ang[ang > horizon] = np.inf
+        sat_lons = np.array([[geom.subsatellite_lon(s, t) for s in range(n_s)] for t in times])
+        sin_s, cos_s, lon_s = _trig(0.0, sat_lons)
+        # nearest[t, i]: the satellite nearest in longitude to the i-th beam at step lo + t
+        nearest = np.floor((lon_deg - sat_lons[:, :1]) / geom.spacing_deg + 0.5).astype(np.intp) % n_s
+        cand = np.concatenate((nearest[None], (nearest + neighbours) % n_s))
+        # ang[c, t, i]: central angle of the i-th beam to satellite cand[c, t, i]
+        ang = _central_angles(sin_b, cos_b, lon_b, sin_s, cos_s, lon_s[np.arange(len(times))[:, None], cand])
+        unsure = (np.abs(ang - horizon) <= _GUARD_DEG).any(axis=0) | (ang[1:] - ang[0] <= _GUARD_DEG).any(axis=0)
         best = sat[lo : lo + len(times)]
-        np.argmin(ang, axis=2, out=best)  # first minimum: lower satellite index
-        if n_s > 1:
-            ang.partition(1, axis=2)  # the smallest angle first, the next second
-            with np.errstate(invalid="ignore"):  # inf - inf: no visible satellite
-                unsure |= ang[..., 1] - ang[..., 0] <= _GUARD_DEG
-        best[np.isinf(ang[..., 0])] = -1
+        best[:] = np.where(ang[0] <= horizon, nearest, -1)
         for t, i in np.argwhere(unsure).tolist():
-            nearest = _nearest_visible(beams[i], sat_lons[t], scenario)
-            best[t, i] = -1 if nearest is None else nearest
+            found = _nearest_visible(beams[i], sat_lons[t].tolist(), scenario)
+            best[t, i] = -1 if found is None else found
         unrouted = np.argwhere(best < 0)  # by step, then by beam
         if len(unrouted):
             t, i = unrouted[0].tolist()

@@ -839,7 +839,8 @@ class TestPlanArrays:
         """On random plans, n_p of 1 and 2, inactive partners, pairs that
         are both intra and inter, and a last beam with no partners (an
         empty CSR row), for a random selection and for one holding every
-        partner of the beam."""
+        partner of the beam. Each k alone, and every position in one
+        batch of a random order, a position repeated in it."""
         rng = np.random.default_rng(2100 + seed)
         for _ in range(8):
             grid = FrequencyGrid(
@@ -869,10 +870,17 @@ class TestPlanArrays:
                 for selected in ({i for i in plan.assignments if rng.random() < 0.3}, partners):
                     arrays.select([i - 1 for i in selected], True)
                     expected = ref_blocked_cells(beam_id, grid, plan, restrictions, selected)
-                    assert _blocked_cells(arrays, k).tolist() == expected.tolist()
+                    assert _blocked_cells(arrays, [k]).tolist() == [expected.tolist()]
                     if selected is partners:
                         assert not expected.any()
                     arrays.select([i - 1 for i in selected], False)
+            selected = {i for i in plan.assignments if rng.random() < 0.3}
+            arrays.select([i - 1 for i in selected], True)
+            ks = [*rng.permutation(n + 1).tolist(), int(rng.integers(0, n + 1))]
+            got = _blocked_cells(arrays, ks)
+            assert got.shape == (n + 2, grid.n_rows, grid.n_bw + 1)
+            for t, k in enumerate(ks):
+                assert got[t].tolist() == ref_blocked_cells(k + 1, grid, plan, restrictions, selected).tolist()
 
     def test_partner_ids_outside_the_plan_raise_domain_error(self):
         restrictions = RestrictionSets.of(intra=[(1, 2), (2, 9)])
@@ -991,6 +999,54 @@ class TestWarmStartAndRepair:
             got = greedy_warm_start(s, s.restrictions)
             assert got.assignments == ref_greedy_warm_start(s, s.restrictions).assignments
             assert validate_plan(got, s.grid, s.restrictions, s.beams) == []
+
+    @pytest.mark.parametrize("fit_block_cells", [None, 1 << 11])
+    @pytest.mark.parametrize("n_bw", [63, 64, 65, 130])
+    def test_first_fit_in_blocks_matches_reference(self, n_bw, fit_block_cells, monkeypatch):
+        """40-90 beams, placed in several blocks (of _FIT_BLOCK_CELLS and of
+        a smaller size), on grids whose row fields cross a 64-bit word; with
+        allowed rows, slot windows that many beams share, min_slots 1-4,
+        n_p 1 and 2, pairs of either kind or both, demand ties and beams
+        that fit nowhere. The PlanArrays _first_fit places them in holds
+        the reference plan's state, first and span."""
+        if fit_block_cells is not None:
+            monkeypatch.setattr(iterative, "_FIT_BLOCK_CELLS", fit_block_cells)
+        rng = np.random.default_rng(4100 + n_bw)
+        for case in range(4):
+            grid = FrequencyGrid(n_bw=n_bw, n_fr=int(rng.integers(4, 8)), n_p=1 + case % 2)
+            per_block = iterative._FIT_BLOCK_CELLS // ((grid.n_rows + grid.n_p) * (n_bw + 2))
+            n = int(rng.integers(max(40, per_block + 1), 91))  # more than one block
+            beams = []
+            for i in range(1, n + 1):
+                rows = slots = None
+                if rng.random() < 0.3:
+                    lo = int(rng.integers(1, grid.n_rows + 1))
+                    rows = (lo, int(rng.integers(lo, grid.n_rows + 1)))
+                if rng.random() < 0.6:
+                    lo = int(rng.choice([1, n_bw // 2, n_bw - 5]))
+                    slots = (lo, lo + int(rng.integers(0, 6)))
+                min_slots = int(rng.integers(1, 5))
+                beams.append(Beam(
+                    id=i, demand_bps=float(rng.choice([1e6, 5e6, 2e7])),
+                    min_slots=min_slots, allowed_rows=rows, allowed_slots=slots,
+                ))
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            d_intra, d_inter = rng.choice([0.1, 0.3]), rng.choice([0.05, 0.2])
+            s = Scenario(
+                grid=grid, beams=tuple(beams), geometry=GEOM,
+                restrictions=RestrictionSets.of(
+                    intra=[p for p in pairs if rng.random() < d_intra],
+                    inter=[p for p in pairs if rng.random() < d_inter],
+                ),
+            )
+            expected = ref_greedy_warm_start(s, s.restrictions)
+            arrays = iterative._first_fit(s, s.restrictions)
+            assert arrays.plan().assignments == expected.assignments
+            assert greedy_warm_start(s, s.restrictions).assignments == expected.assignments
+            want = PlanArrays(s, s.restrictions, expected)
+            for name in ("state", "first", "span"):
+                assert getattr(arrays, name).tolist() == getattr(want, name).tolist()
+            assert not all(a.active for a in expected.assignments.values())  # some fit nowhere
 
     def test_greedy_warm_start_scans_rows_before_slots(self):
         # beam 1 (higher demand) takes slots 1-2 of row 1; beam 2 then

@@ -271,6 +271,38 @@ def test_routing_matches_reference_at_the_horizon_angle(
     assert routed_or_error(route_beams, s) == routed_or_error(ref_route_beams, s)
 
 
+@pytest.mark.parametrize("altitude_km", [1200.0, 8062.0, 35786.0])
+@pytest.mark.parametrize("n_s", [1, 2, 3, 4, 5, 7, 12, 24])
+def test_routing_over_the_nearest_in_longitude_matches_reference(n_s, altitude_km):
+    """route_beams evaluates the satellite nearest in longitude and its two
+    neighbours (all satellites up to 3): it routes as ref_route_beams, or
+    raises its RoutingError, with beams exactly halfway between two
+    satellites at step 0 (at the equator and off it) among random ones,
+    near the satellites' tracks and anywhere, over 0.01 and 40 minutes.
+    The beams within a satellite's horizon at step 0 are also routed alone,
+    which no satellite can leave in 0.01 minutes."""
+    geom = ConstellationGeometry(n_s=n_s, altitude_km=altitude_km)
+    rng = np.random.default_rng(n_s * 1000 + int(altitude_km))
+    for min_elevation_deg in (0.0, 10.0):
+        psi = horizon_angle_deg(altitude_km, min_elevation_deg)
+        sats = [geom.subsatellite_lon(s, 0.0) for s in range(n_s)]
+        spots = [(lat, (lon + geom.spacing_deg / 2) % 360.0) for lon in sats for lat in (0.0, float(rng.uniform(-psi, psi)))]
+        spots += [
+            (float(rng.uniform(-psi, psi) / 2), (sats[int(rng.integers(n_s))] + float(rng.uniform(-psi, psi) / 2)) % 360.0)
+            for _ in range(20)
+        ]
+        spots += zip(rng.uniform(-80.0, 80.0, 10).tolist(), rng.uniform(0.0, 360.0, 10).tolist())
+        beams = tuple(Beam(id=k, lat=lat, lon=lon) for k, (lat, lon) in enumerate(spots, 1))
+        seen = tuple(b for b in beams if min(central_angle_deg(b.lat, b.lon, 0.0, lon) for lon in sats) < psi - 0.1)
+        for subset, step_min, horizon_min in ((beams, 0.01, 0.01), (beams, 4.0, 40.0), (seen, 0.01, 0.01)):
+            s = Scenario(grid=GRID, beams=subset, geometry=geom, horizon_min=horizon_min, step_min=step_min,
+                         min_elevation_deg=min_elevation_deg)
+            routing = routed_or_error(route_beams, s)
+            assert routing == routed_or_error(ref_route_beams, s)
+            if subset is seen:
+                assert isinstance(routing, dict)
+
+
 def test_routing_in_many_blocks_matches_reference(monkeypatch):
     # blocks of about 8 angles put each step in a block of its own, so the
     # unroutable beam is found in a later block than the first

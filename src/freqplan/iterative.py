@@ -217,10 +217,10 @@ class PlanArrays:
         rows = zip(self.ids.tolist(), self.state.tolist())
         return FrequencyPlan({i: Assignment(f, g, b, bool(active)) for i, (active, f, g, b) in rows})
 
-    def assign(self, k: int, row) -> None:
-        """Set the (active, f, g, b) row of position k."""
-        self.state[k] = row
-        self._refresh([k])
+    def assign(self, ks: Sequence[int], rows) -> None:
+        """Set the (active, f, g, b) rows of positions ks, one per position."""
+        self.state[ks] = np.reshape(rows, (len(ks), 4))
+        self._refresh(ks)
 
     def select(self, ks: Sequence[int], on: bool) -> None:
         self.selected[ks] = on
@@ -295,16 +295,15 @@ def enumerate_options(
         table.value(1, int(widths[-1]))  # raises the table's range error
     power = None if table is None else table.by_slots_dbw[widths - 1]  # by width
 
-    cap = config.top_per_bandwidth
+    # None: run.size, more candidates than any width has
+    cap = run.size if config.top_per_bandwidth is None else config.top_per_bandwidth
     live = run.T >= beam.min_slots  # by first slot, then row
-    if cap is not None:
-        # Scores fall weakly as g or f grows (|beta2|, |beta3| >= 0 and
-        # rounding is monotone) and ties go to lower f, so each free cell
-        # before a cell in its run starts a free block of every width the
-        # cell allows that outranks the cell's. A cell with cap of them never
-        # makes the cut; it is the one whose run is cap shorter than the run
-        # cap cells earlier.
-        live[cap:] &= run.T[:-cap] != run.T[cap:] + cap
+    # Scores fall weakly as g or f grows (|beta2|, |beta3| >= 0 and rounding
+    # is monotone) and ties go to lower f, so each free cell before a cell in
+    # its run starts a free block of every width the cell allows that
+    # outranks the cell's. A cell with cap of them never makes the cut; it is
+    # the one whose run is cap shorter than the run cap cells earlier.
+    live[cap:] &= run.T[:-cap] != run.T[cap:] + cap
     f_idx, g_idx = np.nonzero(live)
     cell, b_idx = np.nonzero(run[g_idx, f_idx, None] >= widths)
     f_vals, g_vals, b_vals = f_idx[cell] + slot_lo, g_idx[cell] + row_lo, widths[b_idx]
@@ -312,13 +311,12 @@ def enumerate_options(
 
     # score descending, then f, g, b: within one width, the cap's order
     order = np.argsort(-scores, kind="stable")
-    if cap is not None:
-        ranked = b_idx[order]
-        by_width = np.argsort(ranked, kind="stable")
-        grouped = ranked[by_width]
-        keep = np.empty(order.size, dtype=bool)
-        keep[by_width] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap
-        order = order[keep]
+    ranked = b_idx[order]
+    by_width = np.argsort(ranked, kind="stable")
+    grouped = ranked[by_width]
+    keep = np.empty(order.size, dtype=bool)
+    keep[by_width] = np.arange(order.size) - np.searchsorted(grouped, grouped) < cap
+    order = order[keep]
     columns = [f_vals[order], g_vals[order], b_vals[order], scores[order]]
     initial = None
     active, f, g, b = plan.state[k].tolist()
@@ -483,15 +481,14 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
 
     records = state.trace.records
     prev = records[-1].objective if records else objective_value(state.trace.start, state.weights, state.power_table)
-    changed = 0
+    changed, rows = [], []
     for k, sel, o in zip(picked, picks, option_sets):
         row = [0, 0, 0, 0] if sel is None else [1, o.f[sel].item(), o.g[sel].item(), o.b[sel].item()]
-        old = plan.state[k].tolist()  # an inactive row may keep stale f, g, b
-        if old == row:
-            continue
-        changed += 1
-        plan.assign(k, row)
-        state.scores[k] = 0.0 if sel is None else o.score[sel].item()
+        if plan.state[k].tolist() != row:  # an inactive row may keep stale f, g, b
+            changed.append(k)
+            rows.append(row)
+            state.scores[k] = 0.0 if sel is None else o.score[sel].item()
+    plan.assign(changed, rows)
 
     objective = state.objective()
     state.stall = 0 if objective > prev + OPT_TOL else state.stall + 1
@@ -500,7 +497,7 @@ def iterate_once(state: IterationState, rng: np.random.Generator) -> IterationSt
             iteration=len(records) + 1,
             objective=objective,
             normalized_bw=int(plan.state[:, 3] @ plan.state[:, 0]) / state.capacity,  # total_normalized_bandwidth
-            beams_changed=changed,
+            beams_changed=len(changed),
             wall_ms=(time.perf_counter() - started) * 1000.0,
         )
     )
@@ -521,9 +518,11 @@ def _first_fit(scenario: Scenario, restrictions: RestrictionSets) -> PlanArrays:
     earlier blocks block, packed into a Python int: a field of ``width``
     bits per row, bit s of field g - 1 for slot s. A beam's free cells are
     its allowed ones outside that grid and outside the slots of its
-    partners placed earlier in the same block; the lowest bit that starts
+    partners placed earlier in the same block, which its own partner row
+    finds once the block has placed a beam; the lowest bit that starts
     ``min_slots`` free bits is its lowest (g, f). Column 0, never allowed,
-    keeps a run from reaching into the next row.
+    keeps a run from reaching into the next row. Each block ends with one
+    PlanArrays.assign of the beams it placed.
     """
     plan = PlanArrays(scenario, restrictions)
     grid, beams, n = plan.grid, plan.beams, len(plan.beams)
@@ -542,29 +541,23 @@ def _first_fit(scenario: Scenario, restrictions: RestrictionSets) -> PlanArrays:
 
     # positions ascend with the ids, so ties in demand go to the lower id
     order = np.argsort([-b.demand_bps for b in beams], kind="stable")
-    # place[k], place[n + k]: position k's place t in the current block as
-    # an intra partner (t) and as an inter one (per_block + t), else -1
+    # place[k], place[n + k]: the index in `masks` of position k's cells as
+    # an intra partner and as an inter one while k is placed in the current
+    # block, else -1
     place = np.full(2 * n, -1, dtype=np.int32)
     for lo in range(0, n, per_block):
         ks = order[lo : lo + per_block]
         packed = np.packbits(_blocked_cells(plan, ks), axis=2, bitorder="little").tobytes()
         size = len(packed) // len(ks)
-        place[ks], place[ks + n] = np.arange(len(ks)), np.arange(per_block, per_block + len(ks))
-        parts = [plan.indices[plan.indptr[k] : plan.indptr[k + 1]] for k in ks]
-        at = place.take(np.concatenate(parts))
-        near = np.flatnonzero(at >= 0)
-        owners = np.searchsorted(np.cumsum([len(p) for p in parts]), near, side="right")
-        partners = [[] for _ in ks]  # each beam's partners in the block, as their place
-        for t, u in zip(owners.tolist(), at[near].tolist()):
-            partners[t].append(u)
-        place[ks] = place[ks + n] = -1
-        masks = [(0, 0)] * len(ks)  # (intra, inter) cells of each placed beam of the block
+        masks = []  # the intra and the inter cells of each beam placed in the block
         rows, placed = [], []
         for t, k in enumerate(ks.tolist()):
             beam = beams[k]
             blocked = int.from_bytes(packed[t * size : (t + 1) * size], "little")
-            for u in partners[t]:
-                blocked |= masks[u % per_block][u >= per_block]
+            if masks:
+                at = place.take(plan.indices[plan.indptr[k] : plan.indptr[k + 1]])
+                for u in at[at >= 0].tolist():
+                    blocked |= masks[u]
             runs = allowed(beam.row_range(grid), beam.slot_range(grid)) & ~blocked
             have, need = 1, beam.min_slots
             while have < need and runs:  # runs: the bits that start `have` free bits
@@ -574,11 +567,12 @@ def _first_fit(scenario: Scenario, restrictions: RestrictionSets) -> PlanArrays:
             if runs:
                 g, f = divmod((runs & -runs).bit_length() - 1, width)
                 slots = ((1 << need) - 1) << f
-                masks[t] = (slots * row_bits[g], slots * pol_bits[_polarization(g + 1, n_p)])
+                place[k], place[n + k] = len(masks), len(masks) + 1
+                masks += (slots * row_bits[g], slots * pol_bits[_polarization(g + 1, n_p)])
                 rows.append((1, f, g + 1, need))
                 placed.append(k)
-        plan.state[placed] = np.reshape(rows, (len(placed), 4))
-        plan._refresh(placed)
+        place[ks] = place[ks + n] = -1
+        plan.assign(placed, rows)
     return plan
 
 

@@ -1000,22 +1000,23 @@ class TestWarmStartAndRepair:
             assert got.assignments == ref_greedy_warm_start(s, s.restrictions).assignments
             assert validate_plan(got, s.grid, s.restrictions, s.beams) == []
 
-    @pytest.mark.parametrize("fit_block_cells", [None, 1 << 11])
+    @pytest.mark.parametrize("fit_block_cells", [None, 1 << 11, 1, 1 << 20])
     @pytest.mark.parametrize("n_bw", [63, 64, 65, 130])
     def test_first_fit_in_blocks_matches_reference(self, n_bw, fit_block_cells, monkeypatch):
-        """40-90 beams, placed in several blocks (of _FIT_BLOCK_CELLS and of
-        a smaller size), on grids whose row fields cross a 64-bit word; with
-        allowed rows, slot windows that many beams share, min_slots 1-4,
-        n_p 1 and 2, pairs of either kind or both, demand ties and beams
-        that fit nowhere. The PlanArrays _first_fit places them in holds
-        the reference plan's state, first and span."""
+        """40-90 beams, placed in several blocks (of _FIT_BLOCK_CELLS, of a
+        smaller size and of one beam, so no partner is in the block) or in
+        one block (every partner is), on grids whose row fields cross a
+        64-bit word; with allowed rows, slot windows that many beams share,
+        min_slots 1-4, n_p 1 and 2, pairs of either kind or both, demand
+        ties and beams that fit nowhere. The PlanArrays _first_fit places
+        them in holds the reference plan's state, first and span."""
         if fit_block_cells is not None:
             monkeypatch.setattr(iterative, "_FIT_BLOCK_CELLS", fit_block_cells)
         rng = np.random.default_rng(4100 + n_bw)
         for case in range(4):
             grid = FrequencyGrid(n_bw=n_bw, n_fr=int(rng.integers(4, 8)), n_p=1 + case % 2)
             per_block = iterative._FIT_BLOCK_CELLS // ((grid.n_rows + grid.n_p) * (n_bw + 2))
-            n = int(rng.integers(max(40, per_block + 1), 91))  # more than one block
+            n = int(rng.integers(min(max(40, per_block + 1), 90), 91))  # several blocks, one at 1 << 20
             beams = []
             for i in range(1, n + 1):
                 rows = slots = None
